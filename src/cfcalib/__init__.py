@@ -35,7 +35,6 @@ from .errors import (
 from .ingest import (
     GpsFix,
     Trajectory,
-    TrajectoryPoint,
     convert_units,
     derive_kinematics,
     geodesic_distance,

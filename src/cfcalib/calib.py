@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -39,10 +39,14 @@ def gof(sim, obs) -> tuple[float, float, float]:
     err = sim - obs
     mae = float(np.mean(np.abs(err)))
     rmse = float(np.sqrt(np.mean(err * err)))
-    obs_rms = float(np.sqrt(np.mean(obs * obs)))
-    if obs_rms == 0.0:
+    scale = float(np.max(np.abs(obs)))
+    if scale == 0.0:
         raise UndefinedStatisticError("nrmse undefined: observations are all zero")
-    return mae, rmse, rmse / obs_rms
+    # Squares of values near the float limits under- or overflow, so the
+    # ratio is taken on both series divided by the largest observation.
+    err_n = err / scale
+    obs_n = obs / scale
+    return mae, rmse, float(np.sqrt(np.mean(err_n * err_n) / np.mean(obs_n * obs_n)))
 
 
 @dataclass(frozen=True)
@@ -135,6 +139,11 @@ class GaConfig:
 
     @classmethod
     def from_dict(cls, data: dict) -> "GaConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("GA config must be a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown GA config key(s): {', '.join(unknown)}")
         kwargs = dict(data)
         if kwargs.get("bounds") is not None:
             kwargs["bounds"] = [tuple(b) for b in kwargs["bounds"]]

@@ -67,15 +67,15 @@ class CleaningRules:
         if self.min_segment_len <= 0:
             raise DomainError("min_segment_len must be positive")
 
-    def keeps(self, leader_accel, follower_speed, follower_accel, spacing) -> bool:
-        """True when a sample is a valid car-following observation."""
+    def keeps(self, leader_accel, follower_speed, follower_accel, spacing):
+        """True where a sample is a valid car-following observation (elementwise)."""
         return (
-            follower_speed > self.min_follower_speed_exclusive
-            and follower_speed <= self.max_follower_speed
-            and spacing > 0.0
-            and spacing <= self.max_spacing
-            and abs(leader_accel) <= self.max_accel
-            and abs(follower_accel) <= self.max_accel
+            (follower_speed > self.min_follower_speed_exclusive)
+            & (follower_speed <= self.max_follower_speed)
+            & (spacing > 0.0)
+            & (spacing <= self.max_spacing)
+            & (np.abs(leader_accel) <= self.max_accel)
+            & (np.abs(follower_accel) <= self.max_accel)
         )
 
 
@@ -144,9 +144,7 @@ def pair_trajectories(
     fixes is the natural value. Raises PairingError when the logs never
     overlap.
     """
-    la = leader.arrays()
-    fa = follower.arrays()
-    lt, ft = la["t"], fa["t"]
+    lt, ft = leader.t, follower.t
     li = fi = 0
     l_idx, f_idx = [], []
     while li < len(lt) and fi < len(ft):
@@ -169,13 +167,13 @@ def pair_trajectories(
     l_sel = np.array(l_idx)
     f_sel = np.array(f_idx)
     return PairedSeries(
-        t=fa["t"][f_sel],
-        leader_pos=la["pos"][l_sel] + leader_offset,
-        leader_speed=la["speed"][l_sel],
-        leader_accel=la["accel"][l_sel],
-        follower_pos=fa["pos"][f_sel],
-        follower_speed=fa["speed"][f_sel],
-        follower_accel=fa["accel"][f_sel],
+        t=ft[f_sel],
+        leader_pos=leader.pos[l_sel] + leader_offset,
+        leader_speed=leader.speed[l_sel],
+        leader_accel=leader.accel[l_sel],
+        follower_pos=follower.pos[f_sel],
+        follower_speed=follower.speed[f_sel],
+        follower_accel=follower.accel[f_sel],
         dt=follower.dt,
     )
 
@@ -192,30 +190,16 @@ def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None) -> 
     n = len(paired)
     if n == 0:
         raise DomainError("paired series is empty")
-    spacing = paired.spacing
-    keep = np.array([
-        rules.keeps(paired.leader_accel[i], paired.follower_speed[i],
-                    paired.follower_accel[i], spacing[i])
-        for i in range(n)
-    ])
+    keep = rules.keeps(paired.leader_accel, paired.follower_speed,
+                       paired.follower_accel, paired.spacing)
+    # a sample joins the previous one when both are kept and no gap lies between
+    joined = np.zeros(n, dtype=bool)
+    joined[1:] = keep[1:] & keep[:-1] & ~(np.diff(paired.t) > 1.5 * paired.dt)
+    starts = np.flatnonzero(keep & ~joined)
+    ends = np.flatnonzero(keep & ~np.append(joined[1:], False)) + 1
 
     segments: list[FollowingSegment] = []
-    runs: list[tuple[int, int]] = []
-    start = None
-    for i in range(n):
-        if keep[i]:
-            if start is None:
-                start = i
-            elif paired.t[i] - paired.t[i - 1] > 1.5 * paired.dt:
-                runs.append((start, i))
-                start = i
-        elif start is not None:
-            runs.append((start, i))
-            start = None
-    if start is not None:
-        runs.append((start, n))
-
-    for lo, hi in runs:
+    for lo, hi in zip(starts, ends):
         if hi - lo < rules.min_segment_len:
             continue
         sel = slice(lo, hi)

@@ -32,7 +32,7 @@ from .cleaning import (
     retained_samples,
     segments_to_dict,
 )
-from .errors import CfCalibError, DomainError
+from .errors import CfCalibError, ConfigError, DomainError
 from .ingest import (
     derive_kinematics,
     geodesic_distance,
@@ -211,7 +211,11 @@ def _cmd_calibrate(args) -> int:
         config = load_ga_config(config_src)
         inputs.append(config_src)
     if args.seeds is not None:
-        config.seeds = [int(s) for s in args.seeds.split(",")]
+        try:
+            config.seeds = [int(s) for s in args.seeds.split(",")]
+        except ValueError:
+            raise ConfigError(
+                f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
     limits = SimLimits()
     if args.limits:
         limits_src = _require_file(args.limits)

@@ -39,54 +39,57 @@ class GpsFix:
             raise DomainError(f"longitude {self.lon} outside [-180, 180]")
 
 
-@dataclass(frozen=True)
-class TrajectoryPoint:
-    """One sample: time (s), position (ft), speed (ft/s), accel (ft/s^2), jerk (ft/s^3)."""
-
-    t: float
-    pos: float
-    speed: float
-    accel: float
-    jerk: float
+TRAJECTORY_COLUMNS = ("t", "pos", "speed", "accel", "jerk")
 
 
 @dataclass
 class Trajectory:
-    """Ordered kinematic samples for one vehicle at a nominal cadence."""
+    """Kinematic samples for one vehicle at a nominal cadence, one float array per column.
+
+    Columns: time (s), position (ft), speed (ft/s), accel (ft/s^2), jerk (ft/s^3).
+    """
 
     vehicle_id: str
-    points: list[TrajectoryPoint]
+    t: np.ndarray
+    pos: np.ndarray
+    speed: np.ndarray
+    accel: np.ndarray
+    jerk: np.ndarray
     dt: float = 1.0
 
-    def __len__(self) -> int:
-        return len(self.points)
+    def __post_init__(self):
+        try:
+            for name in TRAJECTORY_COLUMNS:
+                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"trajectory {self.vehicle_id!r}: non-numeric column") from exc
+        shape = self.t.shape
+        if len(shape) != 1 or any(getattr(self, n).shape != shape for n in TRAJECTORY_COLUMNS):
+            raise DomainError(
+                f"trajectory {self.vehicle_id!r}: columns must be 1-d and of equal length")
 
-    def arrays(self) -> dict[str, np.ndarray]:
-        """Column view of the points as float arrays."""
-        return {
-            name: np.array([getattr(p, name) for p in self.points], dtype=float)
-            for name in ("t", "pos", "speed", "accel", "jerk")
-        }
+    def __len__(self) -> int:
+        return len(self.t)
 
     def time_gaps(self, rel_tol: float = 0.1) -> list[int]:
         """Indices i where t[i] - t[i-1] deviates from dt by more than rel_tol."""
-        out = []
-        for i in range(1, len(self.points)):
-            step = self.points[i].t - self.points[i - 1].t
-            if abs(step - self.dt) > rel_tol * self.dt:
-                out.append(i)
-        return out
+        off = np.abs(np.diff(self.t) - self.dt) > rel_tol * self.dt
+        return (np.flatnonzero(off) + 1).tolist()
+
+
+def _haversine_ft(lat1, lon1, lat2, lon2):
+    """Great-circle distance in feet, elementwise over scalars or arrays."""
+    dlat = np.radians(lat2 - lat1)
+    dlon = np.radians(lon2 - lon1)
+    h = (np.sin(dlat / 2.0) ** 2
+         + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * np.sin(dlon / 2.0) ** 2)
+    c = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(h)))
+    return EARTH_RADIUS_M * c * FT_PER_M
 
 
 def geodesic_distance(a: GpsFix, b: GpsFix) -> float:
     """Great-circle distance between two fixes, in feet (haversine)."""
-    lat1 = math.radians(a.lat)
-    lat2 = math.radians(b.lat)
-    dlat = math.radians(b.lat - a.lat)
-    dlon = math.radians(b.lon - a.lon)
-    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
-    c = 2.0 * math.asin(min(1.0, math.sqrt(h)))
-    return EARTH_RADIUS_M * c * FT_PER_M
+    return float(_haversine_ft(a.lat, a.lon, b.lat, b.lon))
 
 
 def kinematics_from_positions(
@@ -96,15 +99,16 @@ def kinematics_from_positions(
 
     Each derivative level k is valid from index k onward; the leading
     entries are filled by replicating the first valid value, so constant
-    acceleration reproduces its ground truth at every index.
+    acceleration reproduces its ground truth at every index. The
+    trajectory holds copies of `t` and `pos`.
     """
-    t = np.asarray(t, dtype=float)
-    pos = np.asarray(pos, dtype=float)
+    t = np.array(t, dtype=float)
+    pos = np.array(pos, dtype=float)
     n = len(t)
     if n < 4:
         raise InsufficientDataError(f"need at least 4 samples for jerk, got {n}")
     steps = np.diff(t)
-    if np.any(steps <= 0):
+    if not np.all(steps > 0):
         raise OrderingError("timestamps must be strictly increasing")
 
     speed = np.empty(n)
@@ -119,23 +123,16 @@ def kinematics_from_positions(
     jerk[3:] = np.diff(accel[2:]) / steps[2:]
     jerk[:3] = jerk[3]
 
-    points = [
-        TrajectoryPoint(float(t[i]), float(pos[i]), float(speed[i]), float(accel[i]), float(jerk[i]))
-        for i in range(n)
-    ]
-    return Trajectory(vehicle_id=vehicle_id, points=points, dt=dt)
+    return Trajectory(vehicle_id, t, pos, speed, accel, jerk, dt=dt)
 
 
 def derive_kinematics(fixes: list[GpsFix], vehicle_id: str = "", dt: float = 1.0) -> Trajectory:
     """Convert a GPS log into a trajectory: cumulative arc length plus derivatives."""
     if len(fixes) < 4:
         raise InsufficientDataError(f"need at least 4 fixes for jerk, got {len(fixes)}")
-    t = np.array([f.t for f in fixes], dtype=float)
-    if np.any(np.diff(t) <= 0):
-        raise OrderingError("fix timestamps must be strictly increasing")
+    t, lat, lon = np.array([(f.t, f.lat, f.lon) for f in fixes], dtype=float).T
     pos = np.zeros(len(fixes))
-    for i in range(1, len(fixes)):
-        pos[i] = pos[i - 1] + geodesic_distance(fixes[i - 1], fixes[i])
+    pos[1:] = np.cumsum(_haversine_ft(lat[:-1], lon[:-1], lat[1:], lon[1:]))
     return kinematics_from_positions(t, pos, vehicle_id=vehicle_id, dt=dt)
 
 
@@ -182,15 +179,17 @@ def convert_units(value: float, from_unit: str, to_unit: str) -> float:
 # file I/O
 
 def _parse_time(text: str) -> float:
-    """Accept epoch seconds or ISO-8601; return seconds as float."""
+    """Accept epoch seconds or ISO-8601; return finite seconds as float."""
     try:
-        return float(text)
+        value = float(text)
     except ValueError:
-        pass
-    try:
-        return datetime.fromisoformat(text).timestamp()
-    except ValueError as exc:
-        raise DomainError(f"unparseable timestamp {text!r}") from exc
+        try:
+            return datetime.fromisoformat(text).timestamp()
+        except ValueError:
+            raise ValueError(f"unparseable timestamp {text!r}") from None
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite timestamp {text!r}")
+    return value
 
 
 def _read_gps_rows(path: str | Path) -> list[tuple[float, float, float]]:
@@ -209,7 +208,10 @@ def _read_gps_rows(path: str | Path) -> list[tuple[float, float, float]]:
                 continue
             if len(row) != 3:
                 raise DomainError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            raw.append((_parse_time(row[0]), float(row[1]), float(row[2])))
+            try:
+                raw.append((_parse_time(row[0]), float(row[1]), float(row[2])))
+            except ValueError as exc:
+                raise DomainError(f"{path}:{lineno}: {exc}") from None
     if not raw:
         raise InsufficientDataError(f"{path}: no data rows")
     return raw
@@ -240,22 +242,19 @@ def read_gps_pair(
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:
-    return {
-        "vehicle_id": traj.vehicle_id,
-        "dt": traj.dt,
-        "points": [
-            {"t": p.t, "pos": p.pos, "speed": p.speed, "accel": p.accel, "jerk": p.jerk}
-            for p in traj.points
-        ],
-    }
+    data = {name: getattr(traj, name).tolist() for name in TRAJECTORY_COLUMNS}
+    data.update(vehicle_id=traj.vehicle_id, dt=traj.dt)
+    return data
 
 
 def trajectory_from_dict(data: dict) -> Trajectory:
-    points = [
-        TrajectoryPoint(p["t"], p["pos"], p["speed"], p["accel"], p["jerk"])
-        for p in data["points"]
-    ]
-    return Trajectory(vehicle_id=data["vehicle_id"], points=points, dt=data.get("dt", 1.0))
+    if not isinstance(data, dict):
+        raise DomainError("trajectory JSON must be an object")
+    missing = [key for key in ("vehicle_id",) + TRAJECTORY_COLUMNS if key not in data]
+    if missing:
+        raise DomainError(f"trajectory JSON lacks {', '.join(missing)}")
+    return Trajectory(data["vehicle_id"], *(data[name] for name in TRAJECTORY_COLUMNS),
+                      dt=data.get("dt", 1.0))
 
 
 def write_trajectory_json(traj: Trajectory, path: str | Path) -> None:

@@ -84,8 +84,9 @@ def render_stats_text(report: dict) -> str:
         rows.append([f"accel {key}", _num(accel_var[key]["cv"]), ""])
     jerk_var = report["variability"]["jerk"]
     rows.append(["jerk follower_plus", _num(jerk_var["follower_plus"]["cv"]), ""])
-    rows.append(["jerk follower_minus", _num(jerk_var["follower_minus"]["cv"]),
-                 _num(jerk_var["follower_outlier_share"])])
+    rows.append(["jerk follower_minus", _num(jerk_var["follower_minus"]["cv"]), ""])
+    # the outlier share covers the whole follower jerk series, both signs
+    rows.append(["jerk follower", "", _num(jerk_var["follower_outlier_share"])])
     out.append(_table(["series", "cv", "outliers"], rows))
 
     comfort = report["jerk_comfort"]

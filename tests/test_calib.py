@@ -52,6 +52,12 @@ class TestGof:
         _, _, scaled = gof([k * v for v in sim], [k * v for v in obs])
         assert scaled == pytest.approx(base, rel=1e-9)
 
+    def test_nrmse_of_tiny_observations(self):
+        # the squares of these values are subnormal in double precision
+        obs = [2.5797834292161295e-160]
+        _, _, nrmse = gof([0.5 * obs[0]], obs)
+        assert nrmse == pytest.approx(0.5, rel=1e-12)
+
     @given(finite_arrays)
     @settings(max_examples=50)
     def test_rmse_dominates_mae_and_identity(self, obs):

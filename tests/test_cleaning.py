@@ -59,8 +59,7 @@ class TestPairTrajectories:
         leader = make_trajectory(0.0, 20)
         follower = make_trajectory(0.0, 20)
         # shift the leader 100 ft ahead
-        for p in leader.points:
-            object.__setattr__(p, "pos", p.pos + 100.0)
+        leader.pos += 100.0
         paired = pair_trajectories(leader, follower)
         assert paired.spacing == pytest.approx(np.full(20, 100.0))
 

@@ -48,7 +48,7 @@ class TestIngest:
         data = json.loads(out.read_text())
         assert set(data) == {"leader", "follower", "leader_start_offset_ft"}
         assert data["leader_start_offset_ft"] == pytest.approx(100.0, rel=1e-6)
-        assert len(data["follower"]["points"]) == 90
+        assert len(data["follower"]["t"]) == 90
         manifest = json.loads((tmp_path / "pair.json.manifest.json").read_text())
         assert manifest["subcommand"] == "ingest"
         assert len(manifest["inputs"]) == 2
@@ -85,6 +85,30 @@ class TestCleanAndStats:
         data = json.loads(segments.read_text())
         assert len(data["segments"]) == 2
         assert data["retained_samples"] > 0
+
+    @pytest.mark.parametrize("damage", ["points_layout", "missing_column", "ragged_column"])
+    def test_malformed_pair_exits_one(self, tmp_path, capsys, damage):
+        leader, follower = write_logs(tmp_path)
+        pair = tmp_path / "pair.json"
+        assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                     "--out", str(pair)]) == 0
+        data = json.loads(pair.read_text())
+        follower_data = data["follower"]
+        if damage == "points_layout":
+            keys = ("t", "pos", "speed", "accel", "jerk")
+            follower_data["points"] = [dict(zip(keys, row))
+                                       for row in zip(*(follower_data.pop(k) for k in keys))]
+        elif damage == "missing_column":
+            del follower_data["jerk"]
+        else:
+            follower_data["speed"] = follower_data["speed"][:-1]
+        pair.write_text(json.dumps(data))
+        capsys.readouterr()
+        rc = main(["clean", "--pair", str(pair), "--out", str(tmp_path / "segments.json")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "domain"
 
     def test_stats_report_and_svgs(self, tmp_path):
         segments = run_pipeline_to_segments(tmp_path)
@@ -230,3 +254,22 @@ class TestCalibrateCli:
         text = capsys.readouterr().out
         assert "NRMSE" in text and "MAE" in text and "RMSE" in text
         assert "Calibration errors" in text and "Validation errors" in text
+
+    @pytest.mark.parametrize("flag, value, named", [
+        ("--seeds", "a,b", "a,b"),
+        ("--config", {"populaton": 8}, "populaton"),
+    ])
+    def test_bad_calibrate_input_exits_one(self, tmp_path, capsys, flag, value, named):
+        segments = self.make_recovery_segments(tmp_path)
+        if flag == "--config":
+            config = tmp_path / "ga.json"
+            config.write_text(json.dumps(value))
+            value = str(config)
+        rc = main(["calibrate", "--model", "idm", "--segments", str(segments),
+                   flag, value, "--out", str(tmp_path / "result.json")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config"
+        assert named in err["message"]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from cfcalib import (
     geodesic_distance,
     kinematics_from_positions,
 )
+from cfcalib.cli import main
 from cfcalib.ingest import (
     read_gps_csv,
     read_gps_pair,
@@ -23,6 +25,15 @@ from cfcalib.ingest import (
 
 # one degree of meridian arc is 69 miles to within spherical-model error
 MERIDIAN_DEG_FT = 364_320.0
+
+
+def haversine_oracle_ft(a, b):
+    """Independent scalar haversine (math module), in feet."""
+    lat1, lat2 = math.radians(a.lat), math.radians(b.lat)
+    dlat = math.radians(b.lat - a.lat)
+    dlon = math.radians(b.lon - a.lon)
+    h = math.sin(dlat / 2.0) ** 2 + math.cos(lat1) * math.cos(lat2) * math.sin(dlon / 2.0) ** 2
+    return 6_371_008.8 * 2.0 * math.asin(min(1.0, math.sqrt(h))) / 0.3048
 
 
 def meridian_fixes(n, step_ft, t0=0.0, dt=1.0):
@@ -62,25 +73,22 @@ class TestDeriveKinematics:
     def test_stationary_log_all_zero(self):
         fixes = [GpsFix(float(i), 28.37, -81.25) for i in range(5)]
         traj = derive_kinematics(fixes)
-        arrays = traj.arrays()
-        assert np.all(arrays["speed"] == 0.0)
-        assert np.all(arrays["accel"] == 0.0)
-        assert np.all(arrays["jerk"] == 0.0)
+        assert np.all(traj.speed == 0.0)
+        assert np.all(traj.accel == 0.0)
+        assert np.all(traj.jerk == 0.0)
 
     def test_constant_speed_along_meridian(self):
         traj = derive_kinematics(meridian_fixes(6, 14.39))
-        arrays = traj.arrays()
-        assert arrays["speed"] == pytest.approx(np.full(6, 14.39), abs=1e-6)
-        assert arrays["accel"] == pytest.approx(np.zeros(6), abs=1e-6)
+        assert traj.speed == pytest.approx(np.full(6, 14.39), abs=1e-6)
+        assert traj.accel == pytest.approx(np.zeros(6), abs=1e-6)
 
     def test_quadratic_positions_constant_accel(self):
         # x = t^2 has backward-difference speed 2t-1 and acceleration 2
         t = np.arange(5.0)
         traj = kinematics_from_positions(t, t ** 2)
-        arrays = traj.arrays()
-        assert arrays["speed"][1:] == pytest.approx([1.0, 3.0, 5.0, 7.0])
-        assert arrays["accel"] == pytest.approx(np.full(5, 2.0), abs=1e-12)
-        assert arrays["jerk"] == pytest.approx(np.zeros(5), abs=1e-12)
+        assert traj.speed[1:] == pytest.approx([1.0, 3.0, 5.0, 7.0])
+        assert traj.accel == pytest.approx(np.full(5, 2.0), abs=1e-12)
+        assert traj.jerk == pytest.approx(np.zeros(5), abs=1e-12)
 
     def test_too_few_fixes(self):
         with pytest.raises(InsufficientDataError):
@@ -101,28 +109,35 @@ class TestDeriveKinematics:
             GpsFix(4.0, 28.3706, -81.2497),
         ]
         traj = derive_kinematics(fixes)
-        pos = traj.arrays()["pos"]
+        pos = traj.pos
         assert pos[0] == 0.0
         assert np.all(np.diff(pos) >= 0.0)
         for i in range(1, len(fixes)):
             # cumulative summation costs at most an ulp per step
             assert pos[i] - pos[i - 1] == pytest.approx(
-                geodesic_distance(fixes[i - 1], fixes[i]), abs=1e-9)
+                haversine_oracle_ft(fixes[i - 1], fixes[i]), abs=1e-9)
+            assert geodesic_distance(fixes[i - 1], fixes[i]) == pytest.approx(
+                haversine_oracle_ft(fixes[i - 1], fixes[i]), abs=1e-9)
 
     def test_rederiving_from_positions_is_identity(self):
         traj = derive_kinematics(meridian_fixes(8, 12.0))
-        arrays = traj.arrays()
-        again = kinematics_from_positions(arrays["t"], arrays["pos"])
-        redone = again.arrays()
+        again = kinematics_from_positions(traj.t, traj.pos)
         for key in ("speed", "accel", "jerk"):
-            assert np.array_equal(arrays[key], redone[key])
+            assert np.array_equal(getattr(traj, key), getattr(again, key))
 
     @given(a0=st.floats(-5, 5), v0=st.floats(0.1, 20))
     def test_constant_acceleration_recovered(self, a0, v0):
         t = np.arange(10.0)
         pos = v0 * t + 0.5 * a0 * t ** 2
-        arrays = kinematics_from_positions(t, pos).arrays()
-        assert arrays["accel"] == pytest.approx(np.full(10, a0), abs=1e-9)
+        traj = kinematics_from_positions(t, pos)
+        assert traj.accel == pytest.approx(np.full(10, a0), abs=1e-9)
+
+    def test_trajectory_does_not_alias_inputs(self):
+        t = np.arange(5.0)
+        pos = t * 3.0
+        traj = kinematics_from_positions(t, pos)
+        t[0] = pos[0] = -1.0
+        assert traj.t[0] == 0.0 and traj.pos[0] == 0.0
 
     def test_time_gap_flagging(self):
         t = np.array([0.0, 1.0, 2.0, 3.5, 4.5])
@@ -198,6 +213,25 @@ class TestFileIO:
         loaded = read_trajectory_json(path)
         assert loaded.vehicle_id == "shuttle"
         assert loaded.dt == traj.dt
-        a, b = traj.arrays(), loaded.arrays()
-        for key in a:
-            assert np.array_equal(a[key], b[key])
+        for key in ("t", "pos", "speed", "accel", "jerk"):
+            assert np.array_equal(getattr(traj, key), getattr(loaded, key))
+
+
+class TestIngestCliContract:
+    @pytest.mark.parametrize("bad_row, line", [
+        ("2,north,-81.25", 4),   # non-numeric latitude
+        ("nan,28.3702,-81.25", 4),   # non-finite timestamp
+    ])
+    def test_bad_cell_exits_one_naming_path_and_line(self, tmp_path, capsys, bad_row, line):
+        rows = ["0,28.37,-81.25", "1,28.3701,-81.25", bad_row, "3,28.3703,-81.25"]
+        csv_path = tmp_path / "log.csv"
+        csv_path.write_text("t,lat,lon\n" + "".join(f"{row}\n" for row in rows))
+        out = tmp_path / "traj.json"
+        rc = main(["ingest", "--input", str(csv_path), "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "domain"
+        assert f"log.csv:{line}" in err["message"]
+        assert not out.exists()

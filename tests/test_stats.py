@@ -230,3 +230,12 @@ class TestAnalyzeSegments:
         for row in ("leader speed", "follower speed", "accel follower_plus",
                     "accel leader_minus", "jerk follower_minus"):
             assert row in text
+        # the whole-series jerk outlier share has a row of its own; the
+        # signed jerk rows carry only their CV
+        cells = {" ".join(line.split()[:2]): line.split()[2:]
+                 for line in text.splitlines() if line.split()[:1] == ["jerk"]}
+        share = variability["jerk"]["follower_outlier_share"]
+        assert cells["jerk follower"] == ["n/a" if share is None else f"{share:.4f}"]
+        for sign in ("plus", "minus"):
+            cv = variability["jerk"][f"follower_{sign}"]["cv"]
+            assert cells[f"jerk follower_{sign}"] == ["n/a" if cv is None else f"{cv:.4f}"]
