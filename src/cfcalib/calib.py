@@ -5,12 +5,12 @@ calibration segments (concatenate first, then one NRMSE). The GA is
 elitist with tournament selection of size 2, uniform crossover, and
 per-gene uniform-reset mutation; every random draw comes from one seeded
 generator in a fixed order, so a (seed, inputs) pair fully determines
-the outcome regardless of how many threads evaluate fitness.
+the outcome regardless of how many threads evaluate fitness. Each
+generation is scored as one block of gene rows.
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -19,8 +19,17 @@ import numpy as np
 
 from .cleaning import FollowingSegment, split_segments
 from .errors import CfCalibError, ConfigError, UndefinedStatisticError
+from .jsonio import read_json_object
 from .models import GENE_BOUNDS, ModelParams, genes_to_params, params_to_dict
-from .sim import SimLimits, simulate_all
+from .sim import (
+    BATCH_MIN_SEGMENTS,
+    SegmentBlock,
+    SimLimits,
+    _accel_fn,
+    _step_loop,
+    array_accel_fn,
+    simulate_all,
+)
 
 # Fitness assigned when a simulation faults; finite so the GA keeps going.
 FAULT_FITNESS = 1e9
@@ -39,14 +48,30 @@ def gof(sim, obs) -> tuple[float, float, float]:
     err = sim - obs
     mae = float(np.mean(np.abs(err)))
     rmse = float(np.sqrt(np.mean(err * err)))
+    return mae, rmse, float(_nrmse_rows(sim[None, :], obs)[0])
+
+
+def _nrmse_rows(sim: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """NRMSE of each row of a (rows, samples) array against `obs`.
+
+    Each row is reduced as a 1-d array, so it scores bit for bit what
+    gof() gives it alone; numpy's reductions along an axis of a 2-d
+    array sum in another order.
+    """
     scale = float(np.max(np.abs(obs)))
     if scale == 0.0:
         raise UndefinedStatisticError("nrmse undefined: observations are all zero")
-    # Squares of values near the float limits under- or overflow, so the
-    # ratio is taken on both series divided by the largest observation.
-    err_n = err / scale
+    # Squares of values near the float limits under- or overflow, so both
+    # series are scaled before squaring: the observations by their largest
+    # magnitude, each row's errors by the larger of that and its own
+    # largest error (the factor err_scale / scale is then 1 in most fits).
+    err = sim - obs
+    err_scale = np.maximum(scale, np.max(np.abs(err), axis=-1))
+    err_n = err / err_scale[:, None]
     obs_n = obs / scale
-    return mae, rmse, float(np.sqrt(np.mean(err_n * err_n) / np.mean(obs_n * obs_n)))
+    sq = err_n * err_n
+    ratio = np.array([np.mean(row) for row in sq]) / np.mean(obs_n * obs_n)
+    return err_scale / scale * np.sqrt(ratio)
 
 
 @dataclass(frozen=True)
@@ -171,26 +196,72 @@ class CalibrationResult:
         }
 
 
-def _make_fitness(kind, segments, limits, dt):
-    """Fitness closure with the pooled observation vector precomputed."""
-    from .sim import _accel_fn, _step_loop
+def _make_fitness(kind, segments, limits, dt, threads=1):
+    """Block fitness: gene rows (P x G) in, pooled spacing NRMSE per row (P,) out.
 
+    A segment set of at least BATCH_MIN_SEGMENTS is stepped as one
+    (rows x segments) block. A block that overflows or turns NaN is
+    scored again one row at a time, and a row that still does runs the
+    scalar loop, so faults are the scalar loop's and every row scores
+    exactly what it scores alone. Smaller segment sets run the scalar
+    loop per row, spread over `threads` threads.
+    """
     obs_spacing = np.concatenate([s.spacing for s in segments])
     limits = limits or SimLimits()
+    block = SegmentBlock(segments, dt)  # checks dt on either path
+    batched = len(segments) >= BATCH_MIN_SEGMENTS
+    # caps each of run()'s (samples x rows x segments) arrays at 2**20 values (8 MB)
+    rows_per_run = max(1, (1 << 20) // block.valid.size)
 
-    def evaluate(genes) -> float:
+    def score(pooled: np.ndarray) -> np.ndarray:
         try:
-            params = genes_to_params(kind, genes)
+            nrmse = _nrmse_rows(pooled, obs_spacing)
+        except CfCalibError:
+            return np.full(len(pooled), FAULT_FITNESS)
+        return np.where(np.isfinite(nrmse), nrmse, FAULT_FITNESS)
+
+    def scalar_row(params) -> float:
+        try:
             accel_fn = _accel_fn(params)
             pooled: list[float] = []
             for seg in segments:
                 pooled.extend(_step_loop(accel_fn, seg, limits, dt)[2])
-            _, _, nrmse = gof(np.array(pooled), obs_spacing)
         except (CfCalibError, FloatingPointError, OverflowError, ZeroDivisionError):
             return FAULT_FITNESS
-        if not np.isfinite(nrmse):
-            return FAULT_FITNESS
-        return nrmse
+        return float(score(np.array([pooled]))[0])
+
+    def scalar_rows(params: list) -> np.ndarray:
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                return np.array(list(pool.map(scalar_row, params)))
+        return np.array([scalar_row(p) for p in params])
+
+    def block_rows(params: list) -> np.ndarray:
+        if len(params) > rows_per_run:
+            return np.concatenate([block_rows(params[i:i + rows_per_run])
+                                   for i in range(0, len(params), rows_per_run)])
+        try:
+            accel = array_accel_fn(params, len(segments))
+            spacing = block.run(accel, len(params), limits)[2]
+        except FloatingPointError:
+            if len(params) == 1:
+                return scalar_rows(params)
+            return np.concatenate([block_rows([p]) for p in params])
+        return score(block.pooled(spacing))
+
+    def evaluate(genes_rows) -> np.ndarray:
+        genes_rows = np.atleast_2d(np.asarray(genes_rows, dtype=float))
+        values = np.full(len(genes_rows), FAULT_FITNESS)
+        rows, params = [], []
+        for r, genes in enumerate(genes_rows):
+            try:
+                params.append(genes_to_params(kind, genes))
+            except CfCalibError:
+                continue
+            rows.append(r)
+        if params:
+            values[rows] = block_rows(params) if batched else scalar_rows(params)
+        return values
 
     return evaluate
 
@@ -206,18 +277,10 @@ def fitness(
 
     Per-segment simulations are concatenated before the single NRMSE is
     taken. Simulation faults score FAULT_FITNESS instead of raising so a
-    GA can evaluate arbitrary in-bounds individuals.
+    GA can evaluate arbitrary in-bounds individuals. This is the one-row
+    case of the GA's block evaluation and equals it bit for bit.
     """
-    return _make_fitness(kind, segments, limits, dt)(genes)
-
-
-def _evaluate(fitness_fn, genes_block, threads) -> np.ndarray:
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            values = list(pool.map(fitness_fn, genes_block))
-    else:
-        values = [fitness_fn(g) for g in genes_block]
-    return np.array(values, dtype=float)
+    return float(_make_fitness(kind, segments, limits, dt)(genes)[0])
 
 
 def ga_calibrate(
@@ -233,7 +296,8 @@ def ga_calibrate(
 
     The trace starts at the initial population's best and is monotone
     non-increasing thanks to elitism. The run stops early after
-    config.stall_generations without strict improvement.
+    config.stall_generations without strict improvement. Raises
+    ConfigError when every individual of the initial population faults.
     """
     if not segments:
         raise ConfigError("no segments to calibrate on")
@@ -247,10 +311,14 @@ def ga_calibrate(
     n_elite = max(1, int(round(config.elitism_ratio * pop_size)))
     n_children = pop_size - n_elite
 
-    fitness_fn = _make_fitness(kind, segments, limits, dt)
+    fitness_fn = _make_fitness(kind, segments, limits, dt, threads)
     rng = np.random.default_rng(seed)
     population = rng.uniform(lo, hi, size=(pop_size, n_genes))
-    fit = _evaluate(fitness_fn, population, threads)
+    fit = fitness_fn(population)
+    if np.all(fit >= FAULT_FITNESS):
+        raise ConfigError(
+            f"every individual of the initial {kind} population faults; "
+            f"the gene bounds {bounds} may lie outside the {kind} model's domain")
 
     best_idx = int(np.argmin(fit))
     best_genes = population[best_idx].copy()
@@ -280,7 +348,7 @@ def ga_calibrate(
             child[mut_mask[j]] = mut_vals[j][mut_mask[j]]
             children[j] = child
 
-        child_fit = _evaluate(fitness_fn, children, threads)
+        child_fit = fitness_fn(children)
         population = np.vstack([population[elite_order], children])
         fit = np.concatenate([fit[elite_order], child_fit])
         if np.any(population < lo) or np.any(population > hi):
@@ -332,4 +400,4 @@ def calibrate_and_validate(
 
 
 def load_ga_config(path: str | Path) -> GaConfig:
-    return GaConfig.from_dict(json.loads(Path(path).read_text()))
+    return GaConfig.from_dict(read_json_object(path, "GA config"))

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import DomainError, NoCarFollowingError, PairingError, SplitError
 from .ingest import Trajectory
+from .jsonio import read_json_object, require_keys
 
 PAIR_TOLERANCE_S = 0.1
 
@@ -278,18 +279,28 @@ def segments_to_dict(segments: list[FollowingSegment]) -> dict:
 
 
 def segments_from_dict(data: dict) -> list[FollowingSegment]:
+    require_keys(data, ("segments",), "segments file")
+    if not isinstance(data["segments"], list):
+        raise DomainError("segments file: 'segments' must be a list")
     out = []
-    for entry in data["segments"]:
-        out.append(FollowingSegment(
-            id=entry["id"],
-            t=np.array(entry["t"], dtype=float),
-            leader_pos=np.array(entry["leader"]["pos"], dtype=float),
-            leader_speed=np.array(entry["leader"]["speed"], dtype=float),
-            leader_accel=np.array(entry["leader"]["accel"], dtype=float),
-            follower_pos=np.array(entry["follower"]["pos"], dtype=float),
-            follower_speed=np.array(entry["follower"]["speed"], dtype=float),
-            follower_accel=np.array(entry["follower"]["accel"], dtype=float),
-        ))
+    for i, entry in enumerate(data["segments"]):
+        what = f"segment {i}"
+        require_keys(entry, ("id", "t", "leader", "follower"), what)
+        for side in ("leader", "follower"):
+            require_keys(entry[side], ("pos", "speed", "accel"), f"{what} {side}")
+        try:
+            out.append(FollowingSegment(
+                id=entry["id"],
+                t=np.array(entry["t"], dtype=float),
+                leader_pos=np.array(entry["leader"]["pos"], dtype=float),
+                leader_speed=np.array(entry["leader"]["speed"], dtype=float),
+                leader_accel=np.array(entry["leader"]["accel"], dtype=float),
+                follower_pos=np.array(entry["follower"]["pos"], dtype=float),
+                follower_speed=np.array(entry["follower"]["speed"], dtype=float),
+                follower_accel=np.array(entry["follower"]["accel"], dtype=float),
+            ))
+        except (TypeError, ValueError) as exc:  # non-numeric or scalar columns
+            raise DomainError(f"{what}: {exc}") from None
     return out
 
 
@@ -298,4 +309,4 @@ def write_segments_json(segments: list[FollowingSegment], path: str | Path) -> N
 
 
 def read_segments_json(path: str | Path) -> list[FollowingSegment]:
-    return segments_from_dict(json.loads(Path(path).read_text()))
+    return segments_from_dict(read_json_object(path, "segments file"))

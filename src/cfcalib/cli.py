@@ -42,6 +42,7 @@ from .ingest import (
     trajectory_from_dict,
     trajectory_to_dict,
 )
+from .jsonio import read_json_object, require_keys
 from .models import MODEL_KINDS, load_params, params_from_dict, params_to_dict
 from .sim import SimLimits, load_limits, result_to_dict, simulate_all
 from .stats import analyze_segments
@@ -128,7 +129,8 @@ def _cmd_ingest(args) -> int:
 def _load_pair(args) -> tuple:
     if args.pair:
         src = _require_file(args.pair)
-        data = json.loads(src.read_text())
+        data = read_json_object(src, "pair JSON")
+        require_keys(data, ("leader", "follower"), f"{src}: pair JSON")
         offset = data.get("leader_start_offset_ft", 0.0)
         return (trajectory_from_dict(data["leader"]),
                 trajectory_from_dict(data["follower"]), offset, [src])
@@ -243,8 +245,9 @@ def _cmd_calibrate(args) -> int:
 def _cmd_validate(args) -> int:
     params_src = _require_file(args.params)
     seg_src = _require_file(args.segments)
-    data = json.loads(params_src.read_text())
+    data = read_json_object(params_src, "model parameters")
     if "calibration" in data:  # accept a calibrate result file
+        require_keys(data["calibration"], ("best_params",), f"{params_src}: calibration")
         data = data["calibration"]["best_params"]
     params = params_from_dict(data)
     segments = read_segments_json(seg_src)
@@ -266,7 +269,7 @@ def _cmd_report(args) -> int:
         text = report_mod.render_benchmark_text()
     else:
         src = _require_file(args.input)
-        data = json.loads(src.read_text())
+        data = read_json_object(src, "report input")
         kind = args.kind
         if kind == "auto":
             if "descriptive" in data:

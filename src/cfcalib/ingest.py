@@ -11,12 +11,13 @@ import csv
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, OrderingError
+from .jsonio import read_json_object, require_keys
 
 # Mean Earth radius (m); spherical error is far below GPS noise at
 # per-second step lengths.
@@ -179,14 +180,21 @@ def convert_units(value: float, from_unit: str, to_unit: str) -> float:
 # file I/O
 
 def _parse_time(text: str) -> float:
-    """Accept epoch seconds or ISO-8601; return finite seconds as float."""
+    """Accept epoch seconds or ISO-8601; return finite seconds as float.
+
+    An ISO-8601 time without a zone is read as UTC, never in the host's
+    time zone, so naive and zone-aware logs share one clock.
+    """
     try:
         value = float(text)
     except ValueError:
         try:
-            return datetime.fromisoformat(text).timestamp()
+            moment = datetime.fromisoformat(text)
         except ValueError:
             raise ValueError(f"unparseable timestamp {text!r}") from None
+        if moment.tzinfo is None:
+            moment = moment.replace(tzinfo=timezone.utc)
+        return moment.timestamp()
     if not math.isfinite(value):
         raise ValueError(f"non-finite timestamp {text!r}")
     return value
@@ -248,11 +256,7 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 
 
 def trajectory_from_dict(data: dict) -> Trajectory:
-    if not isinstance(data, dict):
-        raise DomainError("trajectory JSON must be an object")
-    missing = [key for key in ("vehicle_id",) + TRAJECTORY_COLUMNS if key not in data]
-    if missing:
-        raise DomainError(f"trajectory JSON lacks {', '.join(missing)}")
+    require_keys(data, ("vehicle_id",) + TRAJECTORY_COLUMNS, "trajectory JSON")
     return Trajectory(data["vehicle_id"], *(data[name] for name in TRAJECTORY_COLUMNS),
                       dt=data.get("dt", 1.0))
 
@@ -262,4 +266,4 @@ def write_trajectory_json(traj: Trajectory, path: str | Path) -> None:
 
 
 def read_trajectory_json(path: str | Path) -> Trajectory:
-    return trajectory_from_dict(json.loads(Path(path).read_text()))
+    return trajectory_from_dict(read_json_object(path, "trajectory JSON"))

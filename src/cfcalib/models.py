@@ -12,7 +12,9 @@ Three calibrated model families:
 
 Kernels are stateless and return raw (unclamped) accelerations in ft/s^2;
 clamping is the simulator's job. The raw ``*_raw`` functions take scalars
-only and are shared with the simulation hot loop.
+only and are shared with the simulator's scalar step loop; the
+``*_array`` functions are the same formulas on numpy arrays for its
+block stepper.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DomainError
+from .jsonio import read_json_object, require_keys, require_numbers
 
 
 @dataclass(frozen=True)
@@ -175,6 +180,39 @@ def linear_acc_accel_raw(k1, k2, t_des, d0, x_l, x_f, v, v_l):
 
 
 # ---------------------------------------------------------------------------
+# array kernels (shared with the simulator's block stepper)
+#
+# Arguments broadcast against each other; branches become np.where, so
+# every branch is computed on every lane. The arithmetic is the raw
+# kernels' in the same order, but numpy's power and tanh may differ from
+# libm in the last bit. linear_acc_accel_raw has no branch and serves
+# arrays as it is.
+
+def idm_accel_array(a, delta, v0, s0, T, two_sqrt_ab, s, v, dv):
+    s_star = s0 + np.maximum(0.0, v * T + v * dv / two_sqrt_ab)
+    ratio = s_star / s
+    return a * (1.0 - (v / v0) ** delta - ratio * ratio)
+
+
+def cah_accel_array(a, s, v, v_l, a_l):
+    a_tilde = np.minimum(a_l, a)
+    denom = v_l * v_l - 2.0 * s * a_tilde
+    bounded = (v_l * (v - v_l) <= -2.0 * s * a_tilde) & (denom > 0.0)
+    dv = v - v_l
+    unbounded = np.where(dv >= 0.0, a_tilde - dv * dv / (2.0 * s), a_tilde)
+    # the division runs on every lane, so lanes off the branch divide by 1
+    return np.where(bounded, v * v * a_tilde / np.where(bounded, denom, 1.0), unbounded)
+
+
+def blend_accel_array(a, delta, v0, s0, T, b, two_sqrt_ab, c, s, v, v_l, a_l):
+    """Plain-IDM blend; the improved-IDM variant has no array form."""
+    a_i = idm_accel_array(a, delta, v0, s0, T, two_sqrt_ab, s, v, v - v_l)
+    a_c = cah_accel_array(a, s, v, v_l, a_l)
+    blended = (1.0 - c) * a_i + c * (a_c + b * np.tanh((a_i - a_c) / b))
+    return np.where(a_i >= a_c, a_i, blended)
+
+
+# ---------------------------------------------------------------------------
 # public kernels
 
 def _check_spacing(s: float) -> None:
@@ -315,8 +353,19 @@ def params_to_dict(params: ModelParams) -> dict:
             "k2": params.k2, "d0": params.d0}
 
 
+_REQUIRED_KEYS = {
+    "idm": ("a", "delta", "v0", "s0", "T", "b"),
+    "blend": ("a", "delta", "v0", "s0", "T", "b", "c"),
+    "linear_acc": ("t_des", "k1", "k2"),
+}
+
+
 def params_from_dict(data: dict) -> ModelParams:
-    kind = data.get("model")
+    require_keys(data, ("model",), "model parameters")
+    kind = data["model"]
+    if kind in MODEL_KINDS:  # a tuple: an unhashable kind compares unequal
+        optional = ("d0",) if "d0" in data else ()
+        require_numbers(data, _REQUIRED_KEYS[kind] + optional, f"{kind} parameters")
     if kind == "idm":
         return IdmParams(a=data["a"], delta=data["delta"], v0=data["v0"],
                          s0=data["s0"], T=data["T"], b=data["b"])
@@ -334,7 +383,7 @@ def params_from_dict(data: dict) -> ModelParams:
 
 
 def load_params(path: str | Path) -> ModelParams:
-    return params_from_dict(json.loads(Path(path).read_text()))
+    return params_from_dict(read_json_object(path, "model parameters"))
 
 
 def write_params(params: ModelParams, path: str | Path) -> None:

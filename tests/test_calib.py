@@ -15,8 +15,10 @@ from cfcalib import (
     gof,
     gof_report,
 )
+from cfcalib.calib import FAULT_FITNESS, _make_fitness
 from cfcalib.fixtures import idm_response_segments, short_trip_segments
 from cfcalib.models import GENE_BOUNDS, genes_to_params, params_to_genes
+from cfcalib.sim import BATCH_MIN_SEGMENTS, simulate_all
 
 SHUTTLE_IDM = IdmParams(a=2.76, delta=1, v0=20.0, s0=9.89, T=2.79, b=24.58)
 
@@ -58,12 +60,23 @@ class TestGof:
         _, _, nrmse = gof([0.5 * obs[0]], obs)
         assert nrmse == pytest.approx(0.5, rel=1e-12)
 
+    def test_nrmse_of_errors_far_above_observations(self):
+        # errors over 1e154 times the largest observation: their squares
+        # overflow once divided by it
+        obs = [1.3582220512345346e-155]
+        _, rmse, nrmse = gof([obs[0] + 0.5], obs)
+        assert nrmse * obs[0] == pytest.approx(rmse, rel=1e-12)
+
     @given(finite_arrays)
     @settings(max_examples=50)
     def test_rmse_dominates_mae_and_identity(self, obs):
         obs_rms = math.sqrt(sum(v * v for v in obs) / len(obs))
         if obs_rms == 0.0:
             return
+        # rescaled: squares of values below about 1e-154 are subnormal and
+        # carry too few digits for the identity below
+        peak = max(abs(v) for v in obs)
+        obs_rms = peak * math.sqrt(sum((v / peak) ** 2 for v in obs) / len(obs))
         sim = [v + 0.5 for v in obs]
         mae, rmse, nrmse = gof(sim, obs)
         assert rmse >= mae - 1e-12
@@ -110,6 +123,58 @@ class TestFitness:
         assert value != pytest.approx(per_segment_mean, rel=1e-6)
 
 
+def many_trips():
+    return short_trip_segments(SHUTTLE_IDM, n_trips=BATCH_MIN_SEGMENTS + 4, trip_seconds=10)
+
+
+def random_genes(kind, rows, seed=3):
+    bounds = np.array([(lo, hi) for _, lo, hi, _ in GENE_BOUNDS[kind]])
+    return np.random.default_rng(seed).uniform(bounds[:, 0], bounds[:, 1],
+                                               size=(rows, len(bounds)))
+
+
+class TestBlockFitness:
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    def test_block_equals_rows_bit_for_bit(self, kind):
+        segments = many_trips()
+        genes = random_genes(kind, 24)
+        block = _make_fitness(kind, segments, None, 1.0)(genes)
+        assert block.tolist() == [fitness(kind, g, segments) for g in genes]
+        # each row is gof() of its pooled spacing, simulated on the same path
+        results = simulate_all(genes_to_params(kind, genes[0]), segments)
+        pooled = np.concatenate([r.spacing for r in results])
+        obs = np.concatenate([s.spacing for s in segments])
+        assert block[0] == gof(pooled, obs)[2]
+
+    def test_faulting_rows_score_fault_alone(self, monkeypatch):
+        from cfcalib import calib
+
+        scalar_runs = []
+        step_loop = calib._step_loop
+        monkeypatch.setattr(calib, "_step_loop",
+                            lambda *args: scalar_runs.append(1) or step_loop(*args))
+        segments = many_trips()
+        good = random_genes("idm", 3)
+        out_of_domain = [-1.0, 1.0, 19.0, 8.0, 3.0, 20.0]  # a < 0
+        overflow_fault = [2.0, 2.0, 1e-300, 8.0, 3.0, 20.0]  # (v / v0) ** 2 overflows
+        overflow_finite = [1.0, 1.0, 20.0, 1e160, 1.0, 1.0]  # clamped after overflow
+        genes = np.array([good[0], out_of_domain, good[1], overflow_fault,
+                          overflow_finite, good[2]])
+        values = _make_fitness("idm", segments, None, 1.0)(genes)
+        assert values[1] == values[3] == FAULT_FITNESS
+        assert values[4] < FAULT_FITNESS
+        # only the two overflowing rows ran the scalar loop, the second on
+        # every segment, the first up to its fault
+        assert len(segments) < len(scalar_runs) < 2 * len(segments)
+        assert values.tolist() == [fitness("idm", g, segments) for g in genes]
+        assert values[[0, 2, 5]].tolist() == _make_fitness("idm", segments, None, 1.0)(good).tolist()
+
+    def test_bad_dt_raises_before_stepping(self):
+        for segments in (many_trips(), many_trips()[:2]):
+            with pytest.raises(ConfigError):
+                fitness("idm", params_to_genes(SHUTTLE_IDM), segments, dt=0.3)
+
+
 def tiny_config(**overrides):
     defaults = dict(population=20, max_generations=25, seeds=[0], stall_generations=25)
     defaults.update(overrides)
@@ -126,8 +191,11 @@ class TestGaCalibrate:
         assert first[1] == second[1]
         assert first[2] == second[2]
 
-    def test_threads_do_not_change_results(self):
-        segments = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40)
+    @pytest.mark.parametrize("segments", [
+        idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40),
+        short_trip_segments(SHUTTLE_IDM, n_trips=BATCH_MIN_SEGMENTS, trip_seconds=10),
+    ], ids=["one-segment", "block"])
+    def test_threads_do_not_change_results(self, segments):
         config = tiny_config()
         sequential = ga_calibrate("idm", segments, config, seed=5, threads=1)
         threaded = ga_calibrate("idm", segments, config, seed=5, threads=8)
@@ -150,6 +218,12 @@ class TestGaCalibrate:
         config = tiny_config(max_generations=500, stall_generations=5)
         _, _, trace = ga_calibrate("idm", segments, config, seed=1)
         assert len(trace) - 1 < 500
+
+    def test_all_fault_initial_population_rejected(self):
+        segments = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40)
+        bounds = [(-2.0, -1.0)] + [(lo, hi) for _, lo, hi, _ in GENE_BOUNDS["idm"][1:]]
+        with pytest.raises(ConfigError, match="idm"):
+            ga_calibrate("idm", segments, tiny_config(bounds=bounds), seed=0)
 
     def test_infeasible_bounds_rejected(self):
         with pytest.raises(ConfigError):

@@ -258,6 +258,9 @@ class TestCalibrateCli:
     @pytest.mark.parametrize("flag, value, named", [
         ("--seeds", "a,b", "a,b"),
         ("--config", {"populaton": 8}, "populaton"),
+        # an idm bounds box with a < 0: every initial individual faults
+        ("--config", {"bounds": [[-2, -1], [1, 10], [1, 137], [0.5, 33], [0.1, 5],
+                                 [0.33, 26]]}, "idm"),
     ])
     def test_bad_calibrate_input_exits_one(self, tmp_path, capsys, flag, value, named):
         segments = self.make_recovery_segments(tmp_path)
@@ -273,3 +276,68 @@ class TestCalibrateCli:
         err = json.loads(lines[0])
         assert err["error"] == "config"
         assert named in err["message"]
+
+
+class TestJsonInputContract:
+    COMMANDS = {
+        "clean": ["clean", "--pair", "{pair}"],
+        "stats": ["stats", "--segments", "{segments}"],
+        "simulate": ["simulate", "--model", "{model}", "--segments", "{segments}",
+                     "--limits", "{limits}"],
+        "validate": ["validate", "--params", "{model}", "--segments", "{segments}"],
+        "calibrate": ["calibrate", "--model", "idm", "--segments", "{segments}",
+                      "--limits", "{limits}", "--config", "{config}"],
+    }
+
+    def write_inputs(self, tmp_path) -> dict:
+        from cfcalib.models import default_params, write_params
+
+        segments = run_pipeline_to_segments(tmp_path, stop_at=45)
+        inputs = {"pair": tmp_path / "pair.json", "segments": segments,
+                  "model": tmp_path / "model.json", "limits": tmp_path / "limits.json",
+                  "config": tmp_path / "ga.json"}
+        write_params(default_params("idm"), inputs["model"])
+        inputs["limits"].write_text(json.dumps({"a_min": -20.0}))
+        inputs["config"].write_text(json.dumps(
+            {"population": 4, "max_generations": 1, "seeds": [0]}))
+        return inputs
+
+    @pytest.mark.parametrize("command, target, text, named", [
+        ("clean", "pair", "{not json", "not valid JSON"),
+        ("clean", "pair", '{"leader": {}}', "follower"),
+        ("stats", "segments", "[1,2]", "JSON object"),
+        ("stats", "segments", '{"segments": [{"id": "s", "t": [0, 1]}]}', "leader, follower"),
+        ("stats", "segments", '{"segments": [{"id": "s", "t": 0, "leader": {"pos": 1, '
+                              '"speed": 1, "accel": 1}, "follower": {"pos": 0, '
+                              '"speed": 1, "accel": 1}}]}', "segment 0"),
+        ("calibrate", "segments", "[1,2]", "JSON object"),
+        ("simulate", "model", '{"model": "idm"}', "a, delta, v0, s0, T, b"),
+        ("validate", "model", '{"model": "idm"}', "a, delta, v0, s0, T, b"),
+        ("validate", "model", '{"model": []}', "unknown model kind"),
+        ("validate", "model", '{"calibration": []}', "calibration"),
+        ("simulate", "model", '{"model": "idm", "a": "x", "delta": 1, "v0": 20, "s0": 5, '
+                              '"T": 1, "b": 2}', "a must be numbers"),
+        ("simulate", "limits", "[]", "JSON object"),
+        ("simulate", "limits", '{"a_min": "x"}', "a_min must be numbers"),
+        ("calibrate", "limits", "[]", "JSON object"),
+        ("calibrate", "config", "[]", "JSON object"),
+    ])
+    def test_malformed_json_input_exits_one(self, tmp_path, capsys, command, target,
+                                             text, named):
+        inputs = self.write_inputs(tmp_path)
+        inputs[target].write_text(text)
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
+        capsys.readouterr()
+        rc = main(argv + ["--out", str(tmp_path / "out.json")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "domain"
+        assert named in err["message"]
+
+    def test_valid_inputs_pass(self, tmp_path):
+        inputs = self.write_inputs(tmp_path)
+        for command, template in self.COMMANDS.items():
+            argv = [arg.format(**inputs) for arg in template]
+            assert main(argv + ["--out", str(tmp_path / f"{command}.json")]) == 0, command

@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -169,6 +170,17 @@ class TestConvertUnits:
         assert convert_units(convert_units(value, "ft/s", "m/s"), "m/s", "ft/s") == pytest.approx(value, abs=1e-9)
 
 
+@pytest.fixture
+def host_tz(monkeypatch):
+    """Set the process time zone (a POSIX TZ string); restored afterwards."""
+    def set_tz(zone):
+        monkeypatch.setenv("TZ", zone)
+        time.tzset()
+    yield set_tz
+    monkeypatch.undo()
+    time.tzset()
+
+
 class TestFileIO:
     def test_csv_round_trip(self, tmp_path):
         csv_path = tmp_path / "log.csv"
@@ -188,6 +200,20 @@ class TestFileIO:
         )
         fixes = read_gps_csv(csv_path)
         assert [f.t for f in fixes] == [0.0, 1.0, 2.0, 3.0]
+
+    @pytest.mark.parametrize("zone", ["UTC0", "EST5EDT,M3.2.0,M11.1.0", "JST-9"])
+    def test_naive_iso_times_read_as_utc(self, tmp_path, host_tz, zone):
+        host_tz(zone)
+        naive = tmp_path / "naive.csv"
+        aware = tmp_path / "aware.csv"
+        naive.write_text("t,lat,lon\n" + "".join(
+            f"2024-05-01T10:00:0{i},{28.37 + i * 1e-4},-81.25\n" for i in range(4)))
+        aware.write_text("t,lat,lon\n" + "".join(
+            f"2024-05-01T12:00:0{i}+02:00,{28.37 + i * 1e-4},-81.25\n" for i in range(4)))
+        epoch = 1714557600.0  # 2024-05-01T10:00:00Z
+        assert [f.t for f in read_gps_csv(naive, t0=0.0)] == [epoch + i for i in range(4)]
+        lf, ff = read_gps_pair(naive, aware)
+        assert [f.t for f in lf] == [f.t for f in ff] == [0.0, 1.0, 2.0, 3.0]
 
     def test_bad_header_rejected(self, tmp_path):
         csv_path = tmp_path / "log.csv"

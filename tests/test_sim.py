@@ -3,6 +3,7 @@ import pytest
 
 from cfcalib import (
     AccParams,
+    BlendParams,
     ConfigError,
     DomainError,
     IdmParams,
@@ -16,10 +17,16 @@ from cfcalib.fixtures import (
     hard_stop_segment,
     idm_response_segments,
     model_response_segments,
+    short_trip_segments,
 )
+from cfcalib.models import default_params
+from cfcalib.sim import BATCH_MIN_SEGMENTS, SegmentBlock, array_accel_fn
 
 SHUTTLE_IDM = IdmParams(a=2.76, delta=1, v0=20.0, s0=9.89, T=2.79, b=24.58)
 SHUTTLE_ACC = AccParams(t_des=4.96, k1=0.01, k2=0.43, d0=15.0)
+# both collide on the hard stop below
+SLUGGISH_ACC = AccParams(t_des=0.1, k1=0.001, k2=0.001, d0=15.0)
+TAILGATING_IDM = IdmParams(a=2.76, delta=1, v0=20.0, s0=1.0, T=0.1, b=0.5)
 
 
 def replay_linear_acc(seg, params, limits, dt=1.0):
@@ -154,3 +161,93 @@ class TestSimLimits:
         assert limits.a_max == 10.0
         assert limits.v_max == 19.5
         assert limits.v_min == 0.0
+
+
+def block_fixture(dt):
+    """At least BATCH_MIN_SEGMENTS short segments of ragged length.
+
+    Short, so that last-bit differences of numpy's power and tanh cannot
+    grow; three lanes are a hard stop, where tailgating models collide.
+    At dt 0.5 one lane on a 0.5-s grid takes one sub-step per interval
+    while the others take two.
+    """
+    segments = short_trip_segments(SHUTTLE_IDM, n_trips=26, trip_seconds=10)
+    segments += short_trip_segments(SHUTTLE_IDM, n_trips=4, trip_seconds=17)
+    segments += [hard_stop_segment(initial_speed=18.0, initial_spacing=50.0,
+                                   duration_s=20)] * 3
+    if dt == 0.5:
+        segments.append(constant_leader_segment(10.0, 12, 60.0, dt=0.5))
+    return segments
+
+
+class TestBlockPath:
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    @pytest.mark.parametrize("params", [
+        SHUTTLE_IDM, TAILGATING_IDM, default_params("blend"),
+        BlendParams(idm=IdmParams(a=2.76, delta=4, v0=20.0, s0=1.0, T=0.1, b=0.5), c=0.99),
+        SHUTTLE_ACC, SLUGGISH_ACC,
+    ], ids=["idm", "idm-tailgating", "blend", "blend-cah", "linear_acc", "linear_acc-sluggish"])
+    def test_matches_scalar_per_segment(self, params, dt):
+        segments = block_fixture(dt)
+        assert len(segments) >= BATCH_MIN_SEGMENTS
+        limits = SimLimits()
+        # the block itself runs; a numpy fault would hand over to the scalar loop
+        SegmentBlock(segments, dt).run(array_accel_fn([params], len(segments)), 1, limits)
+        results = simulate_all(params, segments, limits, dt)
+        assert len(results) == len(segments)
+        for seg, res in zip(segments, results):
+            ref = simulate_follower(params, seg, limits, dt)
+            assert res.collisions == ref.collisions
+            assert np.array_equal(res.t, ref.t)
+            for name in ("spacing", "follower_pos", "follower_speed", "follower_accel"):
+                assert getattr(res, name) == pytest.approx(
+                    getattr(ref, name), rel=1e-12, abs=1e-12), name
+
+    @pytest.mark.parametrize("params, limits", [
+        (SLUGGISH_ACC, SimLimits()),
+        (TAILGATING_IDM, SimLimits()),
+        # weak brakes overrun the stopped leader by far more than the
+        # jam distance, where only the 0.01 ft floor keeps IDM braking
+        (SHUTTLE_IDM, SimLimits(a_min=-2.0)),
+        (default_params("blend"), SimLimits(a_min=-2.0)),
+    ], ids=["linear_acc-sluggish", "idm-tailgating", "idm-weak-brakes", "blend-weak-brakes"])
+    def test_collisions_are_counted_per_lane(self, params, limits):
+        segments = block_fixture(1.0)
+        one_stop = simulate_follower(params, segments[-1], limits)
+        assert one_stop.collisions > 0
+        results = simulate_all(params, segments, limits)
+        assert [r.collisions for r in results[-3:]] == [one_stop.collisions] * 3
+        for res in results[-3:]:
+            assert res.spacing == pytest.approx(one_stop.spacing, rel=1e-12)
+            assert res.follower_pos == pytest.approx(one_stop.follower_pos, rel=1e-12)
+
+    def test_dt_must_divide_interval(self):
+        segments = block_fixture(1.0)
+        with pytest.raises(ConfigError) as scalar:
+            simulate_follower(SHUTTLE_IDM, segments[0], dt=0.3)
+        with pytest.raises(ConfigError) as block:
+            simulate_all(SHUTTLE_IDM, segments, dt=0.3)
+        assert str(block.value) == str(scalar.value)
+        with pytest.raises(ConfigError):
+            simulate_all(SHUTTLE_IDM, segments, dt=0.0)
+
+    def test_overflowing_block_runs_the_scalar_loop(self):
+        # the squared gap ratio overflows: plain floats give inf, which the
+        # acceleration clamp absorbs, while numpy raises
+        params = IdmParams(a=1.0, delta=1, v0=20.0, s0=1e160, T=1.0, b=1.0)
+        segments = block_fixture(1.0)
+        with pytest.raises(FloatingPointError):
+            SegmentBlock(segments, 1.0).run(
+                array_accel_fn([params], len(segments)), 1, SimLimits())
+        for seg, res in zip(segments, simulate_all(params, segments)):
+            ref = simulate_follower(params, seg)
+            assert np.array_equal(res.spacing, ref.spacing)
+            assert np.array_equal(res.follower_speed, ref.follower_speed)
+
+    def test_models_without_array_kernel_run_the_scalar_loop(self):
+        improved = BlendParams(idm=SHUTTLE_IDM, c=0.99, improved_idm=True)
+        assert array_accel_fn([improved], 1) is None
+        assert array_accel_fn([SHUTTLE_IDM, SHUTTLE_ACC], 1) is None
+        segments = block_fixture(1.0)
+        for seg, res in zip(segments, simulate_all(improved, segments)):
+            assert np.array_equal(res.spacing, simulate_follower(improved, seg).spacing)
