@@ -9,7 +9,6 @@ being interpolated over.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import DomainError, NoCarFollowingError, PairingError, SplitError
 from .ingest import Trajectory
-from .jsonio import read_json_object, require_keys
+from .jsonio import read_json_object, require_keys, write_json
 
 PAIR_TOLERANCE_S = 0.1
 
@@ -145,7 +144,8 @@ def pair_trajectories(
     fixes is the natural value. Raises PairingError when the logs never
     overlap.
     """
-    lt, ft = leader.t, follower.t
+    # the merge loop reads Python floats: indexing numpy arrays per element costs 3x
+    lt, ft = leader.t.tolist(), follower.t.tolist()
     li = fi = 0
     l_idx, f_idx = [], []
     while li < len(lt) and fi < len(ft):
@@ -168,7 +168,7 @@ def pair_trajectories(
     l_sel = np.array(l_idx)
     f_sel = np.array(f_idx)
     return PairedSeries(
-        t=ft[f_sel],
+        t=follower.t[f_sel],
         leader_pos=leader.pos[l_sel] + leader_offset,
         leader_speed=leader.speed[l_sel],
         leader_accel=leader.accel[l_sel],
@@ -305,7 +305,7 @@ def segments_from_dict(data: dict) -> list[FollowingSegment]:
 
 
 def write_segments_json(segments: list[FollowingSegment], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(segments_to_dict(segments), sort_keys=True))
+    write_json(path, segments_to_dict(segments))
 
 
 def read_segments_json(path: str | Path) -> list[FollowingSegment]:

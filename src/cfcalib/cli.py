@@ -17,7 +17,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -42,7 +41,7 @@ from .ingest import (
     trajectory_from_dict,
     trajectory_to_dict,
 )
-from .jsonio import read_json_object, require_keys
+from .jsonio import atomic_write_text, read_json_object, require_keys, write_json
 from .models import MODEL_KINDS, load_params, params_from_dict, params_to_dict
 from .sim import SimLimits, load_limits, result_to_dict, simulate_all
 from .stats import analyze_segments
@@ -60,23 +59,6 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    _atomic_write(path, json.dumps(payload, sort_keys=True, indent=1) + "\n")
-
-
 def _write_manifest(out_path: Path, args: argparse.Namespace, inputs: list[Path],
                     config_echo: dict | None = None, seeds: list[int] | None = None) -> None:
     manifest = {
@@ -88,8 +70,7 @@ def _write_manifest(out_path: Path, args: argparse.Namespace, inputs: list[Path]
         "tool_version": __version__,
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
     }
-    _atomic_write(Path(str(out_path) + ".manifest.json"),
-                  json.dumps(manifest, sort_keys=True, indent=1) + "\n")
+    write_json(Path(str(out_path) + ".manifest.json"), manifest)
 
 
 def _require_file(path: str) -> Path:
@@ -108,7 +89,7 @@ def _cmd_ingest(args) -> int:
         src = _require_file(args.input)
         fixes = read_gps_csv(src)
         traj = derive_kinematics(fixes, vehicle_id=args.vehicle_id or src.stem, dt=args.dt)
-        _write_json(out, trajectory_to_dict(traj))
+        write_json(out, trajectory_to_dict(traj))
         _write_manifest(out, args, [src])
     else:
         leader_src = _require_file(args.leader)
@@ -119,9 +100,9 @@ def _cmd_ingest(args) -> int:
         # positions are per-log arc lengths; the distance between the two
         # start fixes places the leader's origin on the follower's axis
         offset = geodesic_distance(follower_fixes[0], leader_fixes[0])
-        _write_json(out, {"leader": trajectory_to_dict(leader),
-                          "follower": trajectory_to_dict(follower),
-                          "leader_start_offset_ft": offset})
+        write_json(out, {"leader": trajectory_to_dict(leader),
+                         "follower": trajectory_to_dict(follower),
+                         "leader_start_offset_ft": offset})
         _write_manifest(out, args, [leader_src, follower_src])
     return 0
 
@@ -154,7 +135,7 @@ def _cmd_clean(args) -> int:
     payload = segments_to_dict(segments)
     payload["retained_samples"] = retained_samples(segments)
     payload["paired_samples"] = len(paired)
-    _write_json(out, payload)
+    write_json(out, payload)
     _write_manifest(out, args, inputs, config_echo=vars_without(args, "command", "out"))
     return 0
 
@@ -164,12 +145,12 @@ def _cmd_stats(args) -> int:
     segments = read_segments_json(src)
     result = analyze_segments(segments)
     out = Path(args.out)
-    _write_json(out, result)
+    write_json(out, result)
     _write_manifest(out, args, [src])
     if args.svg_dir:
         svg_dir = Path(args.svg_dir)
         for name, svg in report_mod.stats_svgs(segments).items():
-            _atomic_write(svg_dir / name, svg)
+            atomic_write_text(svg_dir / name, svg)
         _write_manifest(svg_dir / "figures", args, [src])
     return 0
 
@@ -187,7 +168,7 @@ def _cmd_simulate(args) -> int:
         inputs.append(limits_src)
     results = simulate_all(params, segments, limits, args.dt)
     out = Path(args.out)
-    _write_json(out, {
+    write_json(out, {
         "model": params_to_dict(params),
         "dt": args.dt,
         "results": [result_to_dict(r, s.id) for r, s in zip(results, segments)],
@@ -198,7 +179,7 @@ def _cmd_simulate(args) -> int:
         svg_dir = Path(args.svg_dir)
         for seg, res in zip(segments, results):
             for name, svg in report_mod.simulation_svgs(seg, res).items():
-                _atomic_write(svg_dir / name, svg)
+                atomic_write_text(svg_dir / name, svg)
         _write_manifest(svg_dir / "figures", args, inputs)
     return 0
 
@@ -230,7 +211,7 @@ def _cmd_calibrate(args) -> int:
         limits=limits, dt=args.dt, threads=args.threads,
     )
     out = Path(args.out)
-    _write_json(out, {
+    write_json(out, {
         "calibration": result.as_dict(),
         "gof_calibration": rep_calib.as_dict(),
         "gof_validation": rep_valid.as_dict(),
@@ -259,7 +240,7 @@ def _cmd_validate(args) -> int:
         inputs.append(limits_src)
     rep = gof_report(params, segments, limits, args.dt)
     out = Path(args.out)
-    _write_json(out, {"model": params_to_dict(params), "gof": rep.as_dict(), "dt": args.dt})
+    write_json(out, {"model": params_to_dict(params), "gof": rep.as_dict(), "dt": args.dt})
     _write_manifest(out, args, inputs, config_echo={"dt": args.dt})
     return 0
 
@@ -285,7 +266,7 @@ def _cmd_report(args) -> int:
         else:
             text = "no data\n"
     if args.out:
-        _atomic_write(Path(args.out), text)
+        atomic_write_text(args.out, text)
     else:
         sys.stdout.write(text)
     return 0

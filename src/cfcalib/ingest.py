@@ -8,7 +8,6 @@ backward differences. Everything downstream works in feet and seconds.
 from __future__ import annotations
 
 import csv
-import json
 import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -17,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, OrderingError
-from .jsonio import read_json_object, require_keys
+from .jsonio import read_json_object, require_keys, write_json
 
 # Mean Earth radius (m); spherical error is far below GPS noise at
 # per-second step lengths.
@@ -212,14 +211,17 @@ def _read_gps_rows(path: str | Path) -> list[tuple[float, float, float]]:
             raise DomainError(f"{path}: header must be exactly 't,lat,lon', got {header}")
         raw = []
         for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != 3:
-                raise DomainError(f"{path}:{lineno}: expected 3 columns, got {len(row)}")
-            try:
-                raw.append((_parse_time(row[0]), float(row[1]), float(row[2])))
-            except ValueError as exc:
-                raise DomainError(f"{path}:{lineno}: {exc}") from None
+            if len(row) == 3:
+                try:
+                    raw.append((_parse_time(row[0]), float(row[1]), float(row[2])))
+                    continue
+                except ValueError as exc:
+                    problem = str(exc)
+            else:
+                problem = f"expected 3 columns, got {len(row)}"
+            # only a row that did not parse can be blank; blank rows are skipped
+            if any(cell.strip() for cell in row):
+                raise DomainError(f"{path}:{lineno}: {problem}")
     if not raw:
         raise InsufficientDataError(f"{path}: no data rows")
     return raw
@@ -262,7 +264,7 @@ def trajectory_from_dict(data: dict) -> Trajectory:
 
 
 def write_trajectory_json(traj: Trajectory, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(trajectory_to_dict(traj), indent=2, sort_keys=True))
+    write_json(path, trajectory_to_dict(traj))
 
 
 def read_trajectory_json(path: str | Path) -> Trajectory:

@@ -1,17 +1,49 @@
-"""Reading JSON input files under the toolkit's error contract.
+"""JSON files in and out under the toolkit's error contract.
 
 Every JSON input (pair, trajectory, segments, model parameters, limits,
 GA config, result files) is read through read_json_object, so text that
 is not JSON, or JSON that is not an object, raises DomainError naming
 the file instead of escaping as a decoder or type error.
+
+Every JSON output is written through write_json: one line of sorted-key
+JSON, replaced atomically. Without an indent, json.dumps runs on its C
+encoder; with any indent it falls back to the pure-Python one, about
+twice as slow on the toolkit's float columns. Both format floats with
+float.__repr__, so values read back bit for bit either way.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import tempfile
 from pathlib import Path
 
 from .errors import DomainError
+
+
+def atomic_write_text(path: str | Path, text: str) -> None:
+    """Write `text` to `path` through a temporary file in the same directory.
+
+    Readers see the old file or the new one, never a partial write; on
+    any failure the temporary file is removed and the target is untouched.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
+def write_json(path: str | Path, payload) -> None:
+    """Write `payload` to `path` as one line of sorted-key JSON, atomically."""
+    atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
 def read_json_object(path: str | Path, what: str) -> dict:

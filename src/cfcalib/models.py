@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .jsonio import read_json_object, require_keys, require_numbers
+from .jsonio import read_json_object, require_keys, require_numbers, write_json
 
 
 @dataclass(frozen=True)
@@ -387,7 +387,7 @@ def load_params(path: str | Path) -> ModelParams:
 
 
 def write_params(params: ModelParams, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(params_to_dict(params), indent=2, sort_keys=True))
+    write_json(path, params_to_dict(params))
 
 
 def default_params(kind: str) -> ModelParams:

@@ -9,12 +9,26 @@ import numpy as np
 
 from . import plots
 from .cleaning import FollowingSegment
+from .errors import DomainError
+from .jsonio import require_keys, require_numbers
 from .sim import SimResult
 
 _STAT_ROWS = [("mean", "mean"), ("std", "std"), ("min", "min"), ("q25", "25%"),
               ("q50", "50%"), ("q75", "75%"), ("max", "max")]
 _VARIABLE_COLUMNS = [("speed", "Speed (ft/s)"), ("accel", "Accel (ft/s^2)"),
                      ("jerk", "Jerk (ft/s^3)"), ("spacing", "Spacing (ft)")]
+_ACCEL_PARTS = ("follower_plus", "follower_minus", "leader_plus", "leader_minus")
+_GOF_KEYS = ("nrmse_spacing", "nrmse_speed", "mae_spacing", "mae_speed",
+             "rmse_spacing", "rmse_speed")
+# (path of object keys, fields there) that render_stats_text prints with _num
+_STATS_NUMBERS = (
+    *((("descriptive", var), tuple(key for key, _ in _STAT_ROWS)) for var, _ in _VARIABLE_COLUMNS),
+    *((("variability", "speed", who), ("cv", "mean_outlier_share")) for who in ("leader", "follower")),
+    *((("variability", "accel", part), ("cv",)) for part in _ACCEL_PARTS),
+    (("variability", "jerk", "follower_plus"), ("cv",)),
+    (("variability", "jerk", "follower_minus"), ("cv",)),
+    (("variability", "jerk"), ("follower_outlier_share",)),
+)
 
 
 def load_benchmarks() -> dict:
@@ -24,7 +38,7 @@ def load_benchmarks() -> dict:
 
 
 def _table(headers: list[str], rows: list[list[str]]) -> str:
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(headers)]
+    widths = [max([len(h)] + [len(r[i]) for r in rows]) for i, h in enumerate(headers)]
     def line(cells):
         return "  ".join(c.rjust(w) for c, w in zip(cells, widths))
     sep = "  ".join("-" * w for w in widths)
@@ -37,10 +51,86 @@ def _num(value) -> str:
     return f"{value:.4f}"
 
 
+# ---------------------------------------------------------------------------
+# input checks: a report input is read from a file, so every field the
+# renderers read is checked first and a bad one raises DomainError
+
+def _at(data, path: tuple[str, ...], what: str):
+    """The value at `path`, a sequence of object keys into `data`."""
+    for key in path:
+        require_keys(data, (key,), what)
+        data = data[key]
+        what = f"{what} {key}"
+    return data
+
+
+def _require_numbers_or_null(data, keys, what: str) -> None:
+    """Like jsonio.require_numbers, but a null value is allowed too (printed n/a)."""
+    require_keys(data, keys, what)
+    require_numbers(data, [key for key in keys if data[key] is not None], what)
+
+
+def _require_list(data, key: str, what: str) -> list:
+    require_keys(data, (key,), what)
+    if not isinstance(data[key], list):
+        raise DomainError(f"{what}: {key} must be a list")
+    return data[key]
+
+
+def _require_number_items(values: list, what: str, null_ok: bool = False) -> None:
+    items = {str(i): value for i, value in enumerate(values)}
+    (_require_numbers_or_null if null_ok else require_numbers)(items, list(items), what)
+
+
+def _check_stats_report(report: dict) -> None:
+    what = "stats report"
+    require_keys(report, ("n_samples", "n_segments", "annotations"), what)
+    require_keys(report["annotations"], ("accel_comfort_threshold",), f"{what} annotations")
+    for path, keys in _STATS_NUMBERS:
+        _require_numbers_or_null(_at(report, path, what), keys, " ".join((what,) + path))
+    normality = _at(report, ("normality",), what)
+    require_keys(normality, (), f"{what} normality")  # an object; absent or null means n/a
+    for var, _ in _VARIABLE_COLUMNS:
+        if normality.get(var) is not None:
+            require_keys(normality[var], ("normal",), f"{what} normality {var}")
+            require_numbers(normality[var], ("W", "p"), f"{what} normality {var}")
+    spearman = _at(report, ("spearman",), what)
+    names = _require_list(spearman, "variables", f"{what} spearman")
+    matrix = _require_list(spearman, "matrix", f"{what} spearman")
+    if (not all(isinstance(name, str) for name in names) or len(matrix) != len(names)
+            or not all(isinstance(row, list) and len(row) == len(names) for row in matrix)):
+        raise DomainError(f"{what} spearman: matrix must be square over the variable names")
+    for name, row in zip(names, matrix):
+        _require_number_items(row, f"{what} spearman {name}", null_ok=True)
+    comfort = _at(report, ("jerk_comfort",), what)
+    for key in ("thresholds", "shares"):
+        _require_number_items(_require_list(comfort, key, f"{what} jerk_comfort"),
+                              f"{what} jerk_comfort {key}")
+
+
+def _check_calibration_result(result: dict) -> None:
+    what = "calibration result"
+    cal = _at(result, ("calibration",), what)
+    require_keys(cal, ("model_kind", "best_params", "generations_run"), f"{what} calibration")
+    require_numbers(cal, ("fitness",), f"{what} calibration")
+    for i, entry in enumerate(_require_list(cal, "per_seed", f"{what} calibration")):
+        require_keys(entry, ("seed",), f"{what} per_seed {i}")
+        require_numbers(entry, ("fitness",), f"{what} per_seed {i}")
+    for key in ("gof_calibration", "gof_validation"):
+        require_numbers(_at(result, (key,), what), _GOF_KEYS, f"{what} {key}")
+
+
+# ---------------------------------------------------------------------------
+# renderers
+
 def render_stats_text(report: dict) -> str:
-    """Summary tables for a stats report dict (see stats.analyze_segments)."""
+    """Summary tables for a stats report dict (see stats.analyze_segments).
+
+    Raises DomainError when a field the tables read is missing or of the wrong type.
+    """
     if not report or not report.get("descriptive"):
         return "no data\n"
+    _check_stats_report(report)
     out = []
     out.append(f"samples: {report['n_samples']}   segments: {report['n_segments']}\n")
 
@@ -80,7 +170,7 @@ def render_stats_text(report: dict) -> str:
         rows.append([f"{who} speed", _num(speed_var[who]["cv"]),
                      _num(speed_var[who]["mean_outlier_share"])])
     accel_var = report["variability"]["accel"]
-    for key in ("follower_plus", "follower_minus", "leader_plus", "leader_minus"):
+    for key in _ACCEL_PARTS:
         rows.append([f"accel {key}", _num(accel_var[key]["cv"]), ""])
     jerk_var = report["variability"]["jerk"]
     rows.append(["jerk follower_plus", _num(jerk_var["follower_plus"]["cv"]), ""])
@@ -100,9 +190,13 @@ def render_stats_text(report: dict) -> str:
 
 
 def render_calibration_text(result: dict) -> str:
-    """Error tables for a calibration result JSON (calibrate CLI output)."""
+    """Error tables for a calibration result JSON (calibrate CLI output).
+
+    Raises DomainError when a field the tables read is missing or of the wrong type.
+    """
     if not result or "gof_calibration" not in result:
         return "no data\n"
+    _check_calibration_result(result)
     out = []
     cal = result["calibration"]
     out.append(f"model: {cal['model_kind']}   best fitness (NRMSE spacing): "

@@ -287,6 +287,7 @@ class TestJsonInputContract:
         "validate": ["validate", "--params", "{model}", "--segments", "{segments}"],
         "calibrate": ["calibrate", "--model", "idm", "--segments", "{segments}",
                       "--limits", "{limits}", "--config", "{config}"],
+        "report": ["report", "--input", "{report}"],
     }
 
     def write_inputs(self, tmp_path) -> dict:
@@ -295,12 +296,23 @@ class TestJsonInputContract:
         segments = run_pipeline_to_segments(tmp_path, stop_at=45)
         inputs = {"pair": tmp_path / "pair.json", "segments": segments,
                   "model": tmp_path / "model.json", "limits": tmp_path / "limits.json",
-                  "config": tmp_path / "ga.json"}
+                  "config": tmp_path / "ga.json", "report": tmp_path / "stats.json"}
         write_params(default_params("idm"), inputs["model"])
         inputs["limits"].write_text(json.dumps({"a_min": -20.0}))
         inputs["config"].write_text(json.dumps(
             {"population": 4, "max_generations": 1, "seeds": [0]}))
+        assert main(["stats", "--segments", str(segments), "--out", str(inputs["report"])]) == 0
         return inputs
+
+    def assert_one_domain_error(self, capsys, argv, named):
+        capsys.readouterr()
+        rc = main(argv)
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "domain"
+        assert named in err["message"]
 
     @pytest.mark.parametrize("command, target, text, named", [
         ("clean", "pair", "{not json", "not valid JSON"),
@@ -321,20 +333,50 @@ class TestJsonInputContract:
         ("simulate", "limits", '{"a_min": "x"}', "a_min must be numbers"),
         ("calibrate", "limits", "[]", "JSON object"),
         ("calibrate", "config", "[]", "JSON object"),
+        ("report", "report", '{"descriptive": 1}', "n_samples"),
+        ("report", "report", '{"descriptive": 1, "n_samples": 1, "n_segments": 1, '
+                             '"annotations": {"accel_comfort_threshold": 1}}', "JSON object"),
+        ("report", "report", '{"calibration": [], "gof_calibration": {}}', "JSON object"),
+        ("report", "report", '{"calibration": {"model_kind": "idm"}, "gof_calibration": {}}',
+         "best_params"),
     ])
     def test_malformed_json_input_exits_one(self, tmp_path, capsys, command, target,
                                              text, named):
         inputs = self.write_inputs(tmp_path)
         inputs[target].write_text(text)
         argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
-        capsys.readouterr()
-        rc = main(argv + ["--out", str(tmp_path / "out.json")])
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert rc == 1
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "domain"
-        assert named in err["message"]
+        self.assert_one_domain_error(capsys, argv + ["--out", str(tmp_path / "out.json")], named)
+
+    @pytest.mark.parametrize("layout, path, value, named", [
+        ("stats", ["descriptive", "speed", "mean"], "x", "mean must be numbers"),
+        ("stats", ["descriptive", "jerk"], [], "descriptive jerk must be a JSON object"),
+        ("stats", ["normality", "accel", "W"], "x", "W must be numbers"),
+        ("stats", ["spearman", "matrix", 0], [1.0], "square"),
+        ("stats", ["spearman", "matrix", 1, 0], "x", "spearman accel: 0 must be numbers"),
+        ("stats", ["variability", "jerk", "follower_outlier_share"], {}, "must be numbers"),
+        ("stats", ["variability", "accel"], None, "variability accel must be a JSON object"),
+        ("stats", ["jerk_comfort", "shares"], 0.5, "shares must be a list"),
+        ("stats", ["jerk_comfort", "thresholds", 2], None, "thresholds: 2 must be numbers"),
+        ("calibration", ["calibration", "fitness"], "x", "fitness must be numbers"),
+        ("calibration", ["calibration", "per_seed", 0], 3, "per_seed 0 must be a JSON object"),
+        ("calibration", ["gof_validation", "rmse_speed"], None, "rmse_speed must be numbers"),
+        ("calibration", ["gof_validation"], None, "gof_validation must be a JSON object"),
+    ])
+    def test_malformed_report_layout_exits_one(self, tmp_path, capsys, layout, path,
+                                               value, named):
+        """A real stats or calibrate output with one field broken."""
+        inputs = self.write_inputs(tmp_path)
+        if layout == "calibration":
+            argv = [arg.format(**inputs) for arg in self.COMMANDS["calibrate"]]
+            inputs["report"] = tmp_path / "result.json"
+            assert main(argv + ["--out", str(inputs["report"])]) == 0
+        data = json.loads(inputs["report"].read_text())
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        inputs["report"].write_text(json.dumps(data))
+        self.assert_one_domain_error(capsys, ["report", "--input", str(inputs["report"])], named)
 
     def test_valid_inputs_pass(self, tmp_path):
         inputs = self.write_inputs(tmp_path)

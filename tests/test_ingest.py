@@ -215,6 +215,14 @@ class TestFileIO:
         lf, ff = read_gps_pair(naive, aware)
         assert [f.t for f in lf] == [f.t for f in ff] == [0.0, 1.0, 2.0, 3.0]
 
+    def test_blank_rows_skipped(self, tmp_path):
+        csv_path = tmp_path / "log.csv"
+        csv_path.write_text("t,lat,lon\n0,28.37,-81.25\n\n1,28.3701,-81.25\n,,\n"
+                            " , ,\t\n2,28.3702,-81.25\n,\n3,28.3703,-81.25\n")
+        fixes = read_gps_csv(csv_path)
+        assert [(f.t, f.lat) for f in fixes] == [
+            (0.0, 28.37), (1.0, 28.3701), (2.0, 28.3702), (3.0, 28.3703)]
+
     def test_bad_header_rejected(self, tmp_path):
         csv_path = tmp_path / "log.csv"
         csv_path.write_text("time,latitude,longitude\n0,28.37,-81.25\n")
@@ -247,6 +255,9 @@ class TestIngestCliContract:
     @pytest.mark.parametrize("bad_row, line", [
         ("2,north,-81.25", 4),   # non-numeric latitude
         ("nan,28.3702,-81.25", 4),   # non-finite timestamp
+        ("2,,-81.25", 4),   # one blank cell
+        ("2,28.3702", 4),   # two columns
+        ("2,28.3702,-81.25,", 4),   # four columns, the last blank
     ])
     def test_bad_cell_exits_one_naming_path_and_line(self, tmp_path, capsys, bad_row, line):
         rows = ["0,28.37,-81.25", "1,28.3701,-81.25", bad_row, "3,28.3703,-81.25"]
