@@ -15,6 +15,7 @@ from .cleaning import (
     FollowingSegment,
     PairedSeries,
     clean_segments,
+    leader_start_offset,
     pair_trajectories,
     read_segments_json,
     retained_samples,

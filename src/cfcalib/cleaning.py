@@ -9,13 +9,14 @@ being interpolated over.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DomainError, NoCarFollowingError, PairingError, SplitError
-from .ingest import Trajectory
+from .ingest import GpsFix, Trajectory, geodesic_distance
 from .jsonio import read_json_object, require_keys, write_json
 
 PAIR_TOLERANCE_S = 0.1
@@ -140,9 +141,8 @@ def pair_trajectories(
     The paired grid uses the follower's timestamps; unmatched ends are
     dropped. Each trajectory's positions start at its own first fix, so
     `leader_offset` (ft) places the leader's origin ahead of the
-    follower's; the along-route distance between the two logs' first
-    fixes is the natural value. Raises PairingError when the logs never
-    overlap.
+    follower's; `leader_start_offset` derives it from the two GPS logs.
+    Raises PairingError when the logs never overlap.
     """
     # the merge loop reads Python floats: indexing numpy arrays per element costs 3x
     lt, ft = leader.t.tolist(), follower.t.tolist()
@@ -177,6 +177,48 @@ def pair_trajectories(
         follower_accel=follower.accel[f_sel],
         dt=follower.dt,
     )
+
+
+def leader_start_offset(
+    leader: Trajectory,
+    follower: Trajectory,
+    leader_fixes: list[GpsFix],
+    follower_fixes: list[GpsFix],
+) -> float:
+    """`leader_offset` for `pair_trajectories`, from the fixes at the first common time.
+
+    The first follower sample with a leader sample within the pairing
+    tolerance (the nearer one) fixes the spacing: the distance between the two
+    fixes, negative when the leader lies behind the follower along the
+    follower's direction of travel, taken from its first nonzero
+    displacement from that fix (positive if it never moves again). The
+    offset is that spacing less the difference of the two logs' own
+    arc-length positions then. Each trajectory holds one sample per fix.
+    Raises PairingError when the logs never overlap.
+    """
+    lt, ft = leader.t, follower.t
+    li = np.clip(np.searchsorted(lt, ft), 1, len(lt) - 1)
+    li -= ft - lt[li - 1] <= lt[li] - ft
+    common = np.flatnonzero(np.abs(lt[li] - ft) <= PAIR_TOLERANCE_S)
+    if common.size == 0:
+        raise PairingError("leader and follower logs have no overlapping timestamps")
+    fi = int(common[0])
+    li = int(li[fi])
+    here, ahead = follower_fixes[fi], leader_fixes[li]
+    spacing = geodesic_distance(here, ahead)
+    # local east/north components; their scale does not matter for a sign
+    cos_lat = math.cos(math.radians(here.lat))
+
+    def toward(fix: GpsFix) -> tuple[float, float]:
+        return ((fix.lon - here.lon + 180.0) % 360.0 - 180.0) * cos_lat, fix.lat - here.lat
+
+    moved = next((toward(f) for f in follower_fixes[fi + 1:]
+                  if (f.lat, f.lon) != (here.lat, here.lon)), None)
+    if moved is not None:
+        east, north = toward(ahead)
+        if moved[0] * east + moved[1] * north < 0.0:
+            spacing = -spacing
+    return spacing - float(leader.pos[li] - follower.pos[fi])
 
 
 def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None) -> list[FollowingSegment]:

@@ -26,6 +26,7 @@ from .calib import GaConfig, calibrate_and_validate, gof_report, load_ga_config
 from .cleaning import (
     CleaningRules,
     clean_segments,
+    leader_start_offset,
     pair_trajectories,
     read_segments_json,
     retained_samples,
@@ -34,7 +35,6 @@ from .cleaning import (
 from .errors import CfCalibError, ConfigError, DomainError
 from .ingest import (
     derive_kinematics,
-    geodesic_distance,
     read_gps_csv,
     read_gps_pair,
     read_trajectory_json,
@@ -97,9 +97,7 @@ def _cmd_ingest(args) -> int:
         leader_fixes, follower_fixes = read_gps_pair(leader_src, follower_src)
         leader = derive_kinematics(leader_fixes, vehicle_id=leader_src.stem, dt=args.dt)
         follower = derive_kinematics(follower_fixes, vehicle_id=follower_src.stem, dt=args.dt)
-        # positions are per-log arc lengths; the distance between the two
-        # start fixes places the leader's origin on the follower's axis
-        offset = geodesic_distance(follower_fixes[0], leader_fixes[0])
+        offset = leader_start_offset(leader, follower, leader_fixes, follower_fixes)
         write_json(out, {"leader": trajectory_to_dict(leader),
                          "follower": trajectory_to_dict(follower),
                          "leader_start_offset_ft": offset})

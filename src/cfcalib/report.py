@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 from importlib import resources
 
 import numpy as np
@@ -240,7 +241,22 @@ def render_benchmark_text() -> str:
                              f"{entry['idm']:.8f}", f"{entry['linear_acc']:.8f}",
                              f"{entry['blend']:.8f}"])
         out.append(_table(["error", "idm", "linear_acc", "blend"], rows))
+    out.append(_nrmse_caveat(bench))
     return "".join(out)
+
+
+def _nrmse_caveat(bench: dict) -> str:
+    """Why the bundled NRMSE rows do not compare with this tool's NRMSE."""
+    spacing = bench["descriptive_shuttle"]["spacing"]
+    errors = bench["errors_calibration"]["spacing"]
+    implied = errors["rmse"]["idm"] / errors["nrmse"]["idm"]
+    # root mean square of a series from its mean and (n - 1) std, n large
+    rms = math.hypot(spacing["mean"], spacing["std"])
+    return ("\nNote: the bundled NRMSE values do not compare with this tool's NRMSE,\n"
+            "rmse / rms(observed). The bundled idm calibration rows imply an observed\n"
+            f"spacing RMS of about {implied:,.0f} ft (RMSE / NRMSE); the bundled\n"
+            f"descriptive table implies about {rms:,.0f} ft (sqrt(mean^2 + std^2)).\n"
+            "The normalization behind the bundled NRMSE is not known.\n")
 
 
 def stats_svgs(segments: list[FollowingSegment]) -> dict[str, str]:

@@ -8,10 +8,10 @@ so every consumer sees the same fences.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as _sps
 
 from .cleaning import FollowingSegment
 from .errors import DomainError, InsufficientDataError, UndefinedStatisticError
@@ -71,15 +71,112 @@ def describe(series) -> DescriptiveStats:
     )
 
 
+# Shapiro-Wilk after Royston (1995), Applied Statistics 44, algorithm AS R94:
+# polynomials in 1/sqrt(n) for the two extreme coefficients, and normalizing
+# transforms of 1 - W for the p-value (n <= 11: in n; above: in log n).
+_SW_A1 = (0.0, 0.221157, -0.147981, -2.07119, 4.434685, -2.706056)
+_SW_A2 = (0.0, 0.042981, -0.293762, -1.752461, 5.682633, -3.582633)
+_SW_SMALL_GAMMA = (-2.273, 0.459)
+_SW_SMALL_MEAN = (0.544, -0.39978, 0.025054, -6.714e-4)
+_SW_SMALL_LOG_SD = (1.3822, -0.77857, 0.062767, -0.0020322)
+_SW_LARGE_MEAN = (-1.5861, -0.31082, -0.083751, 0.0038915)
+_SW_LARGE_LOG_SD = (-0.4803, -0.082676, 0.0030302)
+
+
+def _poly(coeffs, x: float) -> float:
+    """c[0] + c[1] x + c[2] x^2 + ..., by Horner's rule."""
+    result = 0.0
+    for c in reversed(coeffs):
+        result = result * x + c
+    return result
+
+
+def _lower_normal_quantiles(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantiles for 0 < p < 0.5, by AS 111 (Beasley & Springer 1977).
+
+    AS R94 was published with this routine and scipy's port keeps it, so
+    W here matches scipy's to rounding. It is about 1e-7 off the exact
+    quantile; exact quantiles would move W by up to 1e-9 relative.
+    """
+    q = p - 0.5
+    r = q * q
+    near = q * (((-25.44106049637 * r + 41.39119773534) * r - 18.61500062529) * r
+                + 2.50662823884) / ((((3.13082909833 * r - 21.06224101826) * r
+                                      + 23.08336743743) * r - 8.47351093090) * r + 1.0)
+    r = np.sqrt(-np.log(p))
+    tail = -(((2.32121276858 * r + 4.85014127135) * r - 2.29796479134) * r
+             - 2.78718931138) / ((1.63706781897 * r + 3.54388924762) * r + 1.0)
+    return np.where(q >= -0.42, near, tail)
+
+
+def _shapiro_coefficients(n: int) -> np.ndarray:
+    """AS R94 weights for the lower half of a sorted sample of size n >= 4."""
+    m = _lower_normal_quantiles((np.arange(1, n // 2 + 1) - 0.375) / (n + 0.25))
+    summ2 = 2.0 * float(m @ m)
+    rsn = 1.0 / math.sqrt(n)
+    a = np.empty(n // 2)
+    a[0] = _poly(_SW_A1, rsn) - m[0] / math.sqrt(summ2)
+    if n > 5:
+        a[1] = _poly(_SW_A2, rsn) - m[1] / math.sqrt(summ2)
+        k = 2
+    else:
+        k = 1
+    fac = math.sqrt((summ2 - 2.0 * float(m[:k] @ m[:k])) / (1.0 - 2.0 * float(a[:k] @ a[:k])))
+    a[k:] = -m[k:] / fac
+    return a
+
+
 def shapiro_wilk(series) -> tuple[float, float]:
-    """Shapiro-Wilk W and p-value (Royston's approximation, 3 <= n <= 5000)."""
+    """Shapiro-Wilk W and p-value (Royston's approximation, AS R94, 3 <= n <= 5000)."""
     x = np.asarray(series, dtype=float)
-    if not 3 <= x.size <= 5000:
-        raise DomainError(f"Shapiro-Wilk needs 3 <= n <= 5000, got {x.size}")
+    n = x.size
+    if not 3 <= n <= 5000:
+        raise DomainError(f"Shapiro-Wilk needs 3 <= n <= 5000, got {n}")
     if np.min(x) == np.max(x):
         raise UndefinedStatisticError("W undefined for a zero-range series")
-    w, p = _sps.shapiro(x)
-    return float(w), float(p)
+    # shifting by a central value (as scipy's wrapper does) keeps the
+    # scaled sums below well conditioned for data far from zero
+    y = np.sort(x) - x[n // 2]
+    half = np.full(1, math.sqrt(0.5)) if n == 3 else _shapiro_coefficients(n)
+    # antisymmetric weights over the sorted sample: -a ascending, 0 at an odd middle
+    coeffs = np.concatenate((-half, np.zeros(n % 2), half[::-1]))
+    ac = coeffs - coeffs.mean()
+    yc = y / (y[-1] - y[0])
+    yc -= yc.mean()
+    ssa, ssy, say = float(ac @ ac), float(yc @ yc), float(ac @ yc)
+    # 1 - W from a difference of squares, which keeps W near 1 accurate
+    root = math.sqrt(ssa * ssy)
+    w1 = max((root - say) * (root + say) / (ssa * ssy), 0.0)
+    w = 1.0 - w1
+    if n == 3:
+        # exact: p = (6 / pi) (asin(sqrt W) - pi / 3)
+        return w, max(1.0 - 6.0 / math.pi * math.acos(math.sqrt(w)), 0.0)
+    if w1 == 0.0:
+        return w, 1.0
+    log_w1 = math.log(w1)
+    if n <= 11:
+        gamma = _poly(_SW_SMALL_GAMMA, n)
+        if log_w1 >= gamma:  # past the small-sample transform; AS R94's token p
+            return w, 1e-99
+        z = ((-math.log(gamma - log_w1) - _poly(_SW_SMALL_MEAN, n))
+             / math.exp(_poly(_SW_SMALL_LOG_SD, n)))
+    else:
+        log_n = math.log(n)
+        z = (log_w1 - _poly(_SW_LARGE_MEAN, log_n)) / math.exp(_poly(_SW_LARGE_LOG_SD, log_n))
+    return w, 0.5 * math.erfc(z / math.sqrt(2.0))
+
+
+def _mid_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n with tied values sharing the mean of their ranks; all NaN if x holds a NaN."""
+    order = np.argsort(x, kind="stable")
+    ordered = x[order]
+    # each run of equal values spans sorted positions [start, end)
+    bounds = np.append(np.flatnonzero(np.append(True, ordered[1:] != ordered[:-1])), x.size)
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat(0.5 * (bounds[:-1] + bounds[1:] + 1), np.diff(bounds))
+    if np.isnan(ordered[-1]):
+        ranks.fill(np.nan)
+    return ranks
 
 
 def spearman(x, y) -> float:
@@ -90,8 +187,8 @@ def spearman(x, y) -> float:
         raise DomainError(f"length mismatch: {x.size} vs {y.size}")
     if x.size < 3:
         raise InsufficientDataError(f"spearman needs n >= 3, got {x.size}")
-    rx = _sps.rankdata(x, method="average")
-    ry = _sps.rankdata(y, method="average")
+    rx = _mid_ranks(x)
+    ry = _mid_ranks(y)
     dx = rx - rx.mean()
     dy = ry - ry.mean()
     den = np.sqrt(np.sum(dx * dx) * np.sum(dy * dy))

@@ -15,9 +15,11 @@ from cfcalib import (
     retained_samples,
     split_segments,
 )
-from cfcalib.cleaning import read_segments_json, write_segments_json
+from cfcalib.cleaning import leader_start_offset, read_segments_json, write_segments_json
 from cfcalib.fixtures import constant_leader_segment, rule_violation_series
-from cfcalib.ingest import kinematics_from_positions
+from cfcalib.ingest import GpsFix, derive_kinematics, geodesic_distance, kinematics_from_positions
+
+DEG_PER_FT = 1.0 / (6_371_008.8 * np.pi / 180.0 / 0.3048)
 
 
 def make_trajectory(t0, n, speed=10.0, vehicle_id="v", dt=1.0):
@@ -74,6 +76,59 @@ class TestPairTrajectories:
         follower = make_trajectory(1000.0, 10)
         with pytest.raises(PairingError):
             pair_trajectories(leader, follower)
+
+
+def meridian_log(t0, start_ft, n, speed=12.0, lat0=40.0):
+    """GPS fixes at 1 Hz along a meridian; negative speed drives south."""
+    along = start_ft + speed * np.arange(n)
+    return [GpsFix(t0 + i, lat0 + d * DEG_PER_FT, -83.0) for i, d in enumerate(along)], along
+
+
+class TestLeaderStartOffset:
+    def paired_spacing(self, leader_log, follower_log):
+        leader_fixes, leader_along = leader_log
+        follower_fixes, follower_along = follower_log
+        leader = derive_kinematics(leader_fixes, vehicle_id="leader")
+        follower = derive_kinematics(follower_fixes, vehicle_id="follower")
+        offset = leader_start_offset(leader, follower, leader_fixes, follower_fixes)
+        return pair_trajectories(leader, follower, leader_offset=offset).spacing
+
+    @pytest.mark.parametrize("speed", [12.0, -12.0])
+    def test_follower_log_starts_later_past_leader_start(self, speed):
+        # leader logs from t = 0 at 0 ft; the follower's log starts at
+        # t = 10 at 50 ft, with the leader 70 ft ahead of it by then
+        leader = meridian_log(0.0, 0.0, 60, speed=speed)
+        follower = meridian_log(10.0, 50.0 * np.sign(speed), 40, speed=speed)
+        spacing = self.paired_spacing(leader, follower)
+        truth = np.abs(leader[1][10:50] - follower[1])
+        assert spacing == pytest.approx(truth, rel=1e-6)
+        assert spacing[0] == pytest.approx(70.0, rel=1e-6)
+
+    def test_leader_log_starts_later(self):
+        leader = meridian_log(5.0, 160.0, 40)
+        follower = meridian_log(0.0, 0.0, 50)
+        spacing = self.paired_spacing(leader, follower)
+        assert spacing == pytest.approx(leader[1] - follower[1][5:45], rel=1e-6)
+
+    def test_leader_behind_follower_is_negative(self):
+        leader = meridian_log(0.0, 70.0, 30)
+        follower = meridian_log(0.0, 100.0, 30)
+        spacing = self.paired_spacing(leader, follower)
+        assert spacing == pytest.approx(np.full(30, -30.0), rel=1e-6)
+
+    def test_same_start_is_the_start_distance(self):
+        leader_fixes, _ = meridian_log(0.0, 120.0, 20)
+        follower_fixes, _ = meridian_log(0.0, 0.0, 20)
+        offset = leader_start_offset(derive_kinematics(leader_fixes), derive_kinematics(follower_fixes),
+                                     leader_fixes, follower_fixes)
+        assert offset == geodesic_distance(follower_fixes[0], leader_fixes[0])
+
+    def test_disjoint_logs_raise(self):
+        leader_fixes, _ = meridian_log(0.0, 0.0, 10)
+        follower_fixes, _ = meridian_log(1000.0, 0.0, 10)
+        with pytest.raises(PairingError):
+            leader_start_offset(derive_kinematics(leader_fixes), derive_kinematics(follower_fixes),
+                                leader_fixes, follower_fixes)
 
 
 def brute_force_runs(keep_mask, min_len):

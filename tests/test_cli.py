@@ -53,6 +53,19 @@ class TestIngest:
         assert manifest["subcommand"] == "ingest"
         assert len(manifest["inputs"]) == 2
 
+    def test_pair_ingest_offset_at_first_common_time(self, tmp_path):
+        # the follower's log starts 10 s late, 50 ft past the leader's first
+        # fix and 70 ft behind the leader: arc lengths 120 and 0 then
+        leader, follower = tmp_path / "leader.csv", tmp_path / "follower.csv"
+        leader.write_text("t,lat,lon\n" + "".join(
+            f"{i},{12.0 * i * DEG_PER_FT:.10f},0.0\n" for i in range(60)))
+        follower.write_text("t,lat,lon\n" + "".join(
+            f"{i},{(50.0 + 12.0 * (i - 10)) * DEG_PER_FT:.10f},0.0\n" for i in range(10, 50)))
+        out = tmp_path / "pair.json"
+        assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["leader_start_offset_ft"] == pytest.approx(-50.0, rel=1e-6)
+
     def test_single_ingest(self, tmp_path):
         leader, _ = write_logs(tmp_path)
         out = tmp_path / "traj.json"
@@ -181,6 +194,14 @@ class TestSimulateValidateReport:
         out = capsys.readouterr().out
         assert "117.3210" in out  # benchmark mean spacing
         assert "idm" in out
+
+    def test_report_benchmarks_notes_nrmse_mismatch(self, capsys):
+        assert main(["report", "--benchmarks"]) == 0
+        out = capsys.readouterr().out
+        assert "bundled NRMSE values do not compare" in out
+        # 54.8555331 / 0.01131187 and hypot(117.321, 126.835)
+        assert "about 4,849 ft" in out
+        assert "about 173 ft" in out
 
     def test_report_empty_input_stub(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cfcalib import (
     AccParams,
@@ -65,11 +65,19 @@ class TestIdmAccel:
     @given(params=idm_params_st, v=st.floats(0.1, 20.0), dv=st.floats(-5.0, 5.0),
            s1=st.floats(1.0, 500.0), s2=st.floats(1.0, 500.0))
     @settings(max_examples=100)
+    # one ULP apart: both spacings round to the same acceleration
+    @example(params=IdmParams(a=1.0, delta=1, v0=10.0, s0=1.0, T=1.0, b=1.0),
+             v=1.0, dv=0.0, s1=500.0, s2=499.99999999999994)
     def test_strictly_increasing_in_spacing(self, params, v, dv, s1, s2):
         if s1 == s2:
             return
         lo, hi = sorted((s1, s2))
-        assert idm_accel(params, lo, v, dv) < idm_accel(params, hi, v, dv)
+        a_lo, a_hi = idm_accel(params, lo, v, dv), idm_accel(params, hi, v, dv)
+        # monotone for every pair; strictly so once the spacings differ by
+        # more than rounding can hide
+        assert a_lo <= a_hi
+        if hi >= lo * (1.0 + 1e-9):
+            assert a_lo < a_hi
 
     @given(params=idm_params_st, v=st.floats(0.0, 30.0), dv=st.floats(-10.0, 10.0),
            s=st.floats(0.5, 1000.0))

@@ -1,3 +1,11 @@
+import ast
+import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +22,9 @@ from cfcalib import (
     shapiro_wilk,
     spearman,
 )
-from cfcalib.fixtures import constant_leader_segment, jerk_comfort_series
+from cfcalib.cleaning import write_segments_json
+from cfcalib.fixtures import constant_leader_segment, jerk_comfort_series, short_trip_segments
+from cfcalib.models import default_params
 from cfcalib.report import render_stats_text
 from cfcalib.stats import analyze_segments
 
@@ -22,6 +32,8 @@ from cfcalib.stats import analyze_segments
 # W = 0.7888 under Royston's approximation (matches R's shapiro.test)
 ROYSTON_VECTOR = [148, 154, 158, 160, 161, 162, 166, 170, 182, 195, 236]
 ROYSTON_W = 0.7888
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def rank_oracle(values):
@@ -101,6 +113,10 @@ class TestShapiroWilk:
         with pytest.raises(DomainError):
             shapiro_wilk(np.zeros(5001))
 
+    def test_zero_range_undefined(self):
+        with pytest.raises(UndefinedStatisticError):
+            shapiro_wilk([4.0] * 12)
+
 
 class TestSpearman:
     def test_perfect_monotone(self):
@@ -133,6 +149,111 @@ class TestSpearman:
         rho_cubed = spearman([v ** 3 for v in x], y)
         assert rho == pytest.approx(rho_cubed, abs=1e-9)
         assert rho == pytest.approx(1.0)
+
+
+def parity_series(n: int, kind: str, rng) -> np.ndarray:
+    if kind == "normal":
+        return rng.normal(size=n)
+    if kind == "exponential":
+        return rng.exponential(size=n)
+    if kind == "uniform":
+        return rng.uniform(size=n)
+    return np.round(rng.normal(size=n) * 1.5)  # heavily tied: a handful of integers
+
+
+PARITY_SIZES = list(range(3, 61)) + [100, 1000, 5000]
+PARITY_KINDS = ("normal", "exponential", "uniform", "tied")
+
+
+class TestScipyParity:
+    """The numpy ports against scipy, the reference they replace (skipped without scipy)."""
+
+    @pytest.mark.parametrize("kind", PARITY_KINDS)
+    def test_shapiro_wilk_matches_scipy(self, kind):
+        sps = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(20240 + PARITY_KINDS.index(kind))
+        checked = 0
+        for n in PARITY_SIZES:
+            x = parity_series(n, kind, rng)
+            if np.min(x) == np.max(x):
+                continue
+            w, p = shapiro_wilk(x)
+            ref_w, ref_p = (float(v) for v in sps.shapiro(x))
+            # same coefficients and quantile routine: W agrees to rounding;
+            # scipy's normal tail (AS 66) is good to about 1e-10 relative.
+            # At n = 3, p is W's exact distribution function, which is 0 at
+            # its lower end W = 3/4 (two tied values): there a rounding of W
+            # moves p by a few 1e-16 absolute.
+            assert w == pytest.approx(ref_w, rel=1e-12), (kind, n)
+            assert p == pytest.approx(ref_p, rel=1e-9, abs=1e-15 if n == 3 else 1e-300), (kind, n)
+            checked += 1
+        assert checked >= len(PARITY_SIZES) - 2
+
+    def test_reference_vector_matches_scipy(self):
+        sps = pytest.importorskip("scipy.stats")
+        w, p = shapiro_wilk(ROYSTON_VECTOR)
+        ref_w, ref_p = sps.shapiro(ROYSTON_VECTOR)
+        assert w == pytest.approx(float(ref_w), rel=1e-12)
+        assert p == pytest.approx(float(ref_p), rel=1e-9)
+
+    def test_spearman_equals_rankdata_formula(self):
+        sps = pytest.importorskip("scipy.stats")
+        rng = np.random.default_rng(5)
+
+        def reference(x, y):
+            rx = sps.rankdata(x, method="average")
+            ry = sps.rankdata(y, method="average")
+            dx = rx - rx.mean()
+            dy = ry - ry.mean()
+            return float(np.sum(dx * dy) / np.sqrt(np.sum(dx * dx) * np.sum(dy * dy)))
+
+        for n in (3, 4, 7, 40, 333):
+            tied = np.round(rng.normal(size=n) * 2.0)
+            untied = rng.normal(size=n)
+            for x, y in ((tied, untied), (untied, untied ** 3 + rng.normal(size=n)),
+                         (tied, np.round(rng.normal(size=n)))):
+                if np.min(x) == np.max(x) or np.min(y) == np.max(y):
+                    continue
+                assert spearman(x, y) == reference(x, y)
+
+
+class TestNoScipyAtRunTime:
+    def run_isolated(self, code: str) -> str:
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        return done.stdout.strip()
+
+    def test_cli_import_leaves_scipy_unloaded(self):
+        assert self.run_isolated("""
+            import sys
+            import cfcalib.cli
+            print("scipy" in sys.modules)
+        """) == "False"
+
+    def test_stats_command_leaves_scipy_unloaded(self, tmp_path):
+        segments, out = tmp_path / "segments.json", tmp_path / "stats.json"
+        write_segments_json(short_trip_segments(default_params("idm"), n_trips=10), segments)
+        assert self.run_isolated(f"""
+            import sys
+            from cfcalib import cli
+            code = cli.main(["stats", "--segments", {str(segments)!r}, "--out", {str(out)!r}])
+            print(code, "scipy" in sys.modules)
+        """) == "0 False"
+        normality = json.loads(out.read_text())["normality"]
+        assert normality["speed"] is not None
+
+    def test_no_scipy_import_in_src(self):
+        problems = []
+        for module in sorted((SRC / "cfcalib").glob("*.py")):
+            for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
+                names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                    problems.append(f"{module.name}:{node.lineno}")
+        assert problems == []
 
 
 class TestCoefficientOfVariation:
