@@ -5,13 +5,12 @@ calibration segments (concatenate first, then one NRMSE). The GA is
 elitist with tournament selection of size 2, uniform crossover, and
 per-gene uniform-reset mutation; every random draw comes from one seeded
 generator in a fixed order, so a (seed, inputs) pair fully determines
-the outcome regardless of how many threads evaluate fitness. Each
-generation is scored as one block of gene rows.
+the outcome. Each generation is scored as one block of gene rows, and
+sim.SegmentSet decides how that block is simulated.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -21,15 +20,7 @@ from .cleaning import FollowingSegment, split_segments
 from .errors import CfCalibError, ConfigError, UndefinedStatisticError
 from .jsonio import read_json_object
 from .models import GENE_BOUNDS, ModelParams, genes_to_params, params_to_dict
-from .sim import (
-    BATCH_MIN_SEGMENTS,
-    SegmentBlock,
-    SimLimits,
-    _accel_fn,
-    _step_loop,
-    array_accel_fn,
-    simulate_all,
-)
+from .sim import SegmentSet, SimLimits, simulate_all
 
 # Fitness assigned when a simulation faults; finite so the GA keeps going.
 FAULT_FITNESS = 1e9
@@ -196,58 +187,15 @@ class CalibrationResult:
         }
 
 
-def _make_fitness(kind, segments, limits, dt, threads=1):
+def _make_fitness(kind, segments, limits, dt):
     """Block fitness: gene rows (P x G) in, pooled spacing NRMSE per row (P,) out.
 
-    A segment set of at least BATCH_MIN_SEGMENTS is stepped as one
-    (rows x segments) block. A block that overflows or turns NaN is
-    scored again one row at a time, and a row that still does runs the
-    scalar loop, so faults are the scalar loop's and every row scores
-    exactly what it scores alone. Smaller segment sets run the scalar
-    loop per row, spread over `threads` threads.
+    A row whose genes lie outside the model's domain, or whose
+    simulation faults, scores FAULT_FITNESS. Every row scores exactly
+    what it scores alone.
     """
     obs_spacing = np.concatenate([s.spacing for s in segments])
-    limits = limits or SimLimits()
-    block = SegmentBlock(segments, dt)  # checks dt on either path
-    batched = len(segments) >= BATCH_MIN_SEGMENTS
-    # caps each of run()'s (samples x rows x segments) arrays at 2**20 values (8 MB)
-    rows_per_run = max(1, (1 << 20) // block.valid.size)
-
-    def score(pooled: np.ndarray) -> np.ndarray:
-        try:
-            nrmse = _nrmse_rows(pooled, obs_spacing)
-        except CfCalibError:
-            return np.full(len(pooled), FAULT_FITNESS)
-        return np.where(np.isfinite(nrmse), nrmse, FAULT_FITNESS)
-
-    def scalar_row(params) -> float:
-        try:
-            accel_fn = _accel_fn(params)
-            pooled: list[float] = []
-            for seg in segments:
-                pooled.extend(_step_loop(accel_fn, seg, limits, dt)[2])
-        except (CfCalibError, FloatingPointError, OverflowError, ZeroDivisionError):
-            return FAULT_FITNESS
-        return float(score(np.array([pooled]))[0])
-
-    def scalar_rows(params: list) -> np.ndarray:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return np.array(list(pool.map(scalar_row, params)))
-        return np.array([scalar_row(p) for p in params])
-
-    def block_rows(params: list) -> np.ndarray:
-        if len(params) > rows_per_run:
-            return np.concatenate([block_rows(params[i:i + rows_per_run])
-                                   for i in range(0, len(params), rows_per_run)])
-        try:
-            accel = array_accel_fn(params, len(segments))
-            spacing = block.run(accel, len(params), limits)[2]
-        except FloatingPointError:
-            if len(params) == 1:
-                return scalar_rows(params)
-            return np.concatenate([block_rows([p]) for p in params])
-        return score(block.pooled(spacing))
+    segment_set = SegmentSet(segments, limits, dt)  # checks dt before any stepping
 
     def evaluate(genes_rows) -> np.ndarray:
         genes_rows = np.atleast_2d(np.asarray(genes_rows, dtype=float))
@@ -259,8 +207,16 @@ def _make_fitness(kind, segments, limits, dt, threads=1):
             except CfCalibError:
                 continue
             rows.append(r)
-        if params:
-            values[rows] = block_rows(params) if batched else scalar_rows(params)
+        if not params:
+            return values
+        scored = [(r, spacing) for r, spacing in zip(rows, segment_set.pooled_spacing(params))
+                  if spacing is not None]
+        if scored:
+            try:
+                nrmse = _nrmse_rows(np.array([spacing for _, spacing in scored]), obs_spacing)
+            except CfCalibError:
+                return values
+            values[[r for r, _ in scored]] = np.where(np.isfinite(nrmse), nrmse, FAULT_FITNESS)
         return values
 
     return evaluate
@@ -290,7 +246,6 @@ def ga_calibrate(
     seed: int,
     limits: SimLimits | None = None,
     dt: float = 1.0,
-    threads: int = 1,
 ) -> tuple[np.ndarray, float, list[float]]:
     """Run one seeded GA; returns (best genes, best fitness, per-generation trace).
 
@@ -311,7 +266,7 @@ def ga_calibrate(
     n_elite = max(1, int(round(config.elitism_ratio * pop_size)))
     n_children = pop_size - n_elite
 
-    fitness_fn = _make_fitness(kind, segments, limits, dt, threads)
+    fitness_fn = _make_fitness(kind, segments, limits, dt)
     rng = np.random.default_rng(seed)
     population = rng.uniform(lo, hi, size=(pop_size, n_genes))
     fit = fitness_fn(population)
@@ -335,18 +290,12 @@ def ga_calibrate(
         mut_vals = rng.uniform(lo, hi, size=(n_children, n_genes))
 
         elite_order = np.argsort(fit, kind="stable")[:n_elite]
-        children = np.empty((n_children, n_genes))
-        for j in range(n_children):
-            i1, i2 = parent_draws[j, 0]
-            p1 = i1 if fit[i1] <= fit[i2] else i2
-            i3, i4 = parent_draws[j, 1]
-            p2 = i3 if fit[i3] <= fit[i4] else i4
-            child = population[p1].copy()
-            if cross_coin[j] < config.crossover_prob:
-                mask = gene_src[j] == 1
-                child[mask] = population[p2][mask]
-            child[mut_mask[j]] = mut_vals[j][mut_mask[j]]
-            children[j] = child
+        # two size-2 tournaments per child, the first entrant winning ties
+        first, second = parent_draws[..., 0], parent_draws[..., 1]
+        winners = np.where(fit[first] <= fit[second], first, second)
+        crossed = (cross_coin < config.crossover_prob)[:, None] & (gene_src == 1)
+        children = np.where(crossed, population[winners[:, 1]], population[winners[:, 0]])
+        children = np.where(mut_mask, mut_vals, children)
 
         child_fit = fitness_fn(children)
         population = np.vstack([population[elite_order], children])
@@ -374,15 +323,13 @@ def calibrate_and_validate(
     split_seed: int = 0,
     limits: SimLimits | None = None,
     dt: float = 1.0,
-    threads: int = 1,
 ) -> tuple[CalibrationResult, GofReport, GofReport]:
     """Split segments, calibrate once per seed, and report both error sets."""
     calibration, validation = split_segments(segments, split_fraction, split_seed)
     per_seed = []
     best = None
     for seed in config.seeds:
-        genes, fit_value, trace = ga_calibrate(
-            kind, calibration, config, seed, limits, dt, threads)
+        genes, fit_value, trace = ga_calibrate(kind, calibration, config, seed, limits, dt)
         params = genes_to_params(kind, genes)
         per_seed.append((seed, fit_value, params))
         if best is None or fit_value < best[1]:

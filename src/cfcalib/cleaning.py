@@ -113,22 +113,6 @@ class FollowingSegment:
     def spacing(self) -> np.ndarray:
         return self.leader_pos - self.follower_pos
 
-    def step_lists(self):
-        """Cached plain-float views for the simulation step loop.
-
-        Segments are treated as immutable once built; the cache assumes
-        the arrays are not modified afterwards.
-        """
-        cached = getattr(self, "_step_lists", None)
-        if cached is None:
-            cached = (
-                self.t.tolist(), self.leader_pos.tolist(),
-                self.leader_speed.tolist(), self.leader_accel.tolist(),
-                float(self.follower_pos[0]), float(self.follower_speed[0]),
-            )
-            self._step_lists = cached
-        return cached
-
 
 def pair_trajectories(
     leader: Trajectory,

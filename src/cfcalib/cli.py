@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -45,10 +44,6 @@ from .jsonio import atomic_write_text, read_json_object, require_keys, write_jso
 from .models import MODEL_KINDS, load_params, params_from_dict, params_to_dict
 from .sim import SimLimits, load_limits, result_to_dict, simulate_all
 from .stats import analyze_segments
-
-
-def _default_threads() -> int:
-    return int(os.environ.get("CF_CALIB_THREADS", "1"))
 
 
 def _sha256(path: Path) -> str:
@@ -206,7 +201,7 @@ def _cmd_calibrate(args) -> int:
     result, rep_calib, rep_valid = calibrate_and_validate(
         args.model, segments, config,
         split_fraction=args.split, split_seed=args.split_seed,
-        limits=limits, dt=args.dt, threads=args.threads,
+        limits=limits, dt=args.dt,
     )
     out = Path(args.out)
     write_json(out, {
@@ -333,7 +328,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split-seed", type=int, default=0)
     p.add_argument("--limits", help="actuation limits JSON")
     p.add_argument("--dt", type=float, default=1.0)
-    p.add_argument("--threads", type=int, default=_default_threads())
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_calibrate)
 

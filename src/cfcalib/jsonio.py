@@ -3,7 +3,9 @@
 Every JSON input (pair, trajectory, segments, model parameters, limits,
 GA config, result files) is read through read_json_object, so text that
 is not JSON, or JSON that is not an object, raises DomainError naming
-the file instead of escaping as a decoder or type error.
+the file instead of escaping as a decoder or type error. The NaN,
+Infinity and -Infinity tokens that json.loads accepts by default are
+not JSON and are rejected the same way.
 
 Every JSON output is written through write_json: one line of sorted-key
 JSON, replaced atomically. Without an indent, json.dumps runs on its C
@@ -46,11 +48,15 @@ def write_json(path: str | Path, payload) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True) + "\n")
 
 
+def _reject_constant(token: str):
+    raise ValueError(f"non-finite number {token}")
+
+
 def read_json_object(path: str | Path, what: str) -> dict:
     """Parse `path`, which must hold one JSON object describing `what`."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(), parse_constant=_reject_constant)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise DomainError(f"{path}: {what} is not valid JSON ({exc})") from None
     if not isinstance(data, dict):

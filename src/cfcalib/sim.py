@@ -10,9 +10,13 @@ colliding output sample counts as one event.
 
 Two engines share these rules. The scalar loop steps one segment at a
 time in plain Python floats. The block stepper advances a whole
-(parameter sets x segments) block per time index in numpy. Which one
-runs depends on the segment set alone (BATCH_MIN_SEGMENTS), never on
-how many parameter sets are stepped together.
+(parameter sets x segments) block per time index in numpy. SegmentSet
+alone picks the engine: the block when the set has BATCH_MIN_SEGMENTS
+segments or more and the parameter sets share an array kernel, never
+depending on how many parameter sets are stepped together. A block that
+overflows or turns NaN is stepped again row by row, and a row that
+still does runs the scalar loop, so every parameter set gets exactly
+what it gets stepped alone.
 """
 
 from __future__ import annotations
@@ -128,16 +132,17 @@ def simulate_follower(
     dt must divide every observation interval; sub-steps interpolate the
     leader linearly. Returns the simulated series plus a collision count.
     """
-    return _simulate_with_fn(_accel_fn(model), seg, limits or SimLimits(), dt)
+    return SegmentSet([seg], limits, dt).results(model)[0]
 
 
-def _step_loop(accel_fn, seg: FollowingSegment, limits: SimLimits, dt: float):
-    """Run the integration; returns (pos, speed, spacing, collisions) as lists."""
-    if dt <= 0:
-        raise ConfigError(f"dt must be positive, got {dt}")
-    n = len(seg.t)
-    # plain float lists keep the step loop off numpy scalar arithmetic
-    t, lx, lv, la, x, v = seg.step_lists()
+def _step_loop(accel_fn, lists: tuple, limits: SimLimits, dt: float):
+    """Run the integration; returns (pos, speed, spacing, collisions) as lists.
+
+    `lists` is SegmentSet._scalar_runs's per-segment tuple, and dt has
+    been checked against every interval there.
+    """
+    t, lx, lv, la, x, v = lists
+    n = len(t)
     a_min, a_max = limits.a_min, limits.a_max
     v_min, v_max = limits.v_min, limits.v_max
     v = min(max(v, v_min), v_max)
@@ -153,9 +158,6 @@ def _step_loop(accel_fn, seg: FollowingSegment, limits: SimLimits, dt: float):
             m = 1
         else:
             m = int(round(interval / dt))
-            if m < 1 or abs(interval - m * dt) > 1e-6 * max(1.0, interval):
-                raise ConfigError(
-                    f"dt={dt} does not divide the {interval:.6g} s observation interval")
         if m == 1:
             xl = lx[i - 1]
             s = xl - x
@@ -217,10 +219,6 @@ def _result(seg: FollowingSegment, pos, speed, spacing, collisions: int) -> SimR
     )
 
 
-def _simulate_with_fn(accel_fn, seg: FollowingSegment, limits: SimLimits, dt: float) -> SimResult:
-    return _result(seg, *_step_loop(accel_fn, seg, limits, dt))
-
-
 def array_accel_fn(models: list, lanes: int):
     """Accel function over rows x lanes flattened row by row, row r stepping models[r].
 
@@ -260,19 +258,30 @@ def array_accel_fn(models: list, lanes: int):
     return None
 
 
-class SegmentBlock:
-    """A segment set padded to its longest member, one lane per segment.
+class SegmentSet:
+    """Segments under one set of limits and one dt; picks the engine for them.
 
-    Sub-step counts are per lane and per observation interval. Past a
-    segment's end its lane repeats the last leader sample and takes
-    sub-steps of length 0, which leave the follower state unchanged, and
-    it is masked out of every result. Construction checks dt against
-    every interval, so a bad dt raises ConfigError before any stepping.
+    For the block stepper the set is padded to its longest member, one
+    lane per segment, with sub-step counts per lane and per observation
+    interval. Past a segment's end its lane repeats the last leader
+    sample and takes sub-steps of length 0, which leave the follower
+    state unchanged, and it is masked out of every result. Construction
+    checks dt against every interval, for both engines.
     """
 
-    def __init__(self, segments: list[FollowingSegment], dt: float):
+    def __init__(self, segments: list[FollowingSegment], limits: SimLimits | None = None,
+                 dt: float = 1.0):
         if dt <= 0:
             raise ConfigError(f"dt must be positive, got {dt}")
+        self.segments = list(segments)
+        self.limits = limits or SimLimits()
+        self.dt = dt
+        self._lists = None  # the scalar loop's inputs, built on its first run
+        if self.segments:
+            self._pad()
+
+    def _pad(self) -> None:
+        segments, dt = self.segments, self.dt
         lengths = np.array([len(seg) for seg in segments])
         starts = np.cumsum(lengths) - lengths
         n = int(lengths.max())
@@ -305,20 +314,88 @@ class SegmentBlock:
         self.frac = k / per_lane
         self.substeps = m.max(axis=1)
         self.dlx, self.dlv, self.dla = (np.diff(col, axis=0) for col in (self.lx, self.lv, self.la))
+        # caps each of _run_block's (samples x rows x segments) arrays at
+        # 2**20 values (8 MB)
+        self._rows_per_run = max(1, (1 << 20) // self.valid.size)
 
-    def run(self, accel_fn, rows: int, limits: SimLimits):
-        """Step `rows` parameter sets over every lane in lockstep.
+    def results(self, model: ModelParams) -> list[SimResult]:
+        """Simulate each segment independently, re-initialized from its first sample.
 
-        accel_fn comes from array_accel_fn(models, lanes) with one model
-        per row. Returns (pos, speed, spacing, collisions): three
-        (samples, rows, lanes) arrays on the observation grid and a
-        (rows, lanes) count. Raises FloatingPointError where a value
-        overflows or turns NaN.
+        Raises DomainError naming the first segment on which the scalar
+        loop overflows or divides by zero.
         """
+        try:
+            block = self._run_block([model])
+        except FloatingPointError:
+            block = None
+        if block is not None:
+            pos, speed, spacing, collisions = block
+            return [_result(seg, pos[:len(seg), 0, lane], speed[:len(seg), 0, lane],
+                            spacing[:len(seg), 0, lane], int(collisions[0, lane]))
+                    for lane, seg in enumerate(self.segments)]
+        results = []
+        try:
+            for run in self._scalar_runs(model):
+                results.append(_result(self.segments[len(results)], *run))
+        except ArithmeticError as exc:
+            raise DomainError(f"segment {self.segments[len(results)].id}: the simulation "
+                              f"faults ({type(exc).__name__}: {exc})") from None
+        return results
+
+    def pooled_spacing(self, models: list) -> list[np.ndarray | None]:
+        """Each model's simulated spacing, its segments concatenated in order.
+
+        None marks a model whose simulation overflows, turns NaN or
+        divides by zero. Every model gets the values it gets stepped alone.
+        """
+        if len(models) > self._rows_per_run:
+            return [spacing for i in range(0, len(models), self._rows_per_run)
+                    for spacing in self.pooled_spacing(models[i:i + self._rows_per_run])]
+        try:
+            block = self._run_block(models)
+        except FloatingPointError:
+            if len(models) > 1:
+                return [spacing for model in models for spacing in self.pooled_spacing([model])]
+            block = None
+        if block is not None:
+            return list(block[2].transpose(1, 2, 0)[:, self.valid.T])
+        return [self._scalar_spacing(model) for model in models]
+
+    def _scalar_spacing(self, model) -> np.ndarray | None:
+        try:
+            return np.concatenate([run[2] for run in self._scalar_runs(model)])
+        except ArithmeticError:
+            return None
+
+    def _scalar_runs(self, model):
+        """_step_loop's output per segment, each stepped as it is drawn."""
+        accel_fn = _accel_fn(model)
+        if self._lists is None:
+            # plain float lists keep the step loop off numpy scalar arithmetic
+            self._lists = [(seg.t.tolist(), seg.leader_pos.tolist(), seg.leader_speed.tolist(),
+                            seg.leader_accel.tolist(), float(seg.follower_pos[0]),
+                            float(seg.follower_speed[0])) for seg in self.segments]
+        return (_step_loop(accel_fn, lists, self.limits, self.dt) for lists in self._lists)
+
+    def _run_block(self, models: list):
+        """Step one row per model over every lane in lockstep.
+
+        Returns (pos, speed, spacing, collisions): three (samples, rows,
+        lanes) arrays on the observation grid and a (rows, lanes) count;
+        None when the set or the models take the scalar loop. Raises
+        FloatingPointError where a value overflows or turns NaN.
+        """
+        if len(self.segments) < BATCH_MIN_SEGMENTS:
+            return None
+        n, lanes = self.lx.shape
+        accel_fn = array_accel_fn(models, lanes)
+        if accel_fn is None:
+            return None
+        rows = len(models)
         # 0-d arrays cost numpy less per call than Python floats
         a_min, a_max, v_min, v_max = (
-            np.array(value) for value in (limits.a_min, limits.a_max, limits.v_min, limits.v_max))
-        n, lanes = self.lx.shape
+            np.array(value) for value in (self.limits.a_min, self.limits.a_max,
+                                          self.limits.v_min, self.limits.v_max))
         # rows side by side in flat contiguous lanes: same-shape 1-d
         # operands keep numpy's per-call cost at its lowest
         lx, lv, la, h = (np.tile(col, rows) for col in (self.lx, self.lv, self.la, self.h))
@@ -357,10 +434,6 @@ class SegmentBlock:
         spacing[1:][hit] = SPACING_FLOOR_FT
         return pos, speed, spacing, collisions
 
-    def pooled(self, values: np.ndarray) -> np.ndarray:
-        """(rows, samples) of a run() output, each row its segments concatenated."""
-        return values.transpose(1, 2, 0)[:, self.valid.T]
-
 
 def simulate_all(
     model: ModelParams,
@@ -368,28 +441,8 @@ def simulate_all(
     limits: SimLimits | None = None,
     dt: float = 1.0,
 ) -> list[SimResult]:
-    """Simulate each segment independently, re-initialized from its first sample.
-
-    A set of at least BATCH_MIN_SEGMENTS segments is stepped as one block
-    when the model has an array kernel; a block that overflows or turns
-    NaN runs again on the scalar loop.
-    """
-    limits = limits or SimLimits()
-    accel = None
-    if len(segments) >= BATCH_MIN_SEGMENTS:
-        accel = array_accel_fn([model], len(segments))
-    if accel is not None:
-        block = SegmentBlock(segments, dt)
-        try:
-            pos, speed, spacing, collisions = block.run(accel, 1, limits)
-        except FloatingPointError:
-            pass
-        else:
-            return [_result(seg, pos[:len(seg), 0, lane], speed[:len(seg), 0, lane],
-                            spacing[:len(seg), 0, lane], int(collisions[0, lane]))
-                    for lane, seg in enumerate(segments)]
-    accel_fn = _accel_fn(model)
-    return [_simulate_with_fn(accel_fn, seg, limits, dt) for seg in segments]
+    """Simulate each segment independently, re-initialized from its first sample."""
+    return SegmentSet(segments, limits, dt).results(model)
 
 
 def limits_from_dict(data: dict) -> SimLimits:

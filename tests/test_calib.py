@@ -147,13 +147,14 @@ class TestBlockFitness:
         assert block[0] == gof(pooled, obs)[2]
 
     def test_faulting_rows_score_fault_alone(self, monkeypatch):
-        from cfcalib import calib
+        from cfcalib import sim
 
-        scalar_runs = []
-        step_loop = calib._step_loop
-        monkeypatch.setattr(calib, "_step_loop",
-                            lambda *args: scalar_runs.append(1) or step_loop(*args))
+        # fixture generation runs the scalar loop too, so build before patching
         segments = many_trips()
+        scalar_runs = []
+        step_loop = sim._step_loop
+        monkeypatch.setattr(sim, "_step_loop",
+                            lambda *args: scalar_runs.append(1) or step_loop(*args))
         good = random_genes("idm", 3)
         out_of_domain = [-1.0, 1.0, 19.0, 8.0, 3.0, 20.0]  # a < 0
         overflow_fault = [2.0, 2.0, 1e-300, 8.0, 3.0, 20.0]  # (v / v0) ** 2 overflows
@@ -182,25 +183,17 @@ def tiny_config(**overrides):
 
 
 class TestGaCalibrate:
-    def test_bitwise_determinism(self):
-        segments = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40)
+    @pytest.mark.parametrize("segments", [
+        idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40),
+        short_trip_segments(SHUTTLE_IDM, n_trips=BATCH_MIN_SEGMENTS, trip_seconds=10),
+    ], ids=["one-segment", "block"])
+    def test_bitwise_determinism(self, segments):
         config = tiny_config()
         first = ga_calibrate("idm", segments, config, seed=5)
         second = ga_calibrate("idm", segments, config, seed=5)
         assert np.array_equal(first[0], second[0])
         assert first[1] == second[1]
         assert first[2] == second[2]
-
-    @pytest.mark.parametrize("segments", [
-        idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40),
-        short_trip_segments(SHUTTLE_IDM, n_trips=BATCH_MIN_SEGMENTS, trip_seconds=10),
-    ], ids=["one-segment", "block"])
-    def test_threads_do_not_change_results(self, segments):
-        config = tiny_config()
-        sequential = ga_calibrate("idm", segments, config, seed=5, threads=1)
-        threaded = ga_calibrate("idm", segments, config, seed=5, threads=8)
-        assert np.array_equal(sequential[0], threaded[0])
-        assert sequential[2] == threaded[2]
 
     def test_trace_monotone_non_increasing(self):
         segments = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40)

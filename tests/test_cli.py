@@ -210,6 +210,37 @@ class TestSimulateValidateReport:
         assert "no data" in capsys.readouterr().out
 
 
+class TestSimulationFaultCli:
+    # (v / v0) ** 10 overflows on the first step with v > 0, on either engine
+    OVERFLOWING_IDM = {"model": "idm", "a": 2, "delta": 10, "v0": 1e-40, "s0": 5, "T": 1,
+                       "b": 2}
+
+    @pytest.mark.parametrize("n_trips", [2, 32], ids=["scalar-loop", "block"])
+    @pytest.mark.parametrize("command, flag", [("simulate", "--model"),
+                                               ("validate", "--params")])
+    def test_overflow_exits_one_naming_the_segment(self, tmp_path, capsys, command, flag,
+                                                   n_trips):
+        from cfcalib.cleaning import write_segments_json
+        from cfcalib.fixtures import short_trip_segments
+        from cfcalib.models import default_params
+        from cfcalib.sim import BATCH_MIN_SEGMENTS
+
+        segments = short_trip_segments(default_params("idm"), n_trips=n_trips, trip_seconds=12)
+        assert (len(segments) >= BATCH_MIN_SEGMENTS) == (n_trips == 32)
+        seg_path, model, out = (tmp_path / name for name in
+                                ("segments.json", "model.json", "out.json"))
+        write_segments_json(segments, seg_path)
+        model.write_text(json.dumps(self.OVERFLOWING_IDM))
+        rc = main([command, flag, str(model), "--segments", str(seg_path), "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "domain"
+        assert f"segment {segments[0].id}: " in err["message"]
+        assert not out.exists()
+
+
 class TestCalibrateCli:
     def make_recovery_segments(self, tmp_path):
         from cfcalib.cleaning import write_segments_json
@@ -248,22 +279,19 @@ class TestCalibrateCli:
         segments = self.make_recovery_segments(tmp_path)
         config = self.write_tiny_config(tmp_path)
         digests = []
-        for attempt, threads in (("a", "1"), ("b", "8")):
+        for attempt in ("a", "b"):
             out = tmp_path / f"result_{attempt}.json"
             assert main(["calibrate", "--model", "idm", "--segments", str(segments),
                          "--config", str(config), "--split", "0.8",
-                         "--split-seed", "3", "--threads", threads,
-                         "--out", str(out)]) == 0
+                         "--split-seed", "3", "--out", str(out)]) == 0
             digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
         assert digests[0] == digests[1]
 
-    def test_threads_env_mirror(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("CF_CALIB_THREADS", "4")
-        from cfcalib.cli import build_parser
-
-        args = build_parser().parse_args(
-            ["calibrate", "--model", "idm", "--segments", "x", "--out", "y"])
-        assert args.threads == 4
+    def test_threads_flag_is_a_usage_error(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--model", "idm", "--segments", "x", "--threads", "2",
+                  "--out", str(tmp_path / "result.json")])
+        assert exc.value.code == 2
 
     def test_calibration_report_rendering(self, tmp_path, capsys):
         segments = self.make_recovery_segments(tmp_path)
@@ -334,6 +362,7 @@ class TestJsonInputContract:
         err = json.loads(lines[0])
         assert err["error"] == "domain"
         assert named in err["message"]
+        return err["message"]
 
     @pytest.mark.parametrize("command, target, text, named", [
         ("clean", "pair", "{not json", "not valid JSON"),
@@ -350,6 +379,10 @@ class TestJsonInputContract:
         ("validate", "model", '{"calibration": []}', "calibration"),
         ("simulate", "model", '{"model": "idm", "a": "x", "delta": 1, "v0": 20, "s0": 5, '
                               '"T": 1, "b": 2}', "a must be numbers"),
+        ("simulate", "model", '{"model": "idm", "a": Infinity, "delta": 1, "v0": 20, "s0": 5, '
+                              '"T": 1, "b": 2}', "non-finite number Infinity"),
+        ("validate", "model", '{"model": "idm", "a": 2, "delta": 1, "v0": -Infinity, "s0": 5, '
+                              '"T": 1, "b": 2}', "non-finite number -Infinity"),
         ("simulate", "limits", "[]", "JSON object"),
         ("simulate", "limits", '{"a_min": "x"}', "a_min must be numbers"),
         ("calibrate", "limits", "[]", "JSON object"),
@@ -398,6 +431,18 @@ class TestJsonInputContract:
         parent[path[-1]] = value
         inputs["report"].write_text(json.dumps(data))
         self.assert_one_domain_error(capsys, ["report", "--input", str(inputs["report"])], named)
+
+    @pytest.mark.parametrize("command", ["stats", "simulate"])
+    def test_nan_speed_in_segments_exits_one(self, tmp_path, capsys, command):
+        inputs = self.write_inputs(tmp_path)
+        data = json.loads(inputs["segments"].read_text())
+        data["segments"][0]["follower"]["speed"][3] = float("nan")
+        inputs["segments"].write_text(json.dumps(data))  # writes the NaN token
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
+        message = self.assert_one_domain_error(
+            capsys, argv + ["--out", str(tmp_path / "out.json")], f"{inputs['segments']}: ")
+        assert "non-finite number NaN" in message
+        assert not (tmp_path / "out.json").exists()
 
     def test_valid_inputs_pass(self, tmp_path):
         inputs = self.write_inputs(tmp_path)

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -20,7 +23,7 @@ from cfcalib.fixtures import (
     short_trip_segments,
 )
 from cfcalib.models import default_params
-from cfcalib.sim import BATCH_MIN_SEGMENTS, SegmentBlock, array_accel_fn
+from cfcalib.sim import BATCH_MIN_SEGMENTS, SegmentSet, array_accel_fn
 
 SHUTTLE_IDM = IdmParams(a=2.76, delta=1, v0=20.0, s0=9.89, T=2.79, b=24.58)
 SHUTTLE_ACC = AccParams(t_des=4.96, k1=0.01, k2=0.43, d0=15.0)
@@ -192,7 +195,7 @@ class TestBlockPath:
         assert len(segments) >= BATCH_MIN_SEGMENTS
         limits = SimLimits()
         # the block itself runs; a numpy fault would hand over to the scalar loop
-        SegmentBlock(segments, dt).run(array_accel_fn([params], len(segments)), 1, limits)
+        assert SegmentSet(segments, limits, dt)._run_block([params]) is not None
         results = simulate_all(params, segments, limits, dt)
         assert len(results) == len(segments)
         for seg, res in zip(segments, results):
@@ -237,8 +240,7 @@ class TestBlockPath:
         params = IdmParams(a=1.0, delta=1, v0=20.0, s0=1e160, T=1.0, b=1.0)
         segments = block_fixture(1.0)
         with pytest.raises(FloatingPointError):
-            SegmentBlock(segments, 1.0).run(
-                array_accel_fn([params], len(segments)), 1, SimLimits())
+            SegmentSet(segments)._run_block([params])
         for seg, res in zip(segments, simulate_all(params, segments)):
             ref = simulate_follower(params, seg)
             assert np.array_equal(res.spacing, ref.spacing)
@@ -251,3 +253,48 @@ class TestBlockPath:
         segments = block_fixture(1.0)
         for seg, res in zip(segments, simulate_all(improved, segments)):
             assert np.array_equal(res.spacing, simulate_follower(improved, seg).spacing)
+
+    def test_rows_go_to_the_block_at_most_a_cap_at_a_time(self, monkeypatch):
+        segments = block_fixture(1.0)
+        capped = SegmentSet(segments)
+        assert capped._rows_per_run == (1 << 20) // capped.valid.size
+        capped._rows_per_run = 4
+        widths = []
+        run_block = capped._run_block
+        monkeypatch.setattr(capped, "_run_block",
+                            lambda models: widths.append(len(models)) or run_block(models))
+        models = [IdmParams(a=2.76, delta=1, v0=20.0, s0=s0, T=2.79, b=24.58)
+                  for s0 in np.linspace(2.0, 12.0, 10)]
+        got = capped.pooled_spacing(models)
+        assert widths == [4, 4, 2]
+        expected = SegmentSet(segments).pooled_spacing(models)
+        assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "cfcalib"
+# the engines, their path rule and their fault handling belong to sim.SegmentSet
+ENGINE_NAMES = {"_step_loop", "_accel_fn", "SegmentBlock", "array_accel_fn",
+                "BATCH_MIN_SEGMENTS"}
+
+
+def test_engine_internals_are_named_only_in_sim():
+    problems = []
+    modules = sorted(SRC.glob("*.py"))
+    assert any(p.name == "sim.py" for p in modules)
+    for module in modules:
+        if module.name == "sim.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(), filename=str(module))):
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, ast.alias):
+                names = [node.name, node.asname]
+            elif isinstance(node, ast.Constant):  # getattr(sim, "...")
+                names = [node.value]
+            else:
+                continue
+            problems += [f"{module.name}:{node.lineno}: {name}"
+                         for name in names if name in ENGINE_NAMES]
+    assert problems == []
