@@ -5,7 +5,7 @@ Generates follower trajectories with a known parameter set, calibrates
 the chosen model against them with the seeded GA, and reports the best
 fitness plus the recovered equilibrium-spacing curve. With the default
 budget (60 trips, 100 x 1000 GA, three seeds) a 2-core box takes about
-10 s per seed for idm and 13 s for blend; trim --generations or --seeds
+4 s per seed for idm and 6 s for blend; trim --generations or --seeds
 for a quicker look.
 
   python scripts/recovery_experiment.py --model idm --seeds 0 1 2

@@ -6,11 +6,15 @@ elitist with tournament selection of size 2, uniform crossover, and
 per-gene uniform-reset mutation; every random draw comes from one seeded
 generator in a fixed order, so a (seed, inputs) pair fully determines
 the outcome. Each generation is scored as one block of gene rows, and
-sim.SegmentSet decides how that block is simulated.
+sim.SegmentSet decides how that block is simulated. A child that repeats
+a population row or an earlier child of its generation (no crossover and
+no mutated gene make a copy of its parent) is scored from its twin, not
+simulated again.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -18,7 +22,7 @@ import numpy as np
 
 from .cleaning import FollowingSegment, split_segments
 from .errors import CfCalibError, ConfigError, UndefinedStatisticError
-from .jsonio import read_json_object
+from .jsonio import is_finite_number, read_json_object
 from .models import GENE_BOUNDS, ModelParams, genes_to_params, params_to_dict
 from .sim import SegmentSet, SimLimits, simulate_all
 
@@ -94,6 +98,8 @@ def gof_report(
     dt: float = 1.0,
 ) -> GofReport:
     """Simulate `params` over `segments` and pool spacing/speed errors."""
+    if not segments:
+        raise ConfigError("no segments to validate on")
     results = simulate_all(params, segments, limits, dt)
     sim_spacing = np.concatenate([r.spacing for r in results])
     obs_spacing = np.concatenate([s.spacing for s in segments])
@@ -105,6 +111,13 @@ def gof_report(
         nrmse_spacing=nrmse_s, mae_spacing=mae_s, rmse_spacing=rmse_s,
         nrmse_speed=nrmse_v, mae_speed=mae_v, rmse_speed=rmse_v,
     )
+
+
+_SEQUENCES = (list, tuple, np.ndarray)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -121,17 +134,29 @@ class GaConfig:
     stall_generations: int = 100
 
     def __post_init__(self):
+        for name in ("population", "max_generations", "stall_generations"):
+            if not _is_int(getattr(self, name)):
+                raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
         for name in ("mutation_prob", "crossover_prob", "elitism_ratio"):
             value = getattr(self, name)
-            if not 0.0 < value < 1.0:
-                raise ConfigError(f"{name} must be in (0, 1), got {value}")
+            if not is_finite_number(value) or not 0.0 < value < 1.0:
+                raise ConfigError(f"{name} must be a number in (0, 1), got {value!r}")
         if self.population < 4:
             raise ConfigError(f"population must be >= 4, got {self.population}")
         if self.max_generations < 1 or self.stall_generations < 1:
             raise ConfigError("generation counts must be >= 1")
+        if not isinstance(self.seeds, _SEQUENCES) or not all(
+                _is_int(s) and s >= 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be a list of non-negative integers, got {self.seeds!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if self.bounds is not None:
+            if not isinstance(self.bounds, _SEQUENCES) or not all(
+                    isinstance(b, _SEQUENCES) and len(b) == 2
+                    and all(map(is_finite_number, b)) for b in self.bounds):
+                raise ConfigError(
+                    f"bounds must be [low, high] pairs of finite numbers, got {self.bounds!r}")
+            self.bounds = [tuple(b) for b in self.bounds]
             for lo, hi in self.bounds:
                 if not lo < hi:
                     raise ConfigError(f"infeasible gene bounds [{lo}, {hi}]")
@@ -160,10 +185,7 @@ class GaConfig:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ConfigError(f"unknown GA config key(s): {', '.join(unknown)}")
-        kwargs = dict(data)
-        if kwargs.get("bounds") is not None:
-            kwargs["bounds"] = [tuple(b) for b in kwargs["bounds"]]
-        return cls(**kwargs)
+        return cls(**data)
 
 
 @dataclass
@@ -239,6 +261,21 @@ def fitness(
     return float(_make_fitness(kind, segments, limits, dt)(genes)[0])
 
 
+def _score_children(fitness_fn, children, population, fit) -> np.ndarray:
+    """Fitness of each child row, simulating each distinct unseen row once.
+
+    A child whose genes equal a population row's, or an earlier child's,
+    bit for bit (bytes, so -0.0 and 0.0 stay apart) takes that row's
+    value: fitness_fn scores every row exactly as it scores it alone.
+    """
+    known = {bytes(row): value for row, value in zip(population, fit)}
+    keys = [bytes(row) for row in children]
+    fresh = {key: row for key, row in zip(keys, children) if key not in known}
+    if fresh:
+        known.update(zip(fresh, fitness_fn(np.array(list(fresh.values())))))
+    return np.array([known[key] for key in keys])
+
+
 def ga_calibrate(
     kind: str,
     segments: list[FollowingSegment],
@@ -297,7 +334,7 @@ def ga_calibrate(
         children = np.where(crossed, population[winners[:, 1]], population[winners[:, 0]])
         children = np.where(mut_mask, mut_vals, children)
 
-        child_fit = fitness_fn(children)
+        child_fit = _score_children(fitness_fn, children, population, fit)
         population = np.vstack([population[elite_order], children])
         fit = np.concatenate([fit[elite_order], child_fit])
         if np.any(population < lo) or np.any(population > hi):

@@ -315,18 +315,16 @@ def segments_from_dict(data: dict) -> list[FollowingSegment]:
         for side in ("leader", "follower"):
             require_keys(entry[side], ("pos", "speed", "accel"), f"{what} {side}")
         try:
-            out.append(FollowingSegment(
-                id=entry["id"],
-                t=np.array(entry["t"], dtype=float),
-                leader_pos=np.array(entry["leader"]["pos"], dtype=float),
-                leader_speed=np.array(entry["leader"]["speed"], dtype=float),
-                leader_accel=np.array(entry["leader"]["accel"], dtype=float),
-                follower_pos=np.array(entry["follower"]["pos"], dtype=float),
-                follower_speed=np.array(entry["follower"]["speed"], dtype=float),
-                follower_accel=np.array(entry["follower"]["accel"], dtype=float),
-            ))
-        except (TypeError, ValueError) as exc:  # non-numeric or scalar columns
+            # one (7, n) block, which a ragged or scalar column cannot form
+            columns = np.array([entry["t"]] + [entry[side][key] for side in ("leader", "follower")
+                                               for key in ("pos", "speed", "accel")], dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:  # also ints beyond a double
             raise DomainError(f"{what}: {exc}") from None
+        if columns.ndim != 2:
+            raise DomainError(f"{what}: columns must be equal-length lists of numbers")
+        if not np.isfinite(columns).all():
+            raise DomainError(f"{what}: values must be finite")
+        out.append(FollowingSegment(entry["id"], *columns))
     return out
 
 

@@ -13,6 +13,7 @@ line on stderr), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -40,7 +41,8 @@ from .ingest import (
     trajectory_from_dict,
     trajectory_to_dict,
 )
-from .jsonio import atomic_write_text, read_json_object, require_keys, write_json
+from .jsonio import (
+    atomic_write_text, read_json_object, require_keys, require_numbers, write_json)
 from .models import MODEL_KINDS, load_params, params_from_dict, params_to_dict
 from .sim import SimLimits, load_limits, result_to_dict, simulate_all
 from .stats import analyze_segments
@@ -105,6 +107,8 @@ def _load_pair(args) -> tuple:
         src = _require_file(args.pair)
         data = read_json_object(src, "pair JSON")
         require_keys(data, ("leader", "follower"), f"{src}: pair JSON")
+        require_numbers(data, [key for key in ("leader_start_offset_ft",) if key in data],
+                        f"{src}: pair JSON")
         offset = data.get("leader_start_offset_ft", 0.0)
         return (trajectory_from_dict(data["leader"]),
                 trajectory_from_dict(data["follower"]), offset, [src])
@@ -188,10 +192,11 @@ def _cmd_calibrate(args) -> int:
         inputs.append(config_src)
     if args.seeds is not None:
         try:
-            config.seeds = [int(s) for s in args.seeds.split(",")]
+            seeds = [int(s) for s in args.seeds.split(",")]
         except ValueError:
             raise ConfigError(
                 f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
+        config = dataclasses.replace(config, seeds=seeds)
     limits = SimLimits()
     if args.limits:
         limits_src = _require_file(args.limits)

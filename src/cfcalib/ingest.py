@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, OrderingError
-from .jsonio import read_json_object, require_keys, write_json
+from .jsonio import read_json_object, require_keys, require_numbers, write_json
 
 # Mean Earth radius (m); spherical error is far below GPS noise at
 # per-second step lengths.
@@ -61,8 +61,9 @@ class Trajectory:
         try:
             for name in TRAJECTORY_COLUMNS:
                 setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"trajectory {self.vehicle_id!r}: non-numeric column") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise DomainError(
+                f"trajectory {self.vehicle_id!r}: non-numeric column ({exc})") from exc
         shape = self.t.shape
         if len(shape) != 1 or any(getattr(self, n).shape != shape for n in TRAJECTORY_COLUMNS):
             raise DomainError(
@@ -259,8 +260,12 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 
 def trajectory_from_dict(data: dict) -> Trajectory:
     require_keys(data, ("vehicle_id",) + TRAJECTORY_COLUMNS, "trajectory JSON")
-    return Trajectory(data["vehicle_id"], *(data[name] for name in TRAJECTORY_COLUMNS),
+    require_numbers(data, [key for key in ("dt",) if key in data], "trajectory JSON")
+    traj = Trajectory(data["vehicle_id"], *(data[name] for name in TRAJECTORY_COLUMNS),
                       dt=data.get("dt", 1.0))
+    if not all(np.isfinite(getattr(traj, name)).all() for name in TRAJECTORY_COLUMNS):
+        raise DomainError(f"trajectory {traj.vehicle_id!r}: values must be finite")
+    return traj
 
 
 def write_trajectory_json(traj: Trajectory, path: str | Path) -> None:

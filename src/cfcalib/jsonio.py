@@ -5,7 +5,9 @@ GA config, result files) is read through read_json_object, so text that
 is not JSON, or JSON that is not an object, raises DomainError naming
 the file instead of escaping as a decoder or type error. The NaN,
 Infinity and -Infinity tokens that json.loads accepts by default are
-not JSON and are rejected the same way.
+not JSON and are rejected the same way; require_numbers also rejects
+number literals beyond the float range, which json.loads reads as an
+infinity or as an int no double can hold.
 
 Every JSON output is written through write_json: one line of sorted-key
 JSON, replaced atomically. Without an indent, json.dumps runs on its C
@@ -17,6 +19,8 @@ float.__repr__, so values read back bit for bit either way.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 import tempfile
 from pathlib import Path
@@ -73,10 +77,31 @@ def require_keys(data, keys, what: str) -> None:
         raise DomainError(f"{what} lacks {', '.join(missing)}")
 
 
+def is_number(value) -> bool:
+    """True for a real number that is not a bool (JSON: an int or a float)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def is_finite_number(value) -> bool:
+    """True for a JSON number that is a finite double.
+
+    json.loads reads a literal beyond the float range, such as 1e400, as
+    infinity, and keeps an integer literal of any size as an int.
+    """
+    if not is_number(value):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int too large for a double
+        return False
+
+
 def require_numbers(data, keys, what: str) -> None:
-    """Like require_keys, and every one of those values must be a number."""
+    """Like require_keys, and every one of those values must be a finite number."""
     require_keys(data, keys, what)
-    bad = [key for key in keys
-           if isinstance(data[key], bool) or not isinstance(data[key], (int, float))]
+    bad = [key for key in keys if not is_number(data[key])]
     if bad:
         raise DomainError(f"{what}: {', '.join(bad)} must be numbers")
+    bad = [key for key in keys if not is_finite_number(data[key])]
+    if bad:
+        raise DomainError(f"{what}: {', '.join(bad)} must be finite (within the float range)")

@@ -249,6 +249,72 @@ class TestGaCalibrate:
         assert fit_value < 0.05
 
 
+class TestRepeatedChildren:
+    """Children that copy a scored row take its fitness instead of a simulation."""
+
+    # float.hex of (best fitness, best genes, trace) of ga_calibrate at
+    # population 16, 12 generations, seed 4, recorded from a GA that
+    # simulated every child: the lookup must not move a bit
+    GOLDEN = {
+        "idm": (
+            "0x1.ba47503634bb7p-5",
+            ["0x1.eb6db6fe13edep+2", "0x1.033776ade828fp+3", "0x1.3e673854d23fap+4",
+             "0x1.9083cb87770d9p+3", "0x1.3641e18bec2a6p+2", "0x1.7f28a0e0dfcfap+4"],
+            ["0x1.d885b7d41b243p-5"] * 3
+            + ["0x1.c282043b2a54ap-5", "0x1.c28200c6de4eap-5", "0x1.c26bef04cc9e6p-5"]
+            + ["0x1.c24dce6b8cd91p-5"] * 2
+            + ["0x1.c191c5c021312p-5"] + ["0x1.ba47503634bb7p-5"] * 4,
+        ),
+        "blend": (
+            "0x1.7ca16465592a2p-6",
+            ["0x1.064d35e40895bp+1", "0x1.f52b5a9aa2d94p+1", "0x1.0474c0d62408bp+4",
+             "0x1.77388541a6927p+4", "0x1.3e785c3eb84e0p+1", "0x1.75facbd4a6f94p+2",
+             "0x1.49582d9ca26f4p-3"],
+            ["0x1.d5db3bc9a3819p-5", "0x1.d5b4599038471p-5"] + ["0x1.86942544b8c05p-5"] * 2
+            + ["0x1.853b7c9f550b3p-5"] + ["0x1.7f84593b51aabp-5"] * 2
+            + ["0x1.6e493d34d282ep-5", "0x1.33acb65e6dca3p-5"] + ["0x1.7ca16465592a2p-6"] * 4,
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", ["idm", "blend"])
+    def test_golden_run_unchanged(self, kind):
+        if kind == "idm":
+            segments, dt = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40), 1.0
+        else:
+            segments, dt = short_trip_segments(SHUTTLE_IDM, n_trips=6, trip_seconds=12), 0.5
+        config = GaConfig(population=16, max_generations=12, seeds=[0], stall_generations=12)
+        genes, fit_value, trace = ga_calibrate(kind, segments, config, seed=4, dt=dt)
+        assert (fit_value.hex(), [g.hex() for g in genes.tolist()],
+                [t.hex() for t in trace]) == self.GOLDEN[kind]
+
+    def test_each_distinct_child_simulated_once(self, monkeypatch):
+        from cfcalib import calib
+
+        blocks = []
+
+        def counting_make_fitness(*args):
+            evaluate = _make_fitness(*args)
+
+            def counted(rows):
+                blocks.append(np.array(rows))
+                return evaluate(rows)
+            return counted
+
+        monkeypatch.setattr(calib, "_make_fitness", counting_make_fitness)
+        segments = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40)
+        config = tiny_config(population=20, max_generations=30, stall_generations=30,
+                             crossover_prob=0.001, mutation_prob=0.001)
+        _, _, trace = ga_calibrate("idm", segments, config, seed=6)
+        initial, children = blocks[0], blocks[1:]
+        assert len(initial) == config.population
+        budget = (len(trace) - 1) * (config.population - 2)  # two elites per generation
+        simulated = sum(len(block) for block in children)
+        assert simulated < budget / 10
+        assert len(children) < len(trace) - 1  # a generation of copies simulates nothing
+        for block in children:
+            assert len({row.tobytes() for row in block}) == len(block)
+
+
 class TestCalibrateAndValidate:
     def test_degenerate_single_generation(self):
         segments = idm_response_segments(SHUTTLE_IDM, n_segments=2, seconds=40)

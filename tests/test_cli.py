@@ -306,6 +306,7 @@ class TestCalibrateCli:
 
     @pytest.mark.parametrize("flag, value, named", [
         ("--seeds", "a,b", "a,b"),
+        ("--seeds", "0,-1", "seeds"),
         ("--config", {"populaton": 8}, "populaton"),
         # an idm bounds box with a < 0: every initial individual faults
         ("--config", {"bounds": [[-2, -1], [1, 10], [1, 137], [0.5, 33], [0.1, 5],
@@ -319,6 +320,36 @@ class TestCalibrateCli:
             value = str(config)
         rc = main(["calibrate", "--model", "idm", "--segments", str(segments),
                    flag, value, "--out", str(tmp_path / "result.json")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "config"
+        assert named in err["message"]
+
+    @pytest.mark.parametrize("text, named", [
+        ('{"population": 1e400}', "population"),
+        ('{"population": 10.5}', "population"),
+        ('{"population": true}', "population"),
+        ('{"stall_generations": "5"}', "stall_generations"),
+        ('{"seeds": 5}', "seeds"),
+        ('{"seeds": ["a"]}', "seeds"),
+        ('{"seeds": [1.5]}', "seeds"),
+        ('{"seeds": [false]}', "seeds"),
+        ('{"seeds": [-1]}', "seeds"),
+        ('{"bounds": [[0, "x"]]}', "bounds"),
+        ('{"bounds": [1]}', "bounds"),
+        ('{"bounds": [[0, 1e400]]}', "bounds"),
+        ('{"bounds": [[0, 1, 2]]}', "bounds"),
+        ('{"mutation_prob": "0.1"}', "mutation_prob"),
+        ('{"crossover_prob": null}', "crossover_prob"),
+    ])
+    def test_mistyped_ga_config_exits_one(self, tmp_path, capsys, text, named):
+        segments = self.make_recovery_segments(tmp_path)
+        config = tmp_path / "ga.json"
+        config.write_text(text)
+        rc = main(["calibrate", "--model", "idm", "--segments", str(segments),
+                   "--config", str(config), "--out", str(tmp_path / "result.json")])
         lines = capsys.readouterr().err.strip().splitlines()
         assert rc == 1
         assert len(lines) == 1
@@ -383,6 +414,12 @@ class TestJsonInputContract:
                               '"T": 1, "b": 2}', "non-finite number Infinity"),
         ("validate", "model", '{"model": "idm", "a": 2, "delta": 1, "v0": -Infinity, "s0": 5, '
                               '"T": 1, "b": 2}', "non-finite number -Infinity"),
+        # json.loads reads 1e400 as infinity and keeps a 400-digit int exact
+        ("simulate", "model", '{"model": "idm", "a": 2, "delta": 1, "v0": 1e400, "s0": 5, '
+                              '"T": 1, "b": 2}', "v0 must be finite"),
+        ("validate", "model", '{"model": "idm", "a": 2, "delta": 1, "v0": 20, "s0": 5, '
+                              '"T": 1, "b": 1%s}' % ("0" * 400), "b must be finite"),
+        ("simulate", "limits", '{"v_max": 1e400}', "v_max must be finite"),
         ("simulate", "limits", "[]", "JSON object"),
         ("simulate", "limits", '{"a_min": "x"}', "a_min must be numbers"),
         ("calibrate", "limits", "[]", "JSON object"),
@@ -442,6 +479,44 @@ class TestJsonInputContract:
         message = self.assert_one_domain_error(
             capsys, argv + ["--out", str(tmp_path / "out.json")], f"{inputs['segments']}: ")
         assert "non-finite number NaN" in message
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command, target, path, named", [
+        ("validate", "segments", ["segments", 0, "follower", "speed", 3], "segment"),
+        ("stats", "segments", ["segments", 1, "leader", "pos", 0], "segment"),
+        ("validate", "segments", ["segments", 0, "t", 0], "segment"),
+        ("clean", "pair", ["leader", "speed", 2], "trajectory 'leader'"),
+        ("clean", "pair", ["follower", "t", 0], "trajectory 'follower'"),
+        ("clean", "pair", ["follower", "dt"], "dt must be finite"),
+        ("clean", "pair", ["leader_start_offset_ft"], "leader_start_offset_ft must be finite"),
+    ])
+    @pytest.mark.parametrize("literal", ["1e400", "-1" + "0" * 400], ids=["1e400", "-1e400-int"])
+    def test_out_of_range_number_exits_one(self, tmp_path, capsys, command, target, path,
+                                           named, literal):
+        """A number literal beyond the float range in a segments or pair file."""
+        inputs = self.write_inputs(tmp_path)
+        data = json.loads(inputs[target].read_text())
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = "@"
+        inputs[target].write_text(json.dumps(data).replace('"@"', literal))
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
+        message = self.assert_one_domain_error(
+            capsys, argv + ["--out", str(tmp_path / "out.json")], named)
+        assert "finite" in message or "too large" in message
+        assert not (tmp_path / "out.json").exists()
+
+    def test_validate_without_segments_exits_one(self, tmp_path, capsys):
+        inputs = self.write_inputs(tmp_path)
+        inputs["segments"].write_text('{"segments": []}')
+        argv = [arg.format(**inputs) for arg in self.COMMANDS["validate"]]
+        capsys.readouterr()
+        rc = main(argv + ["--out", str(tmp_path / "out.json")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "config"
         assert not (tmp_path / "out.json").exists()
 
     def test_valid_inputs_pass(self, tmp_path):
