@@ -162,9 +162,14 @@ class GaConfig:
                     raise ConfigError(f"infeasible gene bounds [{lo}, {hi}]")
 
     def bounds_for(self, kind: str) -> list[tuple[float, float]]:
-        if self.bounds is not None:
-            return list(self.bounds)
-        return [(lo, hi) for _, lo, hi, _ in GENE_BOUNDS[kind]]
+        """One (low, high) pair per gene of the model kind."""
+        table = [(lo, hi) for _, lo, hi, _ in GENE_BOUNDS[kind]]
+        if self.bounds is None:
+            return table
+        if len(self.bounds) != len(table):
+            raise ConfigError(f"bounds must give one pair per {kind} gene: expected "
+                              f"{len(table)}, got {len(self.bounds)}")
+        return list(self.bounds)
 
     def as_dict(self) -> dict:
         return {

@@ -373,6 +373,10 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         sys.stderr.write(json.dumps({"error": "io", "message": str(exc)}) + "\n")
         return 1
+    except MemoryError as exc:  # e.g. a GA population too large to allocate
+        sys.stderr.write(json.dumps({"error": "memory", "message": str(exc) or "out of memory"})
+                         + "\n")
+        return 1
 
 
 if __name__ == "__main__":

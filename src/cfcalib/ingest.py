@@ -16,7 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, OrderingError
-from .jsonio import read_json_object, require_keys, require_numbers, write_json
+from .jsonio import (
+    is_finite_number, read_json_object, require_keys, require_numbers, write_json)
 
 # Mean Earth radius (m); spherical error is far below GPS noise at
 # per-second step lengths.
@@ -68,6 +69,9 @@ class Trajectory:
         if len(shape) != 1 or any(getattr(self, n).shape != shape for n in TRAJECTORY_COLUMNS):
             raise DomainError(
                 f"trajectory {self.vehicle_id!r}: columns must be 1-d and of equal length")
+        if not (is_finite_number(self.dt) and self.dt > 0):
+            raise DomainError(
+                f"trajectory {self.vehicle_id!r}: dt must be a finite number > 0, got {self.dt!r}")
 
     def __len__(self) -> int:
         return len(self.t)

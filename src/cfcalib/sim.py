@@ -8,9 +8,12 @@ consistent. Collisions never abort a run: the spacing fed to the model
 and recorded for error accounting is floored at 0.01 ft and each
 colliding output sample counts as one event.
 
-Two engines share these rules. The scalar loop steps one segment at a
-time in plain Python floats. The block stepper advances a whole
-(parameter sets x segments) block per time index in numpy. SegmentSet
+Two engines share these rules and step one sub-step schedule, which
+SegmentSet precomputes: each observation interval cut into dt sub-steps,
+the leader interpolated linearly to the start of each. The scalar loop
+steps one segment at a time in plain Python floats; the block stepper
+advances a whole (parameter sets x segments) block per sub-step in
+numpy. They differ only in the kernels' power and tanh. SegmentSet
 alone picks the engine: the block when the set has BATCH_MIN_SEGMENTS
 segments or more and the parameter sets share an array kernel, never
 depending on how many parameter sets are stepped together. A block that
@@ -135,76 +138,51 @@ def simulate_follower(
     return SegmentSet([seg], limits, dt).results(model)[0]
 
 
-def _step_loop(accel_fn, lists: tuple, limits: SimLimits, dt: float):
-    """Run the integration; returns (pos, speed, spacing, collisions) as lists.
+def _step_loop(accel_fn, lists: tuple, limits: SimLimits):
+    """Step one segment's sub-steps; returns (pos, speed, spacing, collisions) as lists.
 
-    `lists` is SegmentSet._scalar_runs's per-segment tuple, and dt has
-    been checked against every interval there.
+    `lists` is one of SegmentSet._scalar_lists; `end` is the leader position
+    at the observation a sub-step completes, None inside an interval. A
+    NaN, once in, stays in x, so a run ending non-finite raises
+    ArithmeticError.
     """
-    t, lx, lv, la, x, v = lists
-    n = len(t)
+    x, v, xl0, *schedule = lists
     a_min, a_max = limits.a_min, limits.a_max
     v_min, v_max = limits.v_min, limits.v_max
     v = min(max(v, v_min), v_max)
 
     pos = [x]
     speed = [v]
-    spacing = [lx[0] - x]
+    spacing = [xl0 - x]
     collisions = 0
 
-    for i in range(1, n):
-        interval = t[i] - t[i - 1]
-        if interval == dt:
-            m = 1
-        else:
-            m = int(round(interval / dt))
-        if m == 1:
-            xl = lx[i - 1]
-            s = xl - x
-            if s <= 0.0:
-                s = SPACING_FLOOR_FT
-            a_cmd = accel_fn(s, v, lv[i - 1], la[i - 1], xl, x)
-            if a_cmd < a_min:
-                a_cmd = a_min
-            elif a_cmd > a_max:
-                a_cmd = a_max
-            v_new = v + a_cmd * interval
-            if v_new < v_min:
-                v_new = v_min
-            elif v_new > v_max:
-                v_new = v_max
-            x += 0.5 * (v + v_new) * interval
-            v = v_new
-        else:
-            h = interval / m
-            x0l, v0l, a0l = lx[i - 1], lv[i - 1], la[i - 1]
-            dxl, dvl, dal = lx[i] - x0l, lv[i] - v0l, la[i] - a0l
-            for k in range(m):
-                frac = k / m
-                xl = x0l + dxl * frac
-                s = xl - x
-                if s <= 0.0:
-                    s = SPACING_FLOOR_FT
-                a_cmd = accel_fn(s, v, v0l + dvl * frac, a0l + dal * frac, xl, x)
-                if a_cmd < a_min:
-                    a_cmd = a_min
-                elif a_cmd > a_max:
-                    a_cmd = a_max
-                v_new = v + a_cmd * h
-                if v_new < v_min:
-                    v_new = v_min
-                elif v_new > v_max:
-                    v_new = v_max
-                x += 0.5 * (v + v_new) * h
-                v = v_new
-        pos.append(x)
-        speed.append(v)
-        raw = lx[i] - x
-        if raw <= 0.0:
-            collisions += 1
-            raw = SPACING_FLOOR_FT
-        spacing.append(raw)
+    for xl, vl, al, h, end in zip(*schedule):
+        s = xl - x
+        if s <= 0.0:
+            s = SPACING_FLOOR_FT
+        a_cmd = accel_fn(s, v, vl, al, xl, x)
+        if a_cmd < a_min:
+            a_cmd = a_min
+        elif a_cmd > a_max:
+            a_cmd = a_max
+        v_new = v + a_cmd * h
+        if v_new < v_min:
+            v_new = v_min
+        elif v_new > v_max:
+            v_new = v_max
+        x += 0.5 * (v + v_new) * h
+        v = v_new
+        if end is not None:
+            pos.append(x)
+            speed.append(v)
+            raw = end - x
+            if raw <= 0.0:
+                collisions += 1
+                raw = SPACING_FLOOR_FT
+            spacing.append(raw)
 
+    if not (math.isfinite(x) and math.isfinite(v)):
+        raise ArithmeticError(f"the follower state turns non-finite (x={x}, v={v})")
     return pos, speed, spacing, collisions
 
 
@@ -261,12 +239,12 @@ def array_accel_fn(models: list, lanes: int):
 class SegmentSet:
     """Segments under one set of limits and one dt; picks the engine for them.
 
-    For the block stepper the set is padded to its longest member, one
-    lane per segment, with sub-step counts per lane and per observation
-    interval. Past a segment's end its lane repeats the last leader
-    sample and takes sub-steps of length 0, which leave the follower
-    state unchanged, and it is masked out of every result. Construction
-    checks dt against every interval, for both engines.
+    Construction checks dt against every interval and builds the schedule
+    both engines step: the set padded to its longest member, one lane per
+    segment, with per (interval, sub-step, lane) the leader's position,
+    speed and accel and the step length. Past a segment's end, or past an
+    interval's sub-step count, a lane takes sub-steps of length 0, which
+    leave the follower state unchanged and are left out of every result.
     """
 
     def __init__(self, segments: list[FollowingSegment], limits: SimLimits | None = None,
@@ -276,7 +254,7 @@ class SegmentSet:
         self.segments = list(segments)
         self.limits = limits or SimLimits()
         self.dt = dt
-        self._lists = None  # the scalar loop's inputs, built on its first run
+        self._lists = None if self.segments else []  # cut on the scalar loop's first run
         if self.segments:
             self._pad()
 
@@ -290,7 +268,7 @@ class SegmentSet:
         # (n, lanes) positions in the concatenated columns; past its end a
         # lane repeats its last sample
         gather = starts + np.minimum(rows, lengths - 1)
-        t, self.lx, self.lv, self.la = (
+        t, self.lx, lv, la = (
             np.concatenate([getattr(seg, name) for seg in segments])[gather]
             for name in ("t", "leader_pos", "leader_speed", "leader_accel"))
         self.x0 = np.array([seg.follower_pos[0] for seg in segments])
@@ -305,24 +283,32 @@ class SegmentSet:
             lane, i = np.argwhere(bad.T)[0]  # first bad interval in segment order
             raise ConfigError(
                 f"dt={dt} does not divide the {interval[i, lane]:.6g} s observation interval")
-        m = np.where(self.valid[1:], m, 0).astype(int)
+        self.m = np.where(self.valid[1:], m, 0).astype(int)  # sub-steps per interval
+        m = self.m[:, None, :]
         k = np.arange(max(1, int(m.max())))[None, :, None]
-        per_lane = np.maximum(m, 1)[:, None, :]
-        # (interval, sub-step, lane): the step length, 0 past a lane's count,
-        # and the leader interpolation fraction k/m
-        self.h = np.where(k < m[:, None, :], interval[:, None, :] / per_lane, 0.0)
-        self.frac = k / per_lane
-        self.substeps = m.max(axis=1)
-        self.dlx, self.dlv, self.dla = (np.diff(col, axis=0) for col in (self.lx, self.lv, self.la))
+        per_lane = np.maximum(m, 1)
+        frac = k / per_lane
+
+        def leader(col):
+            # the sample itself at k = 0, then linear in k/m across the interval
+            at = col[:-1, None, :] + np.diff(col, axis=0)[:, None, :] * frac
+            at[:, 0] = col[:-1]
+            return at
+
+        # (interval, sub-step, lane) arrays
+        self.schedule = (leader(self.lx), leader(lv), leader(la),
+                         np.where(k < m, interval[:, None, :] / per_lane, 0.0))
+        self.substeps = self.m.max(axis=1)
         # caps each of _run_block's (samples x rows x segments) arrays at
-        # 2**20 values (8 MB)
+        # 2**20 values (8 MB), and each tiled schedule column at that many
+        # per sub-step
         self._rows_per_run = max(1, (1 << 20) // self.valid.size)
 
     def results(self, model: ModelParams) -> list[SimResult]:
         """Simulate each segment independently, re-initialized from its first sample.
 
         Raises DomainError naming the first segment on which the scalar
-        loop overflows or divides by zero.
+        loop overflows, divides by zero or ends with a non-finite state.
         """
         try:
             block = self._run_block([model])
@@ -371,11 +357,24 @@ class SegmentSet:
         """_step_loop's output per segment, each stepped as it is drawn."""
         accel_fn = _accel_fn(model)
         if self._lists is None:
-            # plain float lists keep the step loop off numpy scalar arithmetic
-            self._lists = [(seg.t.tolist(), seg.leader_pos.tolist(), seg.leader_speed.tolist(),
-                            seg.leader_accel.tolist(), float(seg.follower_pos[0]),
-                            float(seg.follower_speed[0])) for seg in self.segments]
-        return (_step_loop(accel_fn, lists, self.limits, self.dt) for lists in self._lists)
+            self._lists = self._scalar_lists()
+        return (_step_loop(accel_fn, lists, self.limits) for lists in self._lists)
+
+    def _scalar_lists(self) -> list[tuple]:
+        """Per segment, x0, v0, the leader's first position and its real sub-steps.
+
+        Plain float lists keep the step loop off numpy scalar arithmetic;
+        each column is cut in one pass, in segment order, then sliced.
+        """
+        _, substeps, lanes = self.schedule[3].shape
+        lane, i, k = np.nonzero(np.arange(substeps) < self.m.T[:, :, None])
+        at = (i * substeps + k) * lanes + lane
+        xl, vl, al, h = (col.ravel()[at].tolist() for col in self.schedule)
+        end = np.where(k == self.m[i, lane] - 1, self.lx[i + 1, lane], None).tolist()
+        bounds = np.searchsorted(lane, np.arange(lanes + 1)).tolist()
+        return [(x, v, lx, xl[lo:hi], vl[lo:hi], al[lo:hi], h[lo:hi], end[lo:hi])
+                for x, v, lx, lo, hi in zip(self.x0.tolist(), self.v0.tolist(),
+                                            self.lx[0].tolist(), bounds, bounds[1:])]
 
     def _run_block(self, models: list):
         """Step one row per model over every lane in lockstep.
@@ -398,10 +397,8 @@ class SegmentSet:
                                           self.limits.v_min, self.limits.v_max))
         # rows side by side in flat contiguous lanes: same-shape 1-d
         # operands keep numpy's per-call cost at its lowest
-        lx, lv, la, h = (np.tile(col, rows) for col in (self.lx, self.lv, self.la, self.h))
-        if h.shape[1] > 1:
-            frac, dlx, dlv, dla = (np.tile(col, rows)
-                                   for col in (self.frac, self.dlx, self.dlv, self.dla))
+        lx = np.tile(self.lx, rows)
+        xl, vl, al, h = (np.tile(col, rows) for col in self.schedule)
         pos = np.empty((n, rows * lanes))
         speed = np.empty((n, rows * lanes))
         spacing = np.empty((n, rows * lanes))
@@ -412,17 +409,11 @@ class SegmentSet:
             np.subtract(lx[0], x, out=spacing[0])
             for i in range(1, n):
                 for k in range(self.substeps[i - 1]):
-                    if k == 0:
-                        xl, vl, al = lx[i - 1], lv[i - 1], la[i - 1]
-                    else:
-                        f = frac[i - 1, k]
-                        xl = lx[i - 1] + dlx[i - 1] * f
-                        vl = lv[i - 1] + dlv[i - 1] * f
-                        al = la[i - 1] + dla[i - 1] * f
-                    step = h[i - 1, k]
-                    s = xl - x
+                    xl_k, step = xl[i - 1, k], h[i - 1, k]
+                    s = xl_k - x
                     s[s <= 0.0] = SPACING_FLOOR_FT
-                    a_cmd = np.minimum(np.maximum(accel_fn(s, v, vl, al, xl, x), a_min), a_max)
+                    a_cmd = np.minimum(np.maximum(
+                        accel_fn(s, v, vl[i - 1, k], al[i - 1, k], xl_k, x), a_min), a_max)
                     v_new = np.minimum(np.maximum(v + a_cmd * step, v_min), v_max)
                     x = x + 0.5 * (v + v_new) * step
                     v = v_new

@@ -218,6 +218,19 @@ class TestGaCalibrate:
         with pytest.raises(ConfigError, match="idm"):
             ga_calibrate("idm", segments, tiny_config(bounds=bounds), seed=0)
 
+    @pytest.mark.parametrize("pairs", [1, 7])
+    def test_bounds_of_the_wrong_count_rejected_before_fitness(self, monkeypatch, pairs):
+        from cfcalib import calib
+
+        def no_fitness(*args):
+            raise AssertionError("fitness built before the bounds were checked")
+
+        monkeypatch.setattr(calib, "_make_fitness", no_fitness)
+        segments = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40)
+        config = tiny_config(bounds=[(1.0, 2.0)] * pairs)
+        with pytest.raises(ConfigError, match=f"expected 6, got {pairs}"):
+            ga_calibrate("idm", segments, config, seed=0)
+
     def test_infeasible_bounds_rejected(self):
         with pytest.raises(ConfigError):
             GaConfig(bounds=[(1.0, 0.5)])

@@ -84,6 +84,39 @@ class TestIngest:
             main(["ingest", "--bogus", "x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
+    @pytest.mark.parametrize("pair", [True, False], ids=["pair", "single"])
+    def test_bad_dt_exits_one(self, tmp_path, capsys, dt, pair):
+        leader, follower = write_logs(tmp_path)
+        out = tmp_path / "out.json"
+        logs = ["--leader", str(leader), "--follower", str(follower)] if pair else [
+            "--input", str(leader)]
+        rc = main(["ingest", *logs, f"--dt={dt}", "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "domain"
+        assert "dt must be a finite number > 0" in err["message"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("dt", [0, -1])
+    def test_clean_rejects_a_pair_with_bad_dt(self, tmp_path, capsys, dt):
+        leader, follower = write_logs(tmp_path)
+        pair = tmp_path / "pair.json"
+        assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                     "--out", str(pair)]) == 0
+        data = json.loads(pair.read_text())
+        data["follower"]["dt"] = dt
+        pair.write_text(json.dumps(data))
+        rc = main(["clean", "--pair", str(pair), "--out", str(tmp_path / "segments.json")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "domain"
+        assert "dt must be a finite number > 0" in err["message"]
+
     def test_inputs_never_mutated(self, tmp_path):
         leader, follower = write_logs(tmp_path)
         before = (leader.read_bytes(), follower.read_bytes())
@@ -214,12 +247,27 @@ class TestSimulationFaultCli:
     # (v / v0) ** 10 overflows on the first step with v > 0, on either engine
     OVERFLOWING_IDM = {"model": "idm", "a": 2, "delta": 10, "v0": 1e-40, "s0": 5, "T": 1,
                        "b": 2}
+    # the IDM term is -inf and (1 - c) * -inf is NaN, which the clamps let through
+    NAN_BLEND = {"model": "blend", "a": 1, "delta": 4, "v0": 20, "s0": 1e200, "T": 1, "b": 3,
+                 "c": 1.0}
 
     @pytest.mark.parametrize("n_trips", [2, 32], ids=["scalar-loop", "block"])
     @pytest.mark.parametrize("command, flag", [("simulate", "--model"),
                                                ("validate", "--params")])
     def test_overflow_exits_one_naming_the_segment(self, tmp_path, capsys, command, flag,
                                                    n_trips):
+        self.assert_exits_one_naming_the_segment(tmp_path, capsys, command, flag, n_trips,
+                                                 self.OVERFLOWING_IDM)
+
+    @pytest.mark.parametrize("n_trips", [2, 32], ids=["scalar-loop", "block"])
+    @pytest.mark.parametrize("command, flag", [("simulate", "--model"),
+                                               ("validate", "--params")])
+    def test_nan_exits_one_naming_the_segment(self, tmp_path, capsys, command, flag, n_trips):
+        self.assert_exits_one_naming_the_segment(tmp_path, capsys, command, flag, n_trips,
+                                                 self.NAN_BLEND)
+
+    def assert_exits_one_naming_the_segment(self, tmp_path, capsys, command, flag, n_trips,
+                                            model_dict):
         from cfcalib.cleaning import write_segments_json
         from cfcalib.fixtures import short_trip_segments
         from cfcalib.models import default_params
@@ -230,7 +278,7 @@ class TestSimulationFaultCli:
         seg_path, model, out = (tmp_path / name for name in
                                 ("segments.json", "model.json", "out.json"))
         write_segments_json(segments, seg_path)
-        model.write_text(json.dumps(self.OVERFLOWING_IDM))
+        model.write_text(json.dumps(model_dict))
         rc = main([command, flag, str(model), "--segments", str(seg_path), "--out", str(out)])
         lines = capsys.readouterr().err.strip().splitlines()
         assert rc == 1
@@ -311,6 +359,9 @@ class TestCalibrateCli:
         # an idm bounds box with a < 0: every initial individual faults
         ("--config", {"bounds": [[-2, -1], [1, 10], [1, 137], [0.5, 33], [0.1, 5],
                                  [0.33, 26]]}, "idm"),
+        # idm has six genes
+        ("--config", {"bounds": [[1, 2]]}, "expected 6, got 1"),
+        ("--config", {"bounds": [[1, 2]] * 7}, "expected 6, got 7"),
     ])
     def test_bad_calibrate_input_exits_one(self, tmp_path, capsys, flag, value, named):
         segments = self.make_recovery_segments(tmp_path)
@@ -326,6 +377,29 @@ class TestCalibrateCli:
         err = json.loads(lines[0])
         assert err["error"] == "config"
         assert named in err["message"]
+
+    def test_memory_error_exits_one(self, tmp_path, capsys, monkeypatch):
+        from cfcalib import calib
+
+        def ga_calibrate(*args):
+            # what numpy raises for a population of 1e12, without allocating it
+            raise MemoryError("Unable to allocate 43.7 TiB for an array with shape "
+                              "(1000000000000, 6) and data type float64")
+
+        monkeypatch.setattr(calib, "ga_calibrate", ga_calibrate)
+        segments = self.make_recovery_segments(tmp_path)
+        config = tmp_path / "ga.json"
+        config.write_text(json.dumps({"population": 1000000000000}))
+        out = tmp_path / "result.json"
+        rc = main(["calibrate", "--model", "idm", "--segments", str(segments),
+                   "--config", str(config), "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "memory"
+        assert "43.7 TiB" in err["message"]
+        assert not out.exists()
 
     @pytest.mark.parametrize("text, named", [
         ('{"population": 1e400}', "population"),

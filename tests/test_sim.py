@@ -1,4 +1,5 @@
 import ast
+import hashlib
 from pathlib import Path
 
 import numpy as np
@@ -198,13 +199,19 @@ class TestBlockPath:
         assert SegmentSet(segments, limits, dt)._run_block([params]) is not None
         results = simulate_all(params, segments, limits, dt)
         assert len(results) == len(segments)
+        # without power or tanh both engines do the same IEEE operations
+        exact = isinstance(params, AccParams) or (isinstance(params, IdmParams)
+                                                  and params.delta == 1)
         for seg, res in zip(segments, results):
             ref = simulate_follower(params, seg, limits, dt)
             assert res.collisions == ref.collisions
             assert np.array_equal(res.t, ref.t)
             for name in ("spacing", "follower_pos", "follower_speed", "follower_accel"):
-                assert getattr(res, name) == pytest.approx(
-                    getattr(ref, name), rel=1e-12, abs=1e-12), name
+                if exact:
+                    assert np.array_equal(getattr(res, name), getattr(ref, name)), name
+                else:
+                    assert getattr(res, name) == pytest.approx(
+                        getattr(ref, name), rel=1e-12, abs=1e-12), name
 
     @pytest.mark.parametrize("params, limits", [
         (SLUGGISH_ACC, SimLimits()),
@@ -269,6 +276,74 @@ class TestBlockPath:
         assert widths == [4, 4, 2]
         expected = SegmentSet(segments).pooled_spacing(models)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+@pytest.mark.parametrize("n_trips", [2, 32], ids=["scalar-loop", "block"])
+def test_non_finite_run_faults(n_trips):
+    # the IDM term is -inf and (1 - c) * -inf is NaN, which the clamps let through
+    nan_blend = BlendParams(idm=IdmParams(a=1.0, delta=4, v0=20.0, s0=1e200, T=1.0, b=3.0),
+                            c=1.0)
+    segments = short_trip_segments(SHUTTLE_IDM, n_trips=n_trips, trip_seconds=12)
+    segment_set = SegmentSet(segments)
+    bad, good = segment_set.pooled_spacing([nan_blend, default_params("blend")])
+    assert bad is None
+    assert np.all(np.isfinite(good))
+    with pytest.raises(DomainError, match=f"^segment {segments[0].id}: "):
+        segment_set.results(nan_blend)
+
+
+def _digest(results) -> str:
+    h = hashlib.sha256()
+    for res in results:
+        for name in ("spacing", "follower_pos", "follower_speed"):
+            h.update(getattr(res, name).astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def three_segment_fixture():
+    """Two smooth 60-s responses and a hard stop: under BATCH_MIN_SEGMENTS."""
+    return (idm_response_segments(SHUTTLE_IDM, n_segments=2, seconds=60)
+            + [hard_stop_segment(initial_speed=18.0, initial_spacing=50.0)])
+
+
+# SHA-256 of simulate_all's spacing, follower_pos and follower_speed bytes,
+# recorded before the two engines shared one sub-step schedule. The idm
+# (delta 1) and linear_acc runs use only IEEE-exact arithmetic; the blend
+# runs also take numpy's power and tanh on the block path, so their
+# digests hold for the x86-64 AVX-512 build of numpy 2.4 they came from.
+GOLDEN_DIGESTS = {
+    ("three", "idm", 1.0):
+        "c989ff107cb0bc95de9157c7ea9b5b6ce7a7e753cd7d1391d574b17cae4043b6",
+    ("three", "idm", 0.5):
+        "97c960fb69c315e423ab3d1af5e341eb8c091b4a932c92ce90349d375059afa2",
+    ("three", "blend", 1.0):
+        "5419abe0cd842c4cdb28088e8afb92b65970c2984128e2ca88ef8b827f2a234d",
+    ("three", "blend", 0.5):
+        "df8ef6cdd8e0f547dfb30e72e6a718eb3cff1e4a8c236e634644351b2e3dddae",
+    ("three", "linear_acc", 1.0):
+        "fc5a61eb138fd862b11c47c748e648dd8be690e0b4ea082a97a6b7c18196c71f",
+    ("three", "linear_acc", 0.5):
+        "4bdc3c2e5f940de9688b365df3fb334a835177955a5237cae61b23144300cd08",
+    ("block", "idm", 1.0):
+        "d11b759b446a40a9e2b6b12df0fb8dfa1b908dd169ec51574e105d1d53664ab4",
+    ("block", "idm", 0.5):
+        "0b3a330ae71112b1d6d222a40cf01159a09a091855749451dec6f961dd46d89c",
+    ("block", "blend", 1.0):
+        "b46cb9c1fe130f1246851a2dc66d9593e57ed0112c24b33032425c8d21942d27",
+    ("block", "blend", 0.5):
+        "e9f281511eb98afe83e929d0046d79b08bd7027272fe64d288c7967350f1727b",
+    ("block", "linear_acc", 1.0):
+        "cf88fb7158f910983df1842ec87a9b5fc3776a46da61a6d4e777061bb566fda5",
+    ("block", "linear_acc", 0.5):
+        "c028d4dabf84d3b8e5a72cea0e5a1172502bdb8e29e8452668eba6dba0c9cbeb",
+}
+
+
+@pytest.mark.parametrize("fixture, kind, dt", sorted(GOLDEN_DIGESTS))
+def test_outputs_match_golden_digests(fixture, kind, dt):
+    segments = three_segment_fixture() if fixture == "three" else block_fixture(dt)
+    results = simulate_all(default_params(kind), segments, SimLimits(), dt)
+    assert _digest(results) == GOLDEN_DIGESTS[fixture, kind, dt]
 
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cfcalib"
