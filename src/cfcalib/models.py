@@ -15,6 +15,15 @@ clamping is the simulator's job. The raw ``*_raw`` functions take scalars
 only and are shared with the simulator's scalar step loop; the
 ``*_array`` functions are the same formulas on numpy arrays for its
 block stepper.
+
+The raw kernels run once per simulated sub-step, so they call no
+builtin: ``max(0.0, q)`` is written ``q if q > 0.0 else 0.0`` and
+``min(a_l, a)`` is written ``a if a < a_l else a_l``. A builtin call
+goes through the generic varargs machinery and costs more than the
+rest of a kernel's arithmetic; the conditional expressions keep the
+builtins' results exactly (``max`` keeps its first argument unless the
+second is greater, ``min`` unless it is smaller), NaN and signed zeros
+included, so every output is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -126,13 +135,14 @@ class CfState:
 # raw scalar kernels (shared with the simulator)
 
 def idm_accel_raw(a, delta, v0, s0, T, two_sqrt_ab, s, v, dv):
-    s_star = s0 + max(0.0, v * T + v * dv / two_sqrt_ab)
+    q = v * T + v * dv / two_sqrt_ab
+    s_star = s0 + (q if q > 0.0 else 0.0)
     ratio = s_star / s
     return a * (1.0 - (v / v0) ** delta - ratio * ratio)
 
 
 def cah_accel_raw(a, s, v, v_l, a_l):
-    a_tilde = min(a_l, a)
+    a_tilde = a if a < a_l else a_l
     denom = v_l * v_l - 2.0 * s * a_tilde
     if v_l * (v - v_l) <= -2.0 * s * a_tilde and denom > 0.0:
         return v * v * a_tilde / denom
@@ -149,7 +159,8 @@ def improved_idm_accel_raw(a, delta, v0, s0, T, b, two_sqrt_ab, s, v, dv):
         a_free = a * (1.0 - (v / v0) ** delta)
     else:
         a_free = -b * (1.0 - (v0 / v) ** (a * delta / b))
-    s_star = s0 + max(0.0, v * T + v * dv / two_sqrt_ab)
+    q = v * T + v * dv / two_sqrt_ab
+    s_star = s0 + (q if q > 0.0 else 0.0)
     z = s_star / s
     if v <= v0:
         if z >= 1.0:

@@ -49,9 +49,12 @@ SPACING_FLOOR_FT = 0.01
 
 # Segment sets at least this large take the block stepper. Below it the
 # fixed cost of each numpy call outweighs the lanes it covers: stepping
-# one parameter set over 31-sample segments (2-core x86-64, numpy 2.4),
-# the block ran at 0.05-0.7x the scalar loop's speed on 1 to 16
-# segments, 0.9-1.05x on 32 and 1.1-1.2x on 40, for all three kernels.
+# one parameter set over 31-sample segments (2-core x86-64, Python 3.11,
+# numpy 2.4), the block ran at 0.4-0.55x the scalar loop's speed on 16
+# segments; 1.1x for idm and linear_acc but 0.8x for blend on 32;
+# 1.05x (blend) to 1.3x on 40; and 1.5-2.2x on 64. The blend crossover
+# sits near 40, but moving the threshold would move sets onto numpy's
+# power and tanh and change their results in the last bits.
 # A GA generation steps many parameter sets at once and gains far more.
 # The path must not depend on the number of parameter sets: numpy's
 # power and tanh differ from libm in the last bit, so a fitness the GA
@@ -62,6 +65,10 @@ BATCH_MIN_SEGMENTS = 32
 # numpy errors that make the block stepper give way to the scalar loop,
 # whose plain floats handle (or fault on) these cases in their own way
 _RAISE_ON_FAULT = {"over": "raise", "divide": "raise", "invalid": "raise"}
+
+# values (8 MB of float64) in each array the block stepper allocates:
+# its (samples x rows x segments) results and each tile of a schedule column
+_BLOCK_VALUES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -298,11 +305,8 @@ class SegmentSet:
         # (interval, sub-step, lane) arrays
         self.schedule = (leader(self.lx), leader(lv), leader(la),
                          np.where(k < m, interval[:, None, :] / per_lane, 0.0))
-        self.substeps = self.m.max(axis=1)
-        # caps each of _run_block's (samples x rows x segments) arrays at
-        # 2**20 values (8 MB), and each tiled schedule column at that many
-        # per sub-step
-        self._rows_per_run = max(1, (1 << 20) // self.valid.size)
+        self.substeps = self.m.max(axis=1).tolist()  # per interval, the most of any lane
+        self._rows_per_run = max(1, _BLOCK_VALUES // self.valid.size)
 
     def results(self, model: ModelParams) -> list[SimResult]:
         """Simulate each segment independently, re-initialized from its first sample.
@@ -398,7 +402,6 @@ class SegmentSet:
         # rows side by side in flat contiguous lanes: same-shape 1-d
         # operands keep numpy's per-call cost at its lowest
         lx = np.tile(self.lx, rows)
-        xl, vl, al, h = (np.tile(col, rows) for col in self.schedule)
         pos = np.empty((n, rows * lanes))
         speed = np.empty((n, rows * lanes))
         spacing = np.empty((n, rows * lanes))
@@ -407,23 +410,37 @@ class SegmentSet:
             v = np.tile(np.minimum(np.maximum(self.v0, v_min), v_max), rows)
             pos[0], speed[0] = x, v
             np.subtract(lx[0], x, out=spacing[0])
-            for i in range(1, n):
-                for k in range(self.substeps[i - 1]):
-                    xl_k, step = xl[i - 1, k], h[i - 1, k]
-                    s = xl_k - x
-                    s[s <= 0.0] = SPACING_FLOOR_FT
-                    a_cmd = np.minimum(np.maximum(
-                        accel_fn(s, v, vl[i - 1, k], al[i - 1, k], xl_k, x), a_min), a_max)
-                    v_new = np.minimum(np.maximum(v + a_cmd * step, v_min), v_max)
-                    x = x + 0.5 * (v + v_new) * step
-                    v = v_new
-                pos[i], speed[i] = x, v
-                np.subtract(lx[i], x, out=spacing[i])
+            for lo, (xl, vl, al, h) in self._schedule_tiles(rows):
+                for j, substeps in enumerate(self.substeps[lo:lo + len(h)]):
+                    for k in range(substeps):
+                        xl_k, step = xl[j, k], h[j, k]
+                        s = xl_k - x
+                        s[s <= 0.0] = SPACING_FLOOR_FT
+                        a_cmd = np.minimum(np.maximum(
+                            accel_fn(s, v, vl[j, k], al[j, k], xl_k, x), a_min), a_max)
+                        v_new = np.minimum(np.maximum(v + a_cmd * step, v_min), v_max)
+                        x = x + 0.5 * (v + v_new) * step
+                        v = v_new
+                    i = lo + j + 1
+                    pos[i], speed[i] = x, v
+                    np.subtract(lx[i], x, out=spacing[i])
         pos, speed, spacing = (a.reshape(n, rows, lanes) for a in (pos, speed, spacing))
         hit = spacing[1:] <= 0.0
         collisions = (hit & self.valid[1:, None, :]).sum(axis=0)
         spacing[1:][hit] = SPACING_FLOOR_FT
         return pos, speed, spacing, collisions
+
+    def _schedule_tiles(self, rows: int):
+        """(first interval, schedule columns tiled rows times) per chunk of intervals.
+
+        A chunk holds as many intervals as keep each tiled column within
+        _BLOCK_VALUES values, at least one, so the block's memory does not
+        grow with the sub-step count.
+        """
+        intervals, substeps, lanes = self.schedule[3].shape
+        chunk = max(1, _BLOCK_VALUES // (substeps * rows * lanes))
+        for lo in range(0, intervals, chunk):
+            yield lo, tuple(np.tile(col[lo:lo + chunk], rows) for col in self.schedule)
 
 
 def simulate_all(

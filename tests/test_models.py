@@ -1,4 +1,7 @@
+import ast
+import itertools
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,9 +20,14 @@ from cfcalib import (
     idm_accel,
     linear_acc_accel,
 )
+from cfcalib import models
 from cfcalib.models import (
     GENE_BOUNDS,
+    blend_accel_raw,
+    cah_accel_raw,
     genes_to_params,
+    idm_accel_raw,
+    improved_idm_accel_raw,
     load_params,
     params_from_dict,
     params_to_dict,
@@ -161,6 +169,116 @@ class TestBlendAccel:
             mixed = (1 - SHUTTLE_BLEND.c) * a_val + SHUTTLE_BLEND.c * (
                 a_val + i.b * math.tanh((a_val - a_val) / i.b))
             assert mixed == a_val
+
+
+# The raw kernels as written with the max and min builtins. models.py
+# spells those calls as conditional expressions; these keep the builtins.
+
+def idm_oracle(a, delta, v0, s0, T, two_sqrt_ab, s, v, dv):
+    s_star = s0 + max(0.0, v * T + v * dv / two_sqrt_ab)
+    ratio = s_star / s
+    return a * (1.0 - (v / v0) ** delta - ratio * ratio)
+
+
+def cah_oracle(a, s, v, v_l, a_l):
+    a_tilde = min(a_l, a)
+    denom = v_l * v_l - 2.0 * s * a_tilde
+    if v_l * (v - v_l) <= -2.0 * s * a_tilde and denom > 0.0:
+        return v * v * a_tilde / denom
+    dv = v - v_l
+    if dv >= 0.0:
+        return a_tilde - dv * dv / (2.0 * s)
+    return a_tilde
+
+
+def improved_idm_oracle(a, delta, v0, s0, T, b, two_sqrt_ab, s, v, dv):
+    if v <= v0:
+        a_free = a * (1.0 - (v / v0) ** delta)
+    else:
+        a_free = -b * (1.0 - (v0 / v) ** (a * delta / b))
+    s_star = s0 + max(0.0, v * T + v * dv / two_sqrt_ab)
+    z = s_star / s
+    if v <= v0:
+        if z >= 1.0:
+            return a * (1.0 - z * z)
+        if a_free <= 0.0:
+            return a_free
+        return a_free * (1.0 - z ** (2.0 * a / a_free))
+    if z >= 1.0:
+        return a_free + a * (1.0 - z * z)
+    return a_free
+
+
+def blend_oracle(a, delta, v0, s0, T, b, two_sqrt_ab, c, improved, s, v, v_l, a_l):
+    dv = v - v_l
+    if improved:
+        a_i = improved_idm_oracle(a, delta, v0, s0, T, b, two_sqrt_ab, s, v, dv)
+    else:
+        a_i = idm_oracle(a, delta, v0, s0, T, two_sqrt_ab, s, v, dv)
+    a_c = cah_oracle(a, s, v, v_l, a_l)
+    if a_i >= a_c:
+        return a_i
+    return (1.0 - c) * a_i + c * (a_c + b * math.tanh((a_i - a_c) / b))
+
+
+def _outcome(kernel, *args):
+    """A kernel's result as comparable bits: "nan", float.hex, or the exception type."""
+    try:
+        value = kernel(*args)
+    except (ArithmeticError, TypeError) as exc:
+        return type(exc)
+    if isinstance(value, complex):  # a negative base to a fractional power
+        return repr(value)
+    return "nan" if math.isnan(value) else value.hex()
+
+
+def assert_kernels_match_oracles(a, delta, v0, s0, T, b, two_sqrt_ab, c, improved,
+                                 s, v, v_l, a_l):
+    dv = v - v_l
+    cases = [
+        (idm_accel_raw, idm_oracle, (a, delta, v0, s0, T, two_sqrt_ab, s, v, dv)),
+        (improved_idm_accel_raw, improved_idm_oracle,
+         (a, delta, v0, s0, T, b, two_sqrt_ab, s, v, dv)),
+        (cah_accel_raw, cah_oracle, (a, s, v, v_l, a_l)),
+        (blend_accel_raw, blend_oracle,
+         (a, delta, v0, s0, T, b, two_sqrt_ab, c, improved, s, v, v_l, a_l)),
+    ]
+    for kernel, oracle, args in cases:
+        assert _outcome(kernel, *args) == _outcome(oracle, *args), (kernel.__name__, args)
+
+
+# NaN, signed zeros, infinities, the smallest subnormals and two ordinary values
+EDGE_FLOATS = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1.5, -2.5]
+any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
+
+
+class TestRawKernelsMatchBuiltinForms:
+    @given(a=any_float, delta=st.integers(1, 10), v0=any_float, s0=any_float, T=any_float,
+           b=any_float, two_sqrt_ab=any_float, c=any_float, improved=st.booleans(),
+           s=any_float, v=any_float, v_l=any_float, a_l=any_float)
+    @settings(max_examples=400)
+    def test_any_floats(self, **args):
+        assert_kernels_match_oracles(**args)
+
+    def test_edge_values(self):
+        # x and y meet in min(a_l, a), and in max(0.0, v*T + v*dv/two_sqrt_ab)
+        # through v and T; s0 carries x into the sign of s*
+        for x, y, improved in itertools.product(EDGE_FLOATS, EDGE_FLOATS, (False, True)):
+            assert_kernels_match_oracles(a=x, delta=2, v0=20.0, s0=x, T=y, b=3.0,
+                                         two_sqrt_ab=4.0, c=0.5, improved=improved,
+                                         s=30.0, v=x, v_l=y, a_l=y)
+
+    def test_per_step_kernels_call_no_builtin(self):
+        kernels = {"idm_accel_raw", "cah_accel_raw", "improved_idm_accel_raw",
+                   "blend_accel_raw", "linear_acc_accel_raw"}
+        tree = ast.parse(Path(models.__file__).read_text())
+        calls = {
+            node.name: sorted(call.func.id for call in ast.walk(node)
+                              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                              and call.func.id in {"max", "min", "abs"})
+            for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in kernels
+        }
+        assert calls == {name: [] for name in kernels}
 
 
 class TestLinearAcc:

@@ -13,6 +13,7 @@ from cfcalib import (
     IdmParams,
     SimLimits,
     equilibrium_spacing,
+    sim,
     simulate_all,
     simulate_follower,
 )
@@ -261,20 +262,36 @@ class TestBlockPath:
         for seg, res in zip(segments, simulate_all(improved, segments)):
             assert np.array_equal(res.spacing, simulate_follower(improved, seg).spacing)
 
-    def test_rows_go_to_the_block_at_most_a_cap_at_a_time(self, monkeypatch):
-        segments = block_fixture(1.0)
-        capped = SegmentSet(segments)
-        assert capped._rows_per_run == (1 << 20) // capped.valid.size
-        capped._rows_per_run = 4
-        widths = []
-        run_block = capped._run_block
-        monkeypatch.setattr(capped, "_run_block",
-                            lambda models: widths.append(len(models)) or run_block(models))
+    @pytest.mark.parametrize("dt", [1.0, 0.1])
+    def test_rows_go_to_the_block_at_most_a_cap_at_a_time(self, dt, monkeypatch):
+        segments = block_fixture(dt)
         models = [IdmParams(a=2.76, delta=1, v0=20.0, s0=s0, T=2.79, b=24.58)
                   for s0 in np.linspace(2.0, 12.0, 10)]
+        expected = SegmentSet(segments, dt=dt).pooled_spacing(models)
+        capped = SegmentSet(segments, dt=dt)
+        assert capped._rows_per_run == (1 << 20) // capped.valid.size
+        capped._rows_per_run = 4
+        intervals, substeps, lanes = capped.schedule[3].shape
+        # at dt 0.1, a cap that holds three intervals of a 4-row tile
+        cap = 3 * substeps * 4 * lanes if dt == 0.1 else 1 << 20
+        monkeypatch.setattr(sim, "_BLOCK_VALUES", cap)
+        widths, tiles = [], []
+        run_block, schedule_tiles = capped._run_block, capped._schedule_tiles
+
+        def recorded_tiles(rows):
+            for lo, columns in schedule_tiles(rows):
+                tiles.append((rows, lo, columns[3].shape))
+                yield lo, columns
+
+        monkeypatch.setattr(capped, "_run_block",
+                            lambda models: widths.append(len(models)) or run_block(models))
+        monkeypatch.setattr(capped, "_schedule_tiles", recorded_tiles)
         got = capped.pooled_spacing(models)
         assert widths == [4, 4, 2]
-        expected = SegmentSet(segments).pooled_spacing(models)
+        assert all(np.prod(shape) <= cap for _, _, shape in tiles)
+        chunk = {4: 3, 2: 6} if dt == 0.1 else {4: intervals, 2: intervals}
+        assert tiles == [(rows, lo, (min(chunk[rows], intervals - lo), substeps, rows * lanes))
+                         for rows in widths for lo in range(0, intervals, chunk[rows])]
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
