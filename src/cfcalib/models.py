@@ -6,24 +6,23 @@ Three calibrated model families:
   ratio to the desired speed and the ratio of desired to actual gap.
 * ``blend`` -- IDM blended with the constant-acceleration heuristic (CAH)
   through a tanh coolness blend; the CAH bound keeps decelerations
-  realistic when the gap is far below the desired gap. An optional flag
-  swaps the plain IDM term for the two-regime improved-IDM form.
+  realistic when the gap is far below the desired gap.
 * ``linear_acc`` -- a linear gap-and-speed-error cruise controller.
 
 Kernels are stateless and return raw (unclamped) accelerations in ft/s^2;
 clamping is the simulator's job. The raw ``*_raw`` functions take scalars
-only and are shared with the simulator's scalar step loop; the
-``*_array`` functions are the same formulas on numpy arrays for its
-block stepper.
+only; they serve the public single-state kernels below and are the
+reference that the simulator's scalar step loop is tested against: that
+loop writes their arithmetic inline, the same IEEE operations in the same
+order, so that a sub-step makes no Python call. The ``*_array`` functions
+are the same formulas on numpy arrays for its block stepper.
 
-The raw kernels run once per simulated sub-step, so they call no
-builtin: ``max(0.0, q)`` is written ``q if q > 0.0 else 0.0`` and
-``min(a_l, a)`` is written ``a if a < a_l else a_l``. A builtin call
-goes through the generic varargs machinery and costs more than the
-rest of a kernel's arithmetic; the conditional expressions keep the
-builtins' results exactly (``max`` keeps its first argument unless the
-second is greater, ``min`` unless it is smaller), NaN and signed zeros
-included, so every output is the same bit for bit.
+The raw kernels call no builtin: ``max(0.0, q)`` is written
+``q if q > 0.0 else 0.0`` and ``min(a_l, a)`` is written
+``a if a < a_l else a_l``, as in the inlined loop. The conditional
+expressions keep the builtins' results exactly (``max`` keeps its first
+argument unless the second is greater, ``min`` unless it is smaller),
+NaN and signed zeros included, so every output is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -68,13 +67,11 @@ class BlendParams:
     """IDM+CAH blend; c is the coolness factor in [0, 1].
 
     c = 0 reproduces plain IDM; c near 1 trusts the CAH bound under
-    small gaps. When improved_idm is set, the IDM term uses the
-    two-regime free-flow/interaction form instead of the plain model.
+    small gaps.
     """
 
     idm: IdmParams
     c: float
-    improved_idm: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.c <= 1.0:
@@ -132,7 +129,7 @@ class CfState:
 
 
 # ---------------------------------------------------------------------------
-# raw scalar kernels (shared with the simulator)
+# raw scalar kernels (the reference for the simulator's step loop)
 
 def idm_accel_raw(a, delta, v0, s0, T, two_sqrt_ab, s, v, dv):
     q = v * T + v * dv / two_sqrt_ab
@@ -152,33 +149,8 @@ def cah_accel_raw(a, s, v, v_l, a_l):
     return a_tilde
 
 
-def improved_idm_accel_raw(a, delta, v0, s0, T, b, two_sqrt_ab, s, v, dv):
-    # free-flow acceleration, then the interaction regime on either side
-    # of z = s*/s = 1
-    if v <= v0:
-        a_free = a * (1.0 - (v / v0) ** delta)
-    else:
-        a_free = -b * (1.0 - (v0 / v) ** (a * delta / b))
-    q = v * T + v * dv / two_sqrt_ab
-    s_star = s0 + (q if q > 0.0 else 0.0)
-    z = s_star / s
-    if v <= v0:
-        if z >= 1.0:
-            return a * (1.0 - z * z)
-        if a_free <= 0.0:
-            return a_free
-        return a_free * (1.0 - z ** (2.0 * a / a_free))
-    if z >= 1.0:
-        return a_free + a * (1.0 - z * z)
-    return a_free
-
-
-def blend_accel_raw(a, delta, v0, s0, T, b, two_sqrt_ab, c, improved, s, v, v_l, a_l):
-    dv = v - v_l
-    if improved:
-        a_i = improved_idm_accel_raw(a, delta, v0, s0, T, b, two_sqrt_ab, s, v, dv)
-    else:
-        a_i = idm_accel_raw(a, delta, v0, s0, T, two_sqrt_ab, s, v, dv)
+def blend_accel_raw(a, delta, v0, s0, T, b, two_sqrt_ab, c, s, v, v_l, a_l):
+    a_i = idm_accel_raw(a, delta, v0, s0, T, two_sqrt_ab, s, v, v - v_l)
     a_c = cah_accel_raw(a, s, v, v_l, a_l)
     if a_i >= a_c:
         return a_i
@@ -216,7 +188,6 @@ def cah_accel_array(a, s, v, v_l, a_l):
 
 
 def blend_accel_array(a, delta, v0, s0, T, b, two_sqrt_ab, c, s, v, v_l, a_l):
-    """Plain-IDM blend; the improved-IDM variant has no array form."""
     a_i = idm_accel_array(a, delta, v0, s0, T, two_sqrt_ab, s, v, v - v_l)
     a_c = cah_accel_array(a, s, v, v_l, a_l)
     blended = (1.0 - c) * a_i + c * (a_c + b * np.tanh((a_i - a_c) / b))
@@ -253,7 +224,7 @@ def blend_accel(p: BlendParams, state: CfState) -> float:
     i = p.idm
     return blend_accel_raw(
         i.a, i.delta, i.v0, i.s0, i.T, i.b, 2.0 * math.sqrt(i.a * i.b),
-        p.c, p.improved_idm, state.s, state.v, state.v_l, state.a_l,
+        p.c, state.s, state.v, state.v_l, state.a_l,
     )
 
 
@@ -358,8 +329,7 @@ def params_to_dict(params: ModelParams) -> dict:
     if kind == "blend":
         i = params.idm
         return {"model": "blend", "a": i.a, "delta": i.delta, "v0": i.v0,
-                "s0": i.s0, "T": i.T, "b": i.b, "c": params.c,
-                "improved_idm": params.improved_idm}
+                "s0": i.s0, "T": i.T, "b": i.b, "c": params.c}
     return {"model": "linear_acc", "t_des": params.t_des, "k1": params.k1,
             "k2": params.k2, "d0": params.d0}
 
@@ -381,11 +351,15 @@ def params_from_dict(data: dict) -> ModelParams:
         return IdmParams(a=data["a"], delta=data["delta"], v0=data["v0"],
                          s0=data["s0"], T=data["T"], b=data["b"])
     if kind == "blend":
+        # files written before the improved-IDM variant was removed carry
+        # "improved_idm": false; any other value asked for that variant
+        if data.get("improved_idm", False) is not False:
+            raise DomainError("blend parameters: improved_idm is no longer supported; "
+                              "only false is accepted")
         return BlendParams(
             idm=IdmParams(a=data["a"], delta=data["delta"], v0=data["v0"],
                           s0=data["s0"], T=data["T"], b=data["b"]),
             c=data["c"],
-            improved_idm=bool(data.get("improved_idm", False)),
         )
     if kind == "linear_acc":
         return AccParams(t_des=data["t_des"], k1=data["k1"], k2=data["k2"],

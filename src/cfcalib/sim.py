@@ -10,10 +10,12 @@ colliding output sample counts as one event.
 
 Two engines share these rules and step one sub-step schedule, which
 SegmentSet precomputes: each observation interval cut into dt sub-steps,
-the leader interpolated linearly to the start of each. The scalar loop
-steps one segment at a time in plain Python floats; the block stepper
-advances a whole (parameter sets x segments) block per sub-step in
-numpy. They differ only in the kernels' power and tanh. SegmentSet
+the leader interpolated linearly to the start of each. The scalar loop,
+_step_loop, steps one segment at a time in plain Python floats, with the
+kernels of every model kind written inline so that a sub-step makes no
+Python call; the raw kernels in models.py are the reference it is tested
+against. The block stepper advances a whole (parameter sets x segments)
+block per sub-step in numpy. They differ only in power and tanh. SegmentSet
 alone picks the engine: the block when the set has BATCH_MIN_SEGMENTS
 segments or more and the parameter sets share an array kernel, never
 depending on how many parameter sets are stepped together. A block that
@@ -39,9 +41,7 @@ from .models import (
     IdmParams,
     ModelParams,
     blend_accel_array,
-    blend_accel_raw,
     idm_accel_array,
-    idm_accel_raw,
     linear_acc_accel_raw,
 )
 
@@ -50,11 +50,12 @@ SPACING_FLOOR_FT = 0.01
 # Segment sets at least this large take the block stepper. Below it the
 # fixed cost of each numpy call outweighs the lanes it covers: stepping
 # one parameter set over 31-sample segments (2-core x86-64, Python 3.11,
-# numpy 2.4), the block ran at 0.4-0.55x the scalar loop's speed on 16
-# segments; 1.1x for idm and linear_acc but 0.8x for blend on 32;
-# 1.05x (blend) to 1.3x on 40; and 1.5-2.2x on 64. The blend crossover
-# sits near 40, but moving the threshold would move sets onto numpy's
-# power and tanh and change their results in the last bits.
+# numpy 2.4), the block ran at 0.3-0.5x the scalar loop's speed on 16
+# segments; 0.6x (blend), 0.9x (linear_acc) and 1.0x (idm) on 32;
+# 0.75x, 1.1x and 1.2x on 40; and 1.2x, 1.7x and 1.9x on 64. The
+# crossovers sit near 33 segments for idm, 37 for linear_acc and 54 for
+# blend, but moving the threshold would move sets onto numpy's power and
+# tanh and change their results in the last bits.
 # A GA generation steps many parameter sets at once and gains far more.
 # The path must not depend on the number of parameter sets: numpy's
 # power and tanh differ from libm in the last bit, so a fitness the GA
@@ -102,35 +103,6 @@ class SimResult:
         return len(self.t)
 
 
-def _accel_fn(model):
-    """Map a parameter set (or a bare callable) to a scalar accel function.
-
-    The callable signature is f(s, v, v_l, a_l, x_l, x_f) -> ft/s^2 with
-    s pre-floored to stay positive.
-    """
-    if isinstance(model, IdmParams):
-        def fn(s, v, v_l, a_l, x_l, x_f,
-               a=model.a, delta=model.delta, v0=model.v0, s0=model.s0,
-               T=model.T, two=2.0 * math.sqrt(model.a * model.b)):
-            return idm_accel_raw(a, delta, v0, s0, T, two, s, v, v - v_l)
-        return fn
-    if isinstance(model, BlendParams):
-        i = model.idm
-        def fn(s, v, v_l, a_l, x_l, x_f,
-               a=i.a, delta=i.delta, v0=i.v0, s0=i.s0, T=i.T, b=i.b,
-               two=2.0 * math.sqrt(i.a * i.b), c=model.c, imp=model.improved_idm):
-            return blend_accel_raw(a, delta, v0, s0, T, b, two, c, imp, s, v, v_l, a_l)
-        return fn
-    if isinstance(model, AccParams):
-        def fn(s, v, v_l, a_l, x_l, x_f,
-               k1=model.k1, k2=model.k2, t_des=model.t_des, d0=model.d0):
-            return linear_acc_accel_raw(k1, k2, t_des, d0, x_l, x_f, v, v_l)
-        return fn
-    if callable(model):
-        return model
-    raise DomainError(f"unsupported model type {type(model).__name__}")
-
-
 def simulate_follower(
     model: ModelParams,
     seg: FollowingSegment,
@@ -145,14 +117,31 @@ def simulate_follower(
     return SegmentSet([seg], limits, dt).results(model)[0]
 
 
-def _step_loop(accel_fn, lists: tuple, limits: SimLimits):
+def _step_loop(model: ModelParams, lists: tuple, limits: SimLimits):
     """Step one segment's sub-steps; returns (pos, speed, spacing, collisions) as lists.
 
     `lists` is one of SegmentSet._scalar_lists; `end` is the leader position
     at the observation a sub-step completes, None inside an interval. A
     NaN, once in, stays in x, so a run ending non-finite raises
     ArithmeticError.
+
+    The acceleration is computed inline, so a sub-step makes no Python
+    call: linear_acc, or IDM with the CAH blend on top. Each kind does the
+    IEEE operations of its models.*_accel_raw kernel in the same order,
+    and gives the same bits.
     """
+    acc = isinstance(model, AccParams)
+    blend = isinstance(model, BlendParams)
+    if acc:
+        k1, k2, t_des, d0 = model.k1, model.k2, model.t_des, model.d0
+    else:
+        p = model.idm if blend else model
+        a, delta, v0, s0, T, b = p.a, p.delta, p.v0, p.s0, p.T, p.b
+        two_sqrt_ab = 2.0 * math.sqrt(a * b)
+        if blend:
+            c = model.c
+            keep = 1.0 - c
+            tanh = math.tanh
     x, v, xl0, *schedule = lists
     a_min, a_max = limits.a_min, limits.a_max
     v_min, v_max = limits.v_min, limits.v_max
@@ -165,9 +154,34 @@ def _step_loop(accel_fn, lists: tuple, limits: SimLimits):
 
     for xl, vl, al, h, end in zip(*schedule):
         s = xl - x
-        if s <= 0.0:
-            s = SPACING_FLOOR_FT
-        a_cmd = accel_fn(s, v, vl, al, xl, x)
+        if acc:
+            # linear_acc_accel_raw: the gap error takes the unfloored spacing
+            a_cmd = k1 * (s - d0 - t_des * v) + k2 * (vl - v)
+        else:
+            if s <= 0.0:
+                s = SPACING_FLOOR_FT
+            # idm_accel_raw
+            dv = v - vl
+            q = v * T + v * dv / two_sqrt_ab
+            s_star = s0 + (q if q > 0.0 else 0.0)
+            ratio = s_star / s
+            a_cmd = a * (1.0 - (v / v0) ** delta - ratio * ratio)
+            if blend:
+                # cah_accel_raw; -two_s * a_tilde is its -2.0 * s * a_tilde,
+                # as negation is exact
+                a_tilde = a if a < al else al
+                two_s = 2.0 * s
+                denom = vl * vl - two_s * a_tilde
+                if vl * dv <= -two_s * a_tilde and denom > 0.0:
+                    a_c = v * v * a_tilde / denom
+                elif dv >= 0.0:
+                    a_c = a_tilde - dv * dv / two_s
+                else:
+                    a_c = a_tilde
+                # blend_accel_raw keeps a_i (a_cmd here) if a_i >= a_c; a NaN
+                # on either side fails that test and takes the blend
+                if not a_cmd >= a_c:
+                    a_cmd = keep * a_cmd + c * (a_c + b * tanh((a_cmd - a_c) / b))
         if a_cmd < a_min:
             a_cmd = a_min
         elif a_cmd > a_max:
@@ -207,10 +221,9 @@ def _result(seg: FollowingSegment, pos, speed, spacing, collisions: int) -> SimR
 def array_accel_fn(models: list, lanes: int):
     """Accel function over rows x lanes flattened row by row, row r stepping models[r].
 
-    Same signature as the scalar one, on arrays of rows * lanes values.
-    Returns None when the models are of mixed types or have no array
-    kernel (the improved-IDM blend, bare callables); those run the
-    scalar loop only.
+    f(s, v, v_l, a_l, x_l, x_f) on arrays of rows * lanes values, with s
+    pre-floored to stay positive. Returns None when the models are of
+    mixed types or of no model kind; those run the scalar loop only.
     """
     def _columns(objs, *names):
         return [np.repeat([float(getattr(o, name)) for o in objs], lanes) for name in names]
@@ -225,7 +238,7 @@ def array_accel_fn(models: list, lanes: int):
         def fn(s, v, v_l, a_l, x_l, x_f):
             return idm_accel_array(a, delta, v0, s0, T, two, s, v, v - v_l)
         return fn
-    if kind is BlendParams and not any(m.improved_idm for m in models):
+    if kind is BlendParams:
         a, delta, v0, s0, T, b = _columns(
             [m.idm for m in models], "a", "delta", "v0", "s0", "T", "b")
         (c,) = _columns(models, "c")
@@ -359,10 +372,11 @@ class SegmentSet:
 
     def _scalar_runs(self, model):
         """_step_loop's output per segment, each stepped as it is drawn."""
-        accel_fn = _accel_fn(model)
+        if not isinstance(model, ModelParams):
+            raise DomainError(f"unsupported model type {type(model).__name__}")
         if self._lists is None:
             self._lists = self._scalar_lists()
-        return (_step_loop(accel_fn, lists, self.limits) for lists in self._lists)
+        return (_step_loop(model, lists, self.limits) for lists in self._lists)
 
     def _scalar_lists(self) -> list[tuple]:
         """Per segment, x0, v0, the leader's first position and its real sub-steps.

@@ -493,6 +493,11 @@ class TestJsonInputContract:
                               '"T": 1, "b": 2}', "v0 must be finite"),
         ("validate", "model", '{"model": "idm", "a": 2, "delta": 1, "v0": 20, "s0": 5, '
                               '"T": 1, "b": 1%s}' % ("0" * 400), "b must be finite"),
+        # the improved-IDM variant is gone: only false, which old files carry, loads
+        *[(command, "model", '{"model": "blend", "a": 1.2, "delta": 3, "v0": 18.7, "s0": 9.9, '
+                             '"T": 3.0, "b": 24.8, "c": 0.96, "improved_idm": %s}' % value,
+           "improved_idm")
+          for command in ("simulate", "validate") for value in ("true", '"false"', "1")],
         ("simulate", "limits", '{"v_max": 1e400}', "v_max must be finite"),
         ("simulate", "limits", "[]", "JSON object"),
         ("simulate", "limits", '{"a_min": "x"}', "a_min must be numbers"),

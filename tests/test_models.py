@@ -20,14 +20,13 @@ from cfcalib import (
     idm_accel,
     linear_acc_accel,
 )
-from cfcalib import models
+from cfcalib import models, sim
 from cfcalib.models import (
     GENE_BOUNDS,
     blend_accel_raw,
     cah_accel_raw,
     genes_to_params,
     idm_accel_raw,
-    improved_idm_accel_raw,
     load_params,
     params_from_dict,
     params_to_dict,
@@ -191,30 +190,8 @@ def cah_oracle(a, s, v, v_l, a_l):
     return a_tilde
 
 
-def improved_idm_oracle(a, delta, v0, s0, T, b, two_sqrt_ab, s, v, dv):
-    if v <= v0:
-        a_free = a * (1.0 - (v / v0) ** delta)
-    else:
-        a_free = -b * (1.0 - (v0 / v) ** (a * delta / b))
-    s_star = s0 + max(0.0, v * T + v * dv / two_sqrt_ab)
-    z = s_star / s
-    if v <= v0:
-        if z >= 1.0:
-            return a * (1.0 - z * z)
-        if a_free <= 0.0:
-            return a_free
-        return a_free * (1.0 - z ** (2.0 * a / a_free))
-    if z >= 1.0:
-        return a_free + a * (1.0 - z * z)
-    return a_free
-
-
-def blend_oracle(a, delta, v0, s0, T, b, two_sqrt_ab, c, improved, s, v, v_l, a_l):
-    dv = v - v_l
-    if improved:
-        a_i = improved_idm_oracle(a, delta, v0, s0, T, b, two_sqrt_ab, s, v, dv)
-    else:
-        a_i = idm_oracle(a, delta, v0, s0, T, two_sqrt_ab, s, v, dv)
+def blend_oracle(a, delta, v0, s0, T, b, two_sqrt_ab, c, s, v, v_l, a_l):
+    a_i = idm_oracle(a, delta, v0, s0, T, two_sqrt_ab, s, v, v - v_l)
     a_c = cah_oracle(a, s, v, v_l, a_l)
     if a_i >= a_c:
         return a_i
@@ -232,16 +209,11 @@ def _outcome(kernel, *args):
     return "nan" if math.isnan(value) else value.hex()
 
 
-def assert_kernels_match_oracles(a, delta, v0, s0, T, b, two_sqrt_ab, c, improved,
-                                 s, v, v_l, a_l):
-    dv = v - v_l
+def assert_kernels_match_oracles(a, delta, v0, s0, T, b, two_sqrt_ab, c, s, v, v_l, a_l):
     cases = [
-        (idm_accel_raw, idm_oracle, (a, delta, v0, s0, T, two_sqrt_ab, s, v, dv)),
-        (improved_idm_accel_raw, improved_idm_oracle,
-         (a, delta, v0, s0, T, b, two_sqrt_ab, s, v, dv)),
+        (idm_accel_raw, idm_oracle, (a, delta, v0, s0, T, two_sqrt_ab, s, v, v - v_l)),
         (cah_accel_raw, cah_oracle, (a, s, v, v_l, a_l)),
-        (blend_accel_raw, blend_oracle,
-         (a, delta, v0, s0, T, b, two_sqrt_ab, c, improved, s, v, v_l, a_l)),
+        (blend_accel_raw, blend_oracle, (a, delta, v0, s0, T, b, two_sqrt_ab, c, s, v, v_l, a_l)),
     ]
     for kernel, oracle, args in cases:
         assert _outcome(kernel, *args) == _outcome(oracle, *args), (kernel.__name__, args)
@@ -254,8 +226,8 @@ any_float = st.one_of(st.sampled_from(EDGE_FLOATS), st.floats())
 
 class TestRawKernelsMatchBuiltinForms:
     @given(a=any_float, delta=st.integers(1, 10), v0=any_float, s0=any_float, T=any_float,
-           b=any_float, two_sqrt_ab=any_float, c=any_float, improved=st.booleans(),
-           s=any_float, v=any_float, v_l=any_float, a_l=any_float)
+           b=any_float, two_sqrt_ab=any_float, c=any_float, s=any_float, v=any_float,
+           v_l=any_float, a_l=any_float)
     @settings(max_examples=400)
     def test_any_floats(self, **args):
         assert_kernels_match_oracles(**args)
@@ -263,22 +235,28 @@ class TestRawKernelsMatchBuiltinForms:
     def test_edge_values(self):
         # x and y meet in min(a_l, a), and in max(0.0, v*T + v*dv/two_sqrt_ab)
         # through v and T; s0 carries x into the sign of s*
-        for x, y, improved in itertools.product(EDGE_FLOATS, EDGE_FLOATS, (False, True)):
+        for x, y in itertools.product(EDGE_FLOATS, EDGE_FLOATS):
             assert_kernels_match_oracles(a=x, delta=2, v0=20.0, s0=x, T=y, b=3.0,
-                                         two_sqrt_ab=4.0, c=0.5, improved=improved,
-                                         s=30.0, v=x, v_l=y, a_l=y)
+                                         two_sqrt_ab=4.0, c=0.5, s=30.0, v=x, v_l=y, a_l=y)
 
     def test_per_step_kernels_call_no_builtin(self):
-        kernels = {"idm_accel_raw", "cah_accel_raw", "improved_idm_accel_raw",
-                   "blend_accel_raw", "linear_acc_accel_raw"}
+        def builtin_calls(node):
+            return sorted(call.func.id for call in ast.walk(node)
+                          if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                          and call.func.id in {"max", "min", "abs"})
+
+        kernels = {"idm_accel_raw", "cah_accel_raw", "blend_accel_raw", "linear_acc_accel_raw"}
         tree = ast.parse(Path(models.__file__).read_text())
-        calls = {
-            node.name: sorted(call.func.id for call in ast.walk(node)
-                              if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
-                              and call.func.id in {"max", "min", "abs"})
-            for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in kernels
-        }
+        calls = {node.name: builtin_calls(node) for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name in kernels}
         assert calls == {name: [] for name in kernels}
+        # the scalar step loop writes these kernels inline, and its sub-step
+        # body calls none of the builtins either
+        tree = ast.parse(Path(sim.__file__).read_text())
+        (loop,) = [node for node in tree.body
+                   if isinstance(node, ast.FunctionDef) and node.name == "_step_loop"]
+        (body,) = [node for node in loop.body if isinstance(node, ast.For)]
+        assert builtin_calls(body) == []
 
 
 class TestLinearAcc:
@@ -376,6 +354,14 @@ class TestParamsPlumbing:
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             params_from_dict({"model": "wiedemann"})
+
+    def test_improved_idm_key_only_false_is_accepted(self):
+        data = params_to_dict(SHUTTLE_BLEND)
+        assert "improved_idm" not in data
+        assert params_from_dict({**data, "improved_idm": False}) == SHUTTLE_BLEND
+        for value in (True, "false", 1, 0, None):
+            with pytest.raises(DomainError, match="improved_idm"):
+                params_from_dict({**data, "improved_idm": value})
 
     def test_dict_round_trip(self):
         for kind in ("idm", "blend", "linear_acc"):

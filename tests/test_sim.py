@@ -1,18 +1,22 @@
 import ast
 import hashlib
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cfcalib import (
     AccParams,
     BlendParams,
+    CfState,
     ConfigError,
     DomainError,
     IdmParams,
     SimLimits,
     equilibrium_spacing,
+    linear_acc_accel,
     sim,
     simulate_all,
     simulate_follower,
@@ -24,7 +28,14 @@ from cfcalib.fixtures import (
     model_response_segments,
     short_trip_segments,
 )
-from cfcalib.models import default_params
+from cfcalib.models import (
+    GENE_BOUNDS,
+    blend_accel_raw,
+    default_params,
+    genes_to_params,
+    idm_accel_raw,
+    linear_acc_accel_raw,
+)
 from cfcalib.sim import BATCH_MIN_SEGMENTS, SegmentSet, array_accel_fn
 
 SHUTTLE_IDM = IdmParams(a=2.76, delta=1, v0=20.0, s0=9.89, T=2.79, b=24.58)
@@ -64,10 +75,16 @@ class TestSimulateFollower:
         assert result.collisions == 0
 
     def test_zero_accel_model_advances_linearly(self):
+        # 80 ft = d0 + t_des * v exactly: zero gap error at matched speeds,
+        # so the commanded acceleration is exactly 0 on every step
+        at_gap = AccParams(t_des=6.5, k1=0.5, k2=0.5, d0=15.0)
+        assert linear_acc_accel(at_gap, CfState(s=80.0, v=10.0, v_l=10.0,
+                                                x_l=80.0, x_f=0.0)) == 0.0
         seg = constant_leader_segment(10.0, 30, 80.0)
-        result = simulate_follower(lambda s, v, v_l, a_l, x_l, x_f: 0.0, seg)
-        assert np.allclose(np.diff(result.follower_pos), 10.0)
+        result = simulate_follower(at_gap, seg)
+        assert np.all(np.diff(result.follower_pos) == 10.0)
         assert np.all(result.follower_speed == 10.0)
+        assert np.all(result.spacing == 80.0)
 
     def test_hard_stop_matches_independent_replay(self):
         seg = hard_stop_segment(initial_speed=18.0, initial_spacing=50.0)
@@ -255,12 +272,13 @@ class TestBlockPath:
             assert np.array_equal(res.follower_speed, ref.follower_speed)
 
     def test_models_without_array_kernel_run_the_scalar_loop(self):
-        improved = BlendParams(idm=SHUTTLE_IDM, c=0.99, improved_idm=True)
-        assert array_accel_fn([improved], 1) is None
-        assert array_accel_fn([SHUTTLE_IDM, SHUTTLE_ACC], 1) is None
-        segments = block_fixture(1.0)
-        for seg, res in zip(segments, simulate_all(improved, segments)):
-            assert np.array_equal(res.spacing, simulate_follower(improved, seg).spacing)
+        # models of mixed kinds share no array kernel
+        mixed = [SHUTTLE_IDM, SHUTTLE_ACC]
+        assert array_accel_fn(mixed, 1) is None
+        segment_set = SegmentSet(block_fixture(1.0))
+        # both kinds are IEEE-exact here, so the scalar loop gives the block's bits
+        for got, model in zip(segment_set.pooled_spacing(mixed), mixed):
+            assert np.array_equal(got, segment_set.pooled_spacing([model])[0])
 
     @pytest.mark.parametrize("dt", [1.0, 0.1])
     def test_rows_go_to_the_block_at_most_a_cap_at_a_time(self, dt, monkeypatch):
@@ -307,6 +325,136 @@ def test_non_finite_run_faults(n_trips):
     assert np.all(np.isfinite(good))
     with pytest.raises(DomainError, match=f"^segment {segments[0].id}: "):
         segment_set.results(nan_blend)
+
+
+# The scalar step loop as it was before the kernels were written inline:
+# one accel function call per sub-step, built on the raw kernels of
+# models.py. sim._step_loop must give its outcome bit for bit.
+
+def reference_accel_fn(model):
+    if isinstance(model, IdmParams):
+        two = 2.0 * math.sqrt(model.a * model.b)
+        return lambda s, v, v_l, a_l, x_l, x_f: idm_accel_raw(
+            model.a, model.delta, model.v0, model.s0, model.T, two, s, v, v - v_l)
+    if isinstance(model, BlendParams):
+        i = model.idm
+        two = 2.0 * math.sqrt(i.a * i.b)
+        return lambda s, v, v_l, a_l, x_l, x_f: blend_accel_raw(
+            i.a, i.delta, i.v0, i.s0, i.T, i.b, two, model.c, s, v, v_l, a_l)
+    return lambda s, v, v_l, a_l, x_l, x_f: linear_acc_accel_raw(
+        model.k1, model.k2, model.t_des, model.d0, x_l, x_f, v, v_l)
+
+
+def reference_step_loop(accel_fn, lists, limits):
+    x, v, xl0, *schedule = lists
+    v = min(max(v, limits.v_min), limits.v_max)
+    pos, speed, spacing, collisions = [x], [v], [xl0 - x], 0
+    for xl, vl, al, h, end in zip(*schedule):
+        s = xl - x
+        if s <= 0.0:
+            s = sim.SPACING_FLOOR_FT
+        a_cmd = min(max(accel_fn(s, v, vl, al, xl, x), limits.a_min), limits.a_max)
+        v_new = min(max(v + a_cmd * h, limits.v_min), limits.v_max)
+        x += 0.5 * (v + v_new) * h
+        v = v_new
+        if end is not None:
+            pos.append(x)
+            speed.append(v)
+            raw = end - x
+            if raw <= 0.0:
+                collisions += 1
+                raw = sim.SPACING_FLOOR_FT
+            spacing.append(raw)
+    if not (math.isfinite(x) and math.isfinite(v)):
+        raise ArithmeticError("non-finite end state")
+    return pos, speed, spacing, collisions
+
+
+def loop_outcome(run):
+    """float.hex of every output and the collision count, or the exception type."""
+    try:
+        pos, speed, spacing, collisions = run()
+    except ArithmeticError as exc:
+        return type(exc)
+    return [[value.hex() for value in column] for column in (pos, speed, spacing)], collisions
+
+
+def assert_loop_matches_reference(model, lists, limits):
+    got = loop_outcome(lambda: sim._step_loop(model, lists, limits))
+    want = loop_outcome(lambda: reference_step_loop(reference_accel_fn(model), lists, limits))
+    assert got == want
+
+
+def oracle_lists(dt):
+    """Scalar-loop inputs of a smooth response, a hard stop and, at dt 0.5, a 0.5-s grid."""
+    segments = [model_response_segments(default_params("blend"), n_segments=1, seconds=60)[0],
+                hard_stop_segment(initial_speed=18.0, initial_spacing=50.0, duration_s=20)]
+    if dt == 0.5:
+        segments.append(constant_leader_segment(10.0, 12, 60.0, dt=0.5))
+    return SegmentSet(segments, dt=dt)._scalar_lists()
+
+
+ORACLE_LISTS = {dt: oracle_lists(dt) for dt in (1.0, 0.5)}
+
+
+def in_bounds_genes(kind):
+    return st.tuples(*[st.integers(int(lo), int(hi)) if integer else st.floats(lo, hi)
+                       for _, lo, hi, integer in GENE_BOUNDS[kind]])
+
+
+# rows that fault or overflow in the scalar loop (those of
+# test_faulting_rows_score_fault_alone), and blend rows whose IDM term is
+# -inf, with c = 1 turning the blend NaN
+EDGE_ROWS = {
+    "idm": [[2.0, 2.0, 1e-300, 8.0, 3.0, 20.0], [1.0, 1.0, 20.0, 1e160, 1.0, 1.0]],
+    "blend": [[2.0, 2.0, 1e-300, 8.0, 3.0, 20.0, 0.5], [1.0, 1.0, 20.0, 1e160, 1.0, 1.0, 0.5],
+              [1.0, 4.0, 20.0, 1e200, 1.0, 3.0, 1.0], [1.0, 4.0, 20.0, 1e200, 1.0, 3.0, 0.5]],
+    "linear_acc": [[0.1, 0.001, 0.001], [9.0, 1.0, 1.0]],
+}
+
+
+# NaN, signed zeros, infinities, a subnormal, huge and ordinary values
+EDGE_VALUES = [math.nan, 0.0, -0.0, math.inf, -math.inf, 5e-324, 1e200, -1e200, 12.0, -3.0]
+any_value = st.one_of(st.sampled_from(EDGE_VALUES), st.floats())
+
+
+class TestStepLoopMatchesReference:
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_in_bounds_rows(self, kind, dt, data):
+        model = genes_to_params(kind, data.draw(in_bounds_genes(kind)))
+        for lists in ORACLE_LISTS[dt]:
+            assert_loop_matches_reference(model, lists, SimLimits())
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    def test_edge_rows(self, kind, dt):
+        for genes in EDGE_ROWS[kind]:
+            model = genes_to_params(kind, genes)
+            for lists in ORACLE_LISTS[dt]:
+                assert_loop_matches_reference(model, lists, SimLimits())
+
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_any_leader_values(self, kind, data):
+        """Leader columns of any float: a NaN or infinite a_c, a NaN a_i and more.
+
+        A leader acceleration of -inf or NaN makes the CAH term NaN, and a
+        NaN leader position the IDM term.
+        """
+        model = genes_to_params(kind, data.draw(in_bounds_genes(kind)))
+        steps = data.draw(st.integers(1, 6))
+        column = st.lists(any_value, min_size=steps, max_size=steps)
+        x, v, xl0 = data.draw(st.tuples(any_value, any_value, any_value))
+        xl, vl, al = data.draw(column), data.draw(column), data.draw(column)
+        h = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=steps,
+                               max_size=steps))
+        end = data.draw(st.lists(st.one_of(st.none(), st.floats()), min_size=steps,
+                                 max_size=steps))
+        assert_loop_matches_reference(model, (x, v, xl0, xl, vl, al, h, end), SimLimits())
 
 
 def _digest(results) -> str:
