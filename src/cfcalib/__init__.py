@@ -34,7 +34,7 @@ from .errors import (
     UndefinedStatisticError,
 )
 from .ingest import (
-    GpsFix,
+    GpsLog,
     Trajectory,
     convert_units,
     derive_kinematics,

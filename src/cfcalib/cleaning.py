@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, NoCarFollowingError, PairingError, SplitError
-from .ingest import GpsFix, Trajectory, geodesic_distance
+from .ingest import GpsLog, Trajectory, geodesic_distance
 from .jsonio import read_json_object, require_keys, write_json
 
 PAIR_TOLERANCE_S = 0.1
@@ -166,8 +166,8 @@ def pair_trajectories(
 def leader_start_offset(
     leader: Trajectory,
     follower: Trajectory,
-    leader_fixes: list[GpsFix],
-    follower_fixes: list[GpsFix],
+    leader_log: GpsLog,
+    follower_log: GpsLog,
 ) -> float:
     """`leader_offset` for `pair_trajectories`, from the fixes at the first common time.
 
@@ -188,19 +188,22 @@ def leader_start_offset(
         raise PairingError("leader and follower logs have no overlapping timestamps")
     fi = int(common[0])
     li = int(li[fi])
-    here, ahead = follower_fixes[fi], leader_fixes[li]
-    spacing = geodesic_distance(here, ahead)
+    lat, lon = follower_log.lat, follower_log.lon
+    here_lat, here_lon = float(lat[fi]), float(lon[fi])
+    ahead_lat, ahead_lon = float(leader_log.lat[li]), float(leader_log.lon[li])
+    spacing = float(geodesic_distance(here_lat, here_lon, ahead_lat, ahead_lon))
     # local east/north components; their scale does not matter for a sign
-    cos_lat = math.cos(math.radians(here.lat))
+    cos_lat = math.cos(math.radians(here_lat))
 
-    def toward(fix: GpsFix) -> tuple[float, float]:
-        return ((fix.lon - here.lon + 180.0) % 360.0 - 180.0) * cos_lat, fix.lat - here.lat
+    def toward(to_lat: float, to_lon: float) -> tuple[float, float]:
+        return ((to_lon - here_lon + 180.0) % 360.0 - 180.0) * cos_lat, to_lat - here_lat
 
-    moved = next((toward(f) for f in follower_fixes[fi + 1:]
-                  if (f.lat, f.lon) != (here.lat, here.lon)), None)
-    if moved is not None:
-        east, north = toward(ahead)
-        if moved[0] * east + moved[1] * north < 0.0:
+    moved = np.flatnonzero((lat[fi + 1:] != here_lat) | (lon[fi + 1:] != here_lon))
+    if moved.size:
+        j = fi + 1 + int(moved[0])
+        moved_east, moved_north = toward(float(lat[j]), float(lon[j]))
+        east, north = toward(ahead_lat, ahead_lon)
+        if moved_east * east + moved_north * north < 0.0:
             spacing = -spacing
     return spacing - float(leader.pos[li] - follower.pos[fi])
 

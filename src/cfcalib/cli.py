@@ -84,17 +84,17 @@ def _cmd_ingest(args) -> int:
     out = Path(args.out)
     if args.input:
         src = _require_file(args.input)
-        fixes = read_gps_csv(src)
-        traj = derive_kinematics(fixes, vehicle_id=args.vehicle_id or src.stem, dt=args.dt)
+        log = read_gps_csv(src)
+        traj = derive_kinematics(log, vehicle_id=args.vehicle_id or src.stem, dt=args.dt)
         write_json(out, trajectory_to_dict(traj))
         _write_manifest(out, args, [src])
     else:
         leader_src = _require_file(args.leader)
         follower_src = _require_file(args.follower)
-        leader_fixes, follower_fixes = read_gps_pair(leader_src, follower_src)
-        leader = derive_kinematics(leader_fixes, vehicle_id=leader_src.stem, dt=args.dt)
-        follower = derive_kinematics(follower_fixes, vehicle_id=follower_src.stem, dt=args.dt)
-        offset = leader_start_offset(leader, follower, leader_fixes, follower_fixes)
+        leader_log, follower_log = read_gps_pair(leader_src, follower_src)
+        leader = derive_kinematics(leader_log, vehicle_id=leader_src.stem, dt=args.dt)
+        follower = derive_kinematics(follower_log, vehicle_id=follower_src.stem, dt=args.dt)
+        offset = leader_start_offset(leader, follower, leader_log, follower_log)
         write_json(out, {"leader": trajectory_to_dict(leader),
                          "follower": trajectory_to_dict(follower),
                          "leader_start_offset_ft": offset})

@@ -1,8 +1,13 @@
 """GPS log ingestion: geodesic distances and derived kinematics.
 
-Raw logs are 1 Hz latitude/longitude fixes. Positions become cumulative
-arc length in feet; speed, acceleration, and jerk follow by successive
-backward differences. Everything downstream works in feet and seconds.
+Raw logs are 1 Hz latitude/longitude fixes. A CSV is parsed straight
+into a GpsLog, one float array per column (t, lat, lon), with no object
+per fix; both logs of a pair are parsed before either is built, so a
+parse error is reported before any out-of-range coordinate and the
+leader's errors before the follower's. Positions become cumulative arc
+length in feet (geodesic_distance, elementwise); speed, acceleration, and
+jerk follow by successive backward differences. Everything downstream
+works in feet and seconds.
 """
 
 from __future__ import annotations
@@ -25,22 +30,20 @@ EARTH_RADIUS_M = 6_371_008.8
 FT_PER_M = 1.0 / 0.3048
 
 
-@dataclass(frozen=True)
-class GpsFix:
-    """A single GPS fix: time (s), WGS-84 latitude/longitude (degrees)."""
-
-    t: float
-    lat: float
-    lon: float
-
-    def __post_init__(self):
-        if not (-90.0 <= self.lat <= 90.0):
-            raise DomainError(f"latitude {self.lat} outside [-90, 90]")
-        if not (-180.0 <= self.lon <= 180.0):
-            raise DomainError(f"longitude {self.lon} outside [-180, 180]")
-
-
 TRAJECTORY_COLUMNS = ("t", "pos", "speed", "accel", "jerk")
+GPS_COLUMNS = ("t", "lat", "lon")
+
+
+def _float_columns(obj, names: tuple[str, ...], label: str) -> None:
+    """Make each named attribute of obj a float array; all must be 1-d and of one length."""
+    try:
+        for name in names:
+            setattr(obj, name, np.asarray(getattr(obj, name), dtype=float))
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{label}: non-numeric column ({exc})") from exc
+    shape = getattr(obj, names[0]).shape
+    if len(shape) != 1 or any(getattr(obj, name).shape != shape for name in names):
+        raise DomainError(f"{label}: columns must be 1-d and of equal length")
 
 
 @dataclass
@@ -59,16 +62,7 @@ class Trajectory:
     dt: float = 1.0
 
     def __post_init__(self):
-        try:
-            for name in TRAJECTORY_COLUMNS:
-                setattr(self, name, np.asarray(getattr(self, name), dtype=float))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise DomainError(
-                f"trajectory {self.vehicle_id!r}: non-numeric column ({exc})") from exc
-        shape = self.t.shape
-        if len(shape) != 1 or any(getattr(self, n).shape != shape for n in TRAJECTORY_COLUMNS):
-            raise DomainError(
-                f"trajectory {self.vehicle_id!r}: columns must be 1-d and of equal length")
+        _float_columns(self, TRAJECTORY_COLUMNS, f"trajectory {self.vehicle_id!r}")
         if not (is_finite_number(self.dt) and self.dt > 0):
             raise DomainError(
                 f"trajectory {self.vehicle_id!r}: dt must be a finite number > 0, got {self.dt!r}")
@@ -82,19 +76,42 @@ class Trajectory:
         return (np.flatnonzero(off) + 1).tolist()
 
 
-def _haversine_ft(lat1, lon1, lat2, lon2):
-    """Great-circle distance in feet, elementwise over scalars or arrays."""
+@dataclass
+class GpsLog:
+    """A GPS log, one float array per column: time (s), WGS-84 latitude/longitude (degrees).
+
+    Construction rejects a latitude outside [-90, 90] or a longitude
+    outside [-180, 180] (NaN included), naming the first offending fix and
+    testing its latitude first.
+    """
+
+    t: np.ndarray
+    lat: np.ndarray
+    lon: np.ndarray
+
+    def __post_init__(self):
+        _float_columns(self, GPS_COLUMNS, "GPS log")
+        # written so that NaN counts as out of range
+        bad_lat = ~((self.lat >= -90.0) & (self.lat <= 90.0))
+        bad = bad_lat | ~((self.lon >= -180.0) & (self.lon <= 180.0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if bad_lat[i]:
+                raise DomainError(f"latitude {float(self.lat[i])} outside [-90, 90]")
+            raise DomainError(f"longitude {float(self.lon[i])} outside [-180, 180]")
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+
+def geodesic_distance(lat1, lon1, lat2, lon2):
+    """Great-circle distance in feet (haversine), elementwise over scalars or arrays."""
     dlat = np.radians(lat2 - lat1)
     dlon = np.radians(lon2 - lon1)
     h = (np.sin(dlat / 2.0) ** 2
          + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * np.sin(dlon / 2.0) ** 2)
     c = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(h)))
     return EARTH_RADIUS_M * c * FT_PER_M
-
-
-def geodesic_distance(a: GpsFix, b: GpsFix) -> float:
-    """Great-circle distance between two fixes, in feet (haversine)."""
-    return float(_haversine_ft(a.lat, a.lon, b.lat, b.lon))
 
 
 def kinematics_from_positions(
@@ -131,14 +148,14 @@ def kinematics_from_positions(
     return Trajectory(vehicle_id, t, pos, speed, accel, jerk, dt=dt)
 
 
-def derive_kinematics(fixes: list[GpsFix], vehicle_id: str = "", dt: float = 1.0) -> Trajectory:
+def derive_kinematics(log: GpsLog, vehicle_id: str = "", dt: float = 1.0) -> Trajectory:
     """Convert a GPS log into a trajectory: cumulative arc length plus derivatives."""
-    if len(fixes) < 4:
-        raise InsufficientDataError(f"need at least 4 fixes for jerk, got {len(fixes)}")
-    t, lat, lon = np.array([(f.t, f.lat, f.lon) for f in fixes], dtype=float).T
-    pos = np.zeros(len(fixes))
-    pos[1:] = np.cumsum(_haversine_ft(lat[:-1], lon[:-1], lat[1:], lon[1:]))
-    return kinematics_from_positions(t, pos, vehicle_id=vehicle_id, dt=dt)
+    if len(log) < 4:
+        raise InsufficientDataError(f"need at least 4 fixes for jerk, got {len(log)}")
+    lat, lon = log.lat, log.lon
+    pos = np.zeros(len(log))
+    pos[1:] = np.cumsum(geodesic_distance(lat[:-1], lon[:-1], lat[1:], lon[1:]))
+    return kinematics_from_positions(log.t, pos, vehicle_id=vehicle_id, dt=dt)
 
 
 # ---------------------------------------------------------------------------
@@ -204,7 +221,8 @@ def _parse_time(text: str) -> float:
     return value
 
 
-def _read_gps_rows(path: str | Path) -> list[tuple[float, float, float]]:
+def _read_gps_rows(path: str | Path) -> tuple[list[float], list[float], list[float]]:
+    """The time, latitude and longitude columns of a `t,lat,lon` CSV, as parsed."""
     path = Path(path)
     with path.open(newline="") as handle:
         reader = csv.reader(handle)
@@ -214,46 +232,59 @@ def _read_gps_rows(path: str | Path) -> list[tuple[float, float, float]]:
             raise InsufficientDataError(f"{path}: empty file") from None
         if [h.strip().lower() for h in header] != ["t", "lat", "lon"]:
             raise DomainError(f"{path}: header must be exactly 't,lat,lon', got {header}")
-        raw = []
+        ts, lats, lons = [], [], []
         for lineno, row in enumerate(reader, start=2):
             if len(row) == 3:
                 try:
-                    raw.append((_parse_time(row[0]), float(row[1]), float(row[2])))
-                    continue
+                    t, lat, lon = _parse_time(row[0]), float(row[1]), float(row[2])
                 except ValueError as exc:
                     problem = str(exc)
+                else:
+                    ts.append(t)
+                    lats.append(lat)
+                    lons.append(lon)
+                    continue
             else:
                 problem = f"expected 3 columns, got {len(row)}"
             # only a row that did not parse can be blank; blank rows are skipped
             if any(cell.strip() for cell in row):
                 raise DomainError(f"{path}:{lineno}: {problem}")
-    if not raw:
+    if not ts:
         raise InsufficientDataError(f"{path}: no data rows")
-    return raw
+    return ts, lats, lons
 
 
-def read_gps_csv(path: str | Path, t0: float | None = None) -> list[GpsFix]:
-    """Read a `t,lat,lon` CSV (header required) into GPS fixes.
+def _gps_log(columns: tuple[list[float], list[float], list[float]], t0: float) -> GpsLog:
+    """A GpsLog of parsed columns, its times shifted to elapsed seconds from t0."""
+    t, lat, lon = columns
+    t = np.array(t)
+    # as in Python floats, a span of times too wide for a float becomes inf, unwarned
+    with np.errstate(over="ignore"):
+        t -= t0
+    return GpsLog(t, lat, lon)
+
+
+def read_gps_csv(path: str | Path, t0: float | None = None) -> GpsLog:
+    """Read a `t,lat,lon` CSV (header required) into a GPS log.
 
     Timestamps may be epoch seconds or ISO-8601; they are normalized to
     elapsed seconds from the first fix (or from an explicit t0 so two
     logs can share a clock).
     """
-    raw = _read_gps_rows(path)
-    base = raw[0][0] if t0 is None else t0
-    return [GpsFix(t - base, lat, lon) for t, lat, lon in raw]
+    columns = _read_gps_rows(path)
+    return _gps_log(columns, columns[0][0] if t0 is None else t0)
 
 
-def read_gps_pair(
-    leader_path: str | Path, follower_path: str | Path
-) -> tuple[list[GpsFix], list[GpsFix]]:
-    """Read two logs on a shared clock: both normalized to the earlier first fix."""
-    leader_raw = _read_gps_rows(leader_path)
-    follower_raw = _read_gps_rows(follower_path)
-    t0 = min(leader_raw[0][0], follower_raw[0][0])
-    leader = [GpsFix(t - t0, lat, lon) for t, lat, lon in leader_raw]
-    follower = [GpsFix(t - t0, lat, lon) for t, lat, lon in follower_raw]
-    return leader, follower
+def read_gps_pair(leader_path: str | Path, follower_path: str | Path) -> tuple[GpsLog, GpsLog]:
+    """Read two logs on a shared clock: both normalized to the earlier first fix.
+
+    Both files are parsed before either log is built, so a parse error in
+    either file is reported before any out-of-range coordinate.
+    """
+    leader = _read_gps_rows(leader_path)
+    follower = _read_gps_rows(follower_path)
+    t0 = min(leader[0][0], follower[0][0])
+    return _gps_log(leader, t0), _gps_log(follower, t0)
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:

@@ -221,16 +221,14 @@ def _result(seg: FollowingSegment, pos, speed, spacing, collisions: int) -> SimR
 def array_accel_fn(models: list, lanes: int):
     """Accel function over rows x lanes flattened row by row, row r stepping models[r].
 
-    f(s, v, v_l, a_l, x_l, x_f) on arrays of rows * lanes values, with s
-    pre-floored to stay positive. Returns None when the models are of
-    mixed types or of no model kind; those run the scalar loop only.
+    The models are all of one type. f(s, v, v_l, a_l, x_l, x_f) on arrays
+    of rows * lanes values, with s pre-floored to stay positive. Returns
+    None when the type is no model kind; those run the scalar loop only.
     """
     def _columns(objs, *names):
         return [np.repeat([float(getattr(o, name)) for o in objs], lanes) for name in names]
 
     kind = type(models[0])
-    if any(type(m) is not kind for m in models):
-        return None
     if kind is IdmParams:
         a, delta, v0, s0, T, b = _columns(models, "a", "delta", "v0", "s0", "T", "b")
         two = 2.0 * np.sqrt(a * b)
@@ -349,8 +347,18 @@ class SegmentSet:
         """Each model's simulated spacing, its segments concatenated in order.
 
         None marks a model whose simulation overflows, turns NaN or
-        divides by zero. Every model gets the values it gets stepped alone.
+        divides by zero. Every model gets the values it gets stepped alone:
+        models of mixed kinds are stepped kind by kind, so that each takes
+        the engine it takes alone.
         """
+        kinds = dict.fromkeys(type(model) for model in models)
+        if len(kinds) > 1:
+            spacings = [None] * len(models)
+            for kind in kinds:
+                rows = [i for i, model in enumerate(models) if type(model) is kind]
+                for i, spacing in zip(rows, self.pooled_spacing([models[i] for i in rows])):
+                    spacings[i] = spacing
+            return spacings
         if len(models) > self._rows_per_run:
             return [spacing for i in range(0, len(models), self._rows_per_run)
                     for spacing in self.pooled_spacing(models[i:i + self._rows_per_run])]

@@ -17,7 +17,7 @@ from cfcalib import (
 )
 from cfcalib.cleaning import leader_start_offset, read_segments_json, write_segments_json
 from cfcalib.fixtures import constant_leader_segment, rule_violation_series
-from cfcalib.ingest import GpsFix, derive_kinematics, geodesic_distance, kinematics_from_positions
+from cfcalib.ingest import GpsLog, derive_kinematics, geodesic_distance, kinematics_from_positions
 
 DEG_PER_FT = 1.0 / (6_371_008.8 * np.pi / 180.0 / 0.3048)
 
@@ -79,18 +79,18 @@ class TestPairTrajectories:
 
 
 def meridian_log(t0, start_ft, n, speed=12.0, lat0=40.0):
-    """GPS fixes at 1 Hz along a meridian; negative speed drives south."""
+    """A GPS log at 1 Hz along a meridian; negative speed drives south."""
     along = start_ft + speed * np.arange(n)
-    return [GpsFix(t0 + i, lat0 + d * DEG_PER_FT, -83.0) for i, d in enumerate(along)], along
+    return GpsLog(t0 + np.arange(n), lat0 + along * DEG_PER_FT, np.full(n, -83.0)), along
 
 
 class TestLeaderStartOffset:
     def paired_spacing(self, leader_log, follower_log):
-        leader_fixes, leader_along = leader_log
-        follower_fixes, follower_along = follower_log
-        leader = derive_kinematics(leader_fixes, vehicle_id="leader")
-        follower = derive_kinematics(follower_fixes, vehicle_id="follower")
-        offset = leader_start_offset(leader, follower, leader_fixes, follower_fixes)
+        leader_gps, _ = leader_log
+        follower_gps, _ = follower_log
+        leader = derive_kinematics(leader_gps, vehicle_id="leader")
+        follower = derive_kinematics(follower_gps, vehicle_id="follower")
+        offset = leader_start_offset(leader, follower, leader_gps, follower_gps)
         return pair_trajectories(leader, follower, leader_offset=offset).spacing
 
     @pytest.mark.parametrize("speed", [12.0, -12.0])
@@ -117,18 +117,19 @@ class TestLeaderStartOffset:
         assert spacing == pytest.approx(np.full(30, -30.0), rel=1e-6)
 
     def test_same_start_is_the_start_distance(self):
-        leader_fixes, _ = meridian_log(0.0, 120.0, 20)
-        follower_fixes, _ = meridian_log(0.0, 0.0, 20)
-        offset = leader_start_offset(derive_kinematics(leader_fixes), derive_kinematics(follower_fixes),
-                                     leader_fixes, follower_fixes)
-        assert offset == geodesic_distance(follower_fixes[0], leader_fixes[0])
+        leader_gps, _ = meridian_log(0.0, 120.0, 20)
+        follower_gps, _ = meridian_log(0.0, 0.0, 20)
+        offset = leader_start_offset(derive_kinematics(leader_gps), derive_kinematics(follower_gps),
+                                     leader_gps, follower_gps)
+        assert offset == geodesic_distance(follower_gps.lat[0], follower_gps.lon[0],
+                                           leader_gps.lat[0], leader_gps.lon[0])
 
     def test_disjoint_logs_raise(self):
-        leader_fixes, _ = meridian_log(0.0, 0.0, 10)
-        follower_fixes, _ = meridian_log(1000.0, 0.0, 10)
+        leader_gps, _ = meridian_log(0.0, 0.0, 10)
+        follower_gps, _ = meridian_log(1000.0, 0.0, 10)
         with pytest.raises(PairingError):
-            leader_start_offset(derive_kinematics(leader_fixes), derive_kinematics(follower_fixes),
-                                leader_fixes, follower_fixes)
+            leader_start_offset(derive_kinematics(leader_gps), derive_kinematics(follower_gps),
+                                leader_gps, follower_gps)
 
 
 def brute_force_runs(keep_mask, min_len):

@@ -73,11 +73,12 @@ class TestWriteJson:
                      "--out", str(pair)]) == 0
         assert main(["clean", "--pair", str(pair), "--out", str(out)]) == 0
 
-        leader_fixes, follower_fixes = read_gps_pair(leader_csv, follower_csv)
+        leader_log, follower_log = read_gps_pair(leader_csv, follower_csv)
         paired = pair_trajectories(
-            derive_kinematics(leader_fixes, vehicle_id="leader"),
-            derive_kinematics(follower_fixes, vehicle_id="follower"),
-            leader_offset=geodesic_distance(follower_fixes[0], leader_fixes[0]))
+            derive_kinematics(leader_log, vehicle_id="leader"),
+            derive_kinematics(follower_log, vehicle_id="follower"),
+            leader_offset=geodesic_distance(follower_log.lat[0], follower_log.lon[0],
+                                            leader_log.lat[0], leader_log.lon[0]))
         expected = clean_segments(paired)
         got = read_segments_json(out)
         assert [s.id for s in got] == [s.id for s in expected]

@@ -272,13 +272,25 @@ class TestBlockPath:
             assert np.array_equal(res.follower_speed, ref.follower_speed)
 
     def test_models_without_array_kernel_run_the_scalar_loop(self):
-        # models of mixed kinds share no array kernel
-        mixed = [SHUTTLE_IDM, SHUTTLE_ACC]
-        assert array_accel_fn(mixed, 1) is None
-        segment_set = SegmentSet(block_fixture(1.0))
-        # both kinds are IEEE-exact here, so the scalar loop gives the block's bits
-        for got, model in zip(segment_set.pooled_spacing(mixed), mixed):
-            assert np.array_equal(got, segment_set.pooled_spacing([model])[0])
+        assert array_accel_fn([object()], 1) is None
+        with pytest.raises(DomainError, match="unsupported model type"):
+            SegmentSet(block_fixture(1.0)).pooled_spacing([SHUTTLE_IDM, object()])
+        # a list of mixed kinds is stepped kind by kind, each on the engine
+        # it takes alone, and comes back in input order
+        mixed = [SHUTTLE_IDM, SHUTTLE_ACC, default_params("blend"), SHUTTLE_IDM]
+        for segments in (block_fixture(1.0), short_trip_segments(SHUTTLE_IDM, n_trips=40,
+                                                                  trip_seconds=30)):
+            assert len(segments) >= BATCH_MIN_SEGMENTS
+            segment_set = SegmentSet(segments)
+            got = segment_set.pooled_spacing(mixed)
+            assert len(got) == len(mixed)
+            for spacing, model in zip(got, mixed):
+                assert spacing.tobytes() == segment_set.pooled_spacing([model])[0].tobytes()
+        # alone, the blend takes numpy's power and tanh on the block; the
+        # scalar loop's libm differs from them in the last bits
+        blend = default_params("blend")
+        got = segment_set.pooled_spacing([blend, SHUTTLE_IDM])[0]
+        assert got.tobytes() == segment_set.pooled_spacing([blend])[0].tobytes()
 
     @pytest.mark.parametrize("dt", [1.0, 0.1])
     def test_rows_go_to_the_block_at_most_a_cap_at_a_time(self, dt, monkeypatch):
