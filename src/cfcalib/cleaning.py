@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -114,13 +115,36 @@ class FollowingSegment:
         return self.leader_pos - self.follower_pos
 
 
+def _matches(lt: list[float], ft: list[float]):
+    """(leader index, follower index) of each matched sample pair, in time order.
+
+    A follower sample matches the nearest of the unmatched leader samples
+    whose timestamps agree with its own within PAIR_TOLERANCE_S, the last
+    one on a tie; each sample joins at most one pair. Along sorted leader
+    times the distances fall, then rise, so stepping while the next one
+    is no greater finds the nearest even past a run of equal distances.
+    """
+    li = fi = 0
+    while li < len(lt) and fi < len(ft):
+        d = lt[li] - ft[fi]
+        if d < -PAIR_TOLERANCE_S:
+            li += 1
+        elif d > PAIR_TOLERANCE_S:
+            fi += 1
+        elif li + 1 < len(lt) and abs(lt[li + 1] - ft[fi]) <= abs(d):
+            li += 1
+        else:
+            yield li, fi
+            li += 1
+            fi += 1
+
+
 def pair_trajectories(
     leader: Trajectory,
     follower: Trajectory,
-    tolerance: float = PAIR_TOLERANCE_S,
     leader_offset: float = 0.0,
 ) -> PairedSeries:
-    """Match leader/follower samples whose timestamps agree within `tolerance`.
+    """Match leader/follower samples whose timestamps agree within PAIR_TOLERANCE_S.
 
     The paired grid uses the follower's timestamps; unmatched ends are
     dropped. Each trajectory's positions start at its own first fix, so
@@ -128,29 +152,12 @@ def pair_trajectories(
     follower's; `leader_start_offset` derives it from the two GPS logs.
     Raises PairingError when the logs never overlap.
     """
-    # the merge loop reads Python floats: indexing numpy arrays per element costs 3x
-    lt, ft = leader.t.tolist(), follower.t.tolist()
-    li = fi = 0
-    l_idx, f_idx = [], []
-    while li < len(lt) and fi < len(ft):
-        d = lt[li] - ft[fi]
-        if d < -tolerance:
-            li += 1
-        elif d > tolerance:
-            fi += 1
-        else:
-            # prefer the closer of this and the next leader sample
-            if li + 1 < len(lt) and abs(lt[li + 1] - ft[fi]) < abs(d):
-                li += 1
-                continue
-            l_idx.append(li)
-            f_idx.append(fi)
-            li += 1
-            fi += 1
-    if not l_idx:
+    # the merge reads Python floats: indexing numpy arrays per element costs 3x
+    flat = np.fromiter(chain.from_iterable(_matches(leader.t.tolist(), follower.t.tolist())),
+                       dtype=np.intp)
+    if not flat.size:
         raise PairingError("leader and follower logs have no overlapping timestamps")
-    l_sel = np.array(l_idx)
-    f_sel = np.array(f_idx)
+    l_sel, f_sel = flat[0::2], flat[1::2]
     return PairedSeries(
         t=follower.t[f_sel],
         leader_pos=leader.pos[l_sel] + leader_offset,
@@ -171,23 +178,18 @@ def leader_start_offset(
 ) -> float:
     """`leader_offset` for `pair_trajectories`, from the fixes at the first common time.
 
-    The first follower sample with a leader sample within the pairing
-    tolerance (the nearer one) fixes the spacing: the distance between the two
-    fixes, negative when the leader lies behind the follower along the
-    follower's direction of travel, taken from its first nonzero
-    displacement from that fix (positive if it never moves again). The
-    offset is that spacing less the difference of the two logs' own
-    arc-length positions then. Each trajectory holds one sample per fix.
-    Raises PairingError when the logs never overlap.
+    The first pair `pair_trajectories` matches fixes the spacing: the
+    distance between the two fixes, negative when the leader lies behind
+    the follower along the follower's direction of travel, taken from its
+    first nonzero displacement from that fix (positive if it never moves
+    again). The offset is that spacing less the difference of the two
+    logs' own arc-length positions then. Each trajectory holds one sample
+    per fix. Raises PairingError when the logs never overlap.
     """
-    lt, ft = leader.t, follower.t
-    li = np.clip(np.searchsorted(lt, ft), 1, len(lt) - 1)
-    li -= ft - lt[li - 1] <= lt[li] - ft
-    common = np.flatnonzero(np.abs(lt[li] - ft) <= PAIR_TOLERANCE_S)
-    if common.size == 0:
+    first = next(_matches(leader.t.tolist(), follower.t.tolist()), None)
+    if first is None:
         raise PairingError("leader and follower logs have no overlapping timestamps")
-    fi = int(common[0])
-    li = int(li[fi])
+    li, fi = first
     lat, lon = follower_log.lat, follower_log.lon
     here_lat, here_lon = float(lat[fi]), float(lon[fi])
     ahead_lat, ahead_lon = float(leader_log.lat[li]), float(leader_log.lon[li])

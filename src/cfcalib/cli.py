@@ -77,6 +77,16 @@ def _require_file(path: str) -> Path:
     return p
 
 
+def _load_limits(args, inputs: list[Path]) -> SimLimits:
+    """The --limits file, appended to inputs, or the default envelope without one."""
+    if not args.limits:
+        return SimLimits()
+    src = _require_file(args.limits)
+    limits = load_limits(src)
+    inputs.append(src)
+    return limits
+
+
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
@@ -158,11 +168,7 @@ def _cmd_simulate(args) -> int:
     params = load_params(model_src)
     segments = read_segments_json(seg_src)
     inputs = [model_src, seg_src]
-    limits = SimLimits()
-    if args.limits:
-        limits_src = _require_file(args.limits)
-        limits = load_limits(limits_src)
-        inputs.append(limits_src)
+    limits = _load_limits(args, inputs)
     results = simulate_all(params, segments, limits, args.dt)
     out = Path(args.out)
     write_json(out, {
@@ -197,11 +203,7 @@ def _cmd_calibrate(args) -> int:
             raise ConfigError(
                 f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
         config = dataclasses.replace(config, seeds=seeds)
-    limits = SimLimits()
-    if args.limits:
-        limits_src = _require_file(args.limits)
-        limits = load_limits(limits_src)
-        inputs.append(limits_src)
+    limits = _load_limits(args, inputs)
 
     result, rep_calib, rep_valid = calibrate_and_validate(
         args.model, segments, config,
@@ -230,12 +232,8 @@ def _cmd_validate(args) -> int:
         data = data["calibration"]["best_params"]
     params = params_from_dict(data)
     segments = read_segments_json(seg_src)
-    limits = SimLimits()
     inputs = [params_src, seg_src]
-    if args.limits:
-        limits_src = _require_file(args.limits)
-        limits = load_limits(limits_src)
-        inputs.append(limits_src)
+    limits = _load_limits(args, inputs)
     rep = gof_report(params, segments, limits, args.dt)
     out = Path(args.out)
     write_json(out, {"model": params_to_dict(params), "gof": rep.as_dict(), "dt": args.dt})

@@ -70,11 +70,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.t)
 
-    def time_gaps(self, rel_tol: float = 0.1) -> list[int]:
-        """Indices i where t[i] - t[i-1] deviates from dt by more than rel_tol."""
-        off = np.abs(np.diff(self.t) - self.dt) > rel_tol * self.dt
-        return (np.flatnonzero(off) + 1).tolist()
-
 
 @dataclass
 class GpsLog:
@@ -122,29 +117,39 @@ def kinematics_from_positions(
     Each derivative level k is valid from index k onward; the leading
     entries are filled by replicating the first valid value, so constant
     acceleration reproduces its ground truth at every index. The
-    trajectory holds copies of `t` and `pos`.
+    trajectory holds copies of `t` and `pos`. Raises OrderingError unless
+    the times strictly increase, then DomainError where a derivative is
+    not finite.
     """
     t = np.array(t, dtype=float)
     pos = np.array(pos, dtype=float)
     n = len(t)
     if n < 4:
         raise InsufficientDataError(f"need at least 4 samples for jerk, got {n}")
-    steps = np.diff(t)
-    if not np.all(steps > 0):
-        raise OrderingError("timestamps must be strictly increasing")
+    # an overflow or a NaN is reported below as an error, never as a warning
+    with np.errstate(all="ignore"):
+        steps = np.diff(t)
+        if not np.all(steps > 0):
+            raise OrderingError("timestamps must be strictly increasing")
 
-    speed = np.empty(n)
-    speed[1:] = np.diff(pos) / steps
-    speed[0] = speed[1]
+        speed = np.empty(n)
+        speed[1:] = np.diff(pos) / steps
+        speed[0] = speed[1]
 
-    accel = np.empty(n)
-    accel[2:] = np.diff(speed[1:]) / steps[1:]
-    accel[:2] = accel[2]
+        accel = np.empty(n)
+        accel[2:] = np.diff(speed[1:]) / steps[1:]
+        accel[:2] = accel[2]
 
-    jerk = np.empty(n)
-    jerk[3:] = np.diff(accel[2:]) / steps[2:]
-    jerk[:3] = jerk[3]
+        jerk = np.empty(n)
+        jerk[3:] = np.diff(accel[2:]) / steps[2:]
+        jerk[:3] = jerk[3]
 
+    for name, column in (("speed", speed), ("accel", accel), ("jerk", jerk)):
+        bad = ~np.isfinite(column)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise DomainError(f"trajectory {vehicle_id!r}: {name} at t={float(t[i])!r} is not finite; "
+                              f"the time steps are too short for the distances covered")
     return Trajectory(vehicle_id, t, pos, speed, accel, jerk, dt=dt)
 
 
@@ -254,13 +259,22 @@ def _read_gps_rows(path: str | Path) -> tuple[list[float], list[float], list[flo
     return ts, lats, lons
 
 
-def _gps_log(columns: tuple[list[float], list[float], list[float]], t0: float) -> GpsLog:
-    """A GpsLog of parsed columns, its times shifted to elapsed seconds from t0."""
+def _gps_log(path: str | Path, columns: tuple[list[float], list[float], list[float]],
+             t0: float) -> GpsLog:
+    """A GpsLog of parsed columns, its times shifted to elapsed seconds from t0.
+
+    Raises DomainError naming the file when a time lies too far from t0
+    for the difference to be a float.
+    """
     t, lat, lon = columns
     t = np.array(t)
-    # as in Python floats, a span of times too wide for a float becomes inf, unwarned
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
         t -= t0
+    far = ~np.isfinite(t)
+    if far.any():
+        raw = columns[0][int(np.argmax(far))]
+        raise DomainError(f"{path}: timestamp {raw!r} lies too far from {t0!r} "
+                          f"to measure in float seconds")
     return GpsLog(t, lat, lon)
 
 
@@ -272,7 +286,7 @@ def read_gps_csv(path: str | Path, t0: float | None = None) -> GpsLog:
     logs can share a clock).
     """
     columns = _read_gps_rows(path)
-    return _gps_log(columns, columns[0][0] if t0 is None else t0)
+    return _gps_log(path, columns, columns[0][0] if t0 is None else t0)
 
 
 def read_gps_pair(leader_path: str | Path, follower_path: str | Path) -> tuple[GpsLog, GpsLog]:
@@ -284,7 +298,7 @@ def read_gps_pair(leader_path: str | Path, follower_path: str | Path) -> tuple[G
     leader = _read_gps_rows(leader_path)
     follower = _read_gps_rows(follower_path)
     t0 = min(leader[0][0], follower[0][0])
-    return _gps_log(leader, t0), _gps_log(follower, t0)
+    return _gps_log(leader_path, leader, t0), _gps_log(follower_path, follower, t0)
 
 
 def trajectory_to_dict(traj: Trajectory) -> dict:

@@ -10,12 +10,13 @@ Three calibrated model families:
 * ``linear_acc`` -- a linear gap-and-speed-error cruise controller.
 
 Kernels are stateless and return raw (unclamped) accelerations in ft/s^2;
-clamping is the simulator's job. The raw ``*_raw`` functions take scalars
-only; they serve the public single-state kernels below and are the
-reference that the simulator's scalar step loop is tested against: that
-loop writes their arithmetic inline, the same IEEE operations in the same
-order, so that a sub-step makes no Python call. The ``*_array`` functions
-are the same formulas on numpy arrays for its block stepper.
+clamping is the simulator's job. The module holds the public API (the
+parameter sets, the single-state kernels, gene bounds and parameter
+files) and the raw ``*_raw`` kernels behind it. Those take scalars only
+and are the reference the simulator's two engines are tested against:
+both write the kernels' arithmetic inline, the same IEEE operations in
+the same order, the scalar loop on Python floats and the block stepper
+on numpy arrays.
 
 The raw kernels call no builtin: ``max(0.0, q)`` is written
 ``q if q > 0.0 else 0.0`` and ``min(a_l, a)`` is written
@@ -32,8 +33,6 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-
-import numpy as np
 
 from .errors import DomainError
 from .jsonio import read_json_object, require_keys, require_numbers, write_json
@@ -163,38 +162,6 @@ def linear_acc_accel_raw(k1, k2, t_des, d0, x_l, x_f, v, v_l):
 
 
 # ---------------------------------------------------------------------------
-# array kernels (shared with the simulator's block stepper)
-#
-# Arguments broadcast against each other; branches become np.where, so
-# every branch is computed on every lane. The arithmetic is the raw
-# kernels' in the same order, but numpy's power and tanh may differ from
-# libm in the last bit. linear_acc_accel_raw has no branch and serves
-# arrays as it is.
-
-def idm_accel_array(a, delta, v0, s0, T, two_sqrt_ab, s, v, dv):
-    s_star = s0 + np.maximum(0.0, v * T + v * dv / two_sqrt_ab)
-    ratio = s_star / s
-    return a * (1.0 - (v / v0) ** delta - ratio * ratio)
-
-
-def cah_accel_array(a, s, v, v_l, a_l):
-    a_tilde = np.minimum(a_l, a)
-    denom = v_l * v_l - 2.0 * s * a_tilde
-    bounded = (v_l * (v - v_l) <= -2.0 * s * a_tilde) & (denom > 0.0)
-    dv = v - v_l
-    unbounded = np.where(dv >= 0.0, a_tilde - dv * dv / (2.0 * s), a_tilde)
-    # the division runs on every lane, so lanes off the branch divide by 1
-    return np.where(bounded, v * v * a_tilde / np.where(bounded, denom, 1.0), unbounded)
-
-
-def blend_accel_array(a, delta, v0, s0, T, b, two_sqrt_ab, c, s, v, v_l, a_l):
-    a_i = idm_accel_array(a, delta, v0, s0, T, two_sqrt_ab, s, v, v - v_l)
-    a_c = cah_accel_array(a, s, v, v_l, a_l)
-    blended = (1.0 - c) * a_i + c * (a_c + b * np.tanh((a_i - a_c) / b))
-    return np.where(a_i >= a_c, a_i, blended)
-
-
-# ---------------------------------------------------------------------------
 # public kernels
 
 def _check_spacing(s: float) -> None:
@@ -248,10 +215,10 @@ def equilibrium_spacing(p: IdmParams, v: float) -> float:
 # ---------------------------------------------------------------------------
 # parameter files and gene bounds
 
-MODEL_KINDS = ("idm", "blend", "linear_acc")
-
 # Gene order per model kind: (name, low, high, integer-valued). Ranges
 # cover the spread of published calibrations for low-speed operation.
+# Its keys are the model kinds, and a kind's gene names are the keys its
+# parameter files must hold.
 GENE_BOUNDS: dict[str, list[tuple[str, float, float, bool]]] = {
     "idm": [
         ("a", 0.33, 17.4, False),
@@ -276,6 +243,8 @@ GENE_BOUNDS: dict[str, list[tuple[str, float, float, bool]]] = {
         ("k2", 0.001, 1.0, False),
     ],
 }
+
+MODEL_KINDS = tuple(GENE_BOUNDS)
 
 DEFAULT_D0 = 15.0
 
@@ -334,19 +303,13 @@ def params_to_dict(params: ModelParams) -> dict:
             "k2": params.k2, "d0": params.d0}
 
 
-_REQUIRED_KEYS = {
-    "idm": ("a", "delta", "v0", "s0", "T", "b"),
-    "blend": ("a", "delta", "v0", "s0", "T", "b", "c"),
-    "linear_acc": ("t_des", "k1", "k2"),
-}
-
-
 def params_from_dict(data: dict) -> ModelParams:
     require_keys(data, ("model",), "model parameters")
     kind = data["model"]
     if kind in MODEL_KINDS:  # a tuple: an unhashable kind compares unequal
         optional = ("d0",) if "d0" in data else ()
-        require_numbers(data, _REQUIRED_KEYS[kind] + optional, f"{kind} parameters")
+        required = tuple(name for name, _, _, _ in GENE_BOUNDS[kind])
+        require_numbers(data, required + optional, f"{kind} parameters")
     if kind == "idm":
         return IdmParams(a=data["a"], delta=data["delta"], v0=data["v0"],
                          s0=data["s0"], T=data["T"], b=data["b"])

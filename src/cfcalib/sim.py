@@ -10,14 +10,14 @@ colliding output sample counts as one event.
 
 Two engines share these rules and step one sub-step schedule, which
 SegmentSet precomputes: each observation interval cut into dt sub-steps,
-the leader interpolated linearly to the start of each. The scalar loop,
-_step_loop, steps one segment at a time in plain Python floats, with the
-kernels of every model kind written inline so that a sub-step makes no
-Python call; the raw kernels in models.py are the reference it is tested
-against. The block stepper advances a whole (parameter sets x segments)
-block per sub-step in numpy. They differ only in power and tanh. SegmentSet
-alone picks the engine: the block when the set has BATCH_MIN_SEGMENTS
-segments or more and the parameter sets share an array kernel, never
+the leader interpolated linearly to the start of each. Both write the
+kernels of every model kind inline; the raw kernels in models.py are the
+reference they are tested against. The scalar loop, _step_loop, steps
+one segment at a time in plain Python floats, so that a sub-step makes
+no Python call. The block stepper, SegmentSet._run_block, advances a
+whole (parameter sets x segments) block per sub-step in numpy. They
+differ only in power and tanh. SegmentSet alone picks the engine: the
+block when the set has BATCH_MIN_SEGMENTS segments or more, never
 depending on how many parameter sets are stepped together. A block that
 overflows or turns NaN is stepped again row by row, and a row that
 still does runs the scalar loop, so every parameter set gets exactly
@@ -35,15 +35,7 @@ import numpy as np
 from .cleaning import FollowingSegment
 from .errors import ConfigError, DomainError
 from .jsonio import read_json_object, require_keys, require_numbers
-from .models import (
-    AccParams,
-    BlendParams,
-    IdmParams,
-    ModelParams,
-    blend_accel_array,
-    idm_accel_array,
-    linear_acc_accel_raw,
-)
+from .models import AccParams, BlendParams, IdmParams, ModelParams
 
 SPACING_FLOOR_FT = 0.01
 
@@ -218,42 +210,6 @@ def _result(seg: FollowingSegment, pos, speed, spacing, collisions: int) -> SimR
     )
 
 
-def array_accel_fn(models: list, lanes: int):
-    """Accel function over rows x lanes flattened row by row, row r stepping models[r].
-
-    The models are all of one type. f(s, v, v_l, a_l, x_l, x_f) on arrays
-    of rows * lanes values, with s pre-floored to stay positive. Returns
-    None when the type is no model kind; those run the scalar loop only.
-    """
-    def _columns(objs, *names):
-        return [np.repeat([float(getattr(o, name)) for o in objs], lanes) for name in names]
-
-    kind = type(models[0])
-    if kind is IdmParams:
-        a, delta, v0, s0, T, b = _columns(models, "a", "delta", "v0", "s0", "T", "b")
-        two = 2.0 * np.sqrt(a * b)
-
-        def fn(s, v, v_l, a_l, x_l, x_f):
-            return idm_accel_array(a, delta, v0, s0, T, two, s, v, v - v_l)
-        return fn
-    if kind is BlendParams:
-        a, delta, v0, s0, T, b = _columns(
-            [m.idm for m in models], "a", "delta", "v0", "s0", "T", "b")
-        (c,) = _columns(models, "c")
-        two = 2.0 * np.sqrt(a * b)
-
-        def fn(s, v, v_l, a_l, x_l, x_f):
-            return blend_accel_array(a, delta, v0, s0, T, b, two, c, s, v, v_l, a_l)
-        return fn
-    if kind is AccParams:
-        k1, k2, t_des, d0 = _columns(models, "k1", "k2", "t_des", "d0")
-
-        def fn(s, v, v_l, a_l, x_l, x_f):
-            return linear_acc_accel_raw(k1, k2, t_des, d0, x_l, x_f, v, v_l)
-        return fn
-    return None
-
-
 class SegmentSet:
     """Segments under one set of limits and one dt; picks the engine for them.
 
@@ -409,14 +365,34 @@ class SegmentSet:
         lanes) arrays on the observation grid and a (rows, lanes) count;
         None when the set or the models take the scalar loop. Raises
         FloatingPointError where a value overflows or turns NaN.
+
+        The models are all of one kind, whose kernel is written inline as
+        in _step_loop: the raw kernel's IEEE operations in the same order,
+        with each branch computed on every lane and picked by np.where.
         """
         if len(self.segments) < BATCH_MIN_SEGMENTS:
             return None
         n, lanes = self.lx.shape
-        accel_fn = array_accel_fn(models, lanes)
-        if accel_fn is None:
-            return None
         rows = len(models)
+
+        def columns(objs, *names):
+            # one value per (row, lane), rows side by side
+            return [np.repeat([float(getattr(o, name)) for o in objs], lanes) for name in names]
+
+        kind = type(models[0])
+        acc = kind is AccParams
+        blend = kind is BlendParams
+        if acc:
+            k1, k2, t_des, d0 = columns(models, "k1", "k2", "t_des", "d0")
+        elif blend or kind is IdmParams:
+            a, delta, v0, s0, T, b = columns(
+                [m.idm for m in models] if blend else models, "a", "delta", "v0", "s0", "T", "b")
+            two_sqrt_ab = 2.0 * np.sqrt(a * b)
+            if blend:
+                (c,) = columns(models, "c")
+                keep = 1.0 - c
+        else:
+            return None
         # 0-d arrays cost numpy less per call than Python floats
         a_min, a_max, v_min, v_max = (
             np.array(value) for value in (self.limits.a_min, self.limits.a_max,
@@ -435,18 +411,39 @@ class SegmentSet:
             for lo, (xl, vl, al, h) in self._schedule_tiles(rows):
                 for j, substeps in enumerate(self.substeps[lo:lo + len(h)]):
                     for k in range(substeps):
-                        xl_k, step = xl[j, k], h[j, k]
-                        s = xl_k - x
-                        s[s <= 0.0] = SPACING_FLOOR_FT
-                        a_cmd = np.minimum(np.maximum(
-                            accel_fn(s, v, vl[j, k], al[j, k], xl_k, x), a_min), a_max)
+                        vl_k, step = vl[j, k], h[j, k]
+                        s = xl[j, k] - x
+                        if acc:
+                            # the gap error takes the unfloored spacing
+                            a_cmd = k1 * (s - d0 - t_des * v) + k2 * (vl_k - v)
+                        else:
+                            s[s <= 0.0] = SPACING_FLOOR_FT
+                            dv = v - vl_k
+                            ratio = (s0 + np.maximum(0.0, v * T + v * dv / two_sqrt_ab)) / s
+                            a_cmd = a * (1.0 - (v / v0) ** delta - ratio * ratio)
+                            if blend:
+                                # brake is -2.0 * s * a_tilde, as negation is
+                                # exact, and adding it subtracts 2.0 * s * a_tilde
+                                a_tilde = np.minimum(al[j, k], a)
+                                two_s = 2.0 * s
+                                brake = -two_s * a_tilde
+                                denom = vl_k * vl_k + brake
+                                bounded = (vl_k * dv <= brake) & (denom > 0.0)
+                                # lanes off the bounded branch divide by 1
+                                a_c = np.where(
+                                    bounded, v * v * a_tilde / np.where(bounded, denom, 1.0),
+                                    np.where(dv >= 0.0, a_tilde - dv * dv / two_s, a_tilde))
+                                a_cmd = np.where(
+                                    a_cmd >= a_c, a_cmd,
+                                    keep * a_cmd + c * (a_c + b * np.tanh((a_cmd - a_c) / b)))
+                        a_cmd = np.minimum(np.maximum(a_cmd, a_min), a_max)
                         v_new = np.minimum(np.maximum(v + a_cmd * step, v_min), v_max)
                         x = x + 0.5 * (v + v_new) * step
                         v = v_new
                     i = lo + j + 1
                     pos[i], speed[i] = x, v
                     np.subtract(lx[i], x, out=spacing[i])
-        pos, speed, spacing = (a.reshape(n, rows, lanes) for a in (pos, speed, spacing))
+        pos, speed, spacing = (col.reshape(n, rows, lanes) for col in (pos, speed, spacing))
         hit = spacing[1:] <= 0.0
         collisions = (hit & self.valid[1:, None, :]).sum(axis=0)
         spacing[1:][hit] = SPACING_FLOOR_FT

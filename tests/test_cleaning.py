@@ -15,9 +15,11 @@ from cfcalib import (
     retained_samples,
     split_segments,
 )
-from cfcalib.cleaning import leader_start_offset, read_segments_json, write_segments_json
+from cfcalib.cleaning import (
+    PAIR_TOLERANCE_S, leader_start_offset, read_segments_json, write_segments_json)
 from cfcalib.fixtures import constant_leader_segment, rule_violation_series
-from cfcalib.ingest import GpsLog, derive_kinematics, geodesic_distance, kinematics_from_positions
+from cfcalib.ingest import (
+    GpsLog, Trajectory, derive_kinematics, geodesic_distance, kinematics_from_positions)
 
 DEG_PER_FT = 1.0 / (6_371_008.8 * np.pi / 180.0 / 0.3048)
 
@@ -130,6 +132,56 @@ class TestLeaderStartOffset:
         with pytest.raises(PairingError):
             leader_start_offset(derive_kinematics(leader_gps), derive_kinematics(follower_gps),
                                 leader_gps, follower_gps)
+
+
+def nearest_first_pair(lt, ft):
+    """(leader index, follower index) of the first common fix, by brute force.
+
+    Each follower sample takes its nearest leader sample (the last on a
+    tie); the first follower sample whose match lies within the pairing
+    tolerance wins. None when no sample matches.
+    """
+    dist = np.abs(lt[None, :] - ft[:, None])
+    li = len(lt) - 1 - np.argmin(dist[:, ::-1], axis=1)
+    common = np.flatnonzero(dist[np.arange(len(ft)), li] <= PAIR_TOLERANCE_S)
+    if common.size == 0:
+        return None
+    return int(li[common[0]]), int(common[0])
+
+
+# strictly increasing times, on a 0.05-s grid (whose rounding puts pairs
+# right at the tolerance) or anywhere
+TIMES = st.lists(st.one_of(st.integers(0, 200).map(lambda k: k * 0.05), st.floats(0.0, 10.0)),
+                 min_size=2, max_size=40, unique=True).map(sorted)
+
+
+class TestFirstPairMatchesBruteForce:
+    @settings(max_examples=300, deadline=None)
+    @given(lt=TIMES, ft=TIMES)
+    def test_offset_and_first_pair(self, lt, ft):
+        # parked vehicles keep the spacing fixed; the trajectories'
+        # positions are apart enough that the offset tells the pair
+        def parked(t, lat, step):
+            n = len(t)
+            zeros = np.zeros(n)
+            return (Trajectory("v", t, step * np.arange(n), zeros, zeros, zeros),
+                    GpsLog(t, np.full(n, lat), np.full(n, -83.0)))
+
+        leader, leader_log = parked(lt, 40.001, 1e3)
+        follower, follower_log = parked(ft, 40.0, 1e6)
+        first = nearest_first_pair(np.array(lt), np.array(ft))
+        if first is None:
+            with pytest.raises(PairingError):
+                leader_start_offset(leader, follower, leader_log, follower_log)
+            with pytest.raises(PairingError):
+                pair_trajectories(leader, follower)
+            return
+        li, fi = first
+        spacing = float(geodesic_distance(40.0, -83.0, 40.001, -83.0))
+        expected = spacing - float(leader.pos[li] - follower.pos[fi])
+        assert leader_start_offset(leader, follower, leader_log, follower_log) == expected
+        paired = pair_trajectories(leader, follower)
+        assert (paired.t[0], paired.leader_pos[0]) == (ft[fi], leader.pos[li])
 
 
 def brute_force_runs(keep_mask, min_len):

@@ -131,6 +131,20 @@ class TestDeriveKinematics:
         with pytest.raises(OrderingError):
             derive_kinematics(log)
 
+    def test_ordering_is_checked_before_the_derivatives(self):
+        # the second step overflows to -inf: that is an ordering fault
+        with pytest.raises(OrderingError):
+            kinematics_from_positions([0.0, 1.7e308, -1.7e308, 5.0], [0.0, 1.0, 2.0, 3.0])
+
+    @pytest.mark.parametrize("t, pos", [
+        ([0.0, 5e-324, 1e-323, 1.5e-323], [0.0, 1.0, 2.0, 3.0]),
+        ([0.0, 1e-300, 2e-300, 3e-300], [0.0, 1.0, 3.0, 4.0]),
+        ([0.0, 1.0, 2.0, 3.0], [0.0, 1.0, math.nan, 3.0]),
+    ])
+    def test_non_finite_derivative_rejected(self, t, pos):
+        with pytest.raises(DomainError, match="is not finite"):
+            kinematics_from_positions(t, pos, vehicle_id="v")
+
     def test_position_increments_match_pairwise_distances(self):
         lat = [28.3700, 28.3701, 28.3703, 28.3704, 28.3706]
         lon = [-81.2500, -81.2501, -81.2500, -81.2498, -81.2497]
@@ -163,11 +177,6 @@ class TestDeriveKinematics:
         traj = kinematics_from_positions(t, pos)
         t[0] = pos[0] = -1.0
         assert traj.t[0] == 0.0 and traj.pos[0] == 0.0
-
-    def test_time_gap_flagging(self):
-        t = np.array([0.0, 1.0, 2.0, 3.5, 4.5])
-        traj = kinematics_from_positions(t, np.zeros(5) + np.arange(5))
-        assert traj.time_gaps() == [3]
 
 
 class TestConvertUnits:
@@ -321,6 +330,37 @@ class TestIngestCliContract:
         assert json.loads(lines[0]) == {"error": "domain", "message": message}
         assert not out.exists()
 
+    @pytest.mark.parametrize("times, code, named", [
+        # speed overflows, and accel turns NaN
+        (["0", "5e-324", "1e-323", "1.5e-323"], "domain", "bad': speed at t="),
+        (["0", "1e-300", "2e-300", "3e-300"], "domain", "bad': accel at t="),
+        # a span wider than the float range
+        (["-1e308", "1e308", "1.1e308", "1.2e308"], "domain", "bad.csv: timestamp 1e+308 "),
+        # unordered, with a step that overflows
+        (["0", "1.7e308", "-1.7e308", "5"], "ordering", "strictly increasing"),
+    ], ids=["subnormal-steps", "tiny-steps", "overflowing-span", "unordered-overflow"])
+    @pytest.mark.parametrize("mode", ["input", "pair"])
+    def test_unmeasurable_times_exit_one(self, tmp_path, capsys, times, code, named, mode):
+        bad = tmp_path / "bad.csv"
+        good = tmp_path / "good.csv"
+        bad.write_text("t,lat,lon\n" + "".join(f"{t},{28.37 + i * 1e-4},-81.25\n"
+                                                for i, t in enumerate(times)))
+        good.write_text("t,lat,lon\n" + "".join(f"{i},{28.37 + i * 1e-4},-81.25\n"
+                                                for i in range(4)))
+        out = tmp_path / "out.json"
+        if mode == "input":
+            args = ["ingest", "--input", str(bad)]
+        else:
+            args = ["ingest", "--leader", str(good), "--follower", str(bad)]
+        rc = main(args + ["--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == code
+        assert named in err["message"]
+        assert not out.exists()
+
 
 # ---------------------------------------------------------------------------
 # the row-wise reader that GpsLog replaced, kept as the oracle of the
@@ -363,17 +403,26 @@ def oracle_rows(path):
     return raw
 
 
+def oracle_fixes(path, raw, t0):
+    # a log's times are checked before its coordinates
+    for t, _, _ in raw:
+        if not math.isfinite(t - t0):
+            raise DomainError(f"{path}: timestamp {t!r} lies too far from {t0!r} "
+                              f"to measure in float seconds")
+    return [oracle_fix(t - t0, lat, lon) for t, lat, lon in raw]
+
+
 def oracle_read_csv(path):
     raw = oracle_rows(path)
-    return [oracle_fix(t - raw[0][0], lat, lon) for t, lat, lon in raw]
+    return oracle_fixes(path, raw, raw[0][0])
 
 
 def oracle_read_pair(leader_path, follower_path):
     leader_raw = oracle_rows(leader_path)
     follower_raw = oracle_rows(follower_path)
     t0 = min(leader_raw[0][0], follower_raw[0][0])
-    return ([oracle_fix(t - t0, lat, lon) for t, lat, lon in leader_raw],
-            [oracle_fix(t - t0, lat, lon) for t, lat, lon in follower_raw])
+    return (oracle_fixes(leader_path, leader_raw, t0),
+            oracle_fixes(follower_path, follower_raw, t0))
 
 
 def hex_columns(fixes):

@@ -1,4 +1,5 @@
 import ast
+import copy
 import hashlib
 import math
 from pathlib import Path
@@ -36,7 +37,7 @@ from cfcalib.models import (
     idm_accel_raw,
     linear_acc_accel_raw,
 )
-from cfcalib.sim import BATCH_MIN_SEGMENTS, SegmentSet, array_accel_fn
+from cfcalib.sim import BATCH_MIN_SEGMENTS, SegmentSet
 
 SHUTTLE_IDM = IdmParams(a=2.76, delta=1, v0=20.0, s0=9.89, T=2.79, b=24.58)
 SHUTTLE_ACC = AccParams(t_des=4.96, k1=0.01, k2=0.43, d0=15.0)
@@ -271,8 +272,8 @@ class TestBlockPath:
             assert np.array_equal(res.spacing, ref.spacing)
             assert np.array_equal(res.follower_speed, ref.follower_speed)
 
-    def test_models_without_array_kernel_run_the_scalar_loop(self):
-        assert array_accel_fn([object()], 1) is None
+    def test_models_of_no_kind_run_the_scalar_loop(self):
+        assert SegmentSet(block_fixture(1.0))._run_block([object()]) is None
         with pytest.raises(DomainError, match="unsupported model type"):
             SegmentSet(block_fixture(1.0)).pooled_spacing([SHUTTLE_IDM, object()])
         # a list of mixed kinds is stepped kind by kind, each on the engine
@@ -467,6 +468,139 @@ class TestStepLoopMatchesReference:
         end = data.draw(st.lists(st.one_of(st.none(), st.floats()), min_size=steps,
                                  max_size=steps))
         assert_loop_matches_reference(model, (x, v, xl0, xl, vl, al, h, end), SimLimits())
+
+
+# The block stepper as it was before it wrote its kernels inline: one
+# accel function call per sub-step, built on these array kernels.
+# SegmentSet._run_block must give its outcome bit for bit.
+
+def idm_accel_array(a, delta, v0, s0, T, two_sqrt_ab, s, v, dv):
+    s_star = s0 + np.maximum(0.0, v * T + v * dv / two_sqrt_ab)
+    ratio = s_star / s
+    return a * (1.0 - (v / v0) ** delta - ratio * ratio)
+
+
+def cah_accel_array(a, s, v, v_l, a_l):
+    a_tilde = np.minimum(a_l, a)
+    denom = v_l * v_l - 2.0 * s * a_tilde
+    bounded = (v_l * (v - v_l) <= -2.0 * s * a_tilde) & (denom > 0.0)
+    dv = v - v_l
+    unbounded = np.where(dv >= 0.0, a_tilde - dv * dv / (2.0 * s), a_tilde)
+    return np.where(bounded, v * v * a_tilde / np.where(bounded, denom, 1.0), unbounded)
+
+
+def blend_accel_array(a, delta, v0, s0, T, b, two_sqrt_ab, c, s, v, v_l, a_l):
+    a_i = idm_accel_array(a, delta, v0, s0, T, two_sqrt_ab, s, v, v - v_l)
+    a_c = cah_accel_array(a, s, v, v_l, a_l)
+    blended = (1.0 - c) * a_i + c * (a_c + b * np.tanh((a_i - a_c) / b))
+    return np.where(a_i >= a_c, a_i, blended)
+
+
+def reference_block_accel_fn(models, lanes):
+    def columns(objs, *names):
+        return [np.repeat([float(getattr(o, name)) for o in objs], lanes) for name in names]
+
+    if isinstance(models[0], IdmParams):
+        a, delta, v0, s0, T, b = columns(models, "a", "delta", "v0", "s0", "T", "b")
+        two = 2.0 * np.sqrt(a * b)
+        return lambda s, v, v_l, a_l, x_l, x_f: idm_accel_array(
+            a, delta, v0, s0, T, two, s, v, v - v_l)
+    if isinstance(models[0], BlendParams):
+        a, delta, v0, s0, T, b = columns([m.idm for m in models],
+                                         "a", "delta", "v0", "s0", "T", "b")
+        (c,) = columns(models, "c")
+        two = 2.0 * np.sqrt(a * b)
+        return lambda s, v, v_l, a_l, x_l, x_f: blend_accel_array(
+            a, delta, v0, s0, T, b, two, c, s, v, v_l, a_l)
+    k1, k2, t_des, d0 = columns(models, "k1", "k2", "t_des", "d0")
+    return lambda s, v, v_l, a_l, x_l, x_f: linear_acc_accel_raw(
+        k1, k2, t_des, d0, x_l, x_f, v, v_l)
+
+
+def reference_run_block(segment_set, models):
+    n, lanes = segment_set.lx.shape
+    rows = len(models)
+    accel_fn = reference_block_accel_fn(models, lanes)
+    limits = segment_set.limits
+    lx = np.tile(segment_set.lx, rows)
+    pos, speed, spacing = (np.empty((n, rows * lanes)) for _ in range(3))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        x = np.tile(segment_set.x0, rows)
+        v = np.tile(np.minimum(np.maximum(segment_set.v0, limits.v_min), limits.v_max), rows)
+        pos[0], speed[0], spacing[0] = x, v, lx[0] - x
+        for lo, (xl, vl, al, h) in segment_set._schedule_tiles(rows):
+            for j, substeps in enumerate(segment_set.substeps[lo:lo + len(h)]):
+                for k in range(substeps):
+                    s = xl[j, k] - x
+                    s[s <= 0.0] = sim.SPACING_FLOOR_FT
+                    a_cmd = np.minimum(np.maximum(accel_fn(s, v, vl[j, k], al[j, k], xl[j, k], x),
+                                                  limits.a_min), limits.a_max)
+                    v_new = np.minimum(np.maximum(v + a_cmd * h[j, k], limits.v_min),
+                                       limits.v_max)
+                    x = x + 0.5 * (v + v_new) * h[j, k]
+                    v = v_new
+                i = lo + j + 1
+                pos[i], speed[i], spacing[i] = x, v, lx[i] - x
+    pos, speed, spacing = (col.reshape(n, rows, lanes) for col in (pos, speed, spacing))
+    hit = spacing[1:] <= 0.0
+    collisions = (hit & segment_set.valid[1:, None, :]).sum(axis=0)
+    spacing[1:][hit] = sim.SPACING_FLOOR_FT
+    return pos, speed, spacing, collisions
+
+
+def block_outcome(run):
+    """The bytes of every output array, or FloatingPointError."""
+    try:
+        return [col.tobytes() for col in run()]
+    except FloatingPointError:
+        return FloatingPointError
+
+
+BLOCK_SETS = {dt: SegmentSet(block_fixture(dt), dt=dt) for dt in (1.0, 0.5)}
+
+
+def assert_block_matches_reference(models, dt, segment_set=None):
+    segment_set = segment_set or BLOCK_SETS[dt]
+    got = block_outcome(lambda: segment_set._run_block(models))
+    assert got == block_outcome(lambda: reference_run_block(segment_set, models))
+
+
+class TestBlockMatchesReference:
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_in_bounds_rows(self, kind, dt, data):
+        rows = data.draw(st.lists(in_bounds_genes(kind), min_size=1, max_size=3))
+        assert_block_matches_reference([genes_to_params(kind, genes) for genes in rows], dt)
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    def test_edge_rows(self, kind, dt):
+        models = [genes_to_params(kind, genes) for genes in EDGE_ROWS[kind]]
+        for model in models:
+            assert_block_matches_reference([model], dt)
+        assert_block_matches_reference(models, dt)
+        assert_block_matches_reference([default_params(kind)] + models, dt)
+
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_small_state_and_leader_values(self, kind, data):
+        """Start states and leader columns of few small values, signed zeros included.
+
+        They make ties likely: a spacing of exactly 0 on the floor's edge,
+        and CAH's bounded test taken with equality.
+        """
+        rows = data.draw(st.lists(in_bounds_genes(kind), min_size=1, max_size=3))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+        values = np.array([0.0, -0.0, 0.5, 1.0, 2.0, 3.0, -1.0, -2.0])
+        segment_set = copy.copy(BLOCK_SETS[1.0])
+        segment_set.x0, segment_set.v0 = rng.choice(values, (2, len(segment_set.x0)))
+        *leader, h = segment_set.schedule
+        segment_set.schedule = (*(rng.choice(values, col.shape) for col in leader), h)
+        assert_block_matches_reference([genes_to_params(kind, genes) for genes in rows], 1.0,
+                                       segment_set)
 
 
 def _digest(results) -> str:
