@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, NoCarFollowingError, PairingError, SplitError
-from .ingest import GpsLog, Trajectory, geodesic_distance
+from .ingest import GpsLog, Trajectory, geodesic_distance, require_increasing
 from .jsonio import read_json_object, require_keys, write_json
 
 PAIR_TOLERANCE_S = 0.1
@@ -83,7 +83,12 @@ class CleaningRules:
 
 @dataclass
 class FollowingSegment:
-    """One contiguous car-following interval; the unit of calibration."""
+    """One contiguous car-following interval; the unit of calibration.
+
+    Construction rejects ragged columns, fewer than 10 samples, times that
+    do not strictly increase (OrderingError) and a spacing that is not
+    positive, in that order.
+    """
 
     id: str
     t: np.ndarray
@@ -104,6 +109,7 @@ class FollowingSegment:
             raise DomainError(f"segment {self.id}: arrays must have equal length")
         if n < 10:
             raise DomainError(f"segment {self.id}: need at least 10 samples, got {n}")
+        require_increasing(self.t, f"segment {self.id}")
         if np.any(self.leader_pos - self.follower_pos <= 0):
             raise DomainError(f"segment {self.id}: spacing must stay positive")
 

@@ -1,7 +1,10 @@
 """Command-line entry point.
 
 Subcommands cover the pipeline end to end: ingest -> clean -> stats /
-simulate / calibrate / validate / report. Every output is written
+simulate / calibrate / validate / report. There is one way from GPS
+logs to segments: `ingest --leader --follower` puts both logs on one
+clock and writes a pair JSON with the leader's start offset, and
+`clean --pair` builds spacing from it. Every output is written
 atomically and deterministically, with a sidecar ``<out>.manifest.json``
 recording the command, input digests, config echo, seeds, and tool
 version. All randomness flows from explicit seed flags.
@@ -35,9 +38,7 @@ from .cleaning import (
 from .errors import CfCalibError, ConfigError, DomainError
 from .ingest import (
     derive_kinematics,
-    read_gps_csv,
     read_gps_pair,
-    read_trajectory_json,
     trajectory_from_dict,
     trajectory_to_dict,
 )
@@ -91,45 +92,30 @@ def _load_limits(args, inputs: list[Path]) -> SimLimits:
 # subcommand handlers
 
 def _cmd_ingest(args) -> int:
+    leader_src = _require_file(args.leader)
+    follower_src = _require_file(args.follower)
+    leader_log, follower_log = read_gps_pair(leader_src, follower_src)
+    leader = derive_kinematics(leader_log, vehicle_id=leader_src.stem, dt=args.dt)
+    follower = derive_kinematics(follower_log, vehicle_id=follower_src.stem, dt=args.dt)
+    offset = leader_start_offset(leader, follower, leader_log, follower_log)
     out = Path(args.out)
-    if args.input:
-        src = _require_file(args.input)
-        log = read_gps_csv(src)
-        traj = derive_kinematics(log, vehicle_id=args.vehicle_id or src.stem, dt=args.dt)
-        write_json(out, trajectory_to_dict(traj))
-        _write_manifest(out, args, [src])
-    else:
-        leader_src = _require_file(args.leader)
-        follower_src = _require_file(args.follower)
-        leader_log, follower_log = read_gps_pair(leader_src, follower_src)
-        leader = derive_kinematics(leader_log, vehicle_id=leader_src.stem, dt=args.dt)
-        follower = derive_kinematics(follower_log, vehicle_id=follower_src.stem, dt=args.dt)
-        offset = leader_start_offset(leader, follower, leader_log, follower_log)
-        write_json(out, {"leader": trajectory_to_dict(leader),
-                         "follower": trajectory_to_dict(follower),
-                         "leader_start_offset_ft": offset})
-        _write_manifest(out, args, [leader_src, follower_src])
+    write_json(out, {"leader": trajectory_to_dict(leader),
+                     "follower": trajectory_to_dict(follower),
+                     "leader_start_offset_ft": offset})
+    _write_manifest(out, args, [leader_src, follower_src])
     return 0
 
 
-def _load_pair(args) -> tuple:
-    if args.pair:
-        src = _require_file(args.pair)
-        data = read_json_object(src, "pair JSON")
-        require_keys(data, ("leader", "follower"), f"{src}: pair JSON")
-        require_numbers(data, [key for key in ("leader_start_offset_ft",) if key in data],
-                        f"{src}: pair JSON")
-        offset = data.get("leader_start_offset_ft", 0.0)
-        return (trajectory_from_dict(data["leader"]),
-                trajectory_from_dict(data["follower"]), offset, [src])
-    leader_src = _require_file(args.leader)
-    follower_src = _require_file(args.follower)
-    return (read_trajectory_json(leader_src), read_trajectory_json(follower_src),
-            args.leader_offset, [leader_src, follower_src])
-
-
 def _cmd_clean(args) -> int:
-    leader, follower, offset, inputs = _load_pair(args)
+    src = _require_file(args.pair)
+    data = read_json_object(src, "pair JSON")
+    require_keys(data, ("leader", "follower"), f"{src}: pair JSON")
+    require_numbers(data, [key for key in ("leader_start_offset_ft",) if key in data],
+                    f"{src}: pair JSON")
+    leader = trajectory_from_dict(data["leader"])
+    follower = trajectory_from_dict(data["follower"])
+    offset = data.get("leader_start_offset_ft", 0.0)
+    del data  # its lists of Python floats outweigh the arrays built from them
     rules = CleaningRules(
         max_accel=args.max_accel,
         max_follower_speed=args.max_follower_speed,
@@ -143,7 +129,7 @@ def _cmd_clean(args) -> int:
     payload["retained_samples"] = retained_samples(segments)
     payload["paired_samples"] = len(paired)
     write_json(out, payload)
-    _write_manifest(out, args, inputs, config_echo=vars_without(args, "command", "out"))
+    _write_manifest(out, args, [src], config_echo=vars_without(args, "command", "out"))
     return 0
 
 
@@ -284,22 +270,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="GPS CSV logs -> trajectory JSON")
-    p.add_argument("--input", help="single t,lat,lon CSV")
-    p.add_argument("--leader", help="leader CSV (with --follower)")
-    p.add_argument("--follower", help="follower CSV (with --leader)")
-    p.add_argument("--vehicle-id", default=None)
+    p = sub.add_parser("ingest", help="leader and follower GPS CSV logs -> pair JSON")
+    p.add_argument("--leader", required=True, help="leader t,lat,lon CSV")
+    p.add_argument("--follower", required=True, help="follower t,lat,lon CSV")
     p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("clean", help="paired trajectories -> car-following segments")
-    p.add_argument("--pair", help="pair JSON from `ingest --leader --follower`")
-    p.add_argument("--leader", help="leader trajectory JSON")
-    p.add_argument("--follower", help="follower trajectory JSON")
-    p.add_argument("--leader-offset", type=float, default=0.0,
-                   help="ft between the two logs' start points along the route "
-                        "(pair JSON carries this automatically)")
+    p = sub.add_parser("clean", help="pair JSON -> car-following segments")
+    p.add_argument("--pair", required=True, help="pair JSON from `ingest`")
     p.add_argument("--max-accel", type=float, default=18.0)
     p.add_argument("--max-follower-speed", type=float, default=22.0)
     p.add_argument("--max-spacing", type=float, default=656.0)
@@ -357,10 +336,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     args._argv = list(argv) if argv is not None else sys.argv[1:]
-    if args.command == "ingest" and not (args.input or (args.leader and args.follower)):
-        parser.error("ingest needs --input or both --leader and --follower")
-    if args.command == "clean" and not (args.pair or (args.leader and args.follower)):
-        parser.error("clean needs --pair or both --leader and --follower")
     if args.command == "report" and not (args.benchmarks or args.input):
         parser.error("report needs --input or --benchmarks")
     try:

@@ -21,8 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, OrderingError
-from .jsonio import (
-    is_finite_number, read_json_object, require_keys, require_numbers, write_json)
+from .jsonio import is_finite_number, require_keys, require_numbers
 
 # Mean Earth radius (m); spherical error is far below GPS noise at
 # per-second step lengths.
@@ -32,6 +31,15 @@ FT_PER_M = 1.0 / 0.3048
 
 TRAJECTORY_COLUMNS = ("t", "pos", "speed", "accel", "jerk")
 GPS_COLUMNS = ("t", "lat", "lon")
+
+
+def require_increasing(t: np.ndarray, label: str) -> None:
+    """Raise OrderingError naming label and the first time that does not exceed the one before."""
+    bad = ~(t[1:] > t[:-1])  # a comparison, not a difference, cannot overflow
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise OrderingError(f"{label}: times must strictly increase; "
+                            f"t[{i + 1}] = {float(t[i + 1])!r} follows t[{i}] = {float(t[i])!r}")
 
 
 def _float_columns(obj, names: tuple[str, ...], label: str) -> None:
@@ -308,18 +316,17 @@ def trajectory_to_dict(traj: Trajectory) -> dict:
 
 
 def trajectory_from_dict(data: dict) -> Trajectory:
+    """A trajectory from its dict layout (as in pair JSON).
+
+    Raises DomainError for a missing, ragged or non-finite column and
+    OrderingError unless its times strictly increase.
+    """
     require_keys(data, ("vehicle_id",) + TRAJECTORY_COLUMNS, "trajectory JSON")
     require_numbers(data, [key for key in ("dt",) if key in data], "trajectory JSON")
     traj = Trajectory(data["vehicle_id"], *(data[name] for name in TRAJECTORY_COLUMNS),
                       dt=data.get("dt", 1.0))
     if not all(np.isfinite(getattr(traj, name)).all() for name in TRAJECTORY_COLUMNS):
         raise DomainError(f"trajectory {traj.vehicle_id!r}: values must be finite")
+    require_increasing(traj.t, f"trajectory {traj.vehicle_id!r}")
     return traj
 
-
-def write_trajectory_json(traj: Trajectory, path: str | Path) -> None:
-    write_json(path, trajectory_to_dict(traj))
-
-
-def read_trajectory_json(path: str | Path) -> Trajectory:
-    return trajectory_from_dict(read_json_object(path, "trajectory JSON"))

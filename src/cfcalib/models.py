@@ -249,14 +249,33 @@ MODEL_KINDS = tuple(GENE_BOUNDS)
 DEFAULT_D0 = 15.0
 
 
+# The parameter class of each model kind. A blend holds its IDM fields in
+# an IdmParams; everywhere else (genes, parameter files) they sit flat
+# beside "c".
+_KIND_CLASS = {"idm": IdmParams, "blend": BlendParams, "linear_acc": AccParams}
+
+
 def model_kind(params: ModelParams) -> str:
-    if isinstance(params, IdmParams):
-        return "idm"
-    if isinstance(params, BlendParams):
-        return "blend"
-    if isinstance(params, AccParams):
-        return "linear_acc"
+    for kind, cls in _KIND_CLASS.items():
+        if isinstance(params, cls):
+            return kind
     raise DomainError(f"unknown model parameter type {type(params).__name__}")
+
+
+def _build(kind: str, values: dict) -> ModelParams:
+    """The parameter set of a kind from its flat field values (consumed)."""
+    if kind == "blend":
+        c = values.pop("c")
+        return BlendParams(IdmParams(**values), c)
+    return _KIND_CLASS[kind](**values)
+
+
+def _values(params: ModelParams) -> tuple[str, dict]:
+    """The kind of a parameter set and its flat field values, as stored."""
+    kind = model_kind(params)
+    if kind == "blend":
+        return kind, {**vars(params.idm), "c": params.c}
+    return kind, dict(vars(params))
 
 
 def genes_to_params(kind: str, genes, d0: float = DEFAULT_D0) -> ModelParams:
@@ -269,65 +288,40 @@ def genes_to_params(kind: str, genes, d0: float = DEFAULT_D0) -> ModelParams:
     layout = GENE_BOUNDS[kind]
     if len(genes) != len(layout):
         raise DomainError(f"{kind} expects {len(layout)} genes, got {len(genes)}")
-    values = {}
-    for (name, _, _, integer), g in zip(layout, genes):
-        values[name] = int(round(float(g))) if integer else float(g)
-    if kind == "idm":
-        return IdmParams(**values)
-    if kind == "blend":
-        c = values.pop("c")
-        return BlendParams(idm=IdmParams(**values), c=c)
-    return AccParams(t_des=values["t_des"], k1=values["k1"], k2=values["k2"], d0=d0)
+    values = {name: int(round(float(g))) if integer else float(g)
+              for (name, _, _, integer), g in zip(layout, genes)}
+    if kind == "linear_acc":
+        values["d0"] = d0
+    return _build(kind, values)
 
 
 def params_to_genes(params: ModelParams) -> list[float]:
-    kind = model_kind(params)
-    source = params.idm if kind == "blend" else params
-    out = []
-    for name, _, _, _ in GENE_BOUNDS[kind]:
-        holder = params if (kind == "blend" and name == "c") else source
-        out.append(float(getattr(holder, name)))
-    return out
+    kind, values = _values(params)
+    return [float(values[name]) for name, _, _, _ in GENE_BOUNDS[kind]]
 
 
 def params_to_dict(params: ModelParams) -> dict:
-    kind = model_kind(params)
-    if kind == "idm":
-        return {"model": "idm", "a": params.a, "delta": params.delta, "v0": params.v0,
-                "s0": params.s0, "T": params.T, "b": params.b}
-    if kind == "blend":
-        i = params.idm
-        return {"model": "blend", "a": i.a, "delta": i.delta, "v0": i.v0,
-                "s0": i.s0, "T": i.T, "b": i.b, "c": params.c}
-    return {"model": "linear_acc", "t_des": params.t_des, "k1": params.k1,
-            "k2": params.k2, "d0": params.d0}
+    kind, values = _values(params)
+    return {"model": kind, **values}
 
 
 def params_from_dict(data: dict) -> ModelParams:
     require_keys(data, ("model",), "model parameters")
     kind = data["model"]
-    if kind in MODEL_KINDS:  # a tuple: an unhashable kind compares unequal
-        optional = ("d0",) if "d0" in data else ()
-        required = tuple(name for name, _, _, _ in GENE_BOUNDS[kind])
-        require_numbers(data, required + optional, f"{kind} parameters")
-    if kind == "idm":
-        return IdmParams(a=data["a"], delta=data["delta"], v0=data["v0"],
-                         s0=data["s0"], T=data["T"], b=data["b"])
-    if kind == "blend":
-        # files written before the improved-IDM variant was removed carry
-        # "improved_idm": false; any other value asked for that variant
-        if data.get("improved_idm", False) is not False:
-            raise DomainError("blend parameters: improved_idm is no longer supported; "
-                              "only false is accepted")
-        return BlendParams(
-            idm=IdmParams(a=data["a"], delta=data["delta"], v0=data["v0"],
-                          s0=data["s0"], T=data["T"], b=data["b"]),
-            c=data["c"],
-        )
+    if kind not in MODEL_KINDS:  # a tuple: an unhashable kind compares unequal
+        raise DomainError(f"unknown model kind {kind!r}")
+    optional = ("d0",) if "d0" in data else ()
+    required = tuple(name for name, _, _, _ in GENE_BOUNDS[kind])
+    require_numbers(data, required + optional, f"{kind} parameters")
+    # files written before the improved-IDM variant was removed carry
+    # "improved_idm": false; any other value asked for that variant
+    if kind == "blend" and data.get("improved_idm", False) is not False:
+        raise DomainError("blend parameters: improved_idm is no longer supported; "
+                          "only false is accepted")
+    values = {name: data[name] for name in required}
     if kind == "linear_acc":
-        return AccParams(t_des=data["t_des"], k1=data["k1"], k2=data["k2"],
-                         d0=data.get("d0", DEFAULT_D0))
-    raise DomainError(f"unknown model kind {kind!r}")
+        values["d0"] = data.get("d0", DEFAULT_D0)
+    return _build(kind, values)
 
 
 def load_params(path: str | Path) -> ModelParams:

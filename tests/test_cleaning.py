@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from cfcalib import (
     DomainError,
     FollowingSegment,
     NoCarFollowingError,
+    OrderingError,
     PairedSeries,
     PairingError,
     SplitError,
@@ -281,6 +284,19 @@ class TestFollowingSegment:
     def test_rejects_short_segments(self):
         with pytest.raises(DomainError):
             constant_leader_segment(10.0, 5, 50.0)
+
+    @pytest.mark.parametrize("i, value, named", [
+        (6, 4.0, "t[6] = 4.0 follows t[5] = 5.0"),
+        (6, 5.0, "t[6] = 5.0 follows t[5] = 5.0"),
+        (6, float("nan"), "t[6] = nan follows t[5] = 5.0"),
+    ], ids=["decreasing", "repeated", "nan"])
+    def test_rejects_times_not_increasing(self, i, value, named):
+        segment = constant_leader_segment(10.0, 11, 50.0, seg_id="s")
+        t = segment.t.copy()
+        t[i] = value
+        with pytest.raises(OrderingError) as exc:
+            dataclasses.replace(segment, t=t)
+        assert str(exc.value) == f"segment s: times must strictly increase; {named}"
 
 
 def equal_segments(count, length=20):

@@ -66,32 +66,52 @@ class TestIngest:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["leader_start_offset_ft"] == pytest.approx(-50.0, rel=1e-6)
 
-    def test_single_ingest(self, tmp_path):
-        leader, _ = write_logs(tmp_path)
-        out = tmp_path / "traj.json"
-        assert main(["ingest", "--input", str(leader), "--out", str(out)]) == 0
-        assert json.loads(out.read_text())["vehicle_id"] == "leader"
-
-    def test_missing_file_exits_one_and_names_path(self, tmp_path, capsys):
-        rc = main(["ingest", "--input", str(tmp_path / "nope.csv"),
-                   "--out", str(tmp_path / "x.json")])
+    @pytest.mark.parametrize("missing", ["leader", "follower"])
+    def test_missing_file_exits_one_and_names_path(self, tmp_path, capsys, missing):
+        logs = dict(zip(("leader", "follower"), write_logs(tmp_path)))
+        logs[missing] = tmp_path / "nope.csv"
+        out = tmp_path / "x.json"
+        rc = main(["ingest", "--leader", str(logs["leader"]), "--follower",
+                   str(logs["follower"]), "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
         assert rc == 1
-        err = json.loads(capsys.readouterr().err.strip())
-        assert "nope.csv" in err["message"]
+        assert len(lines) == 1
+        assert "nope.csv" in json.loads(lines[0])["message"]
+        assert not out.exists()
 
     def test_unknown_flag_exits_two(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["ingest", "--bogus", "x"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["ingest", "--input", "{leader}"],
+        ["ingest", "--leader", "{leader}", "--follower", "{follower}", "--vehicle-id", "v"],
+        ["clean", "--leader", "{leader}", "--follower", "{follower}"],
+        ["clean", "--pair", "{pair}", "--leader-offset", "0"],
+        ["ingest", "--leader", "{leader}"],
+        ["clean"],
+    ], ids=["ingest-input", "ingest-vehicle-id", "clean-leader-follower", "clean-leader-offset",
+            "ingest-without-follower", "clean-without-pair"])
+    def test_removed_or_missing_log_flags_exit_two(self, tmp_path, argv):
+        """Logs reach segments one way: `ingest --leader --follower`, then `clean --pair`."""
+        leader, follower = write_logs(tmp_path)
+        pair = tmp_path / "pair.json"
+        assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                     "--out", str(pair)]) == 0
+        out = tmp_path / "out.json"
+        paths = {"leader": leader, "follower": follower, "pair": pair}
+        with pytest.raises(SystemExit) as exc:
+            main([arg.format(**paths) for arg in argv] + ["--out", str(out)])
+        assert exc.value.code == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
-    @pytest.mark.parametrize("pair", [True, False], ids=["pair", "single"])
-    def test_bad_dt_exits_one(self, tmp_path, capsys, dt, pair):
+    def test_bad_dt_exits_one(self, tmp_path, capsys, dt):
         leader, follower = write_logs(tmp_path)
         out = tmp_path / "out.json"
-        logs = ["--leader", str(leader), "--follower", str(follower)] if pair else [
-            "--input", str(leader)]
-        rc = main(["ingest", *logs, f"--dt={dt}", "--out", str(out)])
+        rc = main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                   f"--dt={dt}", "--out", str(out)])
         lines = capsys.readouterr().err.strip().splitlines()
         assert rc == 1
         assert len(lines) == 1
@@ -458,14 +478,14 @@ class TestJsonInputContract:
         assert main(["stats", "--segments", str(segments), "--out", str(inputs["report"])]) == 0
         return inputs
 
-    def assert_one_domain_error(self, capsys, argv, named):
+    def assert_one_error(self, capsys, argv, named, code="domain"):
         capsys.readouterr()
         rc = main(argv)
         lines = capsys.readouterr().err.strip().splitlines()
         assert rc == 1
         assert len(lines) == 1
         err = json.loads(lines[0])
-        assert err["error"] == "domain"
+        assert err["error"] == code
         assert named in err["message"]
         return err["message"]
 
@@ -515,7 +535,7 @@ class TestJsonInputContract:
         inputs = self.write_inputs(tmp_path)
         inputs[target].write_text(text)
         argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
-        self.assert_one_domain_error(capsys, argv + ["--out", str(tmp_path / "out.json")], named)
+        self.assert_one_error(capsys, argv + ["--out", str(tmp_path / "out.json")], named)
 
     @pytest.mark.parametrize("layout, path, value, named", [
         ("stats", ["descriptive", "speed", "mean"], "x", "mean must be numbers"),
@@ -546,7 +566,7 @@ class TestJsonInputContract:
             parent = parent[key]
         parent[path[-1]] = value
         inputs["report"].write_text(json.dumps(data))
-        self.assert_one_domain_error(capsys, ["report", "--input", str(inputs["report"])], named)
+        self.assert_one_error(capsys, ["report", "--input", str(inputs["report"])], named)
 
     @pytest.mark.parametrize("command", ["stats", "simulate"])
     def test_nan_speed_in_segments_exits_one(self, tmp_path, capsys, command):
@@ -555,7 +575,7 @@ class TestJsonInputContract:
         data["segments"][0]["follower"]["speed"][3] = float("nan")
         inputs["segments"].write_text(json.dumps(data))  # writes the NaN token
         argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
-        message = self.assert_one_domain_error(
+        message = self.assert_one_error(
             capsys, argv + ["--out", str(tmp_path / "out.json")], f"{inputs['segments']}: ")
         assert "non-finite number NaN" in message
         assert not (tmp_path / "out.json").exists()
@@ -581,9 +601,37 @@ class TestJsonInputContract:
         parent[path[-1]] = "@"
         inputs[target].write_text(json.dumps(data).replace('"@"', literal))
         argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
-        message = self.assert_one_domain_error(
+        message = self.assert_one_error(
             capsys, argv + ["--out", str(tmp_path / "out.json")], named)
         assert "finite" in message or "too large" in message
+        assert not (tmp_path / "out.json").exists()
+
+    @pytest.mark.parametrize("command, target, path, named", [
+        ("clean", "pair", ["follower"], "trajectory 'follower'"),
+        ("clean", "pair", ["leader"], "trajectory 'leader'"),
+        ("stats", "segments", ["segments", 0], "segment seg-0000"),
+        ("stats", "segments", ["segments", 1], "segment seg-0001"),
+        ("simulate", "segments", ["segments", 0], "segment seg-0000"),
+        ("validate", "segments", ["segments", 1], "segment seg-0001"),
+        ("calibrate", "segments", ["segments", 0], "segment seg-0000"),
+    ], ids=["clean-follower", "clean-leader", "stats-seg0", "stats-seg1", "simulate-seg0",
+            "validate-seg1", "calibrate-seg0"])
+    @pytest.mark.parametrize("damage", ["swap", "repeat"])
+    def test_times_not_increasing_exit_one(self, tmp_path, capsys, command, target, path,
+                                           named, damage):
+        """Two adjacent samples out of order, or one time given twice."""
+        inputs = self.write_inputs(tmp_path)
+        data = json.loads(inputs[target].read_text())
+        t = data
+        for key in path:
+            t = t[key]
+        t = t["t"]
+        t[4], t[5] = (t[5], t[4]) if damage == "swap" else (t[4], t[4])
+        inputs[target].write_text(json.dumps(data))
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
+        message = self.assert_one_error(
+            capsys, argv + ["--out", str(tmp_path / "out.json")], named, code="ordering")
+        assert "times must strictly increase" in message
         assert not (tmp_path / "out.json").exists()
 
     def test_validate_without_segments_exits_one(self, tmp_path, capsys):

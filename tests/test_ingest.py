@@ -25,8 +25,8 @@ from cfcalib.ingest import (
     _parse_time,
     read_gps_csv,
     read_gps_pair,
-    read_trajectory_json,
-    write_trajectory_json,
+    trajectory_from_dict,
+    trajectory_to_dict,
 )
 
 # one degree of meridian arc is 69 miles to within spherical-model error
@@ -272,18 +272,45 @@ class TestFileIO:
         assert leader_log.t[0] == 0.0
         assert follower_log.t[0] == 2.0
 
-    def test_trajectory_json_round_trip(self, tmp_path):
+    def test_trajectory_json_round_trip(self):
         traj = derive_kinematics(meridian_log(6, 10.0), vehicle_id="shuttle")
-        path = tmp_path / "traj.json"
-        write_trajectory_json(traj, path)
-        loaded = read_trajectory_json(path)
+        loaded = trajectory_from_dict(json.loads(json.dumps(trajectory_to_dict(traj))))
         assert loaded.vehicle_id == "shuttle"
         assert loaded.dt == traj.dt
         for key in ("t", "pos", "speed", "accel", "jerk"):
             assert np.array_equal(getattr(traj, key), getattr(loaded, key))
 
+    @pytest.mark.parametrize("t, named", [
+        ([0.0, 1.0, 3.0, 2.0, 4.0, 5.0], "t[3] = 2.0 follows t[2] = 3.0"),
+        ([0.0, 1.0, 2.0, 3.0, 4.0, 4.0], "t[5] = 4.0 follows t[4] = 4.0"),
+    ], ids=["decreasing", "repeated"])
+    def test_trajectory_times_must_increase(self, t, named):
+        data = trajectory_to_dict(derive_kinematics(meridian_log(6, 10.0), vehicle_id="shuttle"))
+        data["t"] = t
+        with pytest.raises(OrderingError) as exc:
+            trajectory_from_dict(data)
+        assert str(exc.value) == f"trajectory 'shuttle': times must strictly increase; {named}"
+
 
 class TestIngestCliContract:
+    """Each bad log is ingested once as the leader and once as the follower."""
+
+    GOOD_ROWS = "".join(f"{i},{28.37 + i * 1e-4},-81.25\n" for i in range(4))
+
+    def ingest_error(self, tmp_path, capsys, bad, role) -> dict:
+        """The one JSON error line of a failed ingest with `bad` in `role`."""
+        good = tmp_path / "good.csv"
+        good.write_text("t,lat,lon\n" + self.GOOD_ROWS)
+        logs = {"leader": good, "follower": good, role: bad}
+        out = tmp_path / "out.json"
+        rc = main(["ingest", "--leader", str(logs["leader"]), "--follower",
+                   str(logs["follower"]), "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        assert not out.exists()
+        return json.loads(lines[0])
+
     @pytest.mark.parametrize("bad_row, line", [
         ("2,north,-81.25", 4),   # non-numeric latitude
         ("nan,28.3702,-81.25", 4),   # non-finite timestamp
@@ -291,44 +318,28 @@ class TestIngestCliContract:
         ("2,28.3702", 4),   # two columns
         ("2,28.3702,-81.25,", 4),   # four columns, the last blank
     ])
-    def test_bad_cell_exits_one_naming_path_and_line(self, tmp_path, capsys, bad_row, line):
+    @pytest.mark.parametrize("role", ["leader", "follower"])
+    def test_bad_cell_exits_one_naming_path_and_line(self, tmp_path, capsys, bad_row, line,
+                                                     role):
         rows = ["0,28.37,-81.25", "1,28.3701,-81.25", bad_row, "3,28.3703,-81.25"]
         csv_path = tmp_path / "log.csv"
         csv_path.write_text("t,lat,lon\n" + "".join(f"{row}\n" for row in rows))
-        out = tmp_path / "traj.json"
-        rc = main(["ingest", "--input", str(csv_path), "--out", str(out)])
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert rc == 1
-        assert len(lines) == 1
-        err = json.loads(lines[0])
+        err = self.ingest_error(tmp_path, capsys, csv_path, role)
         assert err["error"] == "domain"
         assert f"log.csv:{line}" in err["message"]
-        assert not out.exists()
 
     @pytest.mark.parametrize("cell, message", [
         ("lat", "latitude 91.0 outside [-90, 90]"),
         ("lon", "longitude -180.5 outside [-180, 180]"),
     ])
-    @pytest.mark.parametrize("mode", ["input", "pair"])
-    def test_out_of_range_coordinate_exits_one(self, tmp_path, capsys, cell, message, mode):
+    @pytest.mark.parametrize("role", ["leader", "follower"])
+    def test_out_of_range_coordinate_exits_one(self, tmp_path, capsys, cell, message, role):
         rows = ["0,28.37,-81.25", "1,28.3701,-81.25", "2,28.3702,-81.25", "3,28.3703,-81.25"]
         rows[2] = "2,91,-81.25" if cell == "lat" else "2,28.3702,-180.5"
         bad = tmp_path / "bad.csv"
-        good = tmp_path / "good.csv"
         bad.write_text("t,lat,lon\n" + "".join(f"{row}\n" for row in rows))
-        good.write_text("t,lat,lon\n" + "".join(f"{i},{28.37 + i * 1e-4},-81.25\n"
-                                                for i in range(4)))
-        out = tmp_path / "out.json"
-        if mode == "input":
-            args = ["ingest", "--input", str(bad)]
-        else:
-            args = ["ingest", "--leader", str(good), "--follower", str(bad)]
-        rc = main(args + ["--out", str(out)])
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert rc == 1
-        assert len(lines) == 1
-        assert json.loads(lines[0]) == {"error": "domain", "message": message}
-        assert not out.exists()
+        assert self.ingest_error(tmp_path, capsys, bad, role) == {"error": "domain",
+                                                                 "message": message}
 
     @pytest.mark.parametrize("times, code, named", [
         # speed overflows, and accel turns NaN
@@ -339,27 +350,14 @@ class TestIngestCliContract:
         # unordered, with a step that overflows
         (["0", "1.7e308", "-1.7e308", "5"], "ordering", "strictly increasing"),
     ], ids=["subnormal-steps", "tiny-steps", "overflowing-span", "unordered-overflow"])
-    @pytest.mark.parametrize("mode", ["input", "pair"])
-    def test_unmeasurable_times_exit_one(self, tmp_path, capsys, times, code, named, mode):
+    @pytest.mark.parametrize("role", ["leader", "follower"])
+    def test_unmeasurable_times_exit_one(self, tmp_path, capsys, times, code, named, role):
         bad = tmp_path / "bad.csv"
-        good = tmp_path / "good.csv"
         bad.write_text("t,lat,lon\n" + "".join(f"{t},{28.37 + i * 1e-4},-81.25\n"
                                                 for i, t in enumerate(times)))
-        good.write_text("t,lat,lon\n" + "".join(f"{i},{28.37 + i * 1e-4},-81.25\n"
-                                                for i in range(4)))
-        out = tmp_path / "out.json"
-        if mode == "input":
-            args = ["ingest", "--input", str(bad)]
-        else:
-            args = ["ingest", "--leader", str(good), "--follower", str(bad)]
-        rc = main(args + ["--out", str(out)])
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert rc == 1
-        assert len(lines) == 1
-        err = json.loads(lines[0])
+        err = self.ingest_error(tmp_path, capsys, bad, role)
         assert err["error"] == code
         assert named in err["message"]
-        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

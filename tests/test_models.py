@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import math
 from pathlib import Path
 
@@ -367,3 +368,21 @@ class TestParamsPlumbing:
         for kind in ("idm", "blend", "linear_acc"):
             params = default_params(kind)
             assert params_from_dict(params_to_dict(params)) == params
+
+    @pytest.mark.parametrize("data, written", [
+        ({"model": "idm", "a": 2, "delta": 4, "v0": 20, "s0": 5.5, "T": 1, "b": 3}, None),
+        ({"model": "blend", "a": 1.2, "delta": 3, "v0": 18, "s0": 9.9, "T": 3, "b": 24.8,
+          "c": 1}, None),
+        ({"model": "linear_acc", "t_des": 5, "k1": 0.01, "k2": 1, "d0": 12}, None),
+        ({"model": "linear_acc", "t_des": 5, "k1": 0.01, "k2": 1},
+         {"model": "linear_acc", "t_des": 5, "k1": 0.01, "k2": 1, "d0": 15.0}),
+        ({"model": "blend", "a": 1.2, "delta": 3, "v0": 18, "s0": 9.9, "T": 3, "b": 24.8,
+          "c": 0.5, "improved_idm": False},
+         {"model": "blend", "a": 1.2, "delta": 3, "v0": 18, "s0": 9.9, "T": 3, "b": 24.8,
+          "c": 0.5}),
+    ], ids=["idm", "blend", "linear_acc", "linear_acc-default-d0", "blend-improved-idm-false"])
+    def test_dict_layout_and_number_types_kept(self, data, written):
+        """A file reads back and writes out with the same keys, values and JSON text."""
+        out = params_to_dict(params_from_dict(data))
+        expected = data if written is None else written
+        assert json.dumps(out, sort_keys=True) == json.dumps(expected, sort_keys=True)
