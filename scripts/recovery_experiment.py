@@ -3,10 +3,10 @@
 
 Generates follower trajectories with a known parameter set, calibrates
 the chosen model against them with the seeded GA, and reports the best
-fitness plus the recovered equilibrium-spacing curve. With the default
-budget (60 trips, 100 x 1000 GA, three seeds) a 2-core box takes about
-4 s per seed for idm and 6 s for blend; trim --generations or --seeds
-for a quicker look.
+fitness plus the recovered equilibrium-spacing curve. The seeds run in
+lockstep, in one GA call. With the default budget (60 trips, 100 x 1000
+GA, three seeds) a 2-core box takes about 8 s for idm and 13 s for
+blend; trim --generations or --seeds for a quicker look.
 
   python scripts/recovery_experiment.py --model idm --seeds 0 1 2
 """
@@ -43,17 +43,14 @@ def main() -> None:
         seeds=list(args.seeds),
         stall_generations=args.generations,
     )
-    best = None
-    for seed in config.seeds:
-        start = time.perf_counter()
-        genes, fit, trace = ga_calibrate(args.model, segments, config, seed=seed)
-        elapsed = time.perf_counter() - start
-        print(f"seed {seed}: fitness {fit:.3e} after {len(trace) - 1} generations "
-              f"({elapsed:.0f}s)")
-        if best is None or fit < best[0]:
-            best = (fit, genes)
+    start = time.perf_counter()
+    runs = ga_calibrate(args.model, segments, config)
+    elapsed = time.perf_counter() - start
+    for seed, (_, fit, trace) in zip(config.seeds, runs):
+        print(f"seed {seed}: fitness {fit:.3e} after {len(trace) - 1} generations")
+    print(f"{len(runs)} seeds in lockstep: {elapsed:.1f}s")
 
-    fit, genes = best
+    genes, fit, _ = min(runs, key=lambda run: run[1])
     recovered = genes_to_params(args.model, genes)
     print(f"\nbest fitness (NRMSE spacing): {fit:.3e}")
     print(f"recovered: {recovered}")

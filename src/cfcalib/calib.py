@@ -5,11 +5,14 @@ calibration segments (concatenate first, then one NRMSE). The GA is
 elitist with tournament selection of size 2, uniform crossover, and
 per-gene uniform-reset mutation; every random draw comes from one seeded
 generator in a fixed order, so a (seed, inputs) pair fully determines
-the outcome. Each generation is scored as one block of gene rows, and
-sim.SegmentSet decides how that block is simulated. A child that repeats
-a population row or an earlier child of its generation (no crossover and
+the outcome. ga_calibrate runs the seeds of a GaConfig in lockstep:
+each seed keeps its own generator and draw order, and each generation
+the children of every live seed are scored as one block of gene rows,
+which sim.SegmentSet decides how to simulate. A child that repeats a
+population row or an earlier child of its generation (no crossover and
 no mutated gene make a copy of its parent) is scored from its twin, not
-simulated again.
+simulated again. Every row scores what it scores alone, so each seed's
+result is the one it gets run by itself.
 """
 
 from __future__ import annotations
@@ -49,9 +52,9 @@ def gof(sim, obs) -> tuple[float, float, float]:
 def _nrmse_rows(sim: np.ndarray, obs: np.ndarray) -> np.ndarray:
     """NRMSE of each row of a (rows, samples) array against `obs`.
 
-    Each row is reduced as a 1-d array, so it scores bit for bit what
-    gof() gives it alone; numpy's reductions along an axis of a 2-d
-    array sum in another order.
+    The squares form a C-contiguous array, whose mean along its last
+    axis numpy sums one row at a time, pairwise as it sums a 1-d array:
+    each row scores bit for bit what gof() gives it alone.
     """
     scale = float(np.max(np.abs(obs)))
     if scale == 0.0:
@@ -65,7 +68,7 @@ def _nrmse_rows(sim: np.ndarray, obs: np.ndarray) -> np.ndarray:
     err_n = err / err_scale[:, None]
     obs_n = obs / scale
     sq = err_n * err_n
-    ratio = np.array([np.mean(row) for row in sq]) / np.mean(obs_n * obs_n)
+    ratio = np.mean(sq, axis=-1) / np.mean(obs_n * obs_n)
     return err_scale / scale * np.sqrt(ratio)
 
 
@@ -266,35 +269,93 @@ def fitness(
     return float(_make_fitness(kind, segments, limits, dt)(genes)[0])
 
 
-def _score_children(fitness_fn, children, population, fit) -> np.ndarray:
-    """Fitness of each child row, simulating each distinct unseen row once.
+def _score_children(fitness_fn, children, populations, fits) -> list[np.ndarray]:
+    """Fitness of each seed's child rows, simulating each distinct unseen row once.
 
-    A child whose genes equal a population row's, or an earlier child's,
-    bit for bit (bytes, so -0.0 and 0.0 stay apart) takes that row's
-    value: fitness_fn scores every row exactly as it scores it alone.
+    `children`, `populations` and `fits` hold one array per live seed.
+    A child whose genes equal a row of a live population, or an earlier
+    child's, bit for bit (bytes, so -0.0 and 0.0 stay apart) takes that
+    row's value: fitness_fn scores every row exactly as it scores it
+    alone. The unseen rows of all the seeds are scored in one call.
     """
-    known = {bytes(row): value for row, value in zip(population, fit)}
-    keys = [bytes(row) for row in children]
-    fresh = {key: row for key, row in zip(keys, children) if key not in known}
+    known = {bytes(row): value for population, fit in zip(populations, fits)
+             for row, value in zip(population, fit)}
+    keys = [[bytes(row) for row in block] for block in children]
+    fresh = {key: row for block, block_keys in zip(children, keys)
+             for key, row in zip(block_keys, block) if key not in known}
     if fresh:
         known.update(zip(fresh, fitness_fn(np.array(list(fresh.values())))))
-    return np.array([known[key] for key in keys])
+    return [np.array([known[key] for key in block_keys]) for block_keys in keys]
+
+
+class _SeedRun:
+    """One seed's GA: its own generator, population, fitness, best and trace."""
+
+    def __init__(self, seed: int, lo: np.ndarray, hi: np.ndarray, pop_size: int):
+        self.rng = np.random.default_rng(seed)
+        self.population = self.rng.uniform(lo, hi, size=(pop_size, len(lo)))
+
+    def start(self, fit: np.ndarray) -> None:
+        """Take the initial population's fitness."""
+        self.fit = fit
+        best_idx = int(np.argmin(fit))
+        self.best_genes = self.population[best_idx].copy()
+        self.best_fit = float(fit[best_idx])
+        self.trace = [self.best_fit]
+        self.last_improvement = 0
+
+    def breed(self, config: GaConfig, lo: np.ndarray, hi: np.ndarray,
+              n_children: int) -> np.ndarray:
+        """The next generation's children."""
+        rng, population, fit = self.rng, self.population, self.fit
+        pop_size, n_genes = population.shape
+        # fixed draw order keeps the stream independent of evaluation order
+        parent_draws = rng.integers(0, pop_size, size=(n_children, 2, 2))
+        cross_coin = rng.random(n_children)
+        gene_src = rng.integers(0, 2, size=(n_children, n_genes))
+        mut_mask = rng.random((n_children, n_genes)) < config.mutation_prob
+        mut_vals = rng.uniform(lo, hi, size=(n_children, n_genes))
+
+        # two size-2 tournaments per child, the first entrant winning ties
+        first, second = parent_draws[..., 0], parent_draws[..., 1]
+        winners = np.where(fit[first] <= fit[second], first, second)
+        crossed = (cross_coin < config.crossover_prob)[:, None] & (gene_src == 1)
+        children = np.where(crossed, population[winners[:, 1]], population[winners[:, 0]])
+        return np.where(mut_mask, mut_vals, children)
+
+    def advance(self, gen: int, n_elite: int, children: np.ndarray,
+                child_fit: np.ndarray) -> None:
+        """Keep the elite, take in the scored children and update the best."""
+        elite_order = np.argsort(self.fit, kind="stable")[:n_elite]
+        self.population = np.vstack([self.population[elite_order], children])
+        self.fit = np.concatenate([self.fit[elite_order], child_fit])
+        gen_best = int(np.argmin(self.fit))
+        if float(self.fit[gen_best]) < self.best_fit:
+            self.best_fit = float(self.fit[gen_best])
+            self.best_genes = self.population[gen_best].copy()
+            self.last_improvement = gen
+        self.trace.append(self.best_fit)
 
 
 def ga_calibrate(
     kind: str,
     segments: list[FollowingSegment],
     config: GaConfig,
-    seed: int,
     limits: SimLimits | None = None,
     dt: float = 1.0,
-) -> tuple[np.ndarray, float, list[float]]:
-    """Run one seeded GA; returns (best genes, best fitness, per-generation trace).
+) -> list[tuple[np.ndarray, float, list[float]]]:
+    """Run the GA once per seed of config.seeds, all seeds in lockstep.
 
-    The trace starts at the initial population's best and is monotone
-    non-increasing thanks to elitism. The run stops early after
-    config.stall_generations without strict improvement. Raises
-    ConfigError when every individual of the initial population faults.
+    Returns one (best genes, best fitness, per-generation trace) per
+    seed, in seed order. Each seed draws from its own default_rng(seed)
+    in a fixed order, and each generation the distinct unseen rows of
+    every live seed are scored as one block, in which every row scores
+    what it scores alone: each seed's result is the one it gets run
+    alone, bit for bit. A trace starts at the initial population's best
+    and is monotone non-increasing thanks to elitism. A seed stops early
+    after config.stall_generations without strict improvement, and the
+    others run on. Raises ConfigError when every individual of a seed's
+    initial population faults.
     """
     if not segments:
         raise ConfigError("no segments to calibrate on")
@@ -303,58 +364,34 @@ def ga_calibrate(
     hi = np.array([b[1] for b in bounds])
     if np.any(lo >= hi):
         raise ConfigError("infeasible gene bounds")
-    n_genes = len(bounds)
     pop_size = config.population
     n_elite = max(1, int(round(config.elitism_ratio * pop_size)))
     n_children = pop_size - n_elite
 
     fitness_fn = _make_fitness(kind, segments, limits, dt)
-    rng = np.random.default_rng(seed)
-    population = rng.uniform(lo, hi, size=(pop_size, n_genes))
-    fit = fitness_fn(population)
-    if np.all(fit >= FAULT_FITNESS):
-        raise ConfigError(
-            f"every individual of the initial {kind} population faults; "
-            f"the gene bounds {bounds} may lie outside the {kind} model's domain")
+    runs = [_SeedRun(seed, lo, hi, pop_size) for seed in config.seeds]
+    fits = np.split(fitness_fn(np.vstack([run.population for run in runs])), len(runs))
+    for run, fit in zip(runs, fits):
+        if np.all(fit >= FAULT_FITNESS):
+            raise ConfigError(
+                f"every individual of the initial {kind} population faults; "
+                f"the gene bounds {bounds} may lie outside the {kind} model's domain")
+        run.start(fit)
 
-    best_idx = int(np.argmin(fit))
-    best_genes = population[best_idx].copy()
-    best_fit = float(fit[best_idx])
-    trace = [best_fit]
-    last_improvement = 0
-
+    live = runs
     for gen in range(1, config.max_generations + 1):
-        # fixed draw order keeps the stream independent of evaluation order
-        parent_draws = rng.integers(0, pop_size, size=(n_children, 2, 2))
-        cross_coin = rng.random(n_children)
-        gene_src = rng.integers(0, 2, size=(n_children, n_genes))
-        mut_mask = rng.random((n_children, n_genes)) < config.mutation_prob
-        mut_vals = rng.uniform(lo, hi, size=(n_children, n_genes))
-
-        elite_order = np.argsort(fit, kind="stable")[:n_elite]
-        # two size-2 tournaments per child, the first entrant winning ties
-        first, second = parent_draws[..., 0], parent_draws[..., 1]
-        winners = np.where(fit[first] <= fit[second], first, second)
-        crossed = (cross_coin < config.crossover_prob)[:, None] & (gene_src == 1)
-        children = np.where(crossed, population[winners[:, 1]], population[winners[:, 0]])
-        children = np.where(mut_mask, mut_vals, children)
-
-        child_fit = _score_children(fitness_fn, children, population, fit)
-        population = np.vstack([population[elite_order], children])
-        fit = np.concatenate([fit[elite_order], child_fit])
-        if np.any(population < lo) or np.any(population > hi):
-            raise AssertionError("GA produced out-of-bounds genes")
-
-        gen_best = int(np.argmin(fit))
-        if float(fit[gen_best]) < best_fit:
-            best_fit = float(fit[gen_best])
-            best_genes = population[gen_best].copy()
-            last_improvement = gen
-        trace.append(best_fit)
-        if gen - last_improvement >= config.stall_generations:
+        children = [run.breed(config, lo, hi, n_children) for run in live]
+        child_fits = _score_children(fitness_fn, children, [run.population for run in live],
+                                     [run.fit for run in live])
+        for run, block, child_fit in zip(live, children, child_fits):
+            run.advance(gen, n_elite, block, child_fit)
+            if np.any(run.population < lo) or np.any(run.population > hi):
+                raise AssertionError("GA produced out-of-bounds genes")
+        live = [run for run in live if gen - run.last_improvement < config.stall_generations]
+        if not live:
             break
 
-    return best_genes, best_fit, trace
+    return [(run.best_genes, run.best_fit, run.trace) for run in runs]
 
 
 def calibrate_and_validate(
@@ -366,12 +403,12 @@ def calibrate_and_validate(
     limits: SimLimits | None = None,
     dt: float = 1.0,
 ) -> tuple[CalibrationResult, GofReport, GofReport]:
-    """Split segments, calibrate once per seed, and report both error sets."""
+    """Split segments, calibrate every seed in lockstep, and report both error sets."""
     calibration, validation = split_segments(segments, split_fraction, split_seed)
     per_seed = []
     best = None
-    for seed in config.seeds:
-        genes, fit_value, trace = ga_calibrate(kind, calibration, config, seed, limits, dt)
+    runs = ga_calibrate(kind, calibration, config, limits, dt)
+    for seed, (genes, fit_value, trace) in zip(config.seeds, runs):
         params = genes_to_params(kind, genes)
         per_seed.append((seed, fit_value, params))
         if best is None or fit_value < best[1]:

@@ -232,7 +232,9 @@ def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None) -> 
                        paired.follower_accel, paired.spacing)
     # a sample joins the previous one when both are kept and no gap lies between
     joined = np.zeros(n, dtype=bool)
-    joined[1:] = keep[1:] & keep[:-1] & ~(np.diff(paired.t) > 1.5 * paired.dt)
+    with np.errstate(over="ignore"):  # a step that overflows to inf is a gap either way
+        gap = np.diff(paired.t) > 1.5 * paired.dt
+    joined[1:] = keep[1:] & keep[:-1] & ~gap
     starts = np.flatnonzero(keep & ~joined)
     ends = np.flatnonzero(keep & ~np.append(joined[1:], False)) + 1
 

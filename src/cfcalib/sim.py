@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +63,15 @@ _RAISE_ON_FAULT = {"over": "raise", "divide": "raise", "invalid": "raise"}
 # values (8 MB of float64) in each array the block stepper allocates:
 # its (samples x rows x segments) results and each tile of a schedule column
 _BLOCK_VALUES = 1 << 20
+
+
+# the parameters each kind's block kernel reads, in the order it unpacks them
+_IDM_FIELDS = ("a", "delta", "v0", "s0", "T", "b")
+_BLOCK_FIELDS = {
+    AccParams: ("k1", "k2", "t_des", "d0"),
+    IdmParams: _IDM_FIELDS,
+    BlendParams: tuple(f"idm.{name}" for name in _IDM_FIELDS) + ("c",),
+}
 
 
 @dataclass(frozen=True)
@@ -372,27 +382,26 @@ class SegmentSet:
         """
         if len(self.segments) < BATCH_MIN_SEGMENTS:
             return None
+        kind = type(models[0])
+        fields = _BLOCK_FIELDS.get(kind)
+        if fields is None:
+            return None
         n, lanes = self.lx.shape
         rows = len(models)
-
-        def columns(objs, *names):
-            # one value per (row, lane), rows side by side
-            return [np.repeat([float(getattr(o, name)) for o in objs], lanes) for name in names]
-
-        kind = type(models[0])
         acc = kind is AccParams
         blend = kind is BlendParams
+        # a (rows, fields) table of the parameters, each field repeated
+        # over the lanes: one value per (row, lane), rows side by side
+        table = np.array(list(map(attrgetter(*fields), models)), dtype=float)
+        columns = np.repeat(table.T, lanes, axis=1)
         if acc:
-            k1, k2, t_des, d0 = columns(models, "k1", "k2", "t_des", "d0")
-        elif blend or kind is IdmParams:
-            a, delta, v0, s0, T, b = columns(
-                [m.idm for m in models] if blend else models, "a", "delta", "v0", "s0", "T", "b")
+            k1, k2, t_des, d0 = columns
+        else:
+            a, delta, v0, s0, T, b = columns[:6]
             two_sqrt_ab = 2.0 * np.sqrt(a * b)
             if blend:
-                (c,) = columns(models, "c")
+                c = columns[6]
                 keep = 1.0 - c
-        else:
-            return None
         # 0-d arrays cost numpy less per call than Python floats
         a_min, a_max, v_min, v_max = (
             np.array(value) for value in (self.limits.a_min, self.limits.a_max,

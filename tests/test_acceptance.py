@@ -111,12 +111,9 @@ def test_03_parameter_recovery_ga_end_to_end():
     config = GaConfig(seeds=[0, 1, 2], stall_generations=1000)
 
     start = time.perf_counter()
-    best_fit, best_genes = math.inf, None
-    for seed in config.seeds:
-        genes, fit_value, _ = ga_calibrate("idm", segments, config, seed=seed)
-        if fit_value < best_fit:
-            best_fit, best_genes = fit_value, genes
+    runs = ga_calibrate("idm", segments, config)
     elapsed = time.perf_counter() - start
+    best_genes, best_fit, _ = min(runs, key=lambda run: run[1])
 
     assert best_fit < 1e-3, f"best training NRMSE {best_fit:.2e}"
     recovered = genes_to_params("idm", best_genes)
@@ -208,26 +205,41 @@ def test_07_comfort_shares():
 
 # -- 8 ----------------------------------------------------------------------
 
-def test_08_calibrate_determinism(tmp_path):
-    segments = short_trip_segments(SHUTTLE_IDM, n_trips=8, trip_seconds=12)
-    seg_path = tmp_path / "segments.json"
-    write_segments_json(segments, seg_path)
-    config_path = tmp_path / "ga.json"
+def calibrate_json(tmp_path, seg_path, seeds, name):
+    """The calibrate result file's bytes for a GA run of these seeds."""
+    config_path = tmp_path / f"ga_{name}.json"
     config_path.write_text(json.dumps({
         "population": 16, "max_generations": 15, "mutation_prob": 0.1,
-        "crossover_prob": 0.5, "elitism_ratio": 0.1, "seeds": [0, 1],
+        "crossover_prob": 0.5, "elitism_ratio": 0.1, "seeds": seeds,
         "stall_generations": 15,
     }))
-    digests = []
-    for attempt in ("a", "b"):
-        out = tmp_path / f"result_{attempt}.json"
-        rc = cli_main([
-            "calibrate", "--model", "idm", "--segments", str(seg_path),
-            "--config", str(config_path), "--split", "0.8", "--split-seed", "11",
-            "--out", str(out)])
-        assert rc == 0
-        digests.append(hashlib.sha256(out.read_bytes()).hexdigest())
+    out = tmp_path / f"result_{name}.json"
+    rc = cli_main([
+        "calibrate", "--model", "idm", "--segments", str(seg_path),
+        "--config", str(config_path), "--split", "0.8", "--split-seed", "11",
+        "--out", str(out)])
+    assert rc == 0
+    return out.read_bytes()
+
+
+# a 2-trip set calibrates on 1 segment (the scalar loop), a 42-trip set on
+# at least 32 (the block); the seeds run in lockstep, 1, 2 or 10 at a time
+@pytest.mark.parametrize("seeds", [[0], [0, 1], list(range(10))],
+                         ids=["1-seed", "2-seed", "10-seed"])
+@pytest.mark.parametrize("n_trips", [2, 42], ids=["one-segment", "block"])
+def test_08_calibrate_determinism(tmp_path, n_trips, seeds):
+    segments = short_trip_segments(SHUTTLE_IDM, n_trips=n_trips, trip_seconds=12)
+    seg_path = tmp_path / "segments.json"
+    write_segments_json(segments, seg_path)
+    results = [calibrate_json(tmp_path, seg_path, seeds, attempt) for attempt in ("a", "b")]
+    digests = [hashlib.sha256(result).hexdigest() for result in results]
     assert digests[0] == digests[1]
+    # each seed's entry is the one it gets run alone, bit for bit
+    per_seed = json.loads(results[0])["calibration"]["per_seed"]
+    assert [entry["seed"] for entry in per_seed] == seeds
+    for entry in per_seed:
+        alone = json.loads(calibrate_json(tmp_path, seg_path, [entry["seed"]], "alone"))
+        assert alone["calibration"]["per_seed"] == [entry]
     ok(8, "calibrate determinism across reruns")
 
 

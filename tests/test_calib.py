@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from cfcalib import (
     gof,
     gof_report,
 )
-from cfcalib.calib import FAULT_FITNESS, _make_fitness
+from cfcalib.calib import FAULT_FITNESS, _make_fitness, _nrmse_rows
 from cfcalib.fixtures import idm_response_segments, short_trip_segments
 from cfcalib.models import GENE_BOUNDS, genes_to_params, params_to_genes
 from cfcalib.sim import BATCH_MIN_SEGMENTS, simulate_all
@@ -89,6 +90,41 @@ class TestGof:
     def test_length_mismatch(self):
         with pytest.raises(ConfigError):
             gof([1.0], [1.0, 2.0])
+
+
+def nrmse_row_oracle(row, obs):
+    """_nrmse_rows of one row, every reduction taken over a 1-d array."""
+    scale = np.max(np.abs(obs))
+    err = row - obs
+    err_scale = max(scale, np.max(np.abs(err)))
+    err_n = err / err_scale
+    sq = err_n * err_n
+    obs_n = obs / scale
+    return err_scale / scale * np.sqrt(np.mean(sq) / np.mean(obs_n * obs_n))
+
+
+class TestNrmseRows:
+    @given(st.integers(1, 40), st.integers(1, 3000), st.integers(0, 2**32 - 1),
+           st.integers(-150, 150))
+    @settings(max_examples=60, deadline=None)
+    def test_each_row_scores_what_it_scores_alone(self, rows, samples, seed, exponent):
+        rng = np.random.default_rng(seed)
+        scale = 10.0 ** exponent
+        obs = rng.uniform(0.5, 2.0, samples) * scale
+        spread = rng.uniform(0.0, 2.0, (rows, 1)) * scale
+        sim = obs + rng.normal(0.0, 1.0, (rows, samples)) * spread
+        block = _nrmse_rows(sim, obs)
+        for r in range(rows):
+            assert block[r] == _nrmse_rows(sim[r:r + 1], obs)[0]
+            assert block[r] == gof(sim[r], obs)[2]
+            assert block[r] == nrmse_row_oracle(sim[r], obs)
+
+    @given(st.integers(1, 40), st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_axis_mean_is_each_rows_mean(self, rows, samples, seed):
+        sq = np.random.default_rng(seed).uniform(0.0, 1.0, (rows, samples)) ** 2
+        means = np.mean(sq, axis=-1)
+        assert [means[r] for r in range(rows)] == [np.mean(sq[r]) for r in range(rows)]
 
 
 class TestFitness:
@@ -182,41 +218,87 @@ def tiny_config(**overrides):
     return GaConfig(**defaults)
 
 
+def run_alone(kind, segments, config, seed, dt=1.0):
+    """(genes, fitness, trace) of one seed, the only seed of its run."""
+    (run,) = ga_calibrate(kind, segments, replace(config, seeds=[seed]), dt=dt)
+    return run
+
+
+def assert_same_run(got, expected):
+    """The same genes (as bytes), fitness and trace."""
+    assert got[0].tobytes() == expected[0].tobytes()
+    assert got[1] == expected[1]
+    assert got[2] == expected[2]
+
+
+# one segment runs the scalar loop, BATCH_MIN_SEGMENTS trips the block
+SEGMENT_SETS = {
+    "one-segment": idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40),
+    "block": short_trip_segments(SHUTTLE_IDM, n_trips=BATCH_MIN_SEGMENTS, trip_seconds=10),
+}
+
+# 1, 2 and 10 seeds in lockstep
+SEED_LISTS = {"1-seed": [5], "2-seed": [5, 2], "10-seed": [9, 5, 0, 1, 2, 3, 4, 6, 7, 8]}
+
+
 class TestGaCalibrate:
-    @pytest.mark.parametrize("segments", [
-        idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40),
-        short_trip_segments(SHUTTLE_IDM, n_trips=BATCH_MIN_SEGMENTS, trip_seconds=10),
-    ], ids=["one-segment", "block"])
-    def test_bitwise_determinism(self, segments):
-        config = tiny_config()
-        first = ga_calibrate("idm", segments, config, seed=5)
-        second = ga_calibrate("idm", segments, config, seed=5)
-        assert np.array_equal(first[0], second[0])
-        assert first[1] == second[1]
-        assert first[2] == second[2]
+    @pytest.mark.parametrize("seeds", SEED_LISTS.values(), ids=SEED_LISTS)
+    @pytest.mark.parametrize("segments", SEGMENT_SETS.values(), ids=SEGMENT_SETS)
+    def test_bitwise_determinism(self, segments, seeds):
+        config = tiny_config(seeds=seeds)
+        first = ga_calibrate("idm", segments, config)
+        second = ga_calibrate("idm", segments, config)
+        assert len(first) == len(second) == len(seeds)
+        for seed, run, again in zip(seeds, first, second):
+            assert_same_run(again, run)
+            assert_same_run(run, run_alone("idm", segments, config, seed))
+
+    @pytest.mark.parametrize("segments", SEGMENT_SETS.values(), ids=SEGMENT_SETS)
+    def test_stalled_seed_drops_out_and_others_run_on(self, segments):
+        config = tiny_config(max_generations=40, stall_generations=4, seeds=list(range(6)))
+        runs = ga_calibrate("idm", segments, config)
+        generations = [len(trace) - 1 for _, _, trace in runs]
+        # seed 2 stalls first on both sets
+        assert min(generations) == generations[2] < max(generations) < config.max_generations
+        for seed, run in zip(config.seeds, runs):
+            assert_same_run(run, run_alone("idm", segments, config, seed))
+
+    def test_later_seed_all_fault_raises_as_alone(self):
+        segments = SEGMENT_SETS["one-segment"]
+        # a < 0 faults, so a row faults with probability 3/4: seed 0's
+        # initial population of 4 has a row that runs, seed 2's has none
+        bounds = [(-3.0, 1.0)] + [(lo, hi) for _, lo, hi, _ in GENE_BOUNDS["idm"][1:]]
+        config = tiny_config(population=4, bounds=bounds, seeds=[0, 2])
+        run_alone("idm", segments, config, 0)
+        with pytest.raises(ConfigError) as alone:
+            run_alone("idm", segments, config, 2)
+        with pytest.raises(ConfigError) as lockstep:
+            ga_calibrate("idm", segments, config)
+        assert str(lockstep.value) == str(alone.value)
+        assert "every individual of the initial idm population faults" in str(alone.value)
 
     def test_trace_monotone_non_increasing(self):
         segments = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40)
-        _, _, trace = ga_calibrate("idm", segments, tiny_config(), seed=2)
+        ((_, _, trace),) = ga_calibrate("idm", segments, tiny_config(seeds=[2]))
         assert all(b <= a for a, b in zip(trace, trace[1:]))
 
     def test_best_genes_within_bounds(self):
         segments = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40)
-        genes, _, _ = ga_calibrate("idm", segments, tiny_config(), seed=3)
+        ((genes, _, _),) = ga_calibrate("idm", segments, tiny_config(seeds=[3]))
         for (name, lo, hi, _), g in zip(GENE_BOUNDS["idm"], genes):
             assert lo <= g <= hi, name
 
     def test_stall_stops_early(self):
         segments = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40)
-        config = tiny_config(max_generations=500, stall_generations=5)
-        _, _, trace = ga_calibrate("idm", segments, config, seed=1)
+        config = tiny_config(max_generations=500, stall_generations=5, seeds=[1])
+        ((_, _, trace),) = ga_calibrate("idm", segments, config)
         assert len(trace) - 1 < 500
 
     def test_all_fault_initial_population_rejected(self):
         segments = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40)
         bounds = [(-2.0, -1.0)] + [(lo, hi) for _, lo, hi, _ in GENE_BOUNDS["idm"][1:]]
         with pytest.raises(ConfigError, match="idm"):
-            ga_calibrate("idm", segments, tiny_config(bounds=bounds), seed=0)
+            ga_calibrate("idm", segments, tiny_config(bounds=bounds))
 
     @pytest.mark.parametrize("pairs", [1, 7])
     def test_bounds_of_the_wrong_count_rejected_before_fitness(self, monkeypatch, pairs):
@@ -229,7 +311,7 @@ class TestGaCalibrate:
         segments = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40)
         config = tiny_config(bounds=[(1.0, 2.0)] * pairs)
         with pytest.raises(ConfigError, match=f"expected 6, got {pairs}"):
-            ga_calibrate("idm", segments, config, seed=0)
+            ga_calibrate("idm", segments, config)
 
     def test_infeasible_bounds_rejected(self):
         with pytest.raises(ConfigError):
@@ -237,7 +319,7 @@ class TestGaCalibrate:
 
     def test_no_segments_rejected(self):
         with pytest.raises(ConfigError):
-            ga_calibrate("idm", [], tiny_config(), seed=0)
+            ga_calibrate("idm", [], tiny_config())
 
     def test_config_invariants(self):
         with pytest.raises(ConfigError):
@@ -258,7 +340,7 @@ class TestGaCalibrate:
         segments = model_response_segments(truth, n_segments=2, seconds=80,
                                            initial_spacing=80.0)
         config = tiny_config(population=40, max_generations=120, stall_generations=120)
-        genes, fit_value, _ = ga_calibrate("linear_acc", segments, config, seed=0)
+        ((genes, fit_value, _),) = ga_calibrate("linear_acc", segments, config)
         assert fit_value < 0.05
 
 
@@ -289,16 +371,22 @@ class TestRepeatedChildren:
         ),
     }
 
+    # seed 4 alone, with one other seed, and among 10
+    @pytest.mark.parametrize("seeds", [[4], [0, 4], list(range(10))],
+                             ids=["1-seed", "2-seed", "10-seed"])
     @pytest.mark.parametrize("kind", ["idm", "blend"])
-    def test_golden_run_unchanged(self, kind):
+    def test_golden_run_unchanged(self, kind, seeds):
         if kind == "idm":
             segments, dt = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40), 1.0
         else:
             segments, dt = short_trip_segments(SHUTTLE_IDM, n_trips=6, trip_seconds=12), 0.5
-        config = GaConfig(population=16, max_generations=12, seeds=[0], stall_generations=12)
-        genes, fit_value, trace = ga_calibrate(kind, segments, config, seed=4, dt=dt)
+        config = GaConfig(population=16, max_generations=12, seeds=seeds, stall_generations=12)
+        runs = ga_calibrate(kind, segments, config, dt=dt)
+        genes, fit_value, trace = runs[seeds.index(4)]
         assert (fit_value.hex(), [g.hex() for g in genes.tolist()],
                 [t.hex() for t in trace]) == self.GOLDEN[kind]
+        for seed, run in zip(seeds, runs):
+            assert_same_run(run, run_alone(kind, segments, config, seed, dt))
 
     def test_each_distinct_child_simulated_once(self, monkeypatch):
         from cfcalib import calib
@@ -316,8 +404,8 @@ class TestRepeatedChildren:
         monkeypatch.setattr(calib, "_make_fitness", counting_make_fitness)
         segments = idm_response_segments(SHUTTLE_IDM, n_segments=1, seconds=40)
         config = tiny_config(population=20, max_generations=30, stall_generations=30,
-                             crossover_prob=0.001, mutation_prob=0.001)
-        _, _, trace = ga_calibrate("idm", segments, config, seed=6)
+                             crossover_prob=0.001, mutation_prob=0.001, seeds=[6])
+        ((_, _, trace),) = ga_calibrate("idm", segments, config)
         initial, children = blocks[0], blocks[1:]
         assert len(initial) == config.population
         budget = (len(trace) - 1) * (config.population - 2)  # two elites per generation
@@ -326,6 +414,35 @@ class TestRepeatedChildren:
         assert len(children) < len(trace) - 1  # a generation of copies simulates nothing
         for block in children:
             assert len({row.tobytes() for row in block}) == len(block)
+
+    @pytest.mark.parametrize("seeds", SEED_LISTS.values(), ids=SEED_LISTS)
+    @pytest.mark.parametrize("segments", SEGMENT_SETS.values(), ids=SEGMENT_SETS)
+    def test_seeds_share_one_block_per_generation(self, monkeypatch, segments, seeds):
+        from cfcalib import calib
+
+        blocks = []
+
+        def counting_make_fitness(*args):
+            evaluate = _make_fitness(*args)
+
+            def counted(rows):
+                blocks.append(np.array(rows))
+                return evaluate(rows)
+            return counted
+
+        monkeypatch.setattr(calib, "_make_fitness", counting_make_fitness)
+        config = tiny_config(seeds=seeds)
+        runs = ga_calibrate("idm", segments, config)
+        initial, children = blocks[0], blocks[1:]
+        assert len(initial) == len(seeds) * config.population
+        assert len(children) <= max(len(trace) - 1 for _, _, trace in runs)
+        budget = sum(len(trace) - 1 for _, _, trace in runs) * (config.population - 2)
+        assert sum(len(block) for block in children) < budget
+        for block in children:
+            assert len({row.tobytes() for row in block}) == len(block)
+        monkeypatch.undo()
+        for seed, run in zip(seeds, runs):
+            assert_same_run(run, run_alone("idm", segments, config, seed))
 
 
 class TestCalibrateAndValidate:

@@ -1,13 +1,18 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cfcalib.cli import main
 
+SRC = Path(__file__).resolve().parents[1] / "src"
 DEG_PER_FT = 1.0 / (6_371_008.8 * math.pi / 180.0 / 0.3048)
 
 
@@ -175,6 +180,31 @@ class TestCleanAndStats:
         assert rc == 1
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "domain"
+
+    def test_times_too_far_apart_to_subtract_exit_one(self, tmp_path):
+        """Neighbouring times whose difference overflows the float range."""
+        n = 12
+        t = [-1.7e308, 1.7e308] + [1.7e308 + k * 1e305 for k in range(1, n - 1)]
+
+        def side(vehicle_id, pos0):
+            return {"vehicle_id": vehicle_id, "dt": 1.0, "t": t,
+                    "pos": [pos0 + 10.0 * i for i in range(n)], "speed": [10.0] * n,
+                    "accel": [0.0] * n, "jerk": [0.0] * n}
+
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({"leader": side("lead", 100.0), "follower": side("follow", 0.0)}))
+        # a fresh interpreter prints a numpy warning to stderr, as the
+        # installed command would, where this test session raises it
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "cfcalib.cli", "clean", "--pair", str(pair),
+             "--min-segment-len", "3", "--out", str(tmp_path / "segments.json")],
+            env=env, capture_output=True, text=True, timeout=120)
+        lines = done.stderr.strip().splitlines()
+        assert done.returncode == 1
+        assert len(lines) == 1, done.stderr
+        assert json.loads(lines[0])["error"] == "no-car-following"
 
     def test_stats_report_and_svgs(self, tmp_path):
         segments = run_pipeline_to_segments(tmp_path)
