@@ -121,6 +121,12 @@ class FollowingSegment:
         return self.leader_pos - self.follower_pos
 
 
+def times_too_far_apart(segment: FollowingSegment, i: int) -> DomainError:
+    """The error for a segment whose times t[i] and t[i + 1] differ by more than a float holds."""
+    return DomainError(f"segment {segment.id}: t[{i + 1}] = {float(segment.t[i + 1])!r} lies too "
+                       f"far from t[{i}] = {float(segment.t[i])!r} to measure in float seconds")
+
+
 def _matches(lt: list[float], ft: list[float]):
     """(leader index, follower index) of each matched sample pair, in time order.
 

@@ -15,13 +15,14 @@ kernels of every model kind inline; the raw kernels in models.py are the
 reference they are tested against. The scalar loop, _step_loop, steps
 one segment at a time in plain Python floats, so that a sub-step makes
 no Python call. The block stepper, SegmentSet._run_block, advances a
-whole (parameter sets x segments) block per sub-step in numpy. They
-differ only in power and tanh. SegmentSet alone picks the engine: the
-block when the set has BATCH_MIN_SEGMENTS segments or more, never
-depending on how many parameter sets are stepped together. A block that
-overflows or turns NaN is stepped again row by row, and a row that
-still does runs the scalar loop, so every parameter set gets exactly
-what it gets stepped alone.
+(parameter sets x segments) state per sub-step in numpy, the schedule
+broadcast over the parameter sets; a GA generation records its spacing
+only. The engines differ only in power and tanh. SegmentSet alone picks
+the engine: the block when the set has BATCH_MIN_SEGMENTS segments or
+more, never depending on how many parameter sets are stepped together.
+A block that overflows or turns NaN is stepped again row by row, and a
+row that still does runs the scalar loop, so every parameter set gets
+exactly what it gets stepped alone.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cleaning import FollowingSegment
+from .cleaning import FollowingSegment, times_too_far_apart
 from .errors import ConfigError, DomainError
 from .jsonio import read_json_object, require_keys, require_numbers
 from .models import AccParams, BlendParams, IdmParams, ModelParams
@@ -60,9 +61,9 @@ BATCH_MIN_SEGMENTS = 32
 # whose plain floats handle (or fault on) these cases in their own way
 _RAISE_ON_FAULT = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
-# values (8 MB of float64) in each array the block stepper allocates:
-# its (samples x rows x segments) results and each tile of a schedule column
-_BLOCK_VALUES = 1 << 20
+# values (24 MB of float64) in the (samples x rows x segments) spacing
+# array of one block run; a GA generation with more rows takes several runs
+_BLOCK_VALUES = 3 << 20
 
 
 # the parameters each kind's block kernel reads, in the order it unpacks them
@@ -258,11 +259,17 @@ class SegmentSet:
         self.x0 = np.array([seg.follower_pos[0] for seg in segments])
         self.v0 = np.array([seg.follower_speed[0] for seg in segments])
 
-        interval = np.diff(t, axis=0)
-        m = np.rint(interval / dt)
-        # written so that a NaN interval counts as bad
-        bad = self.valid[1:] & ~(
-            (m >= 1) & (np.abs(interval - m * dt) <= 1e-6 * np.maximum(1.0, interval)))
+        # an interval or a step count that overflows is inf, rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            interval = np.diff(t, axis=0)
+            m = np.rint(interval / dt)
+            # written so that a NaN interval counts as bad
+            bad = self.valid[1:] & ~(
+                (m >= 1) & (np.abs(interval - m * dt) <= 1e-6 * np.maximum(1.0, interval)))
+        far = ~np.isfinite(interval)
+        if far.any():
+            lane, i = np.argwhere(far.T)[0]  # first such interval in segment order
+            raise times_too_far_apart(segments[lane], i)
         if bad.any():
             lane, i = np.argwhere(bad.T)[0]  # first bad interval in segment order
             raise ConfigError(
@@ -329,7 +336,7 @@ class SegmentSet:
             return [spacing for i in range(0, len(models), self._rows_per_run)
                     for spacing in self.pooled_spacing(models[i:i + self._rows_per_run])]
         try:
-            block = self._run_block(models)
+            block = self._run_block(models, states=False)
         except FloatingPointError:
             if len(models) > 1:
                 return [spacing for model in models for spacing in self.pooled_spacing([model])]
@@ -368,13 +375,14 @@ class SegmentSet:
                 for x, v, lx, lo, hi in zip(self.x0.tolist(), self.v0.tolist(),
                                             self.lx[0].tolist(), bounds, bounds[1:])]
 
-    def _run_block(self, models: list):
+    def _run_block(self, models: list, states: bool = True):
         """Step one row per model over every lane in lockstep.
 
         Returns (pos, speed, spacing, collisions): three (samples, rows,
-        lanes) arrays on the observation grid and a (rows, lanes) count;
-        None when the set or the models take the scalar loop. Raises
-        FloatingPointError where a value overflows or turns NaN.
+        lanes) arrays on the observation grid and a (rows, lanes) count,
+        with pos and speed None unless `states` is true; None when the set
+        or the models take the scalar loop. Raises FloatingPointError where
+        a value overflows or turns NaN.
 
         The models are all of one kind, whose kernel is written inline as
         in _step_loop: the raw kernel's IEEE operations in the same order,
@@ -388,12 +396,17 @@ class SegmentSet:
             return None
         n, lanes = self.lx.shape
         rows = len(models)
+        # C-contiguous (rows, lanes) state, over which the (lanes,) schedule
+        # columns broadcast; one row steps on (lanes,), which numpy
+        # handles at less cost per call
+        shape = (rows, lanes) if rows > 1 else (lanes,)
         acc = kind is AccParams
         blend = kind is BlendParams
         # a (rows, fields) table of the parameters, each field repeated
-        # over the lanes: one value per (row, lane), rows side by side
+        # over the lanes into one contiguous (rows, lanes) column: power
+        # and tanh take their SIMD loops on contiguous operands only
         table = np.array(list(map(attrgetter(*fields), models)), dtype=float)
-        columns = np.repeat(table.T, lanes, axis=1)
+        columns = np.repeat(table.T, lanes, axis=1).reshape(len(fields), *shape)
         if acc:
             k1, k2, t_des, d0 = columns
         else:
@@ -406,69 +419,53 @@ class SegmentSet:
         a_min, a_max, v_min, v_max = (
             np.array(value) for value in (self.limits.a_min, self.limits.a_max,
                                           self.limits.v_min, self.limits.v_max))
-        # rows side by side in flat contiguous lanes: same-shape 1-d
-        # operands keep numpy's per-call cost at its lowest
-        lx = np.tile(self.lx, rows)
-        pos = np.empty((n, rows * lanes))
-        speed = np.empty((n, rows * lanes))
-        spacing = np.empty((n, rows * lanes))
+        xl, vl, al, h = self.schedule
+        spacing = np.empty((n, rows, lanes))
+        pos, speed = (np.empty((n, rows, lanes)) if states else None for _ in range(2))
         with np.errstate(**_RAISE_ON_FAULT):
-            x = np.tile(self.x0, rows)
-            v = np.tile(np.minimum(np.maximum(self.v0, v_min), v_max), rows)
-            pos[0], speed[0] = x, v
-            np.subtract(lx[0], x, out=spacing[0])
-            for lo, (xl, vl, al, h) in self._schedule_tiles(rows):
-                for j, substeps in enumerate(self.substeps[lo:lo + len(h)]):
-                    for k in range(substeps):
-                        vl_k, step = vl[j, k], h[j, k]
-                        s = xl[j, k] - x
-                        if acc:
-                            # the gap error takes the unfloored spacing
-                            a_cmd = k1 * (s - d0 - t_des * v) + k2 * (vl_k - v)
-                        else:
-                            s[s <= 0.0] = SPACING_FLOOR_FT
-                            dv = v - vl_k
-                            ratio = (s0 + np.maximum(0.0, v * T + v * dv / two_sqrt_ab)) / s
-                            a_cmd = a * (1.0 - (v / v0) ** delta - ratio * ratio)
-                            if blend:
-                                # brake is -2.0 * s * a_tilde, as negation is
-                                # exact, and adding it subtracts 2.0 * s * a_tilde
-                                a_tilde = np.minimum(al[j, k], a)
-                                two_s = 2.0 * s
-                                brake = -two_s * a_tilde
-                                denom = vl_k * vl_k + brake
-                                bounded = (vl_k * dv <= brake) & (denom > 0.0)
-                                # lanes off the bounded branch divide by 1
-                                a_c = np.where(
-                                    bounded, v * v * a_tilde / np.where(bounded, denom, 1.0),
-                                    np.where(dv >= 0.0, a_tilde - dv * dv / two_s, a_tilde))
-                                a_cmd = np.where(
-                                    a_cmd >= a_c, a_cmd,
-                                    keep * a_cmd + c * (a_c + b * np.tanh((a_cmd - a_c) / b)))
-                        a_cmd = np.minimum(np.maximum(a_cmd, a_min), a_max)
-                        v_new = np.minimum(np.maximum(v + a_cmd * step, v_min), v_max)
-                        x = x + 0.5 * (v + v_new) * step
-                        v = v_new
-                    i = lo + j + 1
-                    pos[i], speed[i] = x, v
-                    np.subtract(lx[i], x, out=spacing[i])
-        pos, speed, spacing = (col.reshape(n, rows, lanes) for col in (pos, speed, spacing))
+            x = np.broadcast_to(self.x0, shape)
+            v = np.broadcast_to(np.minimum(np.maximum(self.v0, v_min), v_max), shape)
+            if states:
+                pos[0], speed[0] = x, v
+            np.subtract(self.lx[0], x, out=spacing[0])
+            for i, substeps in enumerate(self.substeps):
+                for k in range(substeps):
+                    vl_k, step = vl[i, k], h[i, k]
+                    s = xl[i, k] - x
+                    if acc:
+                        # the gap error takes the unfloored spacing
+                        a_cmd = k1 * (s - d0 - t_des * v) + k2 * (vl_k - v)
+                    else:
+                        s[s <= 0.0] = SPACING_FLOOR_FT
+                        dv = v - vl_k
+                        ratio = (s0 + np.maximum(0.0, v * T + v * dv / two_sqrt_ab)) / s
+                        a_cmd = a * (1.0 - (v / v0) ** delta - ratio * ratio)
+                        if blend:
+                            # brake is -2.0 * s * a_tilde, as negation is
+                            # exact, and adding it subtracts 2.0 * s * a_tilde
+                            a_tilde = np.minimum(al[i, k], a)
+                            two_s = 2.0 * s
+                            brake = -two_s * a_tilde
+                            denom = vl_k * vl_k + brake
+                            bounded = (vl_k * dv <= brake) & (denom > 0.0)
+                            # lanes off the bounded branch divide by 1
+                            a_c = np.where(
+                                bounded, v * v * a_tilde / np.where(bounded, denom, 1.0),
+                                np.where(dv >= 0.0, a_tilde - dv * dv / two_s, a_tilde))
+                            a_cmd = np.where(
+                                a_cmd >= a_c, a_cmd,
+                                keep * a_cmd + c * (a_c + b * np.tanh((a_cmd - a_c) / b)))
+                    a_cmd = np.minimum(np.maximum(a_cmd, a_min), a_max)
+                    v_new = np.minimum(np.maximum(v + a_cmd * step, v_min), v_max)
+                    x = x + 0.5 * (v + v_new) * step
+                    v = v_new
+                if states:
+                    pos[i + 1], speed[i + 1] = x, v
+                np.subtract(self.lx[i + 1], x, out=spacing[i + 1])
         hit = spacing[1:] <= 0.0
         collisions = (hit & self.valid[1:, None, :]).sum(axis=0)
         spacing[1:][hit] = SPACING_FLOOR_FT
         return pos, speed, spacing, collisions
-
-    def _schedule_tiles(self, rows: int):
-        """(first interval, schedule columns tiled rows times) per chunk of intervals.
-
-        A chunk holds as many intervals as keep each tiled column within
-        _BLOCK_VALUES values, at least one, so the block's memory does not
-        grow with the sub-step count.
-        """
-        intervals, substeps, lanes = self.schedule[3].shape
-        chunk = max(1, _BLOCK_VALUES // (substeps * rows * lanes))
-        for lo in range(0, intervals, chunk):
-            yield lo, tuple(np.tile(col[lo:lo + chunk], rows) for col in self.schedule)
 
 
 def simulate_all(

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cleaning import FollowingSegment
+from .cleaning import FollowingSegment, times_too_far_apart
 from .errors import DomainError, InsufficientDataError, UndefinedStatisticError
 
 # Jerk magnitudes above these to degrade ride comfort (ft/s^3): limit of
@@ -239,8 +239,16 @@ def jerk_comfort_shares(jerk, thresholds: ComfortThresholds | None = None) -> tu
 # segment-level report
 
 def follower_jerk(segment: FollowingSegment) -> np.ndarray:
-    """Jerk of the follower, by backward differences of its acceleration."""
-    steps = np.diff(segment.t)
+    """Jerk of the follower, by backward differences of its acceleration.
+
+    Raises DomainError naming the segment when two neighbouring times lie
+    too far apart for their difference to be a float.
+    """
+    with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
+        steps = np.diff(segment.t)
+    far = ~np.isfinite(steps)
+    if far.any():
+        raise times_too_far_apart(segment, int(np.argmax(far)))
     jerk = np.empty(len(segment))
     jerk[1:] = np.diff(segment.follower_accel) / steps
     jerk[0] = jerk[1]

@@ -34,6 +34,22 @@ def write_logs(tmp_path, seconds=90, stop_at=None, stop_len=5):
     return leader, follower
 
 
+def one_error_line_from_fresh_process(argv) -> dict:
+    """Run cfcalib in a new interpreter; assert exit 1 and one stderr line, and parse it.
+
+    A fresh interpreter prints a numpy warning to stderr, as the installed
+    command would, where this test session raises it.
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "cfcalib.cli", *argv],
+                          env=env, capture_output=True, text=True, timeout=120)
+    lines = done.stderr.strip().splitlines()
+    assert done.returncode == 1
+    assert len(lines) == 1, done.stderr
+    return json.loads(lines[0])
+
+
 def run_pipeline_to_segments(tmp_path, **log_kwargs):
     leader, follower = write_logs(tmp_path, **log_kwargs)
     pair = tmp_path / "pair.json"
@@ -193,18 +209,42 @@ class TestCleanAndStats:
 
         pair = tmp_path / "pair.json"
         pair.write_text(json.dumps({"leader": side("lead", 100.0), "follower": side("follow", 0.0)}))
-        # a fresh interpreter prints a numpy warning to stderr, as the
-        # installed command would, where this test session raises it
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-        done = subprocess.run(
-            [sys.executable, "-m", "cfcalib.cli", "clean", "--pair", str(pair),
-             "--min-segment-len", "3", "--out", str(tmp_path / "segments.json")],
-            env=env, capture_output=True, text=True, timeout=120)
-        lines = done.stderr.strip().splitlines()
-        assert done.returncode == 1
-        assert len(lines) == 1, done.stderr
-        assert json.loads(lines[0])["error"] == "no-car-following"
+        err = one_error_line_from_fresh_process(
+            ["clean", "--pair", str(pair), "--min-segment-len", "3",
+             "--out", str(tmp_path / "segments.json")])
+        assert err["error"] == "no-car-following"
+
+    @pytest.mark.parametrize("command", ["stats", "simulate", "validate", "calibrate"])
+    def test_segment_times_too_far_apart_exit_one(self, tmp_path, command):
+        """Neighbouring segment times whose difference overflows the float range."""
+        from cfcalib.models import default_params, write_params
+
+        n = 12
+        t = [-1.7e308, 1.7e308] + [1.7e308 + k * 1e305 for k in range(1, n - 1)]
+
+        def segment(segment_id):
+            return {"id": segment_id, "t": t,
+                    "leader": {"pos": [100.0 + 10.0 * i for i in range(n)],
+                               "speed": [10.0] * n, "accel": [0.0] * n},
+                    "follower": {"pos": [10.0 * i for i in range(n)],
+                                 "speed": [10.0] * n, "accel": [0.0] * n}}
+
+        segments = tmp_path / "segments.json"
+        segments.write_text(json.dumps({"segments": [segment("far-0"), segment("far-1")]}))
+        model = tmp_path / "model.json"
+        write_params(default_params("idm"), model)
+        config = tmp_path / "ga.json"
+        config.write_text(json.dumps({"population": 4, "max_generations": 1, "seeds": [0]}))
+        argv = {"stats": ["stats"], "simulate": ["simulate", "--model", str(model)],
+                "validate": ["validate", "--params", str(model)],
+                "calibrate": ["calibrate", "--model", "idm", "--config", str(config)]}[command]
+        out = tmp_path / "out.json"
+        err = one_error_line_from_fresh_process(
+            argv + ["--segments", str(segments), "--out", str(out)])
+        assert err["error"] == "domain"
+        assert err["message"].startswith("segment far-0: t[1] = 1.7e+308 lies too far from "
+                                         "t[0] = -1.7e+308")
+        assert not out.exists()
 
     def test_stats_report_and_svgs(self, tmp_path):
         segments = run_pipeline_to_segments(tmp_path)

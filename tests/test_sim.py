@@ -300,29 +300,15 @@ class TestBlockPath:
                   for s0 in np.linspace(2.0, 12.0, 10)]
         expected = SegmentSet(segments, dt=dt).pooled_spacing(models)
         capped = SegmentSet(segments, dt=dt)
-        assert capped._rows_per_run == (1 << 20) // capped.valid.size
+        # the cap counts the values of the spacing array alone
+        assert capped._rows_per_run == (3 << 20) // capped.valid.size
         capped._rows_per_run = 4
-        intervals, substeps, lanes = capped.schedule[3].shape
-        # at dt 0.1, a cap that holds three intervals of a 4-row tile
-        cap = 3 * substeps * 4 * lanes if dt == 0.1 else 1 << 20
-        monkeypatch.setattr(sim, "_BLOCK_VALUES", cap)
-        widths, tiles = [], []
-        run_block, schedule_tiles = capped._run_block, capped._schedule_tiles
-
-        def recorded_tiles(rows):
-            for lo, columns in schedule_tiles(rows):
-                tiles.append((rows, lo, columns[3].shape))
-                yield lo, columns
-
-        monkeypatch.setattr(capped, "_run_block",
-                            lambda models: widths.append(len(models)) or run_block(models))
-        monkeypatch.setattr(capped, "_schedule_tiles", recorded_tiles)
+        widths = []
+        run_block = capped._run_block
+        monkeypatch.setattr(capped, "_run_block", lambda models, **kwargs: widths.append(
+            len(models)) or run_block(models, **kwargs))
         got = capped.pooled_spacing(models)
         assert widths == [4, 4, 2]
-        assert all(np.prod(shape) <= cap for _, _, shape in tiles)
-        chunk = {4: 3, 2: 6} if dt == 0.1 else {4: intervals, 2: intervals}
-        assert tiles == [(rows, lo, (min(chunk[rows], intervals - lo), substeps, rows * lanes))
-                         for rows in widths for lo in range(0, intervals, chunk[rows])]
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
@@ -522,25 +508,24 @@ def reference_run_block(segment_set, models):
     rows = len(models)
     accel_fn = reference_block_accel_fn(models, lanes)
     limits = segment_set.limits
+    # rows side by side in flat lanes, the schedule tiled once per row
     lx = np.tile(segment_set.lx, rows)
+    xl, vl, al, h = (np.tile(col, rows) for col in segment_set.schedule)
     pos, speed, spacing = (np.empty((n, rows * lanes)) for _ in range(3))
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         x = np.tile(segment_set.x0, rows)
         v = np.tile(np.minimum(np.maximum(segment_set.v0, limits.v_min), limits.v_max), rows)
         pos[0], speed[0], spacing[0] = x, v, lx[0] - x
-        for lo, (xl, vl, al, h) in segment_set._schedule_tiles(rows):
-            for j, substeps in enumerate(segment_set.substeps[lo:lo + len(h)]):
-                for k in range(substeps):
-                    s = xl[j, k] - x
-                    s[s <= 0.0] = sim.SPACING_FLOOR_FT
-                    a_cmd = np.minimum(np.maximum(accel_fn(s, v, vl[j, k], al[j, k], xl[j, k], x),
-                                                  limits.a_min), limits.a_max)
-                    v_new = np.minimum(np.maximum(v + a_cmd * h[j, k], limits.v_min),
-                                       limits.v_max)
-                    x = x + 0.5 * (v + v_new) * h[j, k]
-                    v = v_new
-                i = lo + j + 1
-                pos[i], speed[i], spacing[i] = x, v, lx[i] - x
+        for i, substeps in enumerate(segment_set.substeps):
+            for k in range(substeps):
+                s = xl[i, k] - x
+                s[s <= 0.0] = sim.SPACING_FLOOR_FT
+                a_cmd = np.minimum(np.maximum(accel_fn(s, v, vl[i, k], al[i, k], xl[i, k], x),
+                                              limits.a_min), limits.a_max)
+                v_new = np.minimum(np.maximum(v + a_cmd * h[i, k], limits.v_min), limits.v_max)
+                x = x + 0.5 * (v + v_new) * h[i, k]
+                v = v_new
+            pos[i + 1], speed[i + 1], spacing[i + 1] = x, v, lx[i + 1] - x
     pos, speed, spacing = (col.reshape(n, rows, lanes) for col in (pos, speed, spacing))
     hit = spacing[1:] <= 0.0
     collisions = (hit & segment_set.valid[1:, None, :]).sum(axis=0)
@@ -601,6 +586,43 @@ class TestBlockMatchesReference:
         segment_set.schedule = (*(rng.choice(values, col.shape) for col in leader), h)
         assert_block_matches_reference([genes_to_params(kind, genes) for genes in rows], 1.0,
                                        segment_set)
+
+
+# per kind, a row whose block overflows where the scalar loop clamps the
+# acceleration, and for idm and blend one that faults on both engines
+BLOCK_FAULT_ROWS = {
+    "idm": [genes_to_params("idm", genes) for genes in EDGE_ROWS["idm"]],
+    "blend": [genes_to_params("blend", genes) for genes in EDGE_ROWS["blend"]],
+    "linear_acc": [AccParams(k1=1e308, k2=0.43, t_des=4.96, d0=15.0)],
+}
+
+
+def results_spacing(segment_set, model):
+    """The bytes of results()' spacing, segments concatenated; None where it faults."""
+    try:
+        return np.concatenate([res.spacing for res in segment_set.results(model)]).tobytes()
+    except DomainError:
+        return None
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+@pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+def test_spacing_only_block_matches_full_block(kind, dt):
+    """pooled_spacing runs the block without pos and speed; results() keeps all three."""
+    rng = np.random.default_rng(0)
+    rows = [genes_to_params(kind, [rng.integers(lo, hi + 1) if integer else rng.uniform(lo, hi)
+                                   for _, lo, hi, integer in GENE_BOUNDS[kind]])
+            for _ in range(40)]
+    segment_set = BLOCK_SETS[dt]
+    assert segment_set._run_block(rows) is not None
+    faulting = rows[:2] + BLOCK_FAULT_ROWS[kind]
+    # the block faults, so pooled_spacing retries it row by row
+    with pytest.raises(FloatingPointError):
+        segment_set._run_block(faulting)
+    for models in ([default_params(kind)], rows[:3], rows, faulting):
+        got = [None if spacing is None else spacing.tobytes()
+               for spacing in segment_set.pooled_spacing(models)]
+        assert got == [results_spacing(segment_set, model) for model in models]
 
 
 def _digest(results) -> str:
