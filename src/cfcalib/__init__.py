@@ -36,7 +36,6 @@ from .errors import (
 from .ingest import (
     GpsLog,
     Trajectory,
-    convert_units,
     derive_kinematics,
     geodesic_distance,
     kinematics_from_positions,

@@ -7,12 +7,15 @@ per-gene uniform-reset mutation; every random draw comes from one seeded
 generator in a fixed order, so a (seed, inputs) pair fully determines
 the outcome. ga_calibrate runs the seeds of a GaConfig in lockstep:
 each seed keeps its own generator and draw order, and each generation
-the children of every live seed are scored as one block of gene rows,
-which sim.SegmentSet decides how to simulate. A child that repeats a
-population row or an earlier child of its generation (no crossover and
-no mutated gene make a copy of its parent) is scored from its twin, not
-simulated again. Every row scores what it scores alone, so each seed's
-result is the one it gets run by itself.
+the children of every live seed are scored as one block of gene rows.
+The block becomes one parameter table (models.genes_table), which
+sim.SegmentSet simulates on the engine it picks, and its pooled spacing
+one (rows, samples) array, scored against observation terms taken once.
+A child that repeats a population row or an earlier child of its
+generation (no crossover and no mutated gene make a copy of its parent)
+is scored from its twin, not simulated again. Every row scores what it
+scores alone, so each seed's result is the one it gets run by itself.
+The fit report reads one pooled run of the best parameter set.
 """
 
 from __future__ import annotations
@@ -26,8 +29,8 @@ import numpy as np
 from .cleaning import FollowingSegment, split_segments
 from .errors import CfCalibError, ConfigError, UndefinedStatisticError
 from .jsonio import is_finite_number, read_json_object
-from .models import GENE_BOUNDS, ModelParams, genes_to_params, params_to_dict
-from .sim import SegmentSet, SimLimits, simulate_all
+from .models import GENE_BOUNDS, ModelParams, genes_table, genes_to_params, params_to_dict
+from .sim import SegmentSet, SimLimits
 
 # Fitness assigned when a simulation faults; finite so the GA keeps going.
 FAULT_FITNESS = 1e9
@@ -49,16 +52,28 @@ def gof(sim, obs) -> tuple[float, float, float]:
     return mae, rmse, float(_nrmse_rows(sim[None, :], obs)[0])
 
 
-def _nrmse_rows(sim: np.ndarray, obs: np.ndarray) -> np.ndarray:
-    """NRMSE of each row of a (rows, samples) array against `obs`.
+def _obs_terms(obs: np.ndarray) -> tuple[float, float]:
+    """The terms of _nrmse_rows that depend on the observations alone.
 
-    The squares form a C-contiguous array, whose mean along its last
-    axis numpy sums one row at a time, pairwise as it sums a 1-d array:
-    each row scores bit for bit what gof() gives it alone.
+    They are their largest magnitude and the mean square of the
+    observations divided by it.
     """
     scale = float(np.max(np.abs(obs)))
     if scale == 0.0:
         raise UndefinedStatisticError("nrmse undefined: observations are all zero")
+    obs_n = obs / scale
+    return scale, np.mean(obs_n * obs_n)
+
+
+def _nrmse_rows(sim: np.ndarray, obs: np.ndarray, terms=None) -> np.ndarray:
+    """NRMSE of each row of a (rows, samples) array against `obs`.
+
+    `terms` is _obs_terms(obs), taken here when not given. The squares
+    form a C-contiguous array, whose mean along its last axis numpy sums
+    one row at a time, pairwise as it sums a 1-d array: each row scores
+    bit for bit what gof() gives it alone.
+    """
+    scale, obs_mean_square = terms or _obs_terms(obs)
     # Squares of values near the float limits under- or overflow, so both
     # series are scaled before squaring: the observations by their largest
     # magnitude, each row's errors by the larger of that and its own
@@ -66,9 +81,8 @@ def _nrmse_rows(sim: np.ndarray, obs: np.ndarray) -> np.ndarray:
     err = sim - obs
     err_scale = np.maximum(scale, np.max(np.abs(err), axis=-1))
     err_n = err / err_scale[:, None]
-    obs_n = obs / scale
     sq = err_n * err_n
-    ratio = np.mean(sq, axis=-1) / np.mean(obs_n * obs_n)
+    ratio = np.mean(sq, axis=-1) / obs_mean_square
     return err_scale / scale * np.sqrt(ratio)
 
 
@@ -100,13 +114,15 @@ def gof_report(
     limits: SimLimits | None = None,
     dt: float = 1.0,
 ) -> GofReport:
-    """Simulate `params` over `segments` and pool spacing/speed errors."""
+    """Simulate `params` over `segments` and pool spacing/speed errors.
+
+    One pooled run gives the simulated spacing and speed of every
+    segment, concatenated in segment order as the observations are.
+    """
     if not segments:
         raise ConfigError("no segments to validate on")
-    results = simulate_all(params, segments, limits, dt)
-    sim_spacing = np.concatenate([r.spacing for r in results])
+    _, sim_speed, sim_spacing, _ = SegmentSet(segments, limits, dt).pooled_run(params)
     obs_spacing = np.concatenate([s.spacing for s in segments])
-    sim_speed = np.concatenate([r.follower_speed for r in results])
     obs_speed = np.concatenate([s.follower_speed for s in segments])
     mae_s, rmse_s, nrmse_s = gof(sim_spacing, obs_spacing)
     mae_v, rmse_v, nrmse_v = gof(sim_speed, obs_speed)
@@ -220,33 +236,32 @@ class CalibrationResult:
 def _make_fitness(kind, segments, limits, dt):
     """Block fitness: gene rows (P x G) in, pooled spacing NRMSE per row (P,) out.
 
-    A row whose genes lie outside the model's domain, or whose
-    simulation faults, scores FAULT_FITNESS. Every row scores exactly
-    what it scores alone.
+    The gene rows become one parameter table, whose rows inside the
+    model's domain are simulated together. A row whose genes lie outside
+    the domain, or whose simulation faults, scores FAULT_FITNESS, as does
+    every row when the observations are all zero. Every row scores
+    exactly what it scores alone.
     """
     obs_spacing = np.concatenate([s.spacing for s in segments])
     segment_set = SegmentSet(segments, limits, dt)  # checks dt before any stepping
+    try:
+        terms = _obs_terms(obs_spacing)
+    except UndefinedStatisticError:
+        terms = None
 
     def evaluate(genes_rows) -> np.ndarray:
         genes_rows = np.atleast_2d(np.asarray(genes_rows, dtype=float))
         values = np.full(len(genes_rows), FAULT_FITNESS)
-        rows, params = [], []
-        for r, genes in enumerate(genes_rows):
-            try:
-                params.append(genes_to_params(kind, genes))
-            except CfCalibError:
-                continue
-            rows.append(r)
-        if not params:
+        try:
+            table, ok = genes_table(kind, genes_rows)
+        except CfCalibError:  # an unknown kind or the wrong number of genes
             return values
-        scored = [(r, spacing) for r, spacing in zip(rows, segment_set.pooled_spacing(params))
-                  if spacing is not None]
-        if scored:
-            try:
-                nrmse = _nrmse_rows(np.array([spacing for _, spacing in scored]), obs_spacing)
-            except CfCalibError:
-                return values
-            values[[r for r, _ in scored]] = np.where(np.isfinite(nrmse), nrmse, FAULT_FITNESS)
+        rows = np.flatnonzero(ok)
+        if terms is None or not len(rows):
+            return values
+        spacing, fault = segment_set.pooled_spacing(kind, table[rows])
+        nrmse = _nrmse_rows(spacing[~fault], obs_spacing, terms)
+        values[rows[~fault]] = np.where(np.isfinite(nrmse), nrmse, FAULT_FITNESS)
         return values
 
     return evaluate

@@ -86,8 +86,11 @@ class FollowingSegment:
     """One contiguous car-following interval; the unit of calibration.
 
     Construction rejects ragged columns, fewer than 10 samples, times that
-    do not strictly increase (OrderingError) and a spacing that is not
-    positive, in that order.
+    do not strictly increase (OrderingError), a spacing that is not
+    positive and a spacing or leader step that is not finite, in that
+    order. Positions near the float range can lie too far apart to
+    subtract; the simulator steps the follower by spacing and the leader
+    by its steps, so both must be finite.
     """
 
     id: str
@@ -110,8 +113,28 @@ class FollowingSegment:
         if n < 10:
             raise DomainError(f"segment {self.id}: need at least 10 samples, got {n}")
         require_increasing(self.t, f"segment {self.id}")
-        if np.any(self.leader_pos - self.follower_pos <= 0):
+        with np.errstate(over="ignore", invalid="ignore"):
+            spacing = self.leader_pos - self.follower_pos
+            leader_step = self.leader_pos[1:] - self.leader_pos[:-1]
+        if (spacing <= 0).any():
             raise DomainError(f"segment {self.id}: spacing must stay positive")
+        # the spacing is positive, so its largest value alone can be inf or NaN
+        if not (spacing.max() < np.inf and np.isfinite(leader_step).all()):
+            raise self._not_finite(spacing, leader_step)
+
+    def _not_finite(self, spacing: np.ndarray, leader_step: np.ndarray) -> DomainError:
+        """The error for the first spacing, then the first leader step, that is not finite."""
+        bad = np.flatnonzero(~np.isfinite(spacing))
+        if bad.size:
+            i = bad[0]
+            return DomainError(
+                f"segment {self.id}: the spacing at t[{i}] is not finite (leader_pos = "
+                f"{float(self.leader_pos[i])!r}, follower_pos = {float(self.follower_pos[i])!r})")
+        i = np.flatnonzero(~np.isfinite(leader_step))[0]
+        return DomainError(
+            f"segment {self.id}: leader_pos[{i + 1}] = {float(self.leader_pos[i + 1])!r} lies "
+            f"too far from leader_pos[{i}] = {float(self.leader_pos[i])!r} to measure in "
+            f"float feet")
 
     def __len__(self) -> int:
         return len(self.t)

@@ -172,45 +172,6 @@ def derive_kinematics(log: GpsLog, vehicle_id: str = "", dt: float = 1.0) -> Tra
 
 
 # ---------------------------------------------------------------------------
-# unit conversion
-
-# unit -> (dimension, numerator, denominator); value * num / den gives the
-# canonical unit (ft, ft/s, ft/s^2). Rational factors keep mi/h -> ft/s exact.
-_UNIT_TABLE = {
-    "ft": ("length", 1.0, 1.0),
-    "m": ("length", 1.0, 0.3048),
-    "ft/s": ("speed", 1.0, 1.0),
-    "mi/h": ("speed", 5280.0, 3600.0),
-    "m/s": ("speed", 1.0, 0.3048),
-    "ft/s^2": ("accel", 1.0, 1.0),
-    "m/s^2": ("accel", 1.0, 0.3048),
-}
-
-_UNIT_ALIASES = {
-    "ft/s2": "ft/s^2",
-    "m/s2": "m/s^2",
-    "mph": "mi/h",
-    "fps": "ft/s",
-}
-
-
-def _lookup_unit(unit: str):
-    key = _UNIT_ALIASES.get(unit, unit)
-    if key not in _UNIT_TABLE:
-        raise DomainError(f"unknown unit {unit!r}")
-    return _UNIT_TABLE[key]
-
-
-def convert_units(value: float, from_unit: str, to_unit: str) -> float:
-    """Convert between ft/m length, ft/s / mi/h / m/s speed, and ft/m accel units."""
-    dim_a, num_a, den_a = _lookup_unit(from_unit)
-    dim_b, num_b, den_b = _lookup_unit(to_unit)
-    if dim_a != dim_b:
-        raise DomainError(f"cannot convert {from_unit!r} to {to_unit!r}")
-    return value * num_a / den_a * den_b / num_b
-
-
-# ---------------------------------------------------------------------------
 # file I/O
 
 def _parse_time(text: str) -> float:

@@ -34,6 +34,8 @@ from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
+
 from .errors import DomainError
 from .jsonio import read_json_object, require_keys, require_numbers, write_json
 
@@ -55,10 +57,7 @@ class IdmParams:
     b: float
 
     def __post_init__(self):
-        if min(self.a, self.v0, self.s0, self.T, self.b) <= 0:
-            raise DomainError("IDM parameters a, v0, s0, T, b must be positive")
-        if self.delta < 1 or int(self.delta) != self.delta:
-            raise DomainError(f"delta must be an integer >= 1, got {self.delta}")
+        _check_domain("idm", vars(self))
 
 
 @dataclass(frozen=True)
@@ -73,8 +72,7 @@ class BlendParams:
     c: float
 
     def __post_init__(self):
-        if not 0.0 <= self.c <= 1.0:
-            raise DomainError(f"coolness factor must be in [0, 1], got {self.c}")
+        _check_domain("blend", {**vars(self.idm), "c": self.c})
 
 
 @dataclass(frozen=True)
@@ -92,13 +90,44 @@ class AccParams:
     d0: float = 15.0
 
     def __post_init__(self):
-        if min(self.k1, self.k2, self.t_des) <= 0:
-            raise DomainError("k1, k2, t_des must be positive")
-        if self.d0 < 0:
-            raise DomainError(f"d0 must be nonnegative, got {self.d0}")
+        _check_domain("linear_acc", vars(self))
 
 
 ModelParams = IdmParams | BlendParams | AccParams
+
+
+def _positive(values: dict, names: tuple[str, ...]):
+    return np.logical_and.reduce([values[name] > 0 for name in names])
+
+
+# The domain of each model kind: its checks in order, each a predicate on
+# the kind's flat field values and the message of a parameter set that
+# fails it. A predicate takes numbers or the columns of a parameter table
+# alike, and holds for no NaN.
+_IDM_DOMAIN = [
+    (lambda p: _positive(p, ("a", "v0", "s0", "T", "b")),
+     "IDM parameters a, v0, s0, T, b must be positive"),
+    (lambda p: np.isfinite(p["delta"]) & (p["delta"] >= 1) & (np.rint(p["delta"]) == p["delta"]),
+     "delta must be an integer >= 1, got {delta}"),
+]
+_DOMAIN = {
+    "idm": _IDM_DOMAIN,
+    "blend": _IDM_DOMAIN + [
+        (lambda p: (0.0 <= p["c"]) & (p["c"] <= 1.0),
+         "coolness factor must be in [0, 1], got {c}"),
+    ],
+    "linear_acc": [
+        (lambda p: _positive(p, ("k1", "k2", "t_des")), "k1, k2, t_des must be positive"),
+        (lambda p: p["d0"] >= 0, "d0 must be nonnegative, got {d0}"),
+    ],
+}
+
+
+def _check_domain(kind: str, values: dict) -> None:
+    """Raise DomainError with the message of the first check one parameter set fails."""
+    for holds, message in _DOMAIN[kind]:
+        if not holds(values):
+            raise DomainError(message.format(**values))
 
 
 @dataclass(frozen=True)
@@ -293,6 +322,49 @@ def genes_to_params(kind: str, genes, d0: float = DEFAULT_D0) -> ModelParams:
     if kind == "linear_acc":
         values["d0"] = d0
     return _build(kind, values)
+
+
+# The simulator's parameter table: per model kind, the fields of one row,
+# in the order its kernels unpack them. A linear_acc row ends in d0, which
+# is no gene.
+TABLE_FIELDS = {
+    "idm": ("a", "delta", "v0", "s0", "T", "b"),
+    "blend": ("a", "delta", "v0", "s0", "T", "b", "c"),
+    "linear_acc": ("k1", "k2", "t_des", "d0"),
+}
+
+
+def params_row(params: ModelParams) -> tuple[str, list[float]]:
+    """The kind of a parameter set and its values in TABLE_FIELDS order, as floats."""
+    kind, values = _values(params)
+    return kind, [float(values[name]) for name in TABLE_FIELDS[kind]]
+
+
+def genes_table(kind: str, genes) -> tuple[np.ndarray, np.ndarray]:
+    """The parameter table of a (rows, genes) matrix, and which rows lie in the domain.
+
+    A row of the (rows, fields) table holds what params_row gives the
+    parameter set genes_to_params builds from the same genes. The mask is
+    False exactly where genes_to_params raises, and the values of such a
+    row mean nothing. Raises DomainError for an unknown kind or the wrong
+    number of genes.
+    """
+    if kind not in GENE_BOUNDS:
+        raise DomainError(f"unknown model kind {kind!r}")
+    layout = GENE_BOUNDS[kind]
+    genes = np.asarray(genes, dtype=float)
+    if genes.ndim != 2 or genes.shape[1] != len(layout):
+        raise DomainError(f"{kind} expects rows of {len(layout)} genes, got shape {genes.shape}")
+    # int(round(float(g))) rounds half to even, as rint does, and raises
+    # where rint gives NaN or an infinity, which the domain rejects
+    column = {name: np.rint(gene) if integer else gene
+              for (name, _, _, integer), gene in zip(layout, genes.T)}
+    if kind == "linear_acc":
+        column["d0"] = np.full(len(genes), DEFAULT_D0)
+    ok = np.ones(len(genes), dtype=bool)
+    for holds, _ in _DOMAIN[kind]:
+        ok &= holds(column)
+    return np.stack([column[name] for name in TABLE_FIELDS[kind]], axis=1), ok
 
 
 def params_to_genes(params: ModelParams) -> list[float]:

@@ -10,26 +10,32 @@ colliding output sample counts as one event.
 
 Two engines share these rules and step one sub-step schedule, which
 SegmentSet precomputes: each observation interval cut into dt sub-steps,
-the leader interpolated linearly to the start of each. Both write the
-kernels of every model kind inline; the raw kernels in models.py are the
-reference they are tested against. The scalar loop, _step_loop, steps
-one segment at a time in plain Python floats, so that a sub-step makes
-no Python call. The block stepper, SegmentSet._run_block, advances a
-(parameter sets x segments) state per sub-step in numpy, the schedule
-broadcast over the parameter sets; a GA generation records its spacing
+the leader interpolated linearly to the start of each. Both read a
+parameter set as one row of a parameter table (models.TABLE_FIELDS) and
+write the kernels of every model kind inline; the raw kernels in
+models.py are the reference they are tested against. The scalar loop,
+_step_loop, steps one segment at a time in plain Python floats, so that
+a sub-step makes no Python call. The block stepper, SegmentSet._run_block,
+advances a (table rows x segments) state per sub-step in numpy, the
+schedule broadcast over the rows; a GA generation records its spacing
 only. The engines differ only in power and tanh. SegmentSet alone picks
 the engine: the block when the set has BATCH_MIN_SEGMENTS segments or
-more, never depending on how many parameter sets are stepped together.
-A block that overflows or turns NaN is stepped again row by row, and a
-row that still does runs the scalar loop, so every parameter set gets
-exactly what it gets stepped alone.
+more, never depending on how many rows are stepped together. A block
+that overflows or turns NaN is stepped again row by row, and a row that
+still does runs the scalar loop, so every row gets exactly what it gets
+stepped alone.
+
+Results come pooled, the segments concatenated in order: a GA
+generation's spacing as one (rows, samples) array, and one parameter
+set's positions, speeds and spacing, which the fit report reads as they
+are and results() splits per segment.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +43,7 @@ import numpy as np
 from .cleaning import FollowingSegment, times_too_far_apart
 from .errors import ConfigError, DomainError
 from .jsonio import read_json_object, require_keys, require_numbers
-from .models import AccParams, BlendParams, IdmParams, ModelParams
+from .models import ModelParams, params_row
 
 SPACING_FLOOR_FT = 0.01
 
@@ -64,15 +70,6 @@ _RAISE_ON_FAULT = {"over": "raise", "divide": "raise", "invalid": "raise"}
 # values (24 MB of float64) in the (samples x rows x segments) spacing
 # array of one block run; a GA generation with more rows takes several runs
 _BLOCK_VALUES = 3 << 20
-
-
-# the parameters each kind's block kernel reads, in the order it unpacks them
-_IDM_FIELDS = ("a", "delta", "v0", "s0", "T", "b")
-_BLOCK_FIELDS = {
-    AccParams: ("k1", "k2", "t_des", "d0"),
-    IdmParams: _IDM_FIELDS,
-    BlendParams: tuple(f"idm.{name}" for name in _IDM_FIELDS) + ("c",),
-}
 
 
 @dataclass(frozen=True)
@@ -120,29 +117,31 @@ def simulate_follower(
     return SegmentSet([seg], limits, dt).results(model)[0]
 
 
-def _step_loop(model: ModelParams, lists: tuple, limits: SimLimits):
+def _step_loop(kind: str, row: list, lists: tuple, limits: SimLimits):
     """Step one segment's sub-steps; returns (pos, speed, spacing, collisions) as lists.
 
-    `lists` is one of SegmentSet._scalar_lists; `end` is the leader position
-    at the observation a sub-step completes, None inside an interval. A
-    NaN, once in, stays in x, so a run ending non-finite raises
-    ArithmeticError.
+    `row` is one parameter set of the kind, Python floats in TABLE_FIELDS
+    order; `lists` is one of SegmentSet._scalar_lists, where `end` is the
+    leader position at the observation a sub-step completes, None inside
+    an interval. A NaN, once in, stays in x, so a run ending non-finite
+    raises ArithmeticError.
 
     The acceleration is computed inline, so a sub-step makes no Python
     call: linear_acc, or IDM with the CAH blend on top. Each kind does the
     IEEE operations of its models.*_accel_raw kernel in the same order,
-    and gives the same bits.
+    and gives the same bits. The IDM exponent is a float here: a float
+    raised to an int converts the int to a float first, so the power is
+    the same.
     """
-    acc = isinstance(model, AccParams)
-    blend = isinstance(model, BlendParams)
+    acc = kind == "linear_acc"
+    blend = kind == "blend"
     if acc:
-        k1, k2, t_des, d0 = model.k1, model.k2, model.t_des, model.d0
+        k1, k2, t_des, d0 = row
     else:
-        p = model.idm if blend else model
-        a, delta, v0, s0, T, b = p.a, p.delta, p.v0, p.s0, p.T, p.b
+        a, delta, v0, s0, T, b = row[:6]
         two_sqrt_ab = 2.0 * math.sqrt(a * b)
         if blend:
-            c = model.c
+            c = row[6]
             keep = 1.0 - c
             tanh = math.tanh
     x, v, xl0, *schedule = lists
@@ -239,6 +238,7 @@ class SegmentSet:
         self.segments = list(segments)
         self.limits = limits or SimLimits()
         self.dt = dt
+        self.samples = sum(len(seg) for seg in self.segments)
         self._lists = None if self.segments else []  # cut on the scalar loop's first run
         if self.segments:
             self._pad()
@@ -259,13 +259,17 @@ class SegmentSet:
         self.x0 = np.array([seg.follower_pos[0] for seg in segments])
         self.v0 = np.array([seg.follower_speed[0] for seg in segments])
 
-        # an interval or a step count that overflows is inf, rejected below
+        # an interval or a step count that overflows is inf, rejected below;
+        # so is a step count too large for the schedule: its (interval,
+        # sub-step, lane) arrays of float64 must stay within what numpy indexes
+        most = np.iinfo(np.intp).max / (8 * self.valid.size)
         with np.errstate(over="ignore", invalid="ignore"):
             interval = np.diff(t, axis=0)
             m = np.rint(interval / dt)
             # written so that a NaN interval counts as bad
             bad = self.valid[1:] & ~(
-                (m >= 1) & (np.abs(interval - m * dt) <= 1e-6 * np.maximum(1.0, interval)))
+                (m >= 1) & (m < most)
+                & (np.abs(interval - m * dt) <= 1e-6 * np.maximum(1.0, interval)))
         far = ~np.isfinite(interval)
         if far.any():
             lane, i = np.argwhere(far.T)[0]  # first such interval in segment order
@@ -295,69 +299,81 @@ class SegmentSet:
     def results(self, model: ModelParams) -> list[SimResult]:
         """Simulate each segment independently, re-initialized from its first sample.
 
+        Splits the one pooled_run of the model per segment, and raises
+        as it does.
+        """
+        pos, speed, spacing, collisions = self.pooled_run(model)
+        ends = np.cumsum([len(seg) for seg in self.segments]).tolist()
+        return [_result(seg, pos[lo:hi], speed[lo:hi], spacing[lo:hi], int(hits))
+                for seg, lo, hi, hits in zip(self.segments, [0] + ends, ends, collisions)]
+
+    def pooled_run(self, model: ModelParams):
+        """Simulate one parameter set over every segment, each from its first sample.
+
+        Returns (pos, speed, spacing, collisions): the simulated follower
+        position, speed and spacing on the observation times, the segments
+        concatenated in order, and the collision count of each segment.
         Raises DomainError naming the first segment on which the scalar
         loop overflows, divides by zero or ends with a non-finite state.
         """
+        kind, row = params_row(model)
         try:
-            block = self._run_block([model])
+            block = self._run_block(kind, np.array([row]))
         except FloatingPointError:
             block = None
         if block is not None:
-            pos, speed, spacing, collisions = block
-            return [_result(seg, pos[:len(seg), 0, lane], speed[:len(seg), 0, lane],
-                            spacing[:len(seg), 0, lane], int(collisions[0, lane]))
-                    for lane, seg in enumerate(self.segments)]
-        results = []
+            valid = self.valid.T
+            pos, speed, spacing = (col[:, 0].T[valid] for col in block[:3])
+            return pos, speed, spacing, block[3][0]
+        runs = []
         try:
-            for run in self._scalar_runs(model):
-                results.append(_result(self.segments[len(results)], *run))
+            for run in self._scalar_runs(kind, row):
+                runs.append(run)
         except ArithmeticError as exc:
-            raise DomainError(f"segment {self.segments[len(results)].id}: the simulation "
+            raise DomainError(f"segment {self.segments[len(runs)].id}: the simulation "
                               f"faults ({type(exc).__name__}: {exc})") from None
-        return results
+        pos, speed, spacing = (np.array(list(chain.from_iterable(run[j] for run in runs)))
+                               for j in range(3))
+        return pos, speed, spacing, [run[3] for run in runs]
 
-    def pooled_spacing(self, models: list) -> list[np.ndarray | None]:
-        """Each model's simulated spacing, its segments concatenated in order.
+    def pooled_spacing(self, kind: str, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The simulated spacing of each row of a parameter table, segments concatenated.
 
-        None marks a model whose simulation overflows, turns NaN or
-        divides by zero. Every model gets the values it gets stepped alone:
-        models of mixed kinds are stepped kind by kind, so that each takes
-        the engine it takes alone.
+        `table` is a (rows, fields) array of parameter sets of one kind in
+        models.TABLE_FIELDS order, each inside the kind's domain. Returns a
+        (rows, samples) spacing array and a (rows,) mask of the rows whose
+        simulation overflows, turns NaN or divides by zero; their spacing
+        means nothing. Every row gets the values it gets stepped alone.
         """
-        kinds = dict.fromkeys(type(model) for model in models)
-        if len(kinds) > 1:
-            spacings = [None] * len(models)
-            for kind in kinds:
-                rows = [i for i, model in enumerate(models) if type(model) is kind]
-                for i, spacing in zip(rows, self.pooled_spacing([models[i] for i in rows])):
-                    spacings[i] = spacing
-            return spacings
-        if len(models) > self._rows_per_run:
-            return [spacing for i in range(0, len(models), self._rows_per_run)
-                    for spacing in self.pooled_spacing(models[i:i + self._rows_per_run])]
+        if len(table) > self._rows_per_run:
+            return self._joined(kind, table, self._rows_per_run)
         try:
-            block = self._run_block(models, states=False)
+            block = self._run_block(kind, table, states=False)
         except FloatingPointError:
-            if len(models) > 1:
-                return [spacing for model in models for spacing in self.pooled_spacing([model])]
+            if len(table) > 1:
+                return self._joined(kind, table, 1)
             block = None
         if block is not None:
-            return list(block[2].transpose(1, 2, 0)[:, self.valid.T])
-        return [self._scalar_spacing(model) for model in models]
+            return block[2].transpose(1, 2, 0)[:, self.valid.T], np.zeros(len(table), bool)
+        spacing = np.full((len(table), self.samples), np.nan)
+        fault = np.zeros(len(table), bool)
+        for r, row in enumerate(table.tolist()):
+            try:
+                spacing[r] = list(chain.from_iterable(run[2] for run in self._scalar_runs(kind, row)))
+            except ArithmeticError:
+                fault[r] = True
+        return spacing, fault
 
-    def _scalar_spacing(self, model) -> np.ndarray | None:
-        try:
-            return np.concatenate([run[2] for run in self._scalar_runs(model)])
-        except ArithmeticError:
-            return None
+    def _joined(self, kind: str, table: np.ndarray, rows: int):
+        """pooled_spacing of the table taken `rows` rows at a time, joined."""
+        parts = [self.pooled_spacing(kind, table[i:i + rows]) for i in range(0, len(table), rows)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
 
-    def _scalar_runs(self, model):
+    def _scalar_runs(self, kind: str, row: list):
         """_step_loop's output per segment, each stepped as it is drawn."""
-        if not isinstance(model, ModelParams):
-            raise DomainError(f"unsupported model type {type(model).__name__}")
         if self._lists is None:
             self._lists = self._scalar_lists()
-        return (_step_loop(model, lists, self.limits) for lists in self._lists)
+        return (_step_loop(kind, row, lists, self.limits) for lists in self._lists)
 
     def _scalar_lists(self) -> list[tuple]:
         """Per segment, x0, v0, the leader's first position and its real sub-steps.
@@ -375,38 +391,33 @@ class SegmentSet:
                 for x, v, lx, lo, hi in zip(self.x0.tolist(), self.v0.tolist(),
                                             self.lx[0].tolist(), bounds, bounds[1:])]
 
-    def _run_block(self, models: list, states: bool = True):
-        """Step one row per model over every lane in lockstep.
+    def _run_block(self, kind: str, table: np.ndarray, states: bool = True):
+        """Step each row of a parameter table over every lane in lockstep.
 
         Returns (pos, speed, spacing, collisions): three (samples, rows,
         lanes) arrays on the observation grid and a (rows, lanes) count,
-        with pos and speed None unless `states` is true; None when the set
-        or the models take the scalar loop. Raises FloatingPointError where
-        a value overflows or turns NaN.
+        with pos, speed and the count None unless `states` is true; None
+        when the set takes the scalar loop. Raises FloatingPointError
+        where a value overflows or turns NaN.
 
-        The models are all of one kind, whose kernel is written inline as
-        in _step_loop: the raw kernel's IEEE operations in the same order,
+        The rows are of one kind, whose kernel is written inline as in
+        _step_loop: the raw kernel's IEEE operations in the same order,
         with each branch computed on every lane and picked by np.where.
         """
         if len(self.segments) < BATCH_MIN_SEGMENTS:
             return None
-        kind = type(models[0])
-        fields = _BLOCK_FIELDS.get(kind)
-        if fields is None:
-            return None
         n, lanes = self.lx.shape
-        rows = len(models)
+        rows, fields = table.shape
         # C-contiguous (rows, lanes) state, over which the (lanes,) schedule
         # columns broadcast; one row steps on (lanes,), which numpy
         # handles at less cost per call
         shape = (rows, lanes) if rows > 1 else (lanes,)
-        acc = kind is AccParams
-        blend = kind is BlendParams
-        # a (rows, fields) table of the parameters, each field repeated
-        # over the lanes into one contiguous (rows, lanes) column: power
-        # and tanh take their SIMD loops on contiguous operands only
-        table = np.array(list(map(attrgetter(*fields), models)), dtype=float)
-        columns = np.repeat(table.T, lanes, axis=1).reshape(len(fields), *shape)
+        acc = kind == "linear_acc"
+        blend = kind == "blend"
+        # each field of the (rows, fields) table repeated over the lanes
+        # into one contiguous (rows, lanes) column: power and tanh take
+        # their SIMD loops on contiguous operands only
+        columns = np.repeat(table.T, lanes, axis=1).reshape(fields, *shape)
         if acc:
             k1, k2, t_des, d0 = columns
         else:
@@ -463,7 +474,7 @@ class SegmentSet:
                     pos[i + 1], speed[i + 1] = x, v
                 np.subtract(self.lx[i + 1], x, out=spacing[i + 1])
         hit = spacing[1:] <= 0.0
-        collisions = (hit & self.valid[1:, None, :]).sum(axis=0)
+        collisions = (hit & self.valid[1:, None, :]).sum(axis=0) if states else None
         spacing[1:][hit] = SPACING_FLOOR_FT
         return pos, speed, spacing, collisions
 

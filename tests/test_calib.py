@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from cfcalib import (
     ConfigError,
     GaConfig,
+    GofReport,
     IdmParams,
     UndefinedStatisticError,
     calibrate_and_validate,
@@ -16,9 +17,9 @@ from cfcalib import (
     gof,
     gof_report,
 )
-from cfcalib.calib import FAULT_FITNESS, _make_fitness, _nrmse_rows
+from cfcalib.calib import FAULT_FITNESS, _make_fitness, _nrmse_rows, _obs_terms
 from cfcalib.fixtures import idm_response_segments, short_trip_segments
-from cfcalib.models import GENE_BOUNDS, genes_to_params, params_to_genes
+from cfcalib.models import GENE_BOUNDS, default_params, genes_to_params, params_to_genes
 from cfcalib.sim import BATCH_MIN_SEGMENTS, simulate_all
 
 SHUTTLE_IDM = IdmParams(a=2.76, delta=1, v0=20.0, s0=9.89, T=2.79, b=24.58)
@@ -114,6 +115,7 @@ class TestNrmseRows:
         spread = rng.uniform(0.0, 2.0, (rows, 1)) * scale
         sim = obs + rng.normal(0.0, 1.0, (rows, samples)) * spread
         block = _nrmse_rows(sim, obs)
+        assert block.tobytes() == _nrmse_rows(sim, obs, _obs_terms(obs)).tobytes()
         for r in range(rows):
             assert block[r] == _nrmse_rows(sim[r:r + 1], obs)[0]
             assert block[r] == gof(sim[r], obs)[2]
@@ -205,6 +207,19 @@ class TestBlockFitness:
         assert len(segments) < len(scalar_runs) < 2 * len(segments)
         assert values.tolist() == [fitness("idm", g, segments) for g in genes]
         assert values[[0, 2, 5]].tolist() == _make_fitness("idm", segments, None, 1.0)(good).tolist()
+
+    @pytest.mark.parametrize("n_trips", [2, BATCH_MIN_SEGMENTS], ids=["scalar-loop", "block"])
+    def test_all_zero_observations_fault_every_row(self, n_trips):
+        segments = short_trip_segments(SHUTTLE_IDM, n_trips=n_trips, trip_seconds=10)
+        for seg in segments:  # past the constructor's check: an observed spacing of 0
+            seg.leader_pos = seg.follower_pos.copy()
+        genes = random_genes("idm", 5)
+        assert _make_fitness("idm", segments, None, 1.0)(genes).tolist() == [FAULT_FITNESS] * 5
+        assert fitness("idm", genes[0], segments) == FAULT_FITNESS
+
+    @pytest.mark.parametrize("genes", [[1.0] * 5, [1.0] * 7, []], ids=["5", "7", "0"])
+    def test_wrong_gene_count_faults(self, genes):
+        assert fitness("idm", genes, many_trips()[:2]) == FAULT_FITNESS
 
     def test_bad_dt_raises_before_stepping(self):
         for segments in (many_trips(), many_trips()[:2]):
@@ -483,3 +498,27 @@ class TestGofReport:
         rep = gof_report(SHUTTLE_IDM, segments)
         assert rep.nrmse_spacing < 1e-12
         assert rep.nrmse_speed < 1e-12
+
+
+def concatenated_report(params, segments, dt):
+    """The fit report of the per-segment results() concatenated."""
+    results = simulate_all(params, segments, None, dt)
+    mae_s, rmse_s, nrmse_s = gof(np.concatenate([r.spacing for r in results]),
+                                 np.concatenate([s.spacing for s in segments]))
+    mae_v, rmse_v, nrmse_v = gof(np.concatenate([r.follower_speed for r in results]),
+                                 np.concatenate([s.follower_speed for s in segments]))
+    return GofReport(nrmse_spacing=nrmse_s, mae_spacing=mae_s, rmse_spacing=rmse_s,
+                     nrmse_speed=nrmse_v, mae_speed=mae_v, rmse_speed=rmse_v)
+
+
+# three smooth responses run the scalar loop, the short trips the block
+REPORT_SETS = {"scalar-loop": idm_response_segments(SHUTTLE_IDM, n_segments=3, seconds=50),
+               "block": many_trips()}
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+@pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+@pytest.mark.parametrize("segments", REPORT_SETS.values(), ids=REPORT_SETS)
+def test_pooled_report_equals_concatenated_results(segments, kind, dt):
+    params = default_params(kind)
+    assert gof_report(params, segments, dt=dt) == concatenated_report(params, segments, dt)

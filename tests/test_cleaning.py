@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -297,6 +298,35 @@ class TestFollowingSegment:
         with pytest.raises(OrderingError) as exc:
             dataclasses.replace(segment, t=t)
         assert str(exc.value) == f"segment s: times must strictly increase; {named}"
+
+    @pytest.mark.parametrize("leader, follower, named", [
+        ([1.7e308], [-1.7e308], "the spacing at t[6] is not finite "
+                                "(leader_pos = 1.7e+308, follower_pos = -1.7e+308)"),
+        ([float("nan")], [0.0], "the spacing at t[6] is not finite "
+                                "(leader_pos = nan, follower_pos = 0.0)"),
+        ([1.7e308] * 5, [1.6e308] * 5, "leader_pos[6] = 1.7e+308 lies too far from "
+                                       "leader_pos[5] = -1.6e+308 to measure in float feet"),
+        # a spacing that is not positive is named first, NaN elsewhere or not
+        ([-1.7e308, float("nan")], [1.7e308, 0.0], "spacing must stay positive"),
+    ], ids=["spacing-overflows", "spacing-nan", "leader-step-overflows", "not-positive-first"])
+    def test_rejects_positions_too_far_apart(self, leader, follower, named):
+        segment = constant_leader_segment(10.0, 11, 50.0, seg_id="s")
+        leader_pos, follower_pos = segment.leader_pos.copy(), segment.follower_pos.copy()
+        leader_pos[:6], follower_pos[:6] = -1.6e308, -1.7e308  # a finite spacing
+        leader_pos[6:6 + len(leader)] = leader
+        follower_pos[6:6 + len(follower)] = follower
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no numpy warning on the way
+            with pytest.raises(DomainError) as exc:
+                dataclasses.replace(segment, leader_pos=leader_pos, follower_pos=follower_pos)
+        assert str(exc.value) == f"segment s: {named}"
+
+    def test_positions_near_the_float_range_kept_while_finite(self):
+        segment = constant_leader_segment(10.0, 11, 50.0, seg_id="s")
+        leader_pos = np.full(len(segment), 1.7e308)
+        kept = dataclasses.replace(segment, leader_pos=leader_pos,
+                                   follower_pos=leader_pos - 1e300)
+        assert np.all(np.isfinite(kept.spacing)) and np.all(kept.spacing > 0.0)
 
 
 def equal_segments(count, length=20):

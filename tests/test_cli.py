@@ -214,23 +214,69 @@ class TestCleanAndStats:
              "--out", str(tmp_path / "segments.json")])
         assert err["error"] == "no-car-following"
 
+    @pytest.mark.parametrize("command, case", [
+        ("stats", "far"), ("simulate", "far"), ("validate", "far"), ("calibrate", "far"),
+        ("simulate", 1e308), ("validate", 1e308), ("calibrate", 1e308),
+        ("simulate", 2e18), ("validate", 2e18), ("calibrate", 2e18),
+    ], ids=["stats", "simulate", "validate", "calibrate",
+            "simulate-too-many-substeps", "validate-too-many-substeps",
+            "calibrate-too-many-substeps", "simulate-schedule-too-large",
+            "validate-schedule-too-large", "calibrate-schedule-too-large"])
+    def test_segment_times_too_far_apart_exit_one(self, tmp_path, command, case):
+        """Neighbouring segment times whose difference overflows the float range.
+
+        Or a first interval that dt 1 divides into more sub-steps than
+        the schedule can hold: 1e308 ones overflow an int, and 2e18 ones
+        an array of that many floats per lane.
+        """
+        n = 12
+        if case == "far":
+            t = [-1.7e308, 1.7e308] + [1.7e308 + k * 1e305 for k in range(1, n - 1)]
+            error = "domain"
+            message = "segment far-0: t[1] = 1.7e+308 lies too far from t[0] = -1.7e+308"
+        else:
+            # later intervals of 1024 ulps at 2e18, and of 1e305 at 1e308
+            step = 1024.0 if case == 2e18 else 1e305
+            t = [0.0, case] + [case + k * step for k in range(1, n - 1)]
+            error = "config"
+            message = f"dt=1.0 does not divide the {case:.6g} s observation interval"
+        leader = {"pos": [100.0 + 10.0 * i for i in range(n)],
+                  "speed": [10.0] * n, "accel": [0.0] * n}
+        follower = {"pos": [10.0 * i for i in range(n)], "speed": [10.0] * n, "accel": [0.0] * n}
+        err = self.run_on_segments(tmp_path, command, t, leader, follower)
+        assert err["error"] == error
+        assert err["message"].startswith(message)
+
     @pytest.mark.parametrize("command", ["stats", "simulate", "validate", "calibrate"])
-    def test_segment_times_too_far_apart_exit_one(self, tmp_path, command):
-        """Neighbouring segment times whose difference overflows the float range."""
+    @pytest.mark.parametrize("case", ["spacing", "leader-step"])
+    def test_segment_positions_too_far_apart_exit_one(self, tmp_path, command, case):
+        """Positions near the float range whose spacing or leader step overflows."""
+        n = 12
+        if case == "spacing":
+            leader = [1.7e308] * n
+            follower = [-1.7e308] * n
+            message = ("segment far-0: the spacing at t[0] is not finite "
+                       "(leader_pos = 1.7e+308, follower_pos = -1.7e+308)")
+        else:
+            leader = [-1.6e308] + [1.7e308] * (n - 1)
+            follower = [-1.7e308] + [1.6e308] * (n - 1)
+            message = ("segment far-0: leader_pos[1] = 1.7e+308 lies too far from "
+                       "leader_pos[0] = -1.6e+308 to measure in float feet")
+        err = self.run_on_segments(
+            tmp_path, command, [float(i) for i in range(n)],
+            {"pos": leader, "speed": [10.0] * n, "accel": [0.0] * n},
+            {"pos": follower, "speed": [10.0] * n, "accel": [0.0] * n})
+        assert err == {"error": "domain", "message": message}
+
+    @staticmethod
+    def run_on_segments(tmp_path, command, t, leader, follower) -> dict:
+        """Run a command on two segments far-0 and far-1 in a fresh process; its one error line."""
         from cfcalib.models import default_params, write_params
 
-        n = 12
-        t = [-1.7e308, 1.7e308] + [1.7e308 + k * 1e305 for k in range(1, n - 1)]
-
-        def segment(segment_id):
-            return {"id": segment_id, "t": t,
-                    "leader": {"pos": [100.0 + 10.0 * i for i in range(n)],
-                               "speed": [10.0] * n, "accel": [0.0] * n},
-                    "follower": {"pos": [10.0 * i for i in range(n)],
-                                 "speed": [10.0] * n, "accel": [0.0] * n}}
-
         segments = tmp_path / "segments.json"
-        segments.write_text(json.dumps({"segments": [segment("far-0"), segment("far-1")]}))
+        segments.write_text(json.dumps({"segments": [
+            {"id": segment_id, "t": t, "leader": leader, "follower": follower}
+            for segment_id in ("far-0", "far-1")]}))
         model = tmp_path / "model.json"
         write_params(default_params("idm"), model)
         config = tmp_path / "ga.json"
@@ -241,10 +287,8 @@ class TestCleanAndStats:
         out = tmp_path / "out.json"
         err = one_error_line_from_fresh_process(
             argv + ["--segments", str(segments), "--out", str(out)])
-        assert err["error"] == "domain"
-        assert err["message"].startswith("segment far-0: t[1] = 1.7e+308 lies too far from "
-                                         "t[0] = -1.7e+308")
         assert not out.exists()
+        return err
 
     def test_stats_report_and_svgs(self, tmp_path):
         segments = run_pipeline_to_segments(tmp_path)

@@ -15,7 +15,6 @@ from cfcalib import (
     GpsLog,
     InsufficientDataError,
     OrderingError,
-    convert_units,
     derive_kinematics,
     geodesic_distance,
     kinematics_from_positions,
@@ -177,30 +176,6 @@ class TestDeriveKinematics:
         traj = kinematics_from_positions(t, pos)
         t[0] = pos[0] = -1.0
         assert traj.t[0] == 0.0 and traj.pos[0] == 0.0
-
-
-class TestConvertUnits:
-    def test_speed_cap_in_ft_per_s(self):
-        assert convert_units(15.0, "mi/h", "ft/s") == 22.0
-
-    def test_zero_is_zero(self):
-        for unit in ("ft", "m", "ft/s", "mi/h", "m/s", "ft/s^2", "m/s^2"):
-            assert convert_units(0.0, unit, unit) == 0.0
-
-    def test_metric_speed(self):
-        assert convert_units(1.0, "m/s", "ft/s") == pytest.approx(3.2808, abs=1e-4)
-
-    def test_unknown_unit(self):
-        with pytest.raises(DomainError):
-            convert_units(1.0, "furlong/fortnight", "ft/s")
-
-    def test_cross_dimension_rejected(self):
-        with pytest.raises(DomainError):
-            convert_units(1.0, "ft", "ft/s")
-
-    @given(value=st.floats(-1e6, 1e6))
-    def test_round_trip(self, value):
-        assert convert_units(convert_units(value, "ft/s", "m/s"), "m/s", "ft/s") == pytest.approx(value, abs=1e-9)
 
 
 @pytest.fixture

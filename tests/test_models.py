@@ -23,13 +23,17 @@ from cfcalib import (
 )
 from cfcalib import models, sim
 from cfcalib.models import (
+    DEFAULT_D0,
     GENE_BOUNDS,
+    TABLE_FIELDS,
     blend_accel_raw,
     cah_accel_raw,
+    genes_table,
     genes_to_params,
     idm_accel_raw,
     load_params,
     params_from_dict,
+    params_row,
     params_to_dict,
     params_to_genes,
     write_params,
@@ -352,6 +356,25 @@ class TestParamsPlumbing:
         with pytest.raises(DomainError):
             CfState(s=-1.0, v=0.0, v_l=0.0)
 
+    @pytest.mark.parametrize("values, message", [
+        (dict(a=-1.0), "IDM parameters a, v0, s0, T, b must be positive"),
+        (dict(a=math.nan), "IDM parameters a, v0, s0, T, b must be positive"),
+        (dict(a=-1.0, b=math.nan), "IDM parameters a, v0, s0, T, b must be positive"),
+        (dict(delta=1.5), "delta must be an integer >= 1, got 1.5"),
+        (dict(delta=math.inf), "delta must be an integer >= 1, got inf"),
+        (dict(delta=math.nan), "delta must be an integer >= 1, got nan"),
+        (dict(c=1.5), "coolness factor must be in [0, 1], got 1.5"),
+        (dict(k1=0.0), "k1, k2, t_des must be positive"),
+        (dict(d0=-1.0), "d0 must be nonnegative, got -1.0"),
+    ])
+    def test_domain_messages(self, values, message):
+        """The first check a parameter set fails names it, NaN and infinities included."""
+        kind = "blend" if "c" in values else "linear_acc" if {"k1", "d0"} & set(values) else "idm"
+        fields = {**models._values(default_params(kind))[1], **values}
+        with pytest.raises(DomainError) as info:
+            models._build(kind, fields)
+        assert str(info.value) == message
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
             params_from_dict({"model": "wiedemann"})
@@ -386,3 +409,89 @@ class TestParamsPlumbing:
         out = params_to_dict(params_from_dict(data))
         expected = data if written is None else written
         assert json.dumps(out, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
+
+def straddling_gene(lo, hi, integer):
+    """A gene value across and beyond its bounds: below 0, on the edges, NaN and infinities.
+
+    Integer genes also take halves, which round to even.
+    """
+    span = hi - lo
+    values = [st.floats(-span, hi + span), st.sampled_from(
+        [0.0, -0.0, lo, hi, math.nan, math.inf, -math.inf, -1.0, 1.0])]
+    if integer:
+        values.append(st.integers(-4, 24).map(lambda k: k / 2))
+    return st.one_of(*values)
+
+
+def gene_matrix(kind):
+    row = st.tuples(*[straddling_gene(lo, hi, integer) for _, lo, hi, integer in GENE_BOUNDS[kind]])
+    return st.lists(row, min_size=1, max_size=12)
+
+
+def builds(kind, genes):
+    """genes_to_params' parameter set, or None where it raises (for any reason)."""
+    try:
+        return genes_to_params(kind, genes)
+    except Exception:
+        return None
+
+
+class TestGenesTable:
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_mask_is_where_genes_to_params_builds(self, kind, data):
+        """The mask holds exactly where genes_to_params does not raise, and each row its values."""
+        genes = data.draw(gene_matrix(kind))
+        table, ok = genes_table(kind, np.array(genes))
+        assert table.shape == (len(genes), len(TABLE_FIELDS[kind]))
+        assert table.dtype == np.float64 and table.flags.c_contiguous
+        built = [builds(kind, row) for row in genes]
+        assert ok.tolist() == [params is not None for params in built]
+        for row, params in zip(table, built):
+            if params is not None:  # bytes, so that NaN equals NaN
+                assert row.tobytes() == np.array(params_row(params)[1]).tobytes()
+
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    def test_gene_round_trip(self, kind):
+        params = default_params(kind)
+        table, ok = genes_table(kind, [params_to_genes(params)])
+        assert ok.tolist() == [True]
+        assert table[0].tolist() == params_row(params)[1]
+
+    def test_linear_acc_rows_reorder_and_take_default_d0(self):
+        # genes are (t_des, k1, k2); the engine reads (k1, k2, t_des, d0)
+        table, ok = genes_table("linear_acc", [[4.96, 0.01, 0.43], [4.96, 0.01, 0.43]])
+        assert table.tolist() == [[0.01, 0.43, 4.96, DEFAULT_D0]] * 2
+        assert ok.tolist() == [True, True]
+
+    @pytest.mark.parametrize("g, delta", [(0.5, 0.0), (1.5, 2.0), (2.5, 2.0), (3.5, 4.0)])
+    def test_integer_genes_round_half_to_even(self, g, delta):
+        genes = [2.76, g, 20.0, 9.89, 2.79, 24.58]
+        table, ok = genes_table("idm", [genes])
+        assert table[0, 1] == delta
+        assert ok[0] == (delta >= 1)
+        if delta >= 1:
+            assert genes_to_params("idm", genes).delta == delta
+
+    @pytest.mark.parametrize("g", [math.inf, -math.inf, math.nan])
+    def test_non_finite_integer_genes_rejected(self, g):
+        # int(round(g)) raises OverflowError or ValueError
+        genes = [2.76, g, 20.0, 9.89, 2.79, 24.58]
+        assert genes_table("idm", [genes])[1].tolist() == [False]
+        assert builds("idm", genes) is None
+
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    def test_nan_in_any_gene_rejected(self, kind):
+        genes = params_to_genes(default_params(kind))
+        rows = [genes[:i] + [math.nan] + genes[i + 1:] for i in range(len(genes))]
+        assert genes_table(kind, rows)[1].tolist() == [False] * len(genes)
+        assert [builds(kind, row) for row in rows] == [None] * len(genes)
+
+    @pytest.mark.parametrize("kind, genes", [("idm", [[1.0] * 5]), ("linear_acc", [[1.0] * 4]),
+                                             ("idm", [1.0] * 6), ("idm", 1.0),
+                                             ("wiedemann", [[1.0] * 6])])
+    def test_wrong_gene_count_or_kind_rejected(self, kind, genes):
+        with pytest.raises(DomainError):
+            genes_table(kind, genes)

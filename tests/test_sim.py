@@ -16,6 +16,7 @@ from cfcalib import (
     DomainError,
     IdmParams,
     SimLimits,
+    calib,
     equilibrium_spacing,
     linear_acc_accel,
     sim,
@@ -36,6 +37,7 @@ from cfcalib.models import (
     genes_to_params,
     idm_accel_raw,
     linear_acc_accel_raw,
+    params_row,
 )
 from cfcalib.sim import BATCH_MIN_SEGMENTS, SegmentSet
 
@@ -44,6 +46,13 @@ SHUTTLE_ACC = AccParams(t_des=4.96, k1=0.01, k2=0.43, d0=15.0)
 # both collide on the hard stop below
 SLUGGISH_ACC = AccParams(t_des=0.1, k1=0.001, k2=0.001, d0=15.0)
 TAILGATING_IDM = IdmParams(a=2.76, delta=1, v0=20.0, s0=1.0, T=0.1, b=0.5)
+
+
+def table_of(models):
+    """The kind and (rows, fields) parameter table of parameter sets of one kind."""
+    kinds, rows = zip(*map(params_row, models))
+    assert len(set(kinds)) == 1
+    return kinds[0], np.array(rows)
 
 
 def replay_linear_acc(seg, params, limits, dt=1.0):
@@ -215,7 +224,7 @@ class TestBlockPath:
         assert len(segments) >= BATCH_MIN_SEGMENTS
         limits = SimLimits()
         # the block itself runs; a numpy fault would hand over to the scalar loop
-        assert SegmentSet(segments, limits, dt)._run_block([params]) is not None
+        assert SegmentSet(segments, limits, dt)._run_block(*table_of([params])) is not None
         results = simulate_all(params, segments, limits, dt)
         assert len(results) == len(segments)
         # without power or tanh both engines do the same IEEE operations
@@ -266,49 +275,29 @@ class TestBlockPath:
         params = IdmParams(a=1.0, delta=1, v0=20.0, s0=1e160, T=1.0, b=1.0)
         segments = block_fixture(1.0)
         with pytest.raises(FloatingPointError):
-            SegmentSet(segments)._run_block([params])
+            SegmentSet(segments)._run_block(*table_of([params]))
         for seg, res in zip(segments, simulate_all(params, segments)):
             ref = simulate_follower(params, seg)
             assert np.array_equal(res.spacing, ref.spacing)
             assert np.array_equal(res.follower_speed, ref.follower_speed)
 
-    def test_models_of_no_kind_run_the_scalar_loop(self):
-        assert SegmentSet(block_fixture(1.0))._run_block([object()]) is None
-        with pytest.raises(DomainError, match="unsupported model type"):
-            SegmentSet(block_fixture(1.0)).pooled_spacing([SHUTTLE_IDM, object()])
-        # a list of mixed kinds is stepped kind by kind, each on the engine
-        # it takes alone, and comes back in input order
-        mixed = [SHUTTLE_IDM, SHUTTLE_ACC, default_params("blend"), SHUTTLE_IDM]
-        for segments in (block_fixture(1.0), short_trip_segments(SHUTTLE_IDM, n_trips=40,
-                                                                  trip_seconds=30)):
-            assert len(segments) >= BATCH_MIN_SEGMENTS
-            segment_set = SegmentSet(segments)
-            got = segment_set.pooled_spacing(mixed)
-            assert len(got) == len(mixed)
-            for spacing, model in zip(got, mixed):
-                assert spacing.tobytes() == segment_set.pooled_spacing([model])[0].tobytes()
-        # alone, the blend takes numpy's power and tanh on the block; the
-        # scalar loop's libm differs from them in the last bits
-        blend = default_params("blend")
-        got = segment_set.pooled_spacing([blend, SHUTTLE_IDM])[0]
-        assert got.tobytes() == segment_set.pooled_spacing([blend])[0].tobytes()
-
     @pytest.mark.parametrize("dt", [1.0, 0.1])
     def test_rows_go_to_the_block_at_most_a_cap_at_a_time(self, dt, monkeypatch):
         segments = block_fixture(dt)
-        models = [IdmParams(a=2.76, delta=1, v0=20.0, s0=s0, T=2.79, b=24.58)
-                  for s0 in np.linspace(2.0, 12.0, 10)]
-        expected = SegmentSet(segments, dt=dt).pooled_spacing(models)
+        kind, table = table_of([IdmParams(a=2.76, delta=1, v0=20.0, s0=s0, T=2.79, b=24.58)
+                                for s0 in np.linspace(2.0, 12.0, 10)])
+        expected = SegmentSet(segments, dt=dt).pooled_spacing(kind, table)
         capped = SegmentSet(segments, dt=dt)
         # the cap counts the values of the spacing array alone
         assert capped._rows_per_run == (3 << 20) // capped.valid.size
         capped._rows_per_run = 4
         widths = []
         run_block = capped._run_block
-        monkeypatch.setattr(capped, "_run_block", lambda models, **kwargs: widths.append(
-            len(models)) or run_block(models, **kwargs))
-        got = capped.pooled_spacing(models)
+        monkeypatch.setattr(capped, "_run_block", lambda kind, table, **kwargs: widths.append(
+            len(table)) or run_block(kind, table, **kwargs))
+        got = capped.pooled_spacing(kind, table)
         assert widths == [4, 4, 2]
+        assert got[0].shape == (10, capped.samples)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
 
 
@@ -319,11 +308,14 @@ def test_non_finite_run_faults(n_trips):
                             c=1.0)
     segments = short_trip_segments(SHUTTLE_IDM, n_trips=n_trips, trip_seconds=12)
     segment_set = SegmentSet(segments)
-    bad, good = segment_set.pooled_spacing([nan_blend, default_params("blend")])
-    assert bad is None
+    (_, good), fault = segment_set.pooled_spacing(*table_of([nan_blend,
+                                                             default_params("blend")]))
+    assert fault.tolist() == [True, False]
     assert np.all(np.isfinite(good))
     with pytest.raises(DomainError, match=f"^segment {segments[0].id}: "):
         segment_set.results(nan_blend)
+    with pytest.raises(DomainError, match=f"^segment {segments[0].id}: "):
+        calib.gof_report(nan_blend, segments)
 
 
 # The scalar step loop as it was before the kernels were written inline:
@@ -379,7 +371,7 @@ def loop_outcome(run):
 
 
 def assert_loop_matches_reference(model, lists, limits):
-    got = loop_outcome(lambda: sim._step_loop(model, lists, limits))
+    got = loop_outcome(lambda: sim._step_loop(*params_row(model), lists, limits))
     want = loop_outcome(lambda: reference_step_loop(reference_accel_fn(model), lists, limits))
     assert got == want
 
@@ -546,7 +538,7 @@ BLOCK_SETS = {dt: SegmentSet(block_fixture(dt), dt=dt) for dt in (1.0, 0.5)}
 
 def assert_block_matches_reference(models, dt, segment_set=None):
     segment_set = segment_set or BLOCK_SETS[dt]
-    got = block_outcome(lambda: segment_set._run_block(models))
+    got = block_outcome(lambda: segment_set._run_block(*table_of(models)))
     assert got == block_outcome(lambda: reference_run_block(segment_set, models))
 
 
@@ -614,15 +606,59 @@ def test_spacing_only_block_matches_full_block(kind, dt):
                                    for _, lo, hi, integer in GENE_BOUNDS[kind]])
             for _ in range(40)]
     segment_set = BLOCK_SETS[dt]
-    assert segment_set._run_block(rows) is not None
+    assert segment_set._run_block(*table_of(rows)) is not None
+    # no positions, speeds or collision counts for GA rows
+    pos, speed, _, collisions = segment_set._run_block(*table_of(rows), states=False)
+    assert pos is None and speed is None and collisions is None
     faulting = rows[:2] + BLOCK_FAULT_ROWS[kind]
     # the block faults, so pooled_spacing retries it row by row
     with pytest.raises(FloatingPointError):
-        segment_set._run_block(faulting)
+        segment_set._run_block(*table_of(faulting))
     for models in ([default_params(kind)], rows[:3], rows, faulting):
-        got = [None if spacing is None else spacing.tobytes()
-               for spacing in segment_set.pooled_spacing(models)]
+        spacing, fault = segment_set.pooled_spacing(*table_of(models))
+        got = [None if bad else row.tobytes() for row, bad in zip(spacing, fault)]
         assert got == [results_spacing(segment_set, model) for model in models]
+
+
+# per kind, rows outside the model's domain, rows that fault on the
+# block or on both engines, and a blend row that turns NaN
+FITNESS_EDGE_GENES = {
+    "idm": EDGE_ROWS["idm"] + [[-1.0, 1.0, 19.0, 8.0, 3.0, 20.0], [2.0, 0.4, 19.0, 8.0, 3.0, 20.0]],
+    "blend": EDGE_ROWS["blend"] + [[2.0, 2.0, 19.0, 8.0, 3.0, 20.0, 1.5]],
+    "linear_acc": EDGE_ROWS["linear_acc"] + [[4.96, 1e308, 0.43], [4.96, 1e308, 1e308],
+                                             [4.96, -0.01, 0.43]],
+}
+
+
+@pytest.mark.parametrize("fixture", ["block", "three"])
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+@pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+def test_pooled_fitness_rows_equal_each_row_alone(kind, dt, fixture):
+    """A block of gene rows scores each row as calib.fitness scores it alone, bit for bit.
+
+    Each row is also gof() of its results() spacing, and a row outside
+    the domain or whose simulation faults scores FAULT_FITNESS.
+    """
+    segments = block_fixture(dt) if fixture == "block" else three_segment_fixture()
+    rng = np.random.default_rng(7)
+    bounds = np.array([(lo, hi) for _, lo, hi, _ in GENE_BOUNDS[kind]])
+    random_rows = rng.uniform(bounds[:, 0], bounds[:, 1], size=(10, len(bounds)))
+    genes = np.vstack([random_rows[:5], FITNESS_EDGE_GENES[kind], random_rows[5:]])
+    pooled = calib._make_fitness(kind, segments, None, dt)(genes)
+    alone = np.array([calib.fitness(kind, row, segments, dt=dt) for row in genes])
+    assert pooled.tobytes() == alone.tobytes()
+    assert (pooled == calib.FAULT_FITNESS).any() and (pooled < calib.FAULT_FITNESS).sum() >= 10
+    segment_set = SegmentSet(segments, dt=dt)
+    obs = np.concatenate([seg.spacing for seg in segments])
+    for row, value in zip(genes, pooled):
+        try:
+            spacing = np.concatenate([res.spacing
+                                      for res in segment_set.results(genes_to_params(kind, row))])
+        except DomainError:
+            assert value == calib.FAULT_FITNESS
+            continue
+        nrmse = calib.gof(spacing, obs)[2]
+        assert value == (nrmse if math.isfinite(nrmse) else calib.FAULT_FITNESS)
 
 
 def _digest(results) -> str:
