@@ -33,9 +33,7 @@ def main() -> None:
     args = parser.parse_args()
 
     truth = default_params(args.model)
-    truth_idm = truth.idm if args.model == "blend" else truth
-    segments = short_trip_segments(
-        truth_idm, n_trips=args.trips, trip_seconds=args.trip_seconds)
+    segments = short_trip_segments(truth, n_trips=args.trips, trip_seconds=args.trip_seconds)
     print(f"{len(segments)} trips, {sum(len(s) for s in segments)} samples")
 
     config = GaConfig(
@@ -55,11 +53,10 @@ def main() -> None:
     recovered = genes_to_params(args.model, genes)
     print(f"\nbest fitness (NRMSE spacing): {fit:.3e}")
     print(f"recovered: {recovered}")
-    rec_idm = recovered.idm if args.model == "blend" else recovered
     print("\nequilibrium spacing (ft):  truth   recovered")
     for v in (6.0, 10.0, 14.0):
-        s_true = equilibrium_spacing(truth_idm, v)
-        s_rec = equilibrium_spacing(rec_idm, v)
+        s_true = equilibrium_spacing(truth, v)
+        s_rec = equilibrium_spacing(recovered, v)
         print(f"  v = {v:4.1f} ft/s          {s_true:7.2f}  {s_rec:9.2f}"
               f"   ({abs(s_rec - s_true) / s_true:.2%} off)")
 

@@ -59,7 +59,6 @@ class CleaningRules:
 
     max_accel: float = 18.0             # ft/s^2, either vehicle
     max_follower_speed: float = 22.0    # ft/s (15 mi/h cap)
-    min_follower_speed_exclusive: float = 0.0   # drop samples at or below
     max_spacing: float = 656.0          # ft, sensor range
     min_segment_len: int = 10           # samples
 
@@ -72,7 +71,7 @@ class CleaningRules:
     def keeps(self, leader_accel, follower_speed, follower_accel, spacing):
         """True where a sample is a valid car-following observation (elementwise)."""
         return (
-            (follower_speed > self.min_follower_speed_exclusive)
+            (follower_speed > 0.0)  # a stopped follower follows no one
             & (follower_speed <= self.max_follower_speed)
             & (spacing > 0.0)
             & (spacing <= self.max_spacing)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cleaning import FollowingSegment, PairedSeries
-from .models import IdmParams, ModelParams, equilibrium_spacing
+from .models import BlendParams, IdmParams, ModelParams, equilibrium_spacing
 from .sim import SimLimits, simulate_follower
 
 # Exact composition of the jerk comfort fixture: (|jerk| value, count).
@@ -221,7 +221,7 @@ def idm_response_segments(
 
 
 def short_trip_segments(
-    params: IdmParams,
+    params: IdmParams | BlendParams,
     n_trips: int = 60,
     trip_seconds: int = 10,
     dt: float = 1.0,

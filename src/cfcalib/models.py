@@ -18,6 +18,12 @@ both write the kernels' arithmetic inline, the same IEEE operations in
 the same order, the scalar loop on Python floats and the block stepper
 on numpy arrays.
 
+A parameter set has one layout, its class's fields, from parameter file
+to the simulator's parameter table: the genes first, in GENE_BOUNDS
+order, then any field that is no gene (linear_acc's d0). A blend holds
+the IDM fields flat, beside c. The classes are keyword-only, so a
+reordered field cannot swap positional arguments.
+
 The raw kernels call no builtin: ``max(0.0, q)`` is written
 ``q if q > 0.0 else 0.0`` and ``min(a_l, a)`` is written
 ``a if a < a_l else a_l``, as in the inlined loop. The conditional
@@ -30,7 +36,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -39,8 +45,10 @@ import numpy as np
 from .errors import DomainError
 from .jsonio import read_json_object, require_keys, require_numbers, write_json
 
+DEFAULT_D0 = 15.0
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, kw_only=True)
 class IdmParams:
     """IDM parameter set (ft/s units).
 
@@ -60,34 +68,39 @@ class IdmParams:
         _check_domain("idm", vars(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BlendParams:
-    """IDM+CAH blend; c is the coolness factor in [0, 1].
+    """IDM+CAH blend: the IDM fields, and c, the coolness factor in [0, 1].
 
     c = 0 reproduces plain IDM; c near 1 trusts the CAH bound under
     small gaps.
     """
 
-    idm: IdmParams
+    a: float
+    delta: int
+    v0: float
+    s0: float
+    T: float
+    b: float
     c: float
 
     def __post_init__(self):
-        _check_domain("blend", {**vars(self.idm), "c": self.c})
+        _check_domain("blend", vars(self))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class AccParams:
     """Linear cruise-control gains: a = k1 * gap_error + k2 * (v_l - v).
 
-    k1 (1/s^2) weighs the gap error, k2 (1/s) the speed difference,
-    t_des (s) is the desired time gap, d0 (ft) the vehicle-length offset
+    t_des (s) is the desired time gap, k1 (1/s^2) weighs the gap error,
+    k2 (1/s) the speed difference, d0 (ft) the vehicle-length offset
     inside the gap error.
     """
 
+    t_des: float
     k1: float
     k2: float
-    t_des: float
-    d0: float = 15.0
+    d0: float = DEFAULT_D0
 
     def __post_init__(self):
         _check_domain("linear_acc", vars(self))
@@ -198,13 +211,13 @@ def _check_spacing(s: float) -> None:
         raise DomainError(f"spacing must be positive, got {s}")
 
 
-def idm_accel(p: IdmParams, s: float, v: float, dv: float) -> float:
+def idm_accel(p: IdmParams | BlendParams, s: float, v: float, dv: float) -> float:
     """IDM acceleration for spacing s, speed v, and closing speed dv = v - v_l."""
     _check_spacing(s)
     return idm_accel_raw(p.a, p.delta, p.v0, p.s0, p.T, 2.0 * math.sqrt(p.a * p.b), s, v, dv)
 
 
-def cah_accel(p: IdmParams, s: float, v: float, v_l: float, a_l: float) -> float:
+def cah_accel(p: IdmParams | BlendParams, s: float, v: float, v_l: float, a_l: float) -> float:
     """Largest crash-avoiding acceleration if the leader holds its acceleration.
 
     The leader's assumed acceleration is capped at the follower's own
@@ -217,9 +230,8 @@ def cah_accel(p: IdmParams, s: float, v: float, v_l: float, a_l: float) -> float
 def blend_accel(p: BlendParams, state: CfState) -> float:
     """IDM response, softened toward the CAH bound when IDM over-brakes."""
     _check_spacing(state.s)
-    i = p.idm
     return blend_accel_raw(
-        i.a, i.delta, i.v0, i.s0, i.T, i.b, 2.0 * math.sqrt(i.a * i.b),
+        p.a, p.delta, p.v0, p.s0, p.T, p.b, 2.0 * math.sqrt(p.a * p.b),
         p.c, state.s, state.v, state.v_l, state.a_l,
     )
 
@@ -232,7 +244,7 @@ def linear_acc_accel(p: AccParams, state: CfState) -> float:
                                 state.x_l, state.x_f, state.v, state.v_l)
 
 
-def equilibrium_spacing(p: IdmParams, v: float) -> float:
+def equilibrium_spacing(p: IdmParams | BlendParams, v: float) -> float:
     """Spacing at which IDM acceleration vanishes for matched speeds."""
     if v < 0:
         raise DomainError(f"speed must be nonnegative, got {v}")
@@ -275,13 +287,14 @@ GENE_BOUNDS: dict[str, list[tuple[str, float, float, bool]]] = {
 
 MODEL_KINDS = tuple(GENE_BOUNDS)
 
-DEFAULT_D0 = 15.0
-
-
-# The parameter class of each model kind. A blend holds its IDM fields in
-# an IdmParams; everywhere else (genes, parameter files) they sit flat
-# beside "c".
+# The parameter class of each model kind. Its fields are the keys of the
+# kind's parameter files, its genes are the leading fields, and a
+# simulator row holds all of them.
 _KIND_CLASS = {"idm": IdmParams, "blend": BlendParams, "linear_acc": AccParams}
+
+# The simulator's parameter table: per model kind, the fields of one row,
+# in the order its kernels unpack them.
+TABLE_FIELDS = {kind: tuple(f.name for f in fields(cls)) for kind, cls in _KIND_CLASS.items()}
 
 
 def model_kind(params: ModelParams) -> str:
@@ -291,23 +304,7 @@ def model_kind(params: ModelParams) -> str:
     raise DomainError(f"unknown model parameter type {type(params).__name__}")
 
 
-def _build(kind: str, values: dict) -> ModelParams:
-    """The parameter set of a kind from its flat field values (consumed)."""
-    if kind == "blend":
-        c = values.pop("c")
-        return BlendParams(IdmParams(**values), c)
-    return _KIND_CLASS[kind](**values)
-
-
-def _values(params: ModelParams) -> tuple[str, dict]:
-    """The kind of a parameter set and its flat field values, as stored."""
-    kind = model_kind(params)
-    if kind == "blend":
-        return kind, {**vars(params.idm), "c": params.c}
-    return kind, dict(vars(params))
-
-
-def genes_to_params(kind: str, genes, d0: float = DEFAULT_D0) -> ModelParams:
+def genes_to_params(kind: str, genes) -> ModelParams:
     """Build a parameter set from a flat gene vector (GENE_BOUNDS order).
 
     Integer-valued genes (the IDM exponent) are rounded at evaluation.
@@ -319,25 +316,12 @@ def genes_to_params(kind: str, genes, d0: float = DEFAULT_D0) -> ModelParams:
         raise DomainError(f"{kind} expects {len(layout)} genes, got {len(genes)}")
     values = {name: int(round(float(g))) if integer else float(g)
               for (name, _, _, integer), g in zip(layout, genes)}
-    if kind == "linear_acc":
-        values["d0"] = d0
-    return _build(kind, values)
-
-
-# The simulator's parameter table: per model kind, the fields of one row,
-# in the order its kernels unpack them. A linear_acc row ends in d0, which
-# is no gene.
-TABLE_FIELDS = {
-    "idm": ("a", "delta", "v0", "s0", "T", "b"),
-    "blend": ("a", "delta", "v0", "s0", "T", "b", "c"),
-    "linear_acc": ("k1", "k2", "t_des", "d0"),
-}
+    return _KIND_CLASS[kind](**values)
 
 
 def params_row(params: ModelParams) -> tuple[str, list[float]]:
     """The kind of a parameter set and its values in TABLE_FIELDS order, as floats."""
-    kind, values = _values(params)
-    return kind, [float(values[name]) for name in TABLE_FIELDS[kind]]
+    return model_kind(params), [float(value) for value in vars(params).values()]
 
 
 def genes_table(kind: str, genes) -> tuple[np.ndarray, np.ndarray]:
@@ -352,29 +336,30 @@ def genes_table(kind: str, genes) -> tuple[np.ndarray, np.ndarray]:
     if kind not in GENE_BOUNDS:
         raise DomainError(f"unknown model kind {kind!r}")
     layout = GENE_BOUNDS[kind]
-    genes = np.asarray(genes, dtype=float)
-    if genes.ndim != 2 or genes.shape[1] != len(layout):
-        raise DomainError(f"{kind} expects rows of {len(layout)} genes, got shape {genes.shape}")
+    table = np.array(genes, dtype=float)
+    if table.ndim != 2 or table.shape[1] != len(layout):
+        raise DomainError(f"{kind} expects rows of {len(layout)} genes, got shape {table.shape}")
     # int(round(float(g))) rounds half to even, as rint does, and raises
     # where rint gives NaN or an infinity, which the domain rejects
-    column = {name: np.rint(gene) if integer else gene
-              for (name, _, _, integer), gene in zip(layout, genes.T)}
+    for j, (_, _, _, integer) in enumerate(layout):
+        if integer:
+            table[:, j] = np.rint(table[:, j])
     if kind == "linear_acc":
-        column["d0"] = np.full(len(genes), DEFAULT_D0)
-    ok = np.ones(len(genes), dtype=bool)
+        table = np.column_stack([table, np.full(len(table), DEFAULT_D0)])
+    column = dict(zip(TABLE_FIELDS[kind], table.T))
+    ok = np.ones(len(table), dtype=bool)
     for holds, _ in _DOMAIN[kind]:
         ok &= holds(column)
-    return np.stack([column[name] for name in TABLE_FIELDS[kind]], axis=1), ok
+    return table, ok
 
 
 def params_to_genes(params: ModelParams) -> list[float]:
-    kind, values = _values(params)
-    return [float(values[name]) for name, _, _, _ in GENE_BOUNDS[kind]]
+    kind, row = params_row(params)
+    return row[:len(GENE_BOUNDS[kind])]
 
 
 def params_to_dict(params: ModelParams) -> dict:
-    kind, values = _values(params)
-    return {"model": kind, **values}
+    return {"model": model_kind(params), **vars(params)}
 
 
 def params_from_dict(data: dict) -> ModelParams:
@@ -390,10 +375,7 @@ def params_from_dict(data: dict) -> ModelParams:
     if kind == "blend" and data.get("improved_idm", False) is not False:
         raise DomainError("blend parameters: improved_idm is no longer supported; "
                           "only false is accepted")
-    values = {name: data[name] for name in required}
-    if kind == "linear_acc":
-        values["d0"] = data.get("d0", DEFAULT_D0)
-    return _build(kind, values)
+    return _KIND_CLASS[kind](**{name: data[name] for name in TABLE_FIELDS[kind] if name in data})
 
 
 def load_params(path: str | Path) -> ModelParams:

@@ -120,8 +120,9 @@ def simulate_follower(
 def _step_loop(kind: str, row: list, lists: tuple, limits: SimLimits):
     """Step one segment's sub-steps; returns (pos, speed, spacing, collisions) as lists.
 
-    `row` is one parameter set of the kind, Python floats in TABLE_FIELDS
-    order; `lists` is one of SegmentSet._scalar_lists, where `end` is the
+    `row` is one parameter set of the kind as Python floats: its class's
+    fields in order, models.TABLE_FIELDS, the genes first (params_row);
+    `lists` is one of SegmentSet._scalar_lists, where `end` is the
     leader position at the observation a sub-step completes, None inside
     an interval. A NaN, once in, stays in x, so a run ending non-finite
     raises ArithmeticError.
@@ -136,7 +137,7 @@ def _step_loop(kind: str, row: list, lists: tuple, limits: SimLimits):
     acc = kind == "linear_acc"
     blend = kind == "blend"
     if acc:
-        k1, k2, t_des, d0 = row
+        t_des, k1, k2, d0 = row
     else:
         a, delta, v0, s0, T, b = row[:6]
         two_sqrt_ab = 2.0 * math.sqrt(a * b)
@@ -339,8 +340,9 @@ class SegmentSet:
     def pooled_spacing(self, kind: str, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The simulated spacing of each row of a parameter table, segments concatenated.
 
-        `table` is a (rows, fields) array of parameter sets of one kind in
-        models.TABLE_FIELDS order, each inside the kind's domain. Returns a
+        `table` is a (rows, fields) array of parameter sets of one kind,
+        each row its class's fields in order, models.TABLE_FIELDS, as
+        models.genes_table builds it, and inside the kind's domain. Returns a
         (rows, samples) spacing array and a (rows,) mask of the rows whose
         simulation overflows, turns NaN or divides by zero; their spacing
         means nothing. Every row gets the values it gets stepped alone.
@@ -419,7 +421,7 @@ class SegmentSet:
         # their SIMD loops on contiguous operands only
         columns = np.repeat(table.T, lanes, axis=1).reshape(fields, *shape)
         if acc:
-            k1, k2, t_des, d0 = columns
+            t_des, k1, k2, d0 = columns
         else:
             a, delta, v0, s0, T, b = columns[:6]
             two_sqrt_ab = 2.0 * np.sqrt(a * b)

@@ -283,12 +283,20 @@ def analyze_segments(
     Covers descriptive statistics per variable, normality, the Spearman
     matrix over speed/accel/jerk/spacing/delta-speed, variability (CV and
     mean per-trip outlier share, acceleration and jerk split by sign), and
-    jerk comfort shares.
+    jerk comfort shares. Raises DomainError where a statistic leaves the
+    float range or turns NaN, as the sums of finite values near the float
+    range do, instead of reporting an infinity.
     """
     if not segments:
         raise InsufficientDataError("no segments to analyze")
-    thresholds = thresholds or ComfortThresholds()
+    try:
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return _analyze(segments, thresholds or ComfortThresholds())
+    except FloatingPointError as exc:
+        raise DomainError(f"segment values too large for statistics ({exc})") from None
 
+
+def _analyze(segments: list[FollowingSegment], thresholds: ComfortThresholds) -> dict:
     speed = _pooled(segments, lambda s: s.follower_speed)
     accel = _pooled(segments, lambda s: s.follower_accel)
     jerk = _pooled(segments, follower_jerk)

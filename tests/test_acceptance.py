@@ -131,7 +131,7 @@ def test_04_blend_correctness():
     rng = np.random.default_rng(104)
 
     # c = 0 reduces to plain IDM, bit for bit
-    zero_cool = BlendParams(idm=SHUTTLE_IDM, c=0.0)
+    zero_cool = BlendParams(**vars(SHUTTLE_IDM), c=0.0)
     for _ in range(200):
         state = CfState(
             s=float(rng.uniform(1.0, 300.0)), v=float(rng.uniform(0.0, 19.5)),
@@ -140,7 +140,7 @@ def test_04_blend_correctness():
             SHUTTLE_IDM, state.s, state.v, state.v - state.v_l)
 
     # continuity where the IDM and CAH responses cross
-    blend = BlendParams(idm=SHUTTLE_IDM, c=0.959)
+    blend = BlendParams(**vars(SHUTTLE_IDM), c=0.959)
     v, v_l, a_l = 12.0, 8.0, -2.0
 
     def gap(s):

@@ -268,6 +268,16 @@ class TestCleanAndStats:
             {"pos": follower, "speed": [10.0] * n, "accel": [0.0] * n})
         assert err == {"error": "domain", "message": message}
 
+    def test_stats_on_spacing_near_float_range_exits_one(self, tmp_path):
+        """Finite spacings near the float range, whose sums overflow: no Infinity in an output."""
+        n = 12
+        err = self.run_on_segments(
+            tmp_path, "stats", [float(i) for i in range(n)],
+            {"pos": [1.7e308] * n, "speed": [10.0] * n, "accel": [0.0] * n},
+            {"pos": [1.0e307] * n, "speed": [10.0] * n, "accel": [0.0] * n})
+        assert err["error"] == "domain"
+        assert err["message"].startswith("segment values too large for statistics")
+
     @staticmethod
     def run_on_segments(tmp_path, command, t, leader, follower) -> dict:
         """Run a command on two segments far-0 and far-1 in a fresh process; its one error line."""
@@ -375,6 +385,50 @@ class TestSimulateValidateReport:
         empty.write_text("{}")
         assert main(["report", "--input", str(empty)]) == 0
         assert "no data" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    def test_in_process_calls_share_one_parser(self, tmp_path, capsys, monkeypatch):
+        """One parser serves every in-process call, and each call ends as with a fresh parser."""
+        from cfcalib import cli
+
+        segments = run_pipeline_to_segments(tmp_path)
+        pair = tmp_path / "pair.json"
+        outs = [tmp_path / name for name in ("tight.json", "default.json", "stats.json")]
+        calls = [
+            ["clean", "--pair", str(pair), "--min-segment-len", "40", "--out", str(outs[0])],
+            ["clean", "--pair", str(pair), "--out", str(outs[1])],  # the defaults again
+            ["stats", "--segments", str(segments), "--out", str(outs[2])],
+            ["report"],  # neither --input nor --benchmarks
+            ["simulate", "--segments", str(segments), "--out", str(tmp_path / "sim.json")],
+            ["report", "--benchmarks"],
+            ["--version"],
+        ]
+
+        def run_calls():
+            ends = []
+            for argv in calls:
+                try:
+                    rc = main(argv)
+                except SystemExit as exc:
+                    rc = exc.code
+                captured = capsys.readouterr()
+                ends.append((rc, captured.out, captured.err))
+            files = []
+            for out in outs:
+                manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+                del manifest["wall_clock_utc"]
+                files.append((out.read_bytes(), manifest))
+            return ends, files
+
+        cli.build_parser.cache_clear()
+        shared = run_calls()
+        assert cli.build_parser.cache_info().misses == 1
+        assert [rc for rc, _, _ in shared[0]] == [0, 0, 0, 2, 2, 0, 0]
+        assert shared[1][0][1]["config"]["min_segment_len"] == 40
+        assert shared[1][1][1]["config"]["min_segment_len"] == 10
+        monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+        assert run_calls() == shared
 
 
 class TestSimulationFaultCli:

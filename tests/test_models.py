@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import math
@@ -40,8 +41,7 @@ from cfcalib.models import (
 )
 
 SHUTTLE_IDM = IdmParams(a=2.76, delta=1, v0=20.0, s0=9.89, T=2.79, b=24.58)
-SHUTTLE_BLEND = BlendParams(
-    idm=IdmParams(a=1.214, delta=3, v0=18.742, s0=9.892, T=2.98, b=24.846), c=0.959)
+SHUTTLE_BLEND = BlendParams(a=1.214, delta=3, v0=18.742, s0=9.892, T=2.98, b=24.846, c=0.959)
 SHUTTLE_ACC = AccParams(t_des=4.96, k1=0.01, k2=0.43, d0=15.0)
 
 # plausible single-vehicle parameter draws, spanning published calibrations
@@ -138,7 +138,7 @@ class TestBlendAccel:
            a_l=st.floats(-10.0, 3.0))
     @settings(max_examples=100)
     def test_zero_coolness_reduces_to_idm(self, s, v, v_l, a_l):
-        blend = BlendParams(idm=SHUTTLE_IDM, c=0.0)
+        blend = BlendParams(**vars(SHUTTLE_IDM), c=0.0)
         state = CfState(s=s, v=v, v_l=v_l, a_l=a_l)
         assert blend_accel(blend, state) == idm_accel(SHUTTLE_IDM, s, v, v - v_l)
 
@@ -146,7 +146,7 @@ class TestBlendAccel:
         # large gap, hard-braking leader: CAH is far below IDM
         state = CfState(s=300.0, v=10.0, v_l=10.0, a_l=-8.0)
         blend = blend_accel(SHUTTLE_BLEND, state)
-        a_i = idm_accel(SHUTTLE_BLEND.idm, state.s, state.v, 0.0)
+        a_i = idm_accel(SHUTTLE_BLEND, state.s, state.v, 0.0)
         assert blend == a_i
 
     def test_shuttle_worked_value(self):
@@ -168,10 +168,9 @@ class TestBlendAccel:
 
     def test_branch_switch_is_exact_at_equality(self):
         # if a_I == a_C the blended form collapses to a_I: (1-c)a + c(a + b*tanh 0)
-        i = SHUTTLE_BLEND.idm
+        p = SHUTTLE_BLEND
         for a_val in (-2.0, 0.0, 1.0):
-            mixed = (1 - SHUTTLE_BLEND.c) * a_val + SHUTTLE_BLEND.c * (
-                a_val + i.b * math.tanh((a_val - a_val) / i.b))
+            mixed = (1 - p.c) * a_val + p.c * (a_val + p.b * math.tanh((a_val - a_val) / p.b))
             assert mixed == a_val
 
 
@@ -350,7 +349,7 @@ class TestParamsPlumbing:
         with pytest.raises(DomainError):
             IdmParams(a=2.76, delta=0, v0=20.0, s0=9.89, T=2.79, b=24.58)
         with pytest.raises(DomainError):
-            BlendParams(idm=SHUTTLE_IDM, c=1.5)
+            BlendParams(**vars(SHUTTLE_IDM), c=1.5)
         with pytest.raises(DomainError):
             AccParams(t_des=0.0, k1=0.1, k2=0.1)
         with pytest.raises(DomainError):
@@ -370,10 +369,21 @@ class TestParamsPlumbing:
     def test_domain_messages(self, values, message):
         """The first check a parameter set fails names it, NaN and infinities included."""
         kind = "blend" if "c" in values else "linear_acc" if {"k1", "d0"} & set(values) else "idm"
-        fields = {**models._values(default_params(kind))[1], **values}
+        params = default_params(kind)
         with pytest.raises(DomainError) as info:
-            models._build(kind, fields)
+            type(params)(**{**vars(params), **values})
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    def test_class_fields_are_the_one_layout(self, kind):
+        """Genes lead the class's fields, a table row holds them all, and only keywords build one."""
+        params = default_params(kind)
+        names = tuple(field.name for field in dataclasses.fields(params))
+        genes = tuple(name for name, _, _, _ in GENE_BOUNDS[kind])
+        assert names[:len(genes)] == genes
+        assert TABLE_FIELDS[kind] == names
+        with pytest.raises(TypeError):
+            type(params)(*params_row(params)[1])
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(DomainError):
@@ -460,10 +470,10 @@ class TestGenesTable:
         assert ok.tolist() == [True]
         assert table[0].tolist() == params_row(params)[1]
 
-    def test_linear_acc_rows_reorder_and_take_default_d0(self):
-        # genes are (t_des, k1, k2); the engine reads (k1, k2, t_des, d0)
+    def test_linear_acc_rows_are_genes_then_default_d0(self):
+        # genes are (t_des, k1, k2); the engine reads (t_des, k1, k2, d0)
         table, ok = genes_table("linear_acc", [[4.96, 0.01, 0.43], [4.96, 0.01, 0.43]])
-        assert table.tolist() == [[0.01, 0.43, 4.96, DEFAULT_D0]] * 2
+        assert table.tolist() == [[4.96, 0.01, 0.43, DEFAULT_D0]] * 2
         assert ok.tolist() == [True, True]
 
     @pytest.mark.parametrize("g, delta", [(0.5, 0.0), (1.5, 2.0), (2.5, 2.0), (3.5, 4.0)])

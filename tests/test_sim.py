@@ -216,7 +216,7 @@ class TestBlockPath:
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     @pytest.mark.parametrize("params", [
         SHUTTLE_IDM, TAILGATING_IDM, default_params("blend"),
-        BlendParams(idm=IdmParams(a=2.76, delta=4, v0=20.0, s0=1.0, T=0.1, b=0.5), c=0.99),
+        BlendParams(a=2.76, delta=4, v0=20.0, s0=1.0, T=0.1, b=0.5, c=0.99),
         SHUTTLE_ACC, SLUGGISH_ACC,
     ], ids=["idm", "idm-tailgating", "blend", "blend-cah", "linear_acc", "linear_acc-sluggish"])
     def test_matches_scalar_per_segment(self, params, dt):
@@ -304,8 +304,7 @@ class TestBlockPath:
 @pytest.mark.parametrize("n_trips", [2, 32], ids=["scalar-loop", "block"])
 def test_non_finite_run_faults(n_trips):
     # the IDM term is -inf and (1 - c) * -inf is NaN, which the clamps let through
-    nan_blend = BlendParams(idm=IdmParams(a=1.0, delta=4, v0=20.0, s0=1e200, T=1.0, b=3.0),
-                            c=1.0)
+    nan_blend = BlendParams(a=1.0, delta=4, v0=20.0, s0=1e200, T=1.0, b=3.0, c=1.0)
     segments = short_trip_segments(SHUTTLE_IDM, n_trips=n_trips, trip_seconds=12)
     segment_set = SegmentSet(segments)
     (_, good), fault = segment_set.pooled_spacing(*table_of([nan_blend,
@@ -328,10 +327,10 @@ def reference_accel_fn(model):
         return lambda s, v, v_l, a_l, x_l, x_f: idm_accel_raw(
             model.a, model.delta, model.v0, model.s0, model.T, two, s, v, v - v_l)
     if isinstance(model, BlendParams):
-        i = model.idm
-        two = 2.0 * math.sqrt(i.a * i.b)
+        two = 2.0 * math.sqrt(model.a * model.b)
         return lambda s, v, v_l, a_l, x_l, x_f: blend_accel_raw(
-            i.a, i.delta, i.v0, i.s0, i.T, i.b, two, model.c, s, v, v_l, a_l)
+            model.a, model.delta, model.v0, model.s0, model.T, model.b, two, model.c,
+            s, v, v_l, a_l)
     return lambda s, v, v_l, a_l, x_l, x_f: linear_acc_accel_raw(
         model.k1, model.k2, model.t_des, model.d0, x_l, x_f, v, v_l)
 
@@ -484,9 +483,7 @@ def reference_block_accel_fn(models, lanes):
         return lambda s, v, v_l, a_l, x_l, x_f: idm_accel_array(
             a, delta, v0, s0, T, two, s, v, v - v_l)
     if isinstance(models[0], BlendParams):
-        a, delta, v0, s0, T, b = columns([m.idm for m in models],
-                                         "a", "delta", "v0", "s0", "T", "b")
-        (c,) = columns(models, "c")
+        a, delta, v0, s0, T, b, c = columns(models, "a", "delta", "v0", "s0", "T", "b", "c")
         two = 2.0 * np.sqrt(a * b)
         return lambda s, v, v_l, a_l, x_l, x_f: blend_accel_array(
             a, delta, v0, s0, T, b, two, c, s, v, v_l, a_l)
