@@ -1,10 +1,13 @@
 """Pairing, outlier removal, and calibration/validation splitting.
 
 A paired series aligns leader and follower samples on a common clock.
-Cleaning keeps only car-following samples (moving follower, leader in
-front and inside sensor range, plausible accelerations) and groups the
-survivors into contiguous segments; outliers split runs rather than
-being interpolated over.
+`ingest` pairs the two trajectories once and writes the paired series
+as the pair JSON; `clean` reads it back and keeps only car-following
+samples (moving follower, leader in front and inside sensor range,
+plausible accelerations), grouping the survivors into contiguous
+segments; outliers split runs rather than being interpolated over.
+A paired series and a segment share one column layout, written and
+read by one pair of functions for both the pair and the segments JSON.
 """
 
 from __future__ import annotations
@@ -18,9 +21,13 @@ import numpy as np
 
 from .errors import DomainError, NoCarFollowingError, PairingError, SplitError
 from .ingest import GpsLog, Trajectory, geodesic_distance, require_increasing
-from .jsonio import read_json_object, require_keys, write_json
+from .jsonio import read_json_object, require_keys, require_numbers, write_json
 
 PAIR_TOLERANCE_S = 0.1
+SIDES = ("leader", "follower")
+KINEMATICS = ("pos", "speed", "accel")
+# the float columns of a PairedSeries and a FollowingSegment, in field order
+COLUMNS = ("t",) + tuple(f"{side}_{key}" for side in SIDES for key in KINEMATICS)
 
 
 @dataclass
@@ -37,12 +44,8 @@ class PairedSeries:
     dt: float = 1.0
 
     def __post_init__(self):
-        arrays = [
-            self.t, self.leader_pos, self.leader_speed, self.leader_accel,
-            self.follower_pos, self.follower_speed, self.follower_accel,
-        ]
         n = len(self.t)
-        if any(len(a) != n for a in arrays):
+        if any(len(getattr(self, name)) != n for name in COLUMNS):
             raise DomainError("paired series arrays must have equal length")
 
     def __len__(self) -> int:
@@ -102,12 +105,10 @@ class FollowingSegment:
     follower_accel: np.ndarray
 
     def __post_init__(self):
-        names = ("t", "leader_pos", "leader_speed", "leader_accel",
-                 "follower_pos", "follower_speed", "follower_accel")
-        for name in names:
+        for name in COLUMNS:
             setattr(self, name, np.asarray(getattr(self, name), dtype=float))
         n = len(self.t)
-        if any(len(getattr(self, name)) != n for name in names):
+        if any(len(getattr(self, name)) != n for name in COLUMNS):
             raise DomainError(f"segment {self.id}: arrays must have equal length")
         if n < 10:
             raise DomainError(f"segment {self.id}: need at least 10 samples, got {n}")
@@ -256,12 +257,13 @@ def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None) -> 
     n = len(paired)
     if n == 0:
         raise DomainError("paired series is empty")
-    keep = rules.keeps(paired.leader_accel, paired.follower_speed,
-                       paired.follower_accel, paired.spacing)
+    # a spacing that overflows is out of range, and a time step that overflows is a gap
+    with np.errstate(over="ignore"):
+        keep = rules.keeps(paired.leader_accel, paired.follower_speed,
+                           paired.follower_accel, paired.spacing)
+        gap = np.diff(paired.t) > 1.5 * paired.dt
     # a sample joins the previous one when both are kept and no gap lies between
     joined = np.zeros(n, dtype=bool)
-    with np.errstate(over="ignore"):  # a step that overflows to inf is a gap either way
-        gap = np.diff(paired.t) > 1.5 * paired.dt
     joined[1:] = keep[1:] & keep[:-1] & ~gap
     starts = np.flatnonzero(keep & ~joined)
     ends = np.flatnonzero(keep & ~np.append(joined[1:], False)) + 1
@@ -270,17 +272,8 @@ def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None) -> 
     for lo, hi in zip(starts, ends):
         if hi - lo < rules.min_segment_len:
             continue
-        sel = slice(lo, hi)
         segments.append(FollowingSegment(
-            id=f"seg-{len(segments):04d}",
-            t=paired.t[sel].copy(),
-            leader_pos=paired.leader_pos[sel].copy(),
-            leader_speed=paired.leader_speed[sel].copy(),
-            leader_accel=paired.leader_accel[sel].copy(),
-            follower_pos=paired.follower_pos[sel].copy(),
-            follower_speed=paired.follower_speed[sel].copy(),
-            follower_accel=paired.follower_accel[sel].copy(),
-        ))
+            f"seg-{len(segments):04d}", *(getattr(paired, name)[lo:hi].copy() for name in COLUMNS)))
     if not segments:
         raise NoCarFollowingError("no car-following interval survived cleaning")
     return segments
@@ -320,29 +313,56 @@ def split_segments(
 
 
 # ---------------------------------------------------------------------------
-# segments JSON
+# segments and pair JSON: one column layout, `t` plus `pos`, `speed` and
+# `accel` under `leader` and `follower`
+
+def series_to_dict(series: PairedSeries | FollowingSegment) -> dict:
+    """The columns of a paired series or a segment, in the layout of the JSON files."""
+    return {"t": series.t.tolist(),
+            **{side: {key: getattr(series, f"{side}_{key}").tolist() for key in KINEMATICS}
+               for side in SIDES}}
+
+
+def series_columns(entry, what: str) -> np.ndarray:
+    """The (7, n) float block, rows in COLUMNS order, of a dict in the layout of series_to_dict.
+
+    Raises DomainError naming `what` and the missing keys, or `what` and
+    the first column that is not a list of finite numbers as long as `t`;
+    an integer beyond a double is an error, never rounded.
+    """
+    require_keys(entry, ("t",) + SIDES, what)
+    for side in SIDES:
+        require_keys(entry[side], KINEMATICS, f"{what} {side}")
+    values = [entry["t"]] + [entry[side][key] for side in SIDES for key in KINEMATICS]
+    try:
+        # one block, which a ragged or scalar column cannot form
+        columns = np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # also ints beyond a double
+        columns = None
+    if columns is not None and columns.ndim == 2 and np.isfinite(columns).all():
+        return columns
+    raise _column_fault(values, what)
+
+
+def _column_fault(values: list, what: str) -> DomainError:
+    """The error for the first of series_columns' values that does not make a column."""
+    for name, value in zip(COLUMNS, values):
+        side, _, key = name.rpartition("_")
+        label = f"{what} {side} {key}" if side else f"{what} t"
+        try:
+            column = np.array(value, dtype=float)
+        except (TypeError, ValueError, OverflowError) as exc:
+            return DomainError(f"{label}: {exc}")
+        if column.ndim != 1 or len(column) != len(values[0]):
+            return DomainError(f"{label}: must be a list of numbers, one per time in t")
+        if not np.isfinite(column).all():
+            return DomainError(f"{label}: values must be finite")
+    return DomainError(f"{what}: columns must be equal-length lists of finite numbers")
+
 
 def segments_to_dict(segments: list[FollowingSegment]) -> dict:
-    return {
-        "segments": [
-            {
-                "id": s.id,
-                "t": s.t.tolist(),
-                "leader": {
-                    "pos": s.leader_pos.tolist(),
-                    "speed": s.leader_speed.tolist(),
-                    "accel": s.leader_accel.tolist(),
-                },
-                "follower": {
-                    "pos": s.follower_pos.tolist(),
-                    "speed": s.follower_speed.tolist(),
-                    "accel": s.follower_accel.tolist(),
-                },
-                "spacing": s.spacing.tolist(),
-            }
-            for s in segments
-        ]
-    }
+    return {"segments": [{"id": s.id, **series_to_dict(s), "spacing": s.spacing.tolist()}
+                         for s in segments]}
 
 
 def segments_from_dict(data: dict) -> list[FollowingSegment]:
@@ -351,21 +371,8 @@ def segments_from_dict(data: dict) -> list[FollowingSegment]:
         raise DomainError("segments file: 'segments' must be a list")
     out = []
     for i, entry in enumerate(data["segments"]):
-        what = f"segment {i}"
-        require_keys(entry, ("id", "t", "leader", "follower"), what)
-        for side in ("leader", "follower"):
-            require_keys(entry[side], ("pos", "speed", "accel"), f"{what} {side}")
-        try:
-            # one (7, n) block, which a ragged or scalar column cannot form
-            columns = np.array([entry["t"]] + [entry[side][key] for side in ("leader", "follower")
-                                               for key in ("pos", "speed", "accel")], dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:  # also ints beyond a double
-            raise DomainError(f"{what}: {exc}") from None
-        if columns.ndim != 2:
-            raise DomainError(f"{what}: columns must be equal-length lists of numbers")
-        if not np.isfinite(columns).all():
-            raise DomainError(f"{what}: values must be finite")
-        out.append(FollowingSegment(entry["id"], *columns))
+        require_keys(entry, ("id",), f"segment {i}")
+        out.append(FollowingSegment(entry["id"], *series_columns(entry, f"segment {i}")))
     return out
 
 
@@ -375,3 +382,26 @@ def write_segments_json(segments: list[FollowingSegment], path: str | Path) -> N
 
 def read_segments_json(path: str | Path) -> list[FollowingSegment]:
     return segments_from_dict(read_json_object(path, "segments file"))
+
+
+def write_pair_json(paired: PairedSeries, leader_offset: float, path: str | Path) -> None:
+    """The pair JSON: the paired columns, their `dt` and the `leader_start_offset_ft` applied."""
+    write_json(path, {**series_to_dict(paired), "dt": paired.dt,
+                      "leader_start_offset_ft": leader_offset})
+
+
+def read_pair_json(path: str | Path) -> PairedSeries:
+    """The paired series of a pair JSON; its recorded leader offset is not read.
+
+    Raises DomainError naming the file for a missing key (a file in an
+    older layout lacks `t`), a bad column or a `dt` that is not a finite
+    number above 0, and OrderingError unless the times strictly increase.
+    """
+    what = f"{path}: pair JSON"
+    data = read_json_object(path, "pair JSON")
+    columns = series_columns(data, what)
+    require_numbers(data, ("dt",), what)
+    if not data["dt"] > 0:
+        raise DomainError(f"{what}: dt must be a finite number > 0, got {data['dt']!r}")
+    require_increasing(columns[0], what)
+    return PairedSeries(*columns, dt=data["dt"])

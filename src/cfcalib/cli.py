@@ -3,8 +3,9 @@
 Subcommands cover the pipeline end to end: ingest -> clean -> stats /
 simulate / calibrate / validate / report. There is one way from GPS
 logs to segments: `ingest --leader --follower` puts both logs on one
-clock and writes a pair JSON with the leader's start offset, and
-`clean --pair` builds spacing from it. Every output is written
+clock, places the leader's positions on the follower's axis, pairs the
+samples and writes the paired series as a pair JSON, and `clean --pair`
+cuts it into car-following segments. Every output is written
 atomically and deterministically, with a sidecar ``<out>.manifest.json``
 recording the command, input digests, config echo, seeds, and tool
 version. All randomness flows from explicit seed flags.
@@ -32,19 +33,15 @@ from .cleaning import (
     clean_segments,
     leader_start_offset,
     pair_trajectories,
+    read_pair_json,
     read_segments_json,
     retained_samples,
     segments_to_dict,
+    write_pair_json,
 )
 from .errors import CfCalibError, ConfigError, DomainError
-from .ingest import (
-    derive_kinematics,
-    read_gps_pair,
-    trajectory_from_dict,
-    trajectory_to_dict,
-)
-from .jsonio import (
-    atomic_write_text, read_json_object, require_keys, require_numbers, write_json)
+from .ingest import derive_kinematics, read_gps_pair
+from .jsonio import atomic_write_text, read_json_object, require_keys, write_json
 from .models import MODEL_KINDS, load_params, params_from_dict, params_to_dict
 from .sim import SimLimits, load_limits, result_to_dict, simulate_all
 from .stats import analyze_segments
@@ -100,30 +97,20 @@ def _cmd_ingest(args) -> int:
     follower = derive_kinematics(follower_log, vehicle_id=follower_src.stem, dt=args.dt)
     offset = leader_start_offset(leader, follower, leader_log, follower_log)
     out = Path(args.out)
-    write_json(out, {"leader": trajectory_to_dict(leader),
-                     "follower": trajectory_to_dict(follower),
-                     "leader_start_offset_ft": offset})
+    write_pair_json(pair_trajectories(leader, follower, leader_offset=offset), offset, out)
     _write_manifest(out, args, [leader_src, follower_src])
     return 0
 
 
 def _cmd_clean(args) -> int:
     src = _require_file(args.pair)
-    data = read_json_object(src, "pair JSON")
-    require_keys(data, ("leader", "follower"), f"{src}: pair JSON")
-    require_numbers(data, [key for key in ("leader_start_offset_ft",) if key in data],
-                    f"{src}: pair JSON")
-    leader = trajectory_from_dict(data["leader"])
-    follower = trajectory_from_dict(data["follower"])
-    offset = data.get("leader_start_offset_ft", 0.0)
-    del data  # its lists of Python floats outweigh the arrays built from them
+    paired = read_pair_json(src)
     rules = CleaningRules(
         max_accel=args.max_accel,
         max_follower_speed=args.max_follower_speed,
         max_spacing=args.max_spacing,
         min_segment_len=args.min_segment_len,
     )
-    paired = pair_trajectories(leader, follower, leader_offset=offset)
     segments = clean_segments(paired, rules)
     out = Path(args.out)
     payload = segments_to_dict(segments)
@@ -234,17 +221,9 @@ def _cmd_report(args) -> int:
     else:
         src = _require_file(args.input)
         data = read_json_object(src, "report input")
-        kind = args.kind
-        if kind == "auto":
-            if "descriptive" in data:
-                kind = "stats"
-            elif "calibration" in data:
-                kind = "calibration"
-            else:
-                kind = "unknown"
-        if kind == "stats":
+        if "descriptive" in data:
             text = report_mod.render_stats_text(data)
-        elif kind == "calibration":
+        elif "calibration" in data:
             text = report_mod.render_calibration_text(data)
         else:
             text = "no data\n"
@@ -326,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("report", help="render result JSON as text tables")
     p.add_argument("--input", help="stats or calibration result JSON")
-    p.add_argument("--kind", choices=["auto", "stats", "calibration"], default="auto")
     p.add_argument("--benchmarks", action="store_true",
                    help="print the bundled benchmark tables instead")
     p.add_argument("--out", help="write to file instead of stdout")

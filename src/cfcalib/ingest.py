@@ -5,9 +5,10 @@ into a GpsLog, one float array per column (t, lat, lon), with no object
 per fix; both logs of a pair are parsed before either is built, so a
 parse error is reported before any out-of-range coordinate and the
 leader's errors before the follower's. Positions become cumulative arc
-length in feet (geodesic_distance, elementwise); speed, acceleration, and
-jerk follow by successive backward differences. Everything downstream
-works in feet and seconds.
+length in feet (geodesic_distance, elementwise); speed and acceleration
+follow by successive backward differences. `cleaning.pair_trajectories`
+pairs the two trajectories, and the pair JSON holds the paired series,
+not the trajectories. Everything downstream works in feet and seconds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, OrderingError
-from .jsonio import is_finite_number, require_keys, require_numbers
+from .jsonio import is_finite_number
 
 # Mean Earth radius (m); spherical error is far below GPS noise at
 # per-second step lengths.
@@ -29,7 +30,7 @@ EARTH_RADIUS_M = 6_371_008.8
 FT_PER_M = 1.0 / 0.3048
 
 
-TRAJECTORY_COLUMNS = ("t", "pos", "speed", "accel", "jerk")
+TRAJECTORY_COLUMNS = ("t", "pos", "speed", "accel")
 GPS_COLUMNS = ("t", "lat", "lon")
 
 
@@ -58,7 +59,7 @@ def _float_columns(obj, names: tuple[str, ...], label: str) -> None:
 class Trajectory:
     """Kinematic samples for one vehicle at a nominal cadence, one float array per column.
 
-    Columns: time (s), position (ft), speed (ft/s), accel (ft/s^2), jerk (ft/s^3).
+    Columns: time (s), position (ft), speed (ft/s), accel (ft/s^2).
     """
 
     vehicle_id: str
@@ -66,7 +67,6 @@ class Trajectory:
     pos: np.ndarray
     speed: np.ndarray
     accel: np.ndarray
-    jerk: np.ndarray
     dt: float = 1.0
 
     def __post_init__(self):
@@ -109,10 +109,12 @@ class GpsLog:
 
 def geodesic_distance(lat1, lon1, lat2, lon2):
     """Great-circle distance in feet (haversine), elementwise over scalars or arrays."""
-    dlat = np.radians(lat2 - lat1)
-    dlon = np.radians(lon2 - lon1)
-    h = (np.sin(dlat / 2.0) ** 2
-         + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * np.sin(dlon / 2.0) ** 2)
+    half_dlat = np.sin(np.radians(lat2 - lat1) / 2.0)
+    half_dlon = np.sin(np.radians(lon2 - lon1) / 2.0)
+    # products, not `** 2`: on numpy scalars that is pow(), which can miss
+    # by an ulp, and elementwise calls must give the bits of scalar ones
+    h = (half_dlat * half_dlat
+         + np.cos(np.radians(lat1)) * np.cos(np.radians(lat2)) * (half_dlon * half_dlon))
     c = 2.0 * np.arcsin(np.minimum(1.0, np.sqrt(h)))
     return EARTH_RADIUS_M * c * FT_PER_M
 
@@ -120,7 +122,7 @@ def geodesic_distance(lat1, lon1, lat2, lon2):
 def kinematics_from_positions(
     t: np.ndarray, pos: np.ndarray, vehicle_id: str = "", dt: float = 1.0
 ) -> Trajectory:
-    """Derive speed/accel/jerk from a position series by backward differences.
+    """Derive speed and accel from a position series by backward differences.
 
     Each derivative level k is valid from index k onward; the leading
     entries are filled by replicating the first valid value, so constant
@@ -132,8 +134,8 @@ def kinematics_from_positions(
     t = np.array(t, dtype=float)
     pos = np.array(pos, dtype=float)
     n = len(t)
-    if n < 4:
-        raise InsufficientDataError(f"need at least 4 samples for jerk, got {n}")
+    if n < 3:
+        raise InsufficientDataError(f"need at least 3 samples for acceleration, got {n}")
     # an overflow or a NaN is reported below as an error, never as a warning
     with np.errstate(all="ignore"):
         steps = np.diff(t)
@@ -148,23 +150,17 @@ def kinematics_from_positions(
         accel[2:] = np.diff(speed[1:]) / steps[1:]
         accel[:2] = accel[2]
 
-        jerk = np.empty(n)
-        jerk[3:] = np.diff(accel[2:]) / steps[2:]
-        jerk[:3] = jerk[3]
-
-    for name, column in (("speed", speed), ("accel", accel), ("jerk", jerk)):
+    for name, column in (("speed", speed), ("accel", accel)):
         bad = ~np.isfinite(column)
         if bad.any():
             i = int(np.argmax(bad))
             raise DomainError(f"trajectory {vehicle_id!r}: {name} at t={float(t[i])!r} is not finite; "
                               f"the time steps are too short for the distances covered")
-    return Trajectory(vehicle_id, t, pos, speed, accel, jerk, dt=dt)
+    return Trajectory(vehicle_id, t, pos, speed, accel, dt=dt)
 
 
 def derive_kinematics(log: GpsLog, vehicle_id: str = "", dt: float = 1.0) -> Trajectory:
     """Convert a GPS log into a trajectory: cumulative arc length plus derivatives."""
-    if len(log) < 4:
-        raise InsufficientDataError(f"need at least 4 fixes for jerk, got {len(log)}")
     lat, lon = log.lat, log.lon
     pos = np.zeros(len(log))
     pos[1:] = np.cumsum(geodesic_distance(lat[:-1], lon[:-1], lat[1:], lon[1:]))
@@ -268,26 +264,3 @@ def read_gps_pair(leader_path: str | Path, follower_path: str | Path) -> tuple[G
     follower = _read_gps_rows(follower_path)
     t0 = min(leader[0][0], follower[0][0])
     return _gps_log(leader_path, leader, t0), _gps_log(follower_path, follower, t0)
-
-
-def trajectory_to_dict(traj: Trajectory) -> dict:
-    data = {name: getattr(traj, name).tolist() for name in TRAJECTORY_COLUMNS}
-    data.update(vehicle_id=traj.vehicle_id, dt=traj.dt)
-    return data
-
-
-def trajectory_from_dict(data: dict) -> Trajectory:
-    """A trajectory from its dict layout (as in pair JSON).
-
-    Raises DomainError for a missing, ragged or non-finite column and
-    OrderingError unless its times strictly increase.
-    """
-    require_keys(data, ("vehicle_id",) + TRAJECTORY_COLUMNS, "trajectory JSON")
-    require_numbers(data, [key for key in ("dt",) if key in data], "trajectory JSON")
-    traj = Trajectory(data["vehicle_id"], *(data[name] for name in TRAJECTORY_COLUMNS),
-                      dt=data.get("dt", 1.0))
-    if not all(np.isfinite(getattr(traj, name)).all() for name in TRAJECTORY_COLUMNS):
-        raise DomainError(f"trajectory {traj.vehicle_id!r}: values must be finite")
-    require_increasing(traj.t, f"trajectory {traj.vehicle_id!r}")
-    return traj
-

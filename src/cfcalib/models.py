@@ -367,6 +367,10 @@ def params_from_dict(data: dict) -> ModelParams:
     kind = data["model"]
     if kind not in MODEL_KINDS:  # a tuple: an unhashable kind compares unequal
         raise DomainError(f"unknown model kind {kind!r}")
+    allowed = {"model", *TABLE_FIELDS[kind]} | ({"improved_idm"} if kind == "blend" else set())
+    stray = [key for key in data if key not in allowed]
+    if stray:
+        raise DomainError(f"{kind} parameters: unknown keys {', '.join(stray)}")
     optional = ("d0",) if "d0" in data else ()
     required = tuple(name for name, _, _, _ in GENE_BOUNDS[kind])
     require_numbers(data, required + optional, f"{kind} parameters")

@@ -168,7 +168,7 @@ class TestFirstPairMatchesBruteForce:
         def parked(t, lat, step):
             n = len(t)
             zeros = np.zeros(n)
-            return (Trajectory("v", t, step * np.arange(n), zeros, zeros, zeros),
+            return (Trajectory("v", t, step * np.arange(n), zeros, zeros),
                     GpsLog(t, np.full(n, lat), np.full(n, -83.0)))
 
         leader, leader_log = parked(lt, 40.001, 1e3)

@@ -1,6 +1,8 @@
+import functools
 import hashlib
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -9,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cfcalib.cli import main
 
@@ -67,9 +70,14 @@ class TestIngest:
         assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
                      "--out", str(out)]) == 0
         data = json.loads(out.read_text())
-        assert set(data) == {"leader", "follower", "leader_start_offset_ft"}
+        # the paired series, with the leader's start offset applied and recorded
+        assert set(data) == {"t", "leader", "follower", "dt", "leader_start_offset_ft"}
+        assert set(data["leader"]) == set(data["follower"]) == {"pos", "speed", "accel"}
+        assert data["dt"] == 1.0
         assert data["leader_start_offset_ft"] == pytest.approx(100.0, rel=1e-6)
-        assert len(data["follower"]["t"]) == 90
+        assert len(data["t"]) == len(data["leader"]["accel"]) == 90
+        spacing = data["leader"]["pos"][0] - data["follower"]["pos"][0]
+        assert spacing == pytest.approx(100.0, rel=1e-6)
         manifest = json.loads((tmp_path / "pair.json.manifest.json").read_text())
         assert manifest["subcommand"] == "ingest"
         assert len(manifest["inputs"]) == 2
@@ -148,7 +156,7 @@ class TestIngest:
         assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
                      "--out", str(pair)]) == 0
         data = json.loads(pair.read_text())
-        data["follower"]["dt"] = dt
+        data["dt"] = dt
         pair.write_text(json.dumps(data))
         rc = main(["clean", "--pair", str(pair), "--out", str(tmp_path / "segments.json")])
         lines = capsys.readouterr().err.strip().splitlines()
@@ -156,7 +164,7 @@ class TestIngest:
         assert len(lines) == 1
         err = json.loads(lines[0])
         assert err["error"] == "domain"
-        assert "dt must be a finite number > 0" in err["message"]
+        assert f"{pair}: pair JSON: dt must be a finite number > 0" in err["message"]
 
     def test_inputs_never_mutated(self, tmp_path):
         leader, follower = write_logs(tmp_path)
@@ -173,42 +181,72 @@ class TestCleanAndStats:
         assert len(data["segments"]) == 2
         assert data["retained_samples"] > 0
 
-    @pytest.mark.parametrize("damage", ["points_layout", "missing_column", "ragged_column"])
-    def test_malformed_pair_exits_one(self, tmp_path, capsys, damage):
+    @pytest.mark.parametrize("damage, named", [
+        ("old_trajectory_layout", "pair JSON lacks t"),
+        ("points_layout", "pair JSON lacks t"),
+        ("missing_column", "pair JSON follower lacks accel"),
+        ("ragged_column", "pair JSON follower speed: must be a list of numbers"),
+    ], ids=["old_trajectory_layout", "points_layout", "missing_column", "ragged_column"])
+    def test_malformed_pair_exits_one(self, tmp_path, capsys, damage, named):
         leader, follower = write_logs(tmp_path)
         pair = tmp_path / "pair.json"
         assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
                      "--out", str(pair)]) == 0
         data = json.loads(pair.read_text())
-        follower_data = data["follower"]
-        if damage == "points_layout":
-            keys = ("t", "pos", "speed", "accel", "jerk")
-            follower_data["points"] = [dict(zip(keys, row))
-                                       for row in zip(*(follower_data.pop(k) for k in keys))]
+        if damage in ("old_trajectory_layout", "points_layout"):
+            # the layout of earlier versions: two unpaired trajectories
+            n = len(data["t"])
+            data = {side: {"vehicle_id": side, "dt": 1.0, "t": data["t"], **data[side],
+                           "jerk": [0.0] * n} for side in ("leader", "follower")}
+            data["leader_start_offset_ft"] = 100.0
+            if damage == "points_layout":  # and the older one object per sample
+                keys = ("t", "pos", "speed", "accel", "jerk")
+                for side in ("leader", "follower"):
+                    data[side]["points"] = [dict(zip(keys, row)) for row in
+                                            zip(*(data[side].pop(k) for k in keys))]
         elif damage == "missing_column":
-            del follower_data["jerk"]
+            del data["follower"]["accel"]
         else:
-            follower_data["speed"] = follower_data["speed"][:-1]
+            data["follower"]["speed"] = data["follower"]["speed"][:-1]
         pair.write_text(json.dumps(data))
         capsys.readouterr()
         rc = main(["clean", "--pair", str(pair), "--out", str(tmp_path / "segments.json")])
         lines = capsys.readouterr().err.strip().splitlines()
         assert rc == 1
         assert len(lines) == 1
-        assert json.loads(lines[0])["error"] == "domain"
+        err = json.loads(lines[0])
+        assert err["error"] == "domain"
+        assert err["message"].startswith(f"{pair}: {named}")
+
+    @pytest.mark.parametrize("offset", ["1e400", '"x"', None], ids=["1e400", "string", "absent"])
+    def test_recorded_leader_offset_is_not_read(self, tmp_path, offset):
+        """The positions carry the offset already; clean reads neither it nor its type."""
+        segments = run_pipeline_to_segments(tmp_path, stop_at=45)
+        pair = tmp_path / "pair.json"
+        data = json.loads(pair.read_text())
+        if offset is None:
+            del data["leader_start_offset_ft"]
+            text = json.dumps(data)
+        else:
+            data["leader_start_offset_ft"] = "@"
+            text = json.dumps(data).replace('"@"', offset)
+        pair.write_text(text)
+        out = tmp_path / "again.json"
+        assert main(["clean", "--pair", str(pair), "--out", str(out)]) == 0
+        assert out.read_bytes() == segments.read_bytes()
 
     def test_times_too_far_apart_to_subtract_exit_one(self, tmp_path):
         """Neighbouring times whose difference overflows the float range."""
         n = 12
         t = [-1.7e308, 1.7e308] + [1.7e308 + k * 1e305 for k in range(1, n - 1)]
 
-        def side(vehicle_id, pos0):
-            return {"vehicle_id": vehicle_id, "dt": 1.0, "t": t,
-                    "pos": [pos0 + 10.0 * i for i in range(n)], "speed": [10.0] * n,
-                    "accel": [0.0] * n, "jerk": [0.0] * n}
+        def side(pos0):
+            return {"pos": [pos0 + 10.0 * i for i in range(n)], "speed": [10.0] * n,
+                    "accel": [0.0] * n}
 
         pair = tmp_path / "pair.json"
-        pair.write_text(json.dumps({"leader": side("lead", 100.0), "follower": side("follow", 0.0)}))
+        pair.write_text(json.dumps({"t": t, "leader": side(100.0), "follower": side(0.0),
+                                    "dt": 1.0, "leader_start_offset_ft": 100.0}))
         err = one_error_line_from_fresh_process(
             ["clean", "--pair", str(pair), "--min-segment-len", "3",
              "--out", str(tmp_path / "segments.json")])
@@ -379,6 +417,14 @@ class TestSimulateValidateReport:
         # 54.8555331 / 0.01131187 and hypot(117.321, 126.835)
         assert "about 4,849 ft" in out
         assert "about 173 ft" in out
+
+    def test_report_kind_flag_removed(self, tmp_path):
+        """The kind comes from the file; a `--kind` flag is a usage error."""
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--input", str(empty), "--kind", "stats"])
+        assert exc.value.code == 2
 
     def test_report_empty_input_stub(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
@@ -659,7 +705,8 @@ class TestJsonInputContract:
 
     @pytest.mark.parametrize("command, target, text, named", [
         ("clean", "pair", "{not json", "not valid JSON"),
-        ("clean", "pair", '{"leader": {}}', "follower"),
+        ("clean", "pair", '{"t": [0, 1], "leader": {"pos": [9, 19], "speed": [10, 10], '
+                          '"accel": [0, 0]}, "dt": 1}', "{pair}: pair JSON lacks follower"),
         ("stats", "segments", "[1,2]", "JSON object"),
         ("stats", "segments", '{"segments": [{"id": "s", "t": [0, 1]}]}', "leader, follower"),
         ("stats", "segments", '{"segments": [{"id": "s", "t": 0, "leader": {"pos": 1, '
@@ -686,6 +733,11 @@ class TestJsonInputContract:
                              '"T": 3.0, "b": 24.8, "c": 0.96, "improved_idm": %s}' % value,
            "improved_idm")
           for command in ("simulate", "validate") for value in ("true", '"false"', "1")],
+        # a blend file whose "model" names another kind does not load as that kind
+        *[(command, "model", '{"model": "idm", "a": 1.2, "delta": 3, "v0": 18.7, "s0": 9.9, '
+                             '"T": 3.0, "b": 24.8, "c": 0.96, "k1": 0.5}',
+           "idm parameters: unknown keys c, k1")
+          for command in ("simulate", "validate")],
         ("simulate", "limits", '{"v_max": 1e400}', "v_max must be finite"),
         ("simulate", "limits", "[]", "JSON object"),
         ("simulate", "limits", '{"a_min": "x"}', "a_min must be numbers"),
@@ -703,7 +755,8 @@ class TestJsonInputContract:
         inputs = self.write_inputs(tmp_path)
         inputs[target].write_text(text)
         argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
-        self.assert_one_error(capsys, argv + ["--out", str(tmp_path / "out.json")], named)
+        self.assert_one_error(capsys, argv + ["--out", str(tmp_path / "out.json")],
+                              named.format(**inputs))
 
     @pytest.mark.parametrize("layout, path, value, named", [
         ("stats", ["descriptive", "speed", "mean"], "x", "mean must be numbers"),
@@ -752,10 +805,9 @@ class TestJsonInputContract:
         ("validate", "segments", ["segments", 0, "follower", "speed", 3], "segment"),
         ("stats", "segments", ["segments", 1, "leader", "pos", 0], "segment"),
         ("validate", "segments", ["segments", 0, "t", 0], "segment"),
-        ("clean", "pair", ["leader", "speed", 2], "trajectory 'leader'"),
-        ("clean", "pair", ["follower", "t", 0], "trajectory 'follower'"),
-        ("clean", "pair", ["follower", "dt"], "dt must be finite"),
-        ("clean", "pair", ["leader_start_offset_ft"], "leader_start_offset_ft must be finite"),
+        ("clean", "pair", ["leader", "speed", 2], "{pair}: pair JSON leader speed: "),
+        ("clean", "pair", ["t", 0], "{pair}: pair JSON t: "),
+        ("clean", "pair", ["dt"], "{pair}: pair JSON: dt must be finite"),
     ])
     @pytest.mark.parametrize("literal", ["1e400", "-1" + "0" * 400], ids=["1e400", "-1e400-int"])
     def test_out_of_range_number_exits_one(self, tmp_path, capsys, command, target, path,
@@ -770,20 +822,19 @@ class TestJsonInputContract:
         inputs[target].write_text(json.dumps(data).replace('"@"', literal))
         argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
         message = self.assert_one_error(
-            capsys, argv + ["--out", str(tmp_path / "out.json")], named)
+            capsys, argv + ["--out", str(tmp_path / "out.json")], named.format(**inputs))
         assert "finite" in message or "too large" in message
         assert not (tmp_path / "out.json").exists()
 
     @pytest.mark.parametrize("command, target, path, named", [
-        ("clean", "pair", ["follower"], "trajectory 'follower'"),
-        ("clean", "pair", ["leader"], "trajectory 'leader'"),
+        ("clean", "pair", [], "{pair}: pair JSON: "),
         ("stats", "segments", ["segments", 0], "segment seg-0000"),
         ("stats", "segments", ["segments", 1], "segment seg-0001"),
         ("simulate", "segments", ["segments", 0], "segment seg-0000"),
         ("validate", "segments", ["segments", 1], "segment seg-0001"),
         ("calibrate", "segments", ["segments", 0], "segment seg-0000"),
-    ], ids=["clean-follower", "clean-leader", "stats-seg0", "stats-seg1", "simulate-seg0",
-            "validate-seg1", "calibrate-seg0"])
+    ], ids=["clean", "stats-seg0", "stats-seg1", "simulate-seg0", "validate-seg1",
+            "calibrate-seg0"])
     @pytest.mark.parametrize("damage", ["swap", "repeat"])
     def test_times_not_increasing_exit_one(self, tmp_path, capsys, command, target, path,
                                            named, damage):
@@ -797,8 +848,8 @@ class TestJsonInputContract:
         t[4], t[5] = (t[5], t[4]) if damage == "swap" else (t[4], t[4])
         inputs[target].write_text(json.dumps(data))
         argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
-        message = self.assert_one_error(
-            capsys, argv + ["--out", str(tmp_path / "out.json")], named, code="ordering")
+        message = self.assert_one_error(capsys, argv + ["--out", str(tmp_path / "out.json")],
+                                        named.format(**inputs), code="ordering")
         assert "times must strictly increase" in message
         assert not (tmp_path / "out.json").exists()
 
@@ -819,3 +870,103 @@ class TestJsonInputContract:
         for command, template in self.COMMANDS.items():
             argv = [arg.format(**inputs) for arg in template]
             assert main(argv + ["--out", str(tmp_path / f"{command}.json")]) == 0, command
+
+
+# ---------------------------------------------------------------------------
+# `clean --pair` over mutated valid pair files
+
+PAIR_COLUMNS = [("t",)] + [(side, key) for side in ("leader", "follower")
+                           for key in ("pos", "speed", "accel")]
+PAIR_KEYS = [("t",), ("leader",), ("follower",), ("dt",), ("leader_start_offset_ft",)] + \
+    PAIR_COLUMNS[1:]
+# JSON text put in place of a value: a string, null, a list, a bool, a literal
+# beyond the float range, an integer beyond a double, the NaN token, and
+# finite values whose differences overflow
+ODD_VALUES = ['"x"', "null", "[1.0, 2.0]", "true", "1e400", "1" + "0" * 400, "NaN",
+              "1.7e308", "-1.7e308"]
+
+
+@st.composite
+def pair_mutations(draw):
+    """One to three damages to a pair file, as (kind, path, argument)."""
+    n = 90  # samples in the base pair
+    mutation = st.one_of(
+        st.tuples(st.just("drop"), st.sampled_from(PAIR_KEYS), st.none()),
+        st.tuples(st.just("set"), st.sampled_from(PAIR_KEYS), st.sampled_from(ODD_VALUES)),
+        st.tuples(st.just("set"), st.tuples(st.sampled_from(PAIR_COLUMNS), st.integers(0, n - 1))
+                  .map(lambda c: c[0] + (c[1],)), st.sampled_from(ODD_VALUES)),
+        st.tuples(st.just("ragged"), st.sampled_from(PAIR_COLUMNS), st.none()),
+        st.tuples(st.just("swap"), st.just(("t",)),
+                  st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+    )
+    return draw(st.lists(mutation, min_size=1, max_size=3))
+
+
+def mutated_pair_text(base: dict, mutations) -> str:
+    """The JSON text of `base` with each mutation that still finds its target applied."""
+    data = json.loads(json.dumps(base))
+    odd = []
+    for kind, path, arg in mutations:
+        try:
+            parent = functools.reduce(operator.getitem, path[:-1], data)
+            value = parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced it
+        if not isinstance(parent, (dict, list)):
+            continue  # a string indexes, but does not take an item
+        if kind == "drop":
+            del parent[path[-1]]
+        elif kind == "set":
+            parent[path[-1]] = f"@{len(odd)}@"
+            odd.append(arg)
+        elif kind == "ragged" and isinstance(value, list):
+            parent[path[-1]] = value[:-1]
+        elif kind == "swap" and isinstance(value, list) and max(arg) < len(value):
+            i, j = arg
+            value[i], value[j] = value[j], value[i]
+    text = json.dumps(data)
+    for i, value in enumerate(odd):
+        text = text.replace(f'"@{i}@"', value)
+    return text
+
+
+@pytest.fixture(scope="module")
+def base_pair(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("pair-fuzz")
+    leader, follower = write_logs(directory, stop_at=45)
+    pair = directory / "pair.json"
+    assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                 "--out", str(pair)]) == 0
+    return directory, json.loads(pair.read_text())
+
+
+class TestPairFileFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutations=pair_mutations())
+    # finite positions whose spacing overflows the float range
+    @example(mutations=[("set", ("leader", "pos", 3), "1.7e308"),
+                        ("set", ("follower", "pos", 3), "-1.7e308")])
+    def test_clean_exits_zero_or_one_json_line(self, base_pair, capsys, mutations):
+        """Exit 0, or exit 1 with one JSON line on stderr; never a NaN or Infinity token."""
+        directory, base = base_pair
+        pair, out = directory / "mutated.json", directory / "segments.json"
+        for path in (out, Path(f"{out}.manifest.json")):
+            path.unlink(missing_ok=True)
+        pair.write_text(mutated_pair_text(base, mutations))
+        capsys.readouterr()
+        rc = main(["clean", "--pair", str(pair), "--out", str(out)])
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if rc == 0:
+            assert captured.err == ""
+            for path in (out, Path(f"{out}.manifest.json")):
+                text = path.read_text()
+                assert "NaN" not in text and "Infinity" not in text
+        else:
+            assert rc == 1
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1, captured.err
+            err = json.loads(lines[0])
+            assert set(err) == {"error", "message"}
+            assert not out.exists()

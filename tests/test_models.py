@@ -397,6 +397,18 @@ class TestParamsPlumbing:
             with pytest.raises(DomainError, match="improved_idm"):
                 params_from_dict({**data, "improved_idm": value})
 
+    @pytest.mark.parametrize("kind, extra, named", [
+        ("idm", {"c": 0.9}, "c"),  # a blend file with a mistyped "model"
+        ("idm", {"d0": 15.0, "improved_idm": False}, "d0, improved_idm"),
+        ("blend", {"k1": 0.5}, "k1"),
+        ("linear_acc", {"a": 2.0}, "a"),
+    ])
+    def test_keys_of_another_kind_rejected(self, kind, extra, named):
+        data = {**params_to_dict(default_params(kind)), **extra}
+        with pytest.raises(DomainError) as exc:
+            params_from_dict(data)
+        assert str(exc.value) == f"{kind} parameters: unknown keys {named}"
+
     def test_dict_round_trip(self):
         for kind in ("idm", "blend", "linear_acc"):
             params = default_params(kind)
