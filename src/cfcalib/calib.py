@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .cleaning import FollowingSegment, split_segments
-from .errors import CfCalibError, ConfigError, UndefinedStatisticError
+from .errors import CfCalibError, ConfigError, DomainError, UndefinedStatisticError
 from .jsonio import is_finite_number, read_json_object
 from .models import GENE_BOUNDS, ModelParams, genes_table, genes_to_params, params_to_dict
 from .sim import SegmentSet, SimLimits
@@ -118,14 +118,20 @@ def gof_report(
 
     One pooled run gives the simulated spacing and speed of every
     segment, concatenated in segment order as the observations are.
+    Raises DomainError where an error metric leaves the float range, as
+    it does for a spacing near 1.7e308, instead of reporting an infinity.
     """
     if not segments:
         raise ConfigError("no segments to validate on")
     _, sim_speed, sim_spacing, _ = SegmentSet(segments, limits, dt).pooled_run(params)
     obs_spacing = np.concatenate([s.spacing for s in segments])
     obs_speed = np.concatenate([s.follower_speed for s in segments])
-    mae_s, rmse_s, nrmse_s = gof(sim_spacing, obs_spacing)
-    mae_v, rmse_v, nrmse_v = gof(sim_speed, obs_speed)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            mae_s, rmse_s, nrmse_s = gof(sim_spacing, obs_spacing)
+            mae_v, rmse_v, nrmse_v = gof(sim_speed, obs_speed)
+    except FloatingPointError as exc:
+        raise DomainError(f"segment values too large for the fit report ({exc})") from None
     return GofReport(
         nrmse_spacing=nrmse_s, mae_spacing=mae_s, rmse_spacing=rmse_s,
         nrmse_speed=nrmse_v, mae_speed=mae_v, rmse_speed=rmse_v,

@@ -28,6 +28,8 @@ SIDES = ("leader", "follower")
 KINEMATICS = ("pos", "speed", "accel")
 # the float columns of a PairedSeries and a FollowingSegment, in field order
 COLUMNS = ("t",) + tuple(f"{side}_{key}" for side in SIDES for key in KINEMATICS)
+# the types json.loads gives a number; numpy would also read a str or bool as one
+_JSON_NUMBERS = frozenset((int, float))
 
 
 @dataclass
@@ -328,7 +330,8 @@ def series_columns(entry, what: str) -> np.ndarray:
 
     Raises DomainError naming `what` and the missing keys, or `what` and
     the first column that is not a list of finite numbers as long as `t`;
-    an integer beyond a double is an error, never rounded.
+    an integer beyond a double is an error, never rounded, and so are a
+    string and a bool, which numpy would read as numbers.
     """
     require_keys(entry, ("t",) + SIDES, what)
     for side in SIDES:
@@ -339,7 +342,8 @@ def series_columns(entry, what: str) -> np.ndarray:
         columns = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):  # also ints beyond a double
         columns = None
-    if columns is not None and columns.ndim == 2 and np.isfinite(columns).all():
+    if (columns is not None and columns.ndim == 2 and np.isfinite(columns).all()
+            and _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(values)))):
         return columns
     raise _column_fault(values, what)
 
@@ -355,14 +359,17 @@ def _column_fault(values: list, what: str) -> DomainError:
             return DomainError(f"{label}: {exc}")
         if column.ndim != 1 or len(column) != len(values[0]):
             return DomainError(f"{label}: must be a list of numbers, one per time in t")
+        odd = set(map(type, value)) - _JSON_NUMBERS
+        if odd:
+            return DomainError(f"{label}: values must be numbers, not "
+                               f"{' or '.join(sorted(kind.__name__ for kind in odd))}")
         if not np.isfinite(column).all():
             return DomainError(f"{label}: values must be finite")
     return DomainError(f"{what}: columns must be equal-length lists of finite numbers")
 
 
 def segments_to_dict(segments: list[FollowingSegment]) -> dict:
-    return {"segments": [{"id": s.id, **series_to_dict(s), "spacing": s.spacing.tolist()}
-                         for s in segments]}
+    return {"segments": [{"id": s.id, **series_to_dict(s)} for s in segments]}
 
 
 def segments_from_dict(data: dict) -> list[FollowingSegment]:
@@ -372,6 +379,8 @@ def segments_from_dict(data: dict) -> list[FollowingSegment]:
     out = []
     for i, entry in enumerate(data["segments"]):
         require_keys(entry, ("id",), f"segment {i}")
+        if not isinstance(entry["id"], str):
+            raise DomainError(f"segment {i}: id must be a string")
         out.append(FollowingSegment(entry["id"], *series_columns(entry, f"segment {i}")))
     return out
 

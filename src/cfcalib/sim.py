@@ -15,25 +15,28 @@ parameter set as one row of a parameter table (models.TABLE_FIELDS) and
 write the kernels of every model kind inline; the raw kernels in
 models.py are the reference they are tested against. The scalar loop,
 _step_loop, steps one segment at a time in plain Python floats, so that
-a sub-step makes no Python call. The block stepper, SegmentSet._run_block,
+a sub-step calls no kernel. The block stepper, SegmentSet._run_block,
 advances a (table rows x segments) state per sub-step in numpy, the
-schedule broadcast over the rows; a GA generation records its spacing
-only. The engines differ only in power and tanh. SegmentSet alone picks
-the engine: the block when the set has BATCH_MIN_SEGMENTS segments or
-more, never depending on how many rows are stepped together. A block
-that overflows or turns NaN is stepped again row by row, and a row that
-still does runs the scalar loop, so every row gets exactly what it gets
-stepped alone.
+schedule broadcast over the rows. Both record the follower state only:
+positions, and speeds unless for a GA generation. The engines differ
+only in power and tanh. SegmentSet alone picks the engine: the block when
+the set has BATCH_MIN_SEGMENTS segments or more, never depending on how
+many rows are stepped together. A block that overflows or turns NaN is
+stepped again row by row, and a row that still does runs the scalar
+loop, so every row gets exactly what it gets stepped alone.
 
-Results come pooled, the segments concatenated in order: a GA
-generation's spacing as one (rows, samples) array, and one parameter
-set's positions, speeds and spacing, which the fit report reads as they
-are and results() splits per segment.
+Results come pooled, the segments concatenated in order, and
+SegmentSet._spacing takes the spacing, its floor and the collision
+counts from the pooled positions in one numpy pass: a GA generation's
+spacing as one (rows, samples) array, and one parameter set's positions,
+speeds and spacing, which the fit report reads as they are and results()
+splits per segment.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -48,26 +51,20 @@ from .models import ModelParams, params_row
 SPACING_FLOOR_FT = 0.01
 
 # Segment sets at least this large take the block stepper. Below it the
-# fixed cost of each numpy call outweighs the lanes it covers: stepping
-# one parameter set over 31-sample segments (2-core x86-64, Python 3.11,
-# numpy 2.4), the block ran at 0.3-0.5x the scalar loop's speed on 16
-# segments; 0.6x (blend), 0.9x (linear_acc) and 1.0x (idm) on 32;
-# 0.75x, 1.1x and 1.2x on 40; and 1.2x, 1.7x and 1.9x on 64. The
-# crossovers sit near 33 segments for idm, 37 for linear_acc and 54 for
-# blend, but moving the threshold would move sets onto numpy's power and
-# tanh and change their results in the last bits.
-# A GA generation steps many parameter sets at once and gains far more.
-# The path must not depend on the number of parameter sets: numpy's
-# power and tanh differ from libm in the last bit, so a fitness the GA
-# reports could not be reproduced by calib.fitness if a wider population
-# switched engines.
+# fixed cost of each numpy call outweighs the lanes it covers: stepping one
+# parameter set over 31-sample segments, the crossovers sit near 33
+# segments for idm, 37 for linear_acc and 54 for blend (README, "Simulation
+# paths"), but moving the threshold would move sets onto numpy's power and
+# tanh and change their results in the last bits. The path must not depend
+# on the number of parameter sets either, or a fitness the GA reports could
+# not be reproduced by calib.fitness if a wider population switched engines.
 BATCH_MIN_SEGMENTS = 32
 
 # numpy errors that make the block stepper give way to the scalar loop,
 # whose plain floats handle (or fault on) these cases in their own way
 _RAISE_ON_FAULT = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
-# values (24 MB of float64) in the (samples x rows x segments) spacing
+# values (24 MB of float64) in the (samples x rows x segments) position
 # array of one block run; a GA generation with more rows takes several runs
 _BLOCK_VALUES = 3 << 20
 
@@ -103,12 +100,8 @@ class SimResult:
         return len(self.t)
 
 
-def simulate_follower(
-    model: ModelParams,
-    seg: FollowingSegment,
-    limits: SimLimits | None = None,
-    dt: float = 1.0,
-) -> SimResult:
+def simulate_follower(model: ModelParams, seg: FollowingSegment,
+                      limits: SimLimits | None = None, dt: float = 1.0) -> SimResult:
     """Simulate the follower over one segment, sampled at the observation times.
 
     dt must divide every observation interval; sub-steps interpolate the
@@ -117,15 +110,15 @@ def simulate_follower(
     return SegmentSet([seg], limits, dt).results(model)[0]
 
 
-def _step_loop(kind: str, row: list, lists: tuple, limits: SimLimits):
-    """Step one segment's sub-steps; returns (pos, speed, spacing, collisions) as lists.
+def _step_loop(kind: str, row: list, lists: tuple, limits: SimLimits, states: bool = False):
+    """Step one segment's sub-steps; returns the follower's (pos, speed) as lists.
 
+    Each list holds the start value and the value after every sub-step;
+    speed is None unless `states`, as a GA row reads positions only.
     `row` is one parameter set of the kind as Python floats: its class's
     fields in order, models.TABLE_FIELDS, the genes first (params_row);
-    `lists` is one of SegmentSet._scalar_lists, where `end` is the
-    leader position at the observation a sub-step completes, None inside
-    an interval. A NaN, once in, stays in x, so a run ending non-finite
-    raises ArithmeticError.
+    `lists` is one of SegmentSet._scalar_lists. A NaN, once in, stays in
+    x, so a run ending non-finite raises ArithmeticError.
 
     The acceleration is computed inline, so a sub-step makes no Python
     call: linear_acc, or IDM with the CAH blend on top. Each kind does the
@@ -145,17 +138,18 @@ def _step_loop(kind: str, row: list, lists: tuple, limits: SimLimits):
             c = row[6]
             keep = 1.0 - c
             tanh = math.tanh
-    x, v, xl0, *schedule = lists
+    x, v, *schedule = lists
     a_min, a_max = limits.a_min, limits.a_max
     v_min, v_max = limits.v_min, limits.v_max
     v = min(max(v, v_min), v_max)
 
     pos = [x]
     speed = [v]
-    spacing = [xl0 - x]
-    collisions = 0
+    keep_x = pos.append
+    # a GA row's speeds go to a deque that keeps none, so no sub-step tests `states`
+    keep_v = speed.append if states else deque(maxlen=0).append
 
-    for xl, vl, al, h, end in zip(*schedule):
+    for xl, vl, al, h in zip(*schedule):
         s = xl - x
         if acc:
             # linear_acc_accel_raw: the gap error takes the unfloored spacing
@@ -196,29 +190,12 @@ def _step_loop(kind: str, row: list, lists: tuple, limits: SimLimits):
             v_new = v_max
         x += 0.5 * (v + v_new) * h
         v = v_new
-        if end is not None:
-            pos.append(x)
-            speed.append(v)
-            raw = end - x
-            if raw <= 0.0:
-                collisions += 1
-                raw = SPACING_FLOOR_FT
-            spacing.append(raw)
+        keep_x(x)
+        keep_v(v)
 
     if not (math.isfinite(x) and math.isfinite(v)):
         raise ArithmeticError(f"the follower state turns non-finite (x={x}, v={v})")
-    return pos, speed, spacing, collisions
-
-
-def _result(seg: FollowingSegment, pos, speed, spacing, collisions: int) -> SimResult:
-    speed_arr = np.array(speed)
-    accel = np.empty(len(speed_arr))
-    accel[1:] = np.diff(speed_arr) / np.diff(seg.t)
-    accel[0] = accel[1]
-    return SimResult(
-        t=seg.t.copy(), follower_pos=np.array(pos), follower_speed=speed_arr,
-        follower_accel=accel, spacing=np.array(spacing), collisions=collisions,
-    )
+    return pos, speed if states else None
 
 
 class SegmentSet:
@@ -239,21 +216,25 @@ class SegmentSet:
         self.segments = list(segments)
         self.limits = limits or SimLimits()
         self.dt = dt
-        self.samples = sum(len(seg) for seg in self.segments)
-        self._lists = None if self.segments else []  # cut on the scalar loop's first run
+        lengths = np.array([len(seg) for seg in self.segments], dtype=int)
+        self.samples = int(lengths.sum())
+        # results come pooled: where each segment starts, and the leader there
+        self._starts = np.cumsum(lengths) - lengths
+        self._leader_pos = np.concatenate([[]] + [seg.leader_pos for seg in self.segments])
+        # the scalar loop's inputs and where its observations fall, cut on its
+        # first run; an empty set has neither
+        self._lists, self._observed = (None, None) if self.segments else ([], self._starts)
         if self.segments:
-            self._pad()
+            self._pad(lengths)
 
-    def _pad(self) -> None:
+    def _pad(self, lengths: np.ndarray) -> None:
         segments, dt = self.segments, self.dt
-        lengths = np.array([len(seg) for seg in segments])
-        starts = np.cumsum(lengths) - lengths
         n = int(lengths.max())
         rows = np.arange(n)[:, None]
         self.valid = rows < lengths  # (n, lanes)
         # (n, lanes) positions in the concatenated columns; past its end a
         # lane repeats its last sample
-        gather = starts + np.minimum(rows, lengths - 1)
+        gather = self._starts + np.minimum(rows, lengths - 1)
         t, self.lx, lv, la = (
             np.concatenate([getattr(seg, name) for seg in segments])[gather]
             for name in ("t", "leader_pos", "leader_speed", "leader_accel"))
@@ -304,9 +285,15 @@ class SegmentSet:
         as it does.
         """
         pos, speed, spacing, collisions = self.pooled_run(model)
-        ends = np.cumsum([len(seg) for seg in self.segments]).tolist()
-        return [_result(seg, pos[lo:hi], speed[lo:hi], spacing[lo:hi], int(hits))
-                for seg, lo, hi, hits in zip(self.segments, [0] + ends, ends, collisions)]
+        bounds = self._starts.tolist() + [self.samples]
+        out = []
+        for seg, lo, hi, hits in zip(self.segments, bounds, bounds[1:], collisions):
+            accel = np.empty(hi - lo)
+            accel[1:] = np.diff(speed[lo:hi]) / np.diff(seg.t)
+            accel[0] = accel[1]
+            out.append(SimResult(seg.t.copy(), pos[lo:hi], speed[lo:hi], accel, spacing[lo:hi],
+                                 int(hits)))
+        return out
 
     def pooled_run(self, model: ModelParams):
         """Simulate one parameter set over every segment, each from its first sample.
@@ -323,19 +310,17 @@ class SegmentSet:
         except FloatingPointError:
             block = None
         if block is not None:
-            valid = self.valid.T
-            pos, speed, spacing = (col[:, 0].T[valid] for col in block[:3])
-            return pos, speed, spacing, block[3][0]
+            return tuple(col[0] for col in block)
         runs = []
         try:
-            for run in self._scalar_runs(kind, row):
+            for run in self._scalar_runs(kind, row, states=True):
                 runs.append(run)
         except ArithmeticError as exc:
             raise DomainError(f"segment {self.segments[len(runs)].id}: the simulation "
                               f"faults ({type(exc).__name__}: {exc})") from None
-        pos, speed, spacing = (np.array(list(chain.from_iterable(run[j] for run in runs)))
-                               for j in range(3))
-        return pos, speed, spacing, [run[3] for run in runs]
+        pos, speed = (self._observations(run[j] for run in runs) for j in range(2))
+        with np.errstate(over="ignore"):  # a spacing overflows to inf, as in plain floats
+            return (pos, speed, *self._spacing(pos, counts=True))
 
     def pooled_spacing(self, kind: str, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The simulated spacing of each row of a parameter table, segments concatenated.
@@ -356,51 +341,80 @@ class SegmentSet:
                 return self._joined(kind, table, 1)
             block = None
         if block is not None:
-            return block[2].transpose(1, 2, 0)[:, self.valid.T], np.zeros(len(table), bool)
-        spacing = np.full((len(table), self.samples), np.nan)
+            return block[2], np.zeros(len(table), bool)
+        pos = np.full((len(table), self.samples), np.nan)
         fault = np.zeros(len(table), bool)
         for r, row in enumerate(table.tolist()):
             try:
-                spacing[r] = list(chain.from_iterable(run[2] for run in self._scalar_runs(kind, row)))
+                pos[r] = self._observations(run[0] for run in self._scalar_runs(kind, row))
             except ArithmeticError:
                 fault[r] = True
-        return spacing, fault
+        with np.errstate(over="ignore"):  # a spacing overflows to inf, as in plain floats
+            return self._spacing(pos)[0], fault
 
     def _joined(self, kind: str, table: np.ndarray, rows: int):
         """pooled_spacing of the table taken `rows` rows at a time, joined."""
         parts = [self.pooled_spacing(kind, table[i:i + rows]) for i in range(0, len(table), rows)]
         return tuple(np.concatenate(part) for part in zip(*parts))
 
-    def _scalar_runs(self, kind: str, row: list):
+    def _scalar_runs(self, kind: str, row: list, states: bool = False):
         """_step_loop's output per segment, each stepped as it is drawn."""
         if self._lists is None:
-            self._lists = self._scalar_lists()
-        return (_step_loop(kind, row, lists, self.limits) for lists in self._lists)
+            self._lists, self._observed = self._scalar_lists()
+        return (_step_loop(kind, row, lists, self.limits, states) for lists in self._lists)
 
-    def _scalar_lists(self) -> list[tuple]:
-        """Per segment, x0, v0, the leader's first position and its real sub-steps.
+    def _scalar_lists(self) -> tuple[list[tuple], np.ndarray]:
+        """Per segment, x0, v0 and its real sub-steps; and the index of the observations.
 
         Plain float lists keep the step loop off numpy scalar arithmetic;
-        each column is cut in one pass, in segment order, then sliced.
+        each column is cut in one pass, in segment order, then sliced. The
+        index picks the observations out of the loop's lists chained in
+        segment order: each segment's start, then the state after each
+        interval's last sub-step.
         """
         _, substeps, lanes = self.schedule[3].shape
         lane, i, k = np.nonzero(np.arange(substeps) < self.m.T[:, :, None])
         at = (i * substeps + k) * lanes + lane
         xl, vl, al, h = (col.ravel()[at].tolist() for col in self.schedule)
-        end = np.where(k == self.m[i, lane] - 1, self.lx[i + 1, lane], None).tolist()
-        bounds = np.searchsorted(lane, np.arange(lanes + 1)).tolist()
-        return [(x, v, lx, xl[lo:hi], vl[lo:hi], al[lo:hi], h[lo:hi], end[lo:hi])
-                for x, v, lx, lo, hi in zip(self.x0.tolist(), self.v0.tolist(),
-                                            self.lx[0].tolist(), bounds, bounds[1:])]
+        bounds = np.searchsorted(lane, np.arange(lanes + 1))
+        lists = [(x, v, xl[lo:hi], vl[lo:hi], al[lo:hi], h[lo:hi])
+                 for x, v, lo, hi in zip(self.x0.tolist(), self.v0.tolist(),
+                                         bounds.tolist(), bounds[1:].tolist())]
+        # (n, lanes) sub-steps done by each sample, past each lane's list start:
+        # a list holds one value more than its lane has sub-steps
+        done = np.cumsum(np.vstack([np.zeros(lanes, int), self.m]), axis=0)
+        return lists, (done + bounds[:-1] + np.arange(lanes)).T[self.valid.T]
+
+    def _observations(self, lists) -> np.ndarray:
+        """The observed values of per-sub-step lists, one per segment in order, pooled."""
+        return np.fromiter(chain.from_iterable(lists), float)[self._observed]
+
+    def _spacing(self, pos: np.ndarray, counts: bool = False):
+        """The spacing of (..., samples) pooled positions, and (..., segments) collision counts.
+
+        The spacing, leader less follower, is floored at SPACING_FLOOR_FT
+        where it is not positive, one collision each, except at a segment's
+        first sample. The counts are None unless `counts`. Whether an
+        overflow raises is up to the caller's np.errstate.
+        """
+        spacing = self._leader_pos - pos
+        hit = spacing <= 0.0
+        hit[..., self._starts] = False
+        spacing[hit] = SPACING_FLOOR_FT
+        if not counts:
+            return spacing, None
+        return spacing, np.add.reduceat(hit, self._starts, axis=-1, dtype=int)
 
     def _run_block(self, kind: str, table: np.ndarray, states: bool = True):
         """Step each row of a parameter table over every lane in lockstep.
 
-        Returns (pos, speed, spacing, collisions): three (samples, rows,
-        lanes) arrays on the observation grid and a (rows, lanes) count,
-        with pos, speed and the count None unless `states` is true; None
-        when the set takes the scalar loop. Raises FloatingPointError
-        where a value overflows or turns NaN.
+        Returns (pos, speed, spacing, collisions): three (rows, samples)
+        arrays on the observation times, segments concatenated, and a
+        (rows, segments) count, with speed and the count None unless
+        `states` is true; None when the set takes the scalar loop. The
+        block records positions (and speeds) per interval, and _spacing
+        takes the rest from them. Raises FloatingPointError where a value,
+        the spacing included, overflows or turns NaN.
 
         The rows are of one kind, whose kernel is written inline as in
         _step_loop: the raw kernel's IEEE operations in the same order,
@@ -433,14 +447,14 @@ class SegmentSet:
             np.array(value) for value in (self.limits.a_min, self.limits.a_max,
                                           self.limits.v_min, self.limits.v_max))
         xl, vl, al, h = self.schedule
-        spacing = np.empty((n, rows, lanes))
-        pos, speed = (np.empty((n, rows, lanes)) if states else None for _ in range(2))
+        pos = np.empty((n, rows, lanes))
+        speed = np.empty((n, rows, lanes)) if states else None
         with np.errstate(**_RAISE_ON_FAULT):
             x = np.broadcast_to(self.x0, shape)
             v = np.broadcast_to(np.minimum(np.maximum(self.v0, v_min), v_max), shape)
+            pos[0] = x
             if states:
-                pos[0], speed[0] = x, v
-            np.subtract(self.lx[0], x, out=spacing[0])
+                speed[0] = v
             for i, substeps in enumerate(self.substeps):
                 for k in range(substeps):
                     vl_k, step = vl[i, k], h[i, k]
@@ -472,35 +486,25 @@ class SegmentSet:
                     v_new = np.minimum(np.maximum(v + a_cmd * step, v_min), v_max)
                     x = x + 0.5 * (v + v_new) * step
                     v = v_new
+                pos[i + 1] = x
                 if states:
-                    pos[i + 1], speed[i + 1] = x, v
-                np.subtract(self.lx[i + 1], x, out=spacing[i + 1])
-        hit = spacing[1:] <= 0.0
-        collisions = (hit & self.valid[1:, None, :]).sum(axis=0) if states else None
-        spacing[1:][hit] = SPACING_FLOOR_FT
-        return pos, speed, spacing, collisions
+                    speed[i + 1] = v
+            pos, speed = (None if col is None else col.transpose(1, 2, 0)[:, self.valid.T]
+                          for col in (pos, speed))
+            return (pos, speed, *self._spacing(pos, counts=states))
 
 
-def simulate_all(
-    model: ModelParams,
-    segments: list[FollowingSegment],
-    limits: SimLimits | None = None,
-    dt: float = 1.0,
-) -> list[SimResult]:
+def simulate_all(model: ModelParams, segments: list[FollowingSegment],
+                 limits: SimLimits | None = None, dt: float = 1.0) -> list[SimResult]:
     """Simulate each segment independently, re-initialized from its first sample."""
     return SegmentSet(segments, limits, dt).results(model)
 
 
 def limits_from_dict(data: dict) -> SimLimits:
     require_keys(data, (), "limits")
-    require_numbers(data, [key for key in ("a_min", "a_max", "v_max", "v_min") if key in data],
-                    "limits")
-    return SimLimits(
-        a_min=data.get("a_min", -26.0),
-        a_max=data.get("a_max", 10.0),
-        v_max=data.get("v_max", 19.5),
-        v_min=data.get("v_min", 0.0),
-    )
+    given = [key for key in ("a_min", "a_max", "v_max", "v_min") if key in data]
+    require_numbers(data, given, "limits")
+    return SimLimits(**{key: data[key] for key in given})
 
 
 def load_limits(path: str | Path) -> SimLimits:
@@ -508,12 +512,6 @@ def load_limits(path: str | Path) -> SimLimits:
 
 
 def result_to_dict(result: SimResult, segment_id: str = "") -> dict:
-    return {
-        "id": segment_id,
-        "t": result.t.tolist(),
-        "follower_pos": result.follower_pos.tolist(),
-        "follower_speed": result.follower_speed.tolist(),
-        "follower_accel": result.follower_accel.tolist(),
-        "spacing": result.spacing.tolist(),
-        "collisions": result.collisions,
-    }
+    return {"id": segment_id, "collisions": result.collisions,
+            **{name: getattr(result, name).tolist()
+               for name in ("t", "follower_pos", "follower_speed", "follower_accel", "spacing")}}

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import warnings
 
 import numpy as np
@@ -20,7 +21,7 @@ from cfcalib import (
     split_segments,
 )
 from cfcalib.cleaning import (
-    PAIR_TOLERANCE_S, leader_start_offset, read_segments_json, write_segments_json)
+    COLUMNS, PAIR_TOLERANCE_S, leader_start_offset, read_segments_json, write_segments_json)
 from cfcalib.fixtures import constant_leader_segment, rule_violation_series
 from cfcalib.ingest import (
     GpsLog, Trajectory, derive_kinematics, geodesic_distance, kinematics_from_positions)
@@ -269,6 +270,23 @@ class TestCleanSegments:
         loaded = read_segments_json(path)
         assert len(loaded) == len(segments)
         assert np.array_equal(loaded[0].spacing, segments[0].spacing)
+
+    def test_segments_json_keys_and_the_old_spacing_column(self, tmp_path):
+        """An entry holds id and the columns; a file that still has `spacing` reads the same."""
+        segments = clean_segments(make_paired(25))
+        path = tmp_path / "segments.json"
+        write_segments_json(segments, path)
+        data = json.loads(path.read_text())
+        assert [set(entry) for entry in data["segments"]] == [
+            {"id", "t", "leader", "follower"}] * len(segments)
+        for entry, seg in zip(data["segments"], segments):
+            entry["spacing"] = seg.spacing.tolist()
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps(data))
+        for got, want in zip(read_segments_json(old), read_segments_json(path), strict=True):
+            assert got.id == want.id
+            for name in COLUMNS:
+                assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
 
 
 class TestFollowingSegment:

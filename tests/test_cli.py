@@ -853,6 +853,45 @@ class TestJsonInputContract:
         assert "times must strictly increase" in message
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("command, target, path, named", [
+        ("clean", "pair", ["follower", "speed"], "{pair}: pair JSON follower speed: "),
+        ("validate", "segments", ["segments", 1, "leader", "accel"], "segment 1 leader accel: "),
+    ], ids=["pair", "segments"])
+    @pytest.mark.parametrize("literal", ['"12.5"', "true"], ids=["string", "bool"])
+    @pytest.mark.parametrize("where", ["first", "middle"])
+    def test_string_or_bool_in_a_column_exits_one(self, tmp_path, capsys, command, target,
+                                                  path, named, literal, where):
+        """numpy reads "12.5" and true as numbers; the JSON readers must not."""
+        inputs = self.write_inputs(tmp_path)
+        data = json.loads(inputs[target].read_text())
+        column = functools.reduce(operator.getitem, path, data)
+        column[0 if where == "first" else len(column) // 2] = "@"
+        inputs[target].write_text(json.dumps(data).replace('"@"', literal))
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
+        message = self.assert_one_error(
+            capsys, argv + ["--out", str(tmp_path / "out.json")], named.format(**inputs))
+        assert message.endswith("values must be numbers, not "
+                                + ("str" if literal.startswith('"') else "bool"))
+        assert not (tmp_path / "out.json").exists()
+
+    def test_old_spacing_column_reads_the_same(self, tmp_path):
+        """A segments file that still has each entry's `spacing` gives the same outputs."""
+        inputs = self.write_inputs(tmp_path)
+        data = json.loads(inputs["segments"].read_text())
+        for entry in data["segments"]:
+            entry["spacing"] = (np.array(entry["leader"]["pos"])
+                                - np.array(entry["follower"]["pos"])).tolist()
+        old = tmp_path / "old-segments.json"
+        old.write_text(json.dumps(data))
+        for command in ("stats", "simulate", "validate", "calibrate"):
+            outputs = []
+            for segments in (inputs["segments"], old):
+                argv = [arg.format(**{**inputs, "segments": segments})
+                        for arg in self.COMMANDS[command]]
+                outputs.append(tmp_path / f"{command}-{segments.stem}.json")
+                assert main(argv + ["--out", str(outputs[-1])]) == 0, command
+            assert outputs[0].read_bytes() == outputs[1].read_bytes(), command
+
     def test_validate_without_segments_exits_one(self, tmp_path, capsys):
         inputs = self.write_inputs(tmp_path)
         inputs["segments"].write_text('{"segments": []}')
@@ -902,11 +941,25 @@ def pair_mutations(draw):
     return draw(st.lists(mutation, min_size=1, max_size=3))
 
 
-def mutated_pair_text(base: dict, mutations) -> str:
-    """The JSON text of `base` with each mutation that still finds its target applied."""
+def mutated_text(base: dict, mutations) -> str:
+    """The JSON text of `base` with each mutation that still finds its target applied.
+
+    A "spacing" mutation gives the segment at its path a `spacing` key, the
+    column earlier versions wrote (arg "column") or an odd value.
+    """
     data = json.loads(json.dumps(base))
     odd = []
     for kind, path, arg in mutations:
+        if kind == "spacing":
+            try:
+                entry = functools.reduce(operator.getitem, path, data)
+                spacing = (np.array(entry["leader"]["pos"])
+                           - np.array(entry["follower"]["pos"])).tolist()
+            except (KeyError, IndexError, TypeError, ValueError):
+                continue  # no longer a segment with two position columns
+            entry["spacing"] = spacing if arg == "column" else f"@{len(odd)}@"
+            odd += [] if arg == "column" else [arg]
+            continue
         try:
             parent = functools.reduce(operator.getitem, path[:-1], data)
             value = parent[path[-1]]
@@ -953,7 +1006,7 @@ class TestPairFileFuzz:
         pair, out = directory / "mutated.json", directory / "segments.json"
         for path in (out, Path(f"{out}.manifest.json")):
             path.unlink(missing_ok=True)
-        pair.write_text(mutated_pair_text(base, mutations))
+        pair.write_text(mutated_text(base, mutations))
         capsys.readouterr()
         rc = main(["clean", "--pair", str(pair), "--out", str(out)])
         captured = capsys.readouterr()
@@ -970,3 +1023,91 @@ class TestPairFileFuzz:
             err = json.loads(lines[0])
             assert set(err) == {"error", "message"}
             assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# `stats`, `simulate`, `validate` and `calibrate` over mutated segments files
+
+SEGMENT_KEYS = [("id",), ("t",), ("leader",), ("follower",)] + PAIR_COLUMNS[1:]
+SEGMENT_COMMANDS = {
+    "stats": ["stats"],
+    "simulate": ["simulate", "--model", "{model}"],
+    "validate": ["validate", "--params", "{model}"],
+    "calibrate": ["calibrate", "--model", "idm", "--config", "{config}"],
+}
+
+
+@st.composite
+def segments_mutations(draw):
+    """One to three damages to a two-segment file, as (kind, path, argument)."""
+    n = 30  # fewer samples than either segment of the base file holds
+    entry = st.integers(0, 1).map(lambda i: ("segments", i))
+    key = st.one_of(st.just(("segments",)),
+                    st.tuples(entry, st.sampled_from(SEGMENT_KEYS)).map(lambda c: c[0] + c[1]))
+    column = st.tuples(entry, st.sampled_from(PAIR_COLUMNS)).map(lambda c: c[0] + c[1])
+    mutation = st.one_of(
+        st.tuples(st.just("drop"), key, st.none()),
+        st.tuples(st.just("set"), key, st.sampled_from(ODD_VALUES)),
+        st.tuples(st.just("set"), st.tuples(column, st.integers(0, n - 1))
+                  .map(lambda c: c[0] + (c[1],)), st.sampled_from(ODD_VALUES)),
+        st.tuples(st.just("ragged"), column, st.none()),
+        st.tuples(st.just("swap"), entry.map(lambda e: e + ("t",)),
+                  st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))),
+        st.tuples(st.just("spacing"), entry, st.sampled_from(["column"] + ODD_VALUES)),
+    )
+    return draw(st.lists(mutation, min_size=1, max_size=3))
+
+
+@pytest.fixture(scope="module")
+def base_segments(tmp_path_factory):
+    from cfcalib.models import default_params, write_params
+
+    directory = tmp_path_factory.mktemp("segments-fuzz")
+    segments = run_pipeline_to_segments(directory, stop_at=45)
+    write_params(default_params("idm"), directory / "model.json")
+    (directory / "ga.json").write_text(json.dumps(
+        {"population": 4, "max_generations": 1, "seeds": [0]}))
+    base = json.loads(segments.read_text())
+    assert len(base["segments"]) == 2 and min(len(e["t"]) for e in base["segments"]) > 30
+    return directory, base
+
+
+class TestSegmentsFileFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(mutations=segments_mutations())
+    # the column earlier versions wrote, and a string and a bool in a column
+    @example(mutations=[("spacing", ("segments", 0), "column"),
+                        ("spacing", ("segments", 1), "column")])
+    @example(mutations=[("set", ("segments", 0, "follower", "speed", 3), '"x"'),
+                        ("set", ("segments", 1, "leader", "accel", 0), "true")])
+    # an id read as infinity, and a start whose simulated spacing is near 1.7e308,
+    # whose fit report overflowed into Infinity
+    @example(mutations=[("set", ("segments", 0, "id"), "1e400")])
+    @example(mutations=[("set", ("segments", 0, "follower", "pos", 0), "-1.7e308")])
+    def test_commands_exit_zero_or_one_json_line(self, base_segments, capsys, mutations):
+        """Exit 0, or exit 1 with one JSON line on stderr; never a NaN or Infinity token."""
+        directory, base = base_segments
+        segments = directory / "mutated.json"
+        segments.write_text(mutated_text(base, mutations))
+        for command, template in SEGMENT_COMMANDS.items():
+            out = directory / f"{command}.json"
+            for path in (out, Path(f"{out}.manifest.json")):
+                path.unlink(missing_ok=True)
+            argv = [arg.format(model=directory / "model.json", config=directory / "ga.json")
+                    for arg in template]
+            capsys.readouterr()
+            rc = main(argv + ["--segments", str(segments), "--out", str(out)])
+            captured = capsys.readouterr()
+            assert captured.out == "", command
+            if rc == 0:
+                assert captured.err == "", command
+                for path in (out, Path(f"{out}.manifest.json")):
+                    text = path.read_text()
+                    assert "NaN" not in text and "Infinity" not in text, command
+            else:
+                assert rc == 1, command
+                lines = captured.err.strip().splitlines()
+                assert len(lines) == 1, (command, captured.err)
+                assert set(json.loads(lines[0])) == {"error", "message"}
+                assert not out.exists(), command

@@ -2,6 +2,7 @@ import ast
 import copy
 import hashlib
 import math
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +15,7 @@ from cfcalib import (
     CfState,
     ConfigError,
     DomainError,
+    FollowingSegment,
     IdmParams,
     SimLimits,
     calib,
@@ -259,6 +261,31 @@ class TestBlockPath:
             assert res.spacing == pytest.approx(one_stop.spacing, rel=1e-12)
             assert res.follower_pos == pytest.approx(one_stop.follower_pos, rel=1e-12)
 
+    @pytest.mark.parametrize("params", [SHUTTLE_ACC, SHUTTLE_IDM], ids=["linear_acc", "idm"])
+    def test_collision_counts_stay_in_their_segment(self, params):
+        """A segment that collides in its first interval, between two that never do.
+
+        Each engine credits every floored sample to its own segment, and no
+        segment's first sample is floored. linear_acc and idm with delta 1
+        take no power or tanh, so the engines agree bit for bit.
+        """
+        n = 12
+        zeros = np.zeros(n)
+        # stopped 5 ft ahead of a follower at top speed: past it within 1 s
+        crash = FollowingSegment("crash", np.arange(n, dtype=float), np.full(n, 5.0), zeros,
+                                 zeros, zeros, np.where(np.arange(n) == 0, 19.5, 0.0), zeros)
+        steady = constant_leader_segment(10.0, n - 1, 60.0)
+        scalar = simulate_all(params, [steady, crash, steady])
+        assert [res.collisions for res in scalar] == [0, n - 1, 0]
+        assert scalar[1].spacing[0] == 5.0 and (scalar[1].spacing[1:] == 0.01).all()
+        segments = [steady, crash, steady] * 11
+        assert SegmentSet(segments)._run_block(*table_of([params])) is not None
+        block = simulate_all(params, segments)
+        assert [res.collisions for res in block] == [0, n - 1, 0] * 11
+        for res, ref in zip(block, scalar * 11):
+            assert np.array_equal(res.spacing, ref.spacing)
+            assert np.array_equal(res.follower_pos, ref.follower_pos)
+
     def test_dt_must_divide_interval(self):
         segments = block_fixture(1.0)
         with pytest.raises(ConfigError) as scalar:
@@ -288,7 +315,7 @@ class TestBlockPath:
                                 for s0 in np.linspace(2.0, 12.0, 10)])
         expected = SegmentSet(segments, dt=dt).pooled_spacing(kind, table)
         capped = SegmentSet(segments, dt=dt)
-        # the cap counts the values of the spacing array alone
+        # the cap counts the values of the position array alone
         assert capped._rows_per_run == (3 << 20) // capped.valid.size
         capped._rows_per_run = 4
         widths = []
@@ -317,9 +344,11 @@ def test_non_finite_run_faults(n_trips):
         calib.gof_report(nan_blend, segments)
 
 
-# The scalar step loop as it was before the kernels were written inline:
-# one accel function call per sub-step, built on the raw kernels of
-# models.py. sim._step_loop must give its outcome bit for bit.
+# The scalar step loop as it was before the kernels were written inline,
+# and before it left the spacing to SegmentSet._spacing: one accel function
+# call per sub-step, built on the raw kernels of models.py, with the
+# spacing floored and collisions counted at each observation. sim._step_loop
+# plus the pooled epilogue must give its outcome bit for bit.
 
 def reference_accel_fn(model):
     if isinstance(model, IdmParams):
@@ -361,7 +390,7 @@ def reference_step_loop(accel_fn, lists, limits):
 
 
 def loop_outcome(run):
-    """float.hex of every output and the collision count, or the exception type."""
+    """float.hex of every output and the collision counts, or the exception type."""
     try:
         pos, speed, spacing, collisions = run()
     except ArithmeticError as exc:
@@ -369,22 +398,54 @@ def loop_outcome(run):
     return [[value.hex() for value in column] for column in (pos, speed, spacing)], collisions
 
 
-def assert_loop_matches_reference(model, lists, limits):
-    got = loop_outcome(lambda: sim._step_loop(*params_row(model), lists, limits))
-    want = loop_outcome(lambda: reference_step_loop(reference_accel_fn(model), lists, limits))
-    assert got == want
+def reference_lists(segment_set):
+    """reference_step_loop's inputs per segment of a set on the scalar loop.
+
+    These are the loop's own lists, with the leader's first position and,
+    per sub-step, the leader position at the observation it completes
+    (None inside an interval), counted from each interval's length and dt.
+    """
+    out = []
+    for seg, (x, v, *schedule) in zip(segment_set.segments, segment_set._scalar_lists()[0]):
+        end = []
+        for i, interval in enumerate(np.diff(seg.t).tolist()):
+            end += [None] * (round(interval / segment_set.dt) - 1) + [float(seg.leader_pos[i + 1])]
+        assert len(end) == len(schedule[0])
+        out.append((x, v, float(seg.leader_pos[0]), *schedule, end))
+    return out
 
 
-def oracle_lists(dt):
-    """Scalar-loop inputs of a smooth response, a hard stop and, at dt 0.5, a 0.5-s grid."""
+def assert_loop_matches_reference(model, segment_set, lists):
+    """The loop and the pooled epilogue over a set give the reference run on `lists`, chained."""
+    kind, row = params_row(model)
+
+    def run():
+        runs = list(segment_set._scalar_runs(kind, row, states=True))
+        pos, speed = (segment_set._observations(run[j] for run in runs) for j in range(2))
+        with np.errstate(over="ignore"):  # as in pooled_run
+            spacing, collisions = segment_set._spacing(pos, counts=True)
+        return pos.tolist(), speed.tolist(), spacing.tolist(), collisions.tolist()
+
+    def reference():
+        runs = [reference_step_loop(reference_accel_fn(model), one, segment_set.limits)
+                for one in lists]
+        return (*(list(chain.from_iterable(run[j] for run in runs)) for j in range(3)),
+                [run[3] for run in runs])
+
+    assert loop_outcome(run) == loop_outcome(reference)
+
+
+def oracle_set(dt):
+    """A scalar-loop set of a smooth response, a hard stop and, at dt 0.5, a 0.5-s grid."""
     segments = [model_response_segments(default_params("blend"), n_segments=1, seconds=60)[0],
                 hard_stop_segment(initial_speed=18.0, initial_spacing=50.0, duration_s=20)]
     if dt == 0.5:
         segments.append(constant_leader_segment(10.0, 12, 60.0, dt=0.5))
-    return SegmentSet(segments, dt=dt)._scalar_lists()
+    return SegmentSet(segments, dt=dt)
 
 
-ORACLE_LISTS = {dt: oracle_lists(dt) for dt in (1.0, 0.5)}
+ORACLE_SETS = {dt: oracle_set(dt) for dt in (1.0, 0.5)}
+ORACLE_LISTS = {dt: reference_lists(segment_set) for dt, segment_set in ORACLE_SETS.items()}
 
 
 def in_bounds_genes(kind):
@@ -415,16 +476,17 @@ class TestStepLoopMatchesReference:
     @settings(max_examples=40, deadline=None)
     def test_in_bounds_rows(self, kind, dt, data):
         model = genes_to_params(kind, data.draw(in_bounds_genes(kind)))
-        for lists in ORACLE_LISTS[dt]:
-            assert_loop_matches_reference(model, lists, SimLimits())
+        assert_loop_matches_reference(model, ORACLE_SETS[dt], ORACLE_LISTS[dt])
 
     @pytest.mark.parametrize("dt", [1.0, 0.5])
     @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
     def test_edge_rows(self, kind, dt):
         for genes in EDGE_ROWS[kind]:
             model = genes_to_params(kind, genes)
-            for lists in ORACLE_LISTS[dt]:
-                assert_loop_matches_reference(model, lists, SimLimits())
+            assert_loop_matches_reference(model, ORACLE_SETS[dt], ORACLE_LISTS[dt])
+            # a row that faults on a later segment only: each segment alone
+            for seg, lists in zip(ORACLE_SETS[dt].segments, ORACLE_LISTS[dt]):
+                assert_loop_matches_reference(model, SegmentSet([seg], dt=dt), [lists])
 
     @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
     @given(data=st.data())
@@ -444,7 +506,13 @@ class TestStepLoopMatchesReference:
                                max_size=steps))
         end = data.draw(st.lists(st.one_of(st.none(), st.floats()), min_size=steps,
                                  max_size=steps))
-        assert_loop_matches_reference(model, (x, v, xl0, xl, vl, al, h, end), SimLimits())
+        # a one-segment set whose observations are the start and the sub-steps with an end
+        segment_set = copy.copy(ORACLE_SETS[1.0])
+        segment_set._lists = [(x, v, xl, vl, al, h)]
+        segment_set._observed = np.flatnonzero([True] + [e is not None for e in end])
+        segment_set._leader_pos = np.array([xl0] + [e for e in end if e is not None])
+        segment_set._starts = np.array([0])
+        assert_loop_matches_reference(model, segment_set, [(x, v, xl0, xl, vl, al, h, end)])
 
 
 # The block stepper as it was before it wrote its kernels inline: one
@@ -535,8 +603,14 @@ BLOCK_SETS = {dt: SegmentSet(block_fixture(dt), dt=dt) for dt in (1.0, 0.5)}
 
 def assert_block_matches_reference(models, dt, segment_set=None):
     segment_set = segment_set or BLOCK_SETS[dt]
+
+    def reference():
+        # pooled as _run_block returns them: (rows, samples), segments concatenated
+        *columns, collisions = reference_run_block(segment_set, models)
+        return [col.transpose(1, 2, 0)[:, segment_set.valid.T] for col in columns] + [collisions]
+
     got = block_outcome(lambda: segment_set._run_block(*table_of(models)))
-    assert got == block_outcome(lambda: reference_run_block(segment_set, models))
+    assert got == block_outcome(reference)
 
 
 class TestBlockMatchesReference:
@@ -604,9 +678,9 @@ def test_spacing_only_block_matches_full_block(kind, dt):
             for _ in range(40)]
     segment_set = BLOCK_SETS[dt]
     assert segment_set._run_block(*table_of(rows)) is not None
-    # no positions, speeds or collision counts for GA rows
-    pos, speed, _, collisions = segment_set._run_block(*table_of(rows), states=False)
-    assert pos is None and speed is None and collisions is None
+    # no speeds or collision counts for GA rows
+    _, speed, _, collisions = segment_set._run_block(*table_of(rows), states=False)
+    assert speed is None and collisions is None
     faulting = rows[:2] + BLOCK_FAULT_ROWS[kind]
     # the block faults, so pooled_spacing retries it row by row
     with pytest.raises(FloatingPointError):
