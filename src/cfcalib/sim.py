@@ -16,13 +16,13 @@ write the kernels of every model kind inline; the raw kernels in
 models.py are the reference they are tested against. The scalar loop,
 _step_loop, steps one segment at a time in plain Python floats, so that
 a sub-step calls no kernel. The block stepper, SegmentSet._run_block,
-advances a (table rows x segments) state per sub-step in numpy, the
-schedule broadcast over the rows. Both record the follower state only:
+advances a (table rows x segments) state per step in numpy, over the
+schedule packed per segment. Both record the follower state only:
 positions, and speeds unless for a GA generation. The engines differ
-only in power and tanh. SegmentSet alone picks the engine: the block when
-the set has BATCH_MIN_SEGMENTS segments or more, never depending on how
-many rows are stepped together. A block that overflows or turns NaN is
-stepped again row by row, and a row that still does runs the scalar
+only in power and tanh. SegmentSet alone picks the engine: the block
+when the set has BATCH_MIN_SEGMENTS segments or more, never depending on
+how many rows are stepped together. A block that overflows or turns NaN
+is stepped again row by row, and a row that still does runs the scalar
 loop, so every row gets exactly what it gets stepped alone.
 
 Results come pooled, the segments concatenated in order, and
@@ -64,7 +64,7 @@ BATCH_MIN_SEGMENTS = 32
 # whose plain floats handle (or fault on) these cases in their own way
 _RAISE_ON_FAULT = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
-# values (24 MB of float64) in the (samples x rows x segments) position
+# values (24 MB of float64) in the (records x rows x segments) position
 # array of one block run; a GA generation with more rows takes several runs
 _BLOCK_VALUES = 3 << 20
 
@@ -117,8 +117,9 @@ def _step_loop(kind: str, row: list, lists: tuple, limits: SimLimits, states: bo
     speed is None unless `states`, as a GA row reads positions only.
     `row` is one parameter set of the kind as Python floats: its class's
     fields in order, models.TABLE_FIELDS, the genes first (params_row);
-    `lists` is one of SegmentSet._scalar_lists. A NaN, once in, stays in
-    x, so a run ending non-finite raises ArithmeticError.
+    `lists` is one segment's start and slice of the flat schedule
+    (SegmentSet._scalar_lists); a NaN, once in, stays in x, so a run
+    ending non-finite raises ArithmeticError.
 
     The acceleration is computed inline, so a sub-step makes no Python
     call: linear_acc, or IDM with the CAH blend on top. Each kind does the
@@ -202,11 +203,11 @@ class SegmentSet:
     """Segments under one set of limits and one dt; picks the engine for them.
 
     Construction checks dt against every interval and builds the schedule
-    both engines step: the set padded to its longest member, one lane per
-    segment, with per (interval, sub-step, lane) the leader's position,
-    speed and accel and the step length. Past a segment's end, or past an
-    interval's sub-step count, a lane takes sub-steps of length 0, which
-    leave the follower state unchanged and are left out of every result.
+    both engines step: one flat list of sub-steps, segments in order, each
+    with the leader's position, speed and accel and the step length. A set
+    that takes the block also packs it into (step, lane) arrays, a lane per
+    segment from step 0; past its end a lane steps by h = 0, which leaves
+    the follower state as it is.
     """
 
     def __init__(self, segments: list[FollowingSegment], limits: SimLimits | None = None,
@@ -221,62 +222,78 @@ class SegmentSet:
         # results come pooled: where each segment starts, and the leader there
         self._starts = np.cumsum(lengths) - lengths
         self._leader_pos = np.concatenate([[]] + [seg.leader_pos for seg in self.segments])
-        # the scalar loop's inputs and where its observations fall, cut on its
-        # first run; an empty set has neither
+        # the scalar loop's inputs, cut on its first run, and where its
+        # observations fall in them; an empty set has neither
         self._lists, self._observed = (None, None) if self.segments else ([], self._starts)
+        # for a set that takes the block, its (step, lane) arrays and rows per run
+        self.schedule, self._rows_per_run = None, math.inf
         if self.segments:
-            self._pad(lengths)
+            self._plan(lengths)
 
-    def _pad(self, lengths: np.ndarray) -> None:
+    def _plan(self, lengths: np.ndarray) -> None:
         segments, dt = self.segments, self.dt
-        n = int(lengths.max())
-        rows = np.arange(n)[:, None]
-        self.valid = rows < lengths  # (n, lanes)
-        # (n, lanes) positions in the concatenated columns; past its end a
-        # lane repeats its last sample
-        gather = self._starts + np.minimum(rows, lengths - 1)
-        t, self.lx, lv, la = (
-            np.concatenate([getattr(seg, name) for seg in segments])[gather]
-            for name in ("t", "leader_pos", "leader_speed", "leader_accel"))
+        lanes = len(segments)
+        t, lx, lv, la = (np.concatenate([getattr(seg, name) for seg in segments])
+                         for name in ("t", "leader_pos", "leader_speed", "leader_accel"))
         self.x0 = np.array([seg.follower_pos[0] for seg in segments])
         self.v0 = np.array([seg.follower_speed[0] for seg in segments])
+        lane = np.repeat(np.arange(lanes), lengths)  # of each sample
+        ends = np.delete(np.arange(self.samples), self._starts)  # each interval's last sample
 
         # an interval or a step count that overflows is inf, rejected below;
-        # so is a step count too large for the schedule: its (interval,
-        # sub-step, lane) arrays of float64 must stay within what numpy indexes
-        most = np.iinfo(np.intp).max / (8 * self.valid.size)
+        # so is one above `most`, which keeps the (step, lane) arrays of
+        # float64 within what numpy indexes
+        most = np.iinfo(np.intp).max / (8 * int(lengths.max()) * lanes)
         with np.errstate(over="ignore", invalid="ignore"):
-            interval = np.diff(t, axis=0)
+            interval = t[ends] - t[ends - 1]
             m = np.rint(interval / dt)
             # written so that a NaN interval counts as bad
-            bad = self.valid[1:] & ~(
-                (m >= 1) & (m < most)
-                & (np.abs(interval - m * dt) <= 1e-6 * np.maximum(1.0, interval)))
+            bad = ~((m >= 1) & (m < most)
+                    & (np.abs(interval - m * dt) <= 1e-6 * np.maximum(1.0, interval)))
         far = ~np.isfinite(interval)
         if far.any():
-            lane, i = np.argwhere(far.T)[0]  # first such interval in segment order
-            raise times_too_far_apart(segments[lane], i)
+            end = ends[far.argmax()]  # first such interval in segment order
+            raise times_too_far_apart(segments[lane[end]], end - self._starts[lane[end]] - 1)
         if bad.any():
-            lane, i = np.argwhere(bad.T)[0]  # first bad interval in segment order
-            raise ConfigError(
-                f"dt={dt} does not divide the {interval[i, lane]:.6g} s observation interval")
-        self.m = np.where(self.valid[1:], m, 0).astype(int)  # sub-steps per interval
-        m = self.m[:, None, :]
-        k = np.arange(max(1, int(m.max())))[None, :, None]
-        per_lane = np.maximum(m, 1)
-        frac = k / per_lane
+            raise ConfigError(  # first bad interval in segment order
+                f"dt={dt} does not divide the {interval[bad.argmax()]:.6g} s observation interval")
+        m = m.astype(int)  # sub-steps per interval
+        before = np.concatenate([[0], np.cumsum(m)])  # sub-steps before each interval, pooled
+        k = np.arange(before[-1]) - np.repeat(before[:-1], m)  # of each sub-step in its interval
+        end = np.repeat(ends, m)
+        frac = k / np.repeat(m, m)
 
         def leader(col):
             # the sample itself at k = 0, then linear in k/m across the interval
-            at = col[:-1, None, :] + np.diff(col, axis=0)[:, None, :] * frac
-            at[:, 0] = col[:-1]
-            return at
+            start = col[end - 1]
+            return np.where(k == 0, start, start + (col[end] - start) * frac)
 
-        # (interval, sub-step, lane) arrays
-        self.schedule = (leader(self.lx), leader(lv), leader(la),
-                         np.where(k < m, interval[:, None, :] / per_lane, 0.0))
-        self.substeps = self.m.max(axis=1).tolist()  # per interval, the most of any lane
-        self._rows_per_run = max(1, _BLOCK_VALUES // self.valid.size)
+        self._flat = (leader(lx), leader(lv), leader(la), np.repeat(interval / m, m))
+        # per sample, the sub-steps done by it, segments pooled; the scalar
+        # loop's lists hold one value more per segment, its start
+        done = before[np.arange(self.samples) - lane]
+        self._observed = done + lane
+        self._bounds = np.append(done[self._starts], done[-1])  # each lane's slice
+        if lanes < BATCH_MIN_SEGMENTS:
+            return
+        # the block records the state after each step at which some lane
+        # observes; a sample's record and lane pick it out of (record, row,
+        # lane) arrays
+        per_lane = np.diff(self._bounds)
+        step = done - self._bounds[lane]  # sub-steps done in the sample's own lane
+        observes = np.zeros(per_lane.max() + 1, bool)
+        observes[step] = True
+        self._records = np.flatnonzero(observes).tolist()
+        self._picks = ((np.cumsum(observes) - 1)[step], slice(None), lane)
+        self._rows_per_run = max(1, _BLOCK_VALUES // (len(self._records) * lanes))
+        # (step, lane) arrays: each lane's sub-steps from step 0, then its
+        # last leader sample and h = 0
+        last = self._starts + lengths - 1
+        real = np.arange(per_lane.max()) < per_lane[:, None]  # (lane, step)
+        self.schedule = tuple(np.tile(pad, (per_lane.max(), 1))
+                              for pad in (lx[last], lv[last], la[last], np.zeros(lanes)))
+        for out, col in zip(self.schedule, self._flat):
+            out.T[real] = col
 
     def results(self, model: ModelParams) -> list[SimResult]:
         """Simulate each segment independently, re-initialized from its first sample.
@@ -360,30 +377,15 @@ class SegmentSet:
     def _scalar_runs(self, kind: str, row: list, states: bool = False):
         """_step_loop's output per segment, each stepped as it is drawn."""
         if self._lists is None:
-            self._lists, self._observed = self._scalar_lists()
+            self._lists = self._scalar_lists()
         return (_step_loop(kind, row, lists, self.limits, states) for lists in self._lists)
 
-    def _scalar_lists(self) -> tuple[list[tuple], np.ndarray]:
-        """Per segment, x0, v0 and its real sub-steps; and the index of the observations.
-
-        Plain float lists keep the step loop off numpy scalar arithmetic;
-        each column is cut in one pass, in segment order, then sliced. The
-        index picks the observations out of the loop's lists chained in
-        segment order: each segment's start, then the state after each
-        interval's last sub-step.
-        """
-        _, substeps, lanes = self.schedule[3].shape
-        lane, i, k = np.nonzero(np.arange(substeps) < self.m.T[:, :, None])
-        at = (i * substeps + k) * lanes + lane
-        xl, vl, al, h = (col.ravel()[at].tolist() for col in self.schedule)
-        bounds = np.searchsorted(lane, np.arange(lanes + 1))
-        lists = [(x, v, xl[lo:hi], vl[lo:hi], al[lo:hi], h[lo:hi])
-                 for x, v, lo, hi in zip(self.x0.tolist(), self.v0.tolist(),
-                                         bounds.tolist(), bounds[1:].tolist())]
-        # (n, lanes) sub-steps done by each sample, past each lane's list start:
-        # a list holds one value more than its lane has sub-steps
-        done = np.cumsum(np.vstack([np.zeros(lanes, int), self.m]), axis=0)
-        return lists, (done + bounds[:-1] + np.arange(lanes)).T[self.valid.T]
+    def _scalar_lists(self) -> list[tuple]:
+        """Per segment, x0, v0 and its slice of each schedule column, in plain floats."""
+        xl, vl, al, h = (col.tolist() for col in self._flat)
+        bounds = self._bounds.tolist()
+        return [(x, v, xl[lo:hi], vl[lo:hi], al[lo:hi], h[lo:hi])
+                for x, v, lo, hi in zip(self.x0.tolist(), self.v0.tolist(), bounds, bounds[1:])]
 
     def _observations(self, lists) -> np.ndarray:
         """The observed values of per-sub-step lists, one per segment in order, pooled."""
@@ -412,17 +414,18 @@ class SegmentSet:
         arrays on the observation times, segments concatenated, and a
         (rows, segments) count, with speed and the count None unless
         `states` is true; None when the set takes the scalar loop. The
-        block records positions (and speeds) per interval, and _spacing
-        takes the rest from them. Raises FloatingPointError where a value,
-        the spacing included, overflows or turns NaN.
+        block records positions (and speeds) after each step at which some
+        lane observes, and _spacing takes the rest from them. Raises
+        FloatingPointError where a value, the spacing included, overflows or
+        turns NaN.
 
         The rows are of one kind, whose kernel is written inline as in
         _step_loop: the raw kernel's IEEE operations in the same order,
         with each branch computed on every lane and picked by np.where.
         """
-        if len(self.segments) < BATCH_MIN_SEGMENTS:
+        if self.schedule is None:
             return None
-        n, lanes = self.lx.shape
+        lanes = len(self.segments)
         rows, fields = table.shape
         # C-contiguous (rows, lanes) state, over which the (lanes,) schedule
         # columns broadcast; one row steps on (lanes,), which numpy
@@ -447,34 +450,32 @@ class SegmentSet:
             np.array(value) for value in (self.limits.a_min, self.limits.a_max,
                                           self.limits.v_min, self.limits.v_max))
         xl, vl, al, h = self.schedule
-        pos = np.empty((n, rows, lanes))
-        speed = np.empty((n, rows, lanes)) if states else None
+        pos = np.empty((len(self._records), rows, lanes))
+        speed = np.empty_like(pos) if states else None
         with np.errstate(**_RAISE_ON_FAULT):
             x = np.broadcast_to(self.x0, shape)
             v = np.broadcast_to(np.minimum(np.maximum(self.v0, v_min), v_max), shape)
-            pos[0] = x
-            if states:
-                speed[0] = v
-            for i, substeps in enumerate(self.substeps):
-                for k in range(substeps):
-                    vl_k, step = vl[i, k], h[i, k]
-                    s = xl[i, k] - x
+            # the first span is empty: record 0 is the start
+            for r, (lo, hi) in enumerate(zip([0] + self._records, self._records)):
+                for j in range(lo, hi):
+                    vl_j, step = vl[j], h[j]
+                    s = xl[j] - x
                     if acc:
                         # the gap error takes the unfloored spacing
-                        a_cmd = k1 * (s - d0 - t_des * v) + k2 * (vl_k - v)
+                        a_cmd = k1 * (s - d0 - t_des * v) + k2 * (vl_j - v)
                     else:
                         s[s <= 0.0] = SPACING_FLOOR_FT
-                        dv = v - vl_k
+                        dv = v - vl_j
                         ratio = (s0 + np.maximum(0.0, v * T + v * dv / two_sqrt_ab)) / s
                         a_cmd = a * (1.0 - (v / v0) ** delta - ratio * ratio)
                         if blend:
                             # brake is -2.0 * s * a_tilde, as negation is
                             # exact, and adding it subtracts 2.0 * s * a_tilde
-                            a_tilde = np.minimum(al[i, k], a)
+                            a_tilde = np.minimum(al[j], a)
                             two_s = 2.0 * s
                             brake = -two_s * a_tilde
-                            denom = vl_k * vl_k + brake
-                            bounded = (vl_k * dv <= brake) & (denom > 0.0)
+                            denom = vl_j * vl_j + brake
+                            bounded = (vl_j * dv <= brake) & (denom > 0.0)
                             # lanes off the bounded branch divide by 1
                             a_c = np.where(
                                 bounded, v * v * a_tilde / np.where(bounded, denom, 1.0),
@@ -486,11 +487,10 @@ class SegmentSet:
                     v_new = np.minimum(np.maximum(v + a_cmd * step, v_min), v_max)
                     x = x + 0.5 * (v + v_new) * step
                     v = v_new
-                pos[i + 1] = x
+                pos[r] = x
                 if states:
-                    speed[i + 1] = v
-            pos, speed = (None if col is None else col.transpose(1, 2, 0)[:, self.valid.T]
-                          for col in (pos, speed))
+                    speed[r] = v
+            pos, speed = (None if col is None else col[self._picks].T for col in (pos, speed))
             return (pos, speed, *self._spacing(pos, counts=states))
 
 

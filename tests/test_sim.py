@@ -1,5 +1,6 @@
 import ast
 import copy
+import dataclasses
 import hashlib
 import math
 from itertools import chain
@@ -315,8 +316,8 @@ class TestBlockPath:
                                 for s0 in np.linspace(2.0, 12.0, 10)])
         expected = SegmentSet(segments, dt=dt).pooled_spacing(kind, table)
         capped = SegmentSet(segments, dt=dt)
-        # the cap counts the values of the position array alone
-        assert capped._rows_per_run == (3 << 20) // capped.valid.size
+        # the cap counts the values of the (records, rows, lanes) position array alone
+        assert capped._rows_per_run == (3 << 20) // (len(capped._records) * len(segments))
         capped._rows_per_run = 4
         widths = []
         run_block = capped._run_block
@@ -326,6 +327,32 @@ class TestBlockPath:
         assert widths == [4, 4, 2]
         assert got[0].shape == (10, capped.samples)
         assert all(np.array_equal(a, b) for a, b in zip(got, expected))
+
+
+def gap_trips():
+    """60 twelve-sample trips; in the eighth, a 2,000-s interval takes the place of a 1-s one."""
+    segments = short_trip_segments(SHUTTLE_IDM, n_trips=60, trip_seconds=11)
+    t = segments[7].t.copy()
+    t[6:] += 1999.0
+    segments[7] = dataclasses.replace(segments[7], t=t)
+    return segments
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.5])
+def test_long_gap_packs_the_block_by_real_sub_steps(dt):
+    """The block's arrays hold the longest lane's sub-steps, not every lane padded to the gap."""
+    segments = gap_trips()
+    segment_set = SegmentSet(segments, dt=dt)
+    assert [col.shape for col in segment_set.schedule] == [(round(2010 / dt), 60)] * 4
+    # linear_acc and idm with delta 1 take no power or tanh: bit for bit on both engines
+    for params in (SHUTTLE_IDM, SHUTTLE_ACC):
+        assert segment_set._run_block(*table_of([params])) is not None
+        for res, seg in zip(segment_set.results(params), segments):
+            alone = simulate_follower(params, seg, dt=dt)
+            assert res.collisions == alone.collisions
+            for name in ("t", "spacing", "follower_pos", "follower_speed", "follower_accel"):
+                assert ([value.hex() for value in getattr(res, name).tolist()]
+                        == [value.hex() for value in getattr(alone, name).tolist()]), name
 
 
 @pytest.mark.parametrize("n_trips", [2, 32], ids=["scalar-loop", "block"])
@@ -406,7 +433,7 @@ def reference_lists(segment_set):
     (None inside an interval), counted from each interval's length and dt.
     """
     out = []
-    for seg, (x, v, *schedule) in zip(segment_set.segments, segment_set._scalar_lists()[0]):
+    for seg, (x, v, *schedule) in zip(segment_set.segments, segment_set._scalar_lists()):
         end = []
         for i, interval in enumerate(np.diff(seg.t).tolist()):
             end += [None] * (round(interval / segment_set.dt) - 1) + [float(seg.leader_pos[i + 1])]
@@ -446,6 +473,41 @@ def oracle_set(dt):
 
 ORACLE_SETS = {dt: oracle_set(dt) for dt in (1.0, 0.5)}
 ORACLE_LISTS = {dt: reference_lists(segment_set) for dt, segment_set in ORACLE_SETS.items()}
+
+
+def oracle_schedule(seg, dt):
+    """x0, v0 and per sub-step the leader's position, speed and accel and h, from `seg` alone.
+
+    Each interval takes round(interval / dt) sub-steps; sub-step k of m
+    starts at the interval's first sample plus k / m of its change.
+    """
+    columns = [float(seg.follower_pos[0]), float(seg.follower_speed[0]), [], [], [], []]
+    leader = [col.tolist() for col in (seg.leader_pos, seg.leader_speed, seg.leader_accel)]
+    t = seg.t.tolist()
+    for i in range(1, len(t)):
+        interval = t[i] - t[i - 1]
+        m = round(interval / dt)
+        for k in range(m):
+            for out, col in zip(columns[2:], leader):
+                out.append(col[i - 1] if k == 0 else col[i - 1] + (col[i] - col[i - 1]) * (k / m))
+            columns[5].append(interval / m)
+    return columns
+
+
+def hex_columns(columns):
+    return [value.hex() if isinstance(value, float) else [x.hex() for x in value]
+            for value in columns]
+
+
+@pytest.mark.parametrize("dt", [1.0, 0.5, 0.1])
+def test_scalar_lists_match_the_schedule_oracle(dt):
+    # at dt 0.5 the last lane lies on a 0.5-s grid: one sub-step per interval;
+    # at dt 0.1 an interval's ten sub-steps take fractions k / 10 that no
+    # power of two gives exactly
+    segment_set = ORACLE_SETS.get(dt) or SegmentSet(ORACLE_SETS[1.0].segments, dt=dt)
+    assert len(segment_set.segments) == (3 if dt == 0.5 else 2)
+    for seg, lists in zip(segment_set.segments, segment_set._scalar_lists()):
+        assert hex_columns(lists) == hex_columns(oracle_schedule(seg, dt))
 
 
 def in_bounds_genes(kind):
@@ -561,33 +623,43 @@ def reference_block_accel_fn(models, lanes):
 
 
 def reference_run_block(segment_set, models):
-    n, lanes = segment_set.lx.shape
+    """(pos, speed, spacing, collisions) of each row, pooled as _run_block returns them.
+
+    Steps the (step, lane) schedule one step at a time, recording every
+    step, and observes each lane after the sub-steps its own intervals
+    take, counted from the segment's times and dt.
+    """
+    steps, lanes = segment_set.schedule[3].shape
     rows = len(models)
     accel_fn = reference_block_accel_fn(models, lanes)
     limits = segment_set.limits
     # rows side by side in flat lanes, the schedule tiled once per row
-    lx = np.tile(segment_set.lx, rows)
     xl, vl, al, h = (np.tile(col, rows) for col in segment_set.schedule)
-    pos, speed, spacing = (np.empty((n, rows * lanes)) for _ in range(3))
+    pos, speed = (np.empty((steps + 1, rows * lanes)) for _ in range(2))
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         x = np.tile(segment_set.x0, rows)
         v = np.tile(np.minimum(np.maximum(segment_set.v0, limits.v_min), limits.v_max), rows)
-        pos[0], speed[0], spacing[0] = x, v, lx[0] - x
-        for i, substeps in enumerate(segment_set.substeps):
-            for k in range(substeps):
-                s = xl[i, k] - x
-                s[s <= 0.0] = sim.SPACING_FLOOR_FT
-                a_cmd = np.minimum(np.maximum(accel_fn(s, v, vl[i, k], al[i, k], xl[i, k], x),
-                                              limits.a_min), limits.a_max)
-                v_new = np.minimum(np.maximum(v + a_cmd * h[i, k], limits.v_min), limits.v_max)
-                x = x + 0.5 * (v + v_new) * h[i, k]
-                v = v_new
-            pos[i + 1], speed[i + 1], spacing[i + 1] = x, v, lx[i + 1] - x
-    pos, speed, spacing = (col.reshape(n, rows, lanes) for col in (pos, speed, spacing))
-    hit = spacing[1:] <= 0.0
-    collisions = (hit & segment_set.valid[1:, None, :]).sum(axis=0)
-    spacing[1:][hit] = sim.SPACING_FLOOR_FT
-    return pos, speed, spacing, collisions
+        pos[0], speed[0] = x, v
+        for j in range(steps):
+            s = xl[j] - x
+            s[s <= 0.0] = sim.SPACING_FLOOR_FT
+            a_cmd = np.minimum(np.maximum(accel_fn(s, v, vl[j], al[j], xl[j], x),
+                                          limits.a_min), limits.a_max)
+            v_new = np.minimum(np.maximum(v + a_cmd * h[j], limits.v_min), limits.v_max)
+            x = x + 0.5 * (v + v_new) * h[j]
+            v = v_new
+            pos[j + 1], speed[j + 1] = x, v
+        pos, speed = (col.reshape(steps + 1, rows, lanes) for col in (pos, speed))
+        columns, collisions = [], []
+        for lane, seg in enumerate(segment_set.segments):
+            # the lane's start, then the step that ends each of its intervals
+            at = np.cumsum([0] + [round(i / segment_set.dt) for i in np.diff(seg.t).tolist()])
+            spacing = seg.leader_pos[:, None] - pos[at, :, lane]
+            hit = spacing[1:] <= 0.0
+            collisions.append(hit.sum(axis=0))
+            spacing[1:][hit] = sim.SPACING_FLOOR_FT
+            columns.append((pos[at, :, lane], speed[at, :, lane], spacing))
+    return [np.concatenate(col).T for col in zip(*columns)] + [np.stack(collisions, axis=1)]
 
 
 def block_outcome(run):
@@ -604,13 +676,8 @@ BLOCK_SETS = {dt: SegmentSet(block_fixture(dt), dt=dt) for dt in (1.0, 0.5)}
 def assert_block_matches_reference(models, dt, segment_set=None):
     segment_set = segment_set or BLOCK_SETS[dt]
 
-    def reference():
-        # pooled as _run_block returns them: (rows, samples), segments concatenated
-        *columns, collisions = reference_run_block(segment_set, models)
-        return [col.transpose(1, 2, 0)[:, segment_set.valid.T] for col in columns] + [collisions]
-
     got = block_outcome(lambda: segment_set._run_block(*table_of(models)))
-    assert got == block_outcome(reference)
+    assert got == block_outcome(lambda: reference_run_block(segment_set, models))
 
 
 class TestBlockMatchesReference:
