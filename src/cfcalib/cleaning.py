@@ -68,8 +68,12 @@ class CleaningRules:
     min_segment_len: int = 10           # samples
 
     def __post_init__(self):
-        if self.max_accel <= 0 or self.max_follower_speed <= 0 or self.max_spacing <= 0:
-            raise DomainError("cleaning thresholds must be positive")
+        for name in ("max_accel", "max_follower_speed", "max_spacing"):
+            value = getattr(self, name)
+            # written so that a NaN fails too
+            if not 0.0 < value < math.inf:
+                raise DomainError(f"cleaning threshold {name} must be finite and positive, "
+                                  f"got {value}")
         if self.min_segment_len <= 0:
             raise DomainError("min_segment_len must be positive")
 

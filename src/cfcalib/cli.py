@@ -103,14 +103,14 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_clean(args) -> int:
-    src = _require_file(args.pair)
-    paired = read_pair_json(src)
     rules = CleaningRules(
         max_accel=args.max_accel,
         max_follower_speed=args.max_follower_speed,
         max_spacing=args.max_spacing,
         min_segment_len=args.min_segment_len,
     )
+    src = _require_file(args.pair)
+    paired = read_pair_json(src)
     segments = clean_segments(paired, rules)
     out = Path(args.out)
     payload = segments_to_dict(segments)

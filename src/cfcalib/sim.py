@@ -13,13 +13,17 @@ SegmentSet precomputes: each observation interval cut into dt sub-steps,
 the leader interpolated linearly to the start of each. Both read a
 parameter set as one row of a parameter table (models.TABLE_FIELDS) and
 write the kernels of every model kind inline; the raw kernels in
-models.py are the reference they are tested against. The scalar loop,
-_step_loop, steps one segment at a time in plain Python floats, so that
-a sub-step calls no kernel. The block stepper, SegmentSet._run_block,
-advances a (table rows x segments) state per step in numpy, over the
-schedule packed per segment. Both record the follower state only:
-positions, and speeds unless for a GA generation. The engines differ
-only in power and tanh. SegmentSet alone picks the engine: the block
+models.py are the reference they are tested against. The scalar loop
+steps one segment at a time in plain Python floats, so that a sub-step
+calls no kernel. It comes as two loops, which SegmentSet._scalar_runs
+picks by kind once per run, so that no sub-step tests the kind:
+_acc_step_loop for linear_acc, which reads neither the leader accel nor
+a floored spacing, and _idm_step_loop for idm and blend, which share the
+IDM kernel, the CAH blend added behind a flag. The block stepper,
+SegmentSet._run_block, advances a (table rows x segments) state per step
+in numpy, over the schedule packed per segment. Both record the follower
+state only: positions, and speeds unless for a GA generation. The
+engines differ only in power and tanh. SegmentSet alone picks the engine: the block
 when the set has BATCH_MIN_SEGMENTS segments or more, never depending on
 how many rows are stepped together. A block that overflows or turns NaN
 is stepped again row by row, and a row that still does runs the scalar
@@ -36,7 +40,6 @@ splits per segment.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -110,35 +113,74 @@ def simulate_follower(model: ModelParams, seg: FollowingSegment,
     return SegmentSet([seg], limits, dt).results(model)[0]
 
 
-def _step_loop(kind: str, row: list, lists: tuple, limits: SimLimits, states: bool = False):
-    """Step one segment's sub-steps; returns the follower's (pos, speed) as lists.
+def _acc_step_loop(row: list, lists: tuple, limits: SimLimits, states: bool = False):
+    """Step one segment's sub-steps of a linear_acc row; returns the follower's (pos, speed).
 
     Each list holds the start value and the value after every sub-step;
     speed is None unless `states`, as a GA row reads positions only.
-    `row` is one parameter set of the kind as Python floats: its class's
+    `row` is one linear_acc parameter set as Python floats: its class's
     fields in order, models.TABLE_FIELDS, the genes first (params_row);
     `lists` is one segment's start and slice of the flat schedule
-    (SegmentSet._scalar_lists); a NaN, once in, stays in x, so a run
-    ending non-finite raises ArithmeticError.
+    (SegmentSet._scalar_lists), whose leader accel the model never reads.
+    A NaN, once in, stays in x, so a run ending non-finite raises
+    ArithmeticError.
+
+    The acceleration is linear_acc_accel_raw's IEEE operations in the same
+    order, written inline: the gap error takes the unfloored spacing.
+    """
+    t_des, k1, k2, d0 = row
+    x, v, xl, vl, _, h = lists
+    a_min, a_max = limits.a_min, limits.a_max
+    v_min, v_max = limits.v_min, limits.v_max
+    v = min(max(v, v_min), v_max)
+
+    pos = [x]
+    speed = [v]
+    keep_x = pos.append
+    keep_v = speed.append
+
+    for xl_j, vl_j, h_j in zip(xl, vl, h):
+        a_cmd = k1 * (xl_j - x - d0 - t_des * v) + k2 * (vl_j - v)
+        if a_cmd < a_min:
+            a_cmd = a_min
+        elif a_cmd > a_max:
+            a_cmd = a_max
+        v_new = v + a_cmd * h_j
+        if v_new < v_min:
+            v_new = v_min
+        elif v_new > v_max:
+            v_new = v_max
+        x += 0.5 * (v + v_new) * h_j
+        v = v_new
+        keep_x(x)
+        if states:
+            keep_v(v)
+
+    if not (math.isfinite(x) and math.isfinite(v)):
+        raise ArithmeticError(f"the follower state turns non-finite (x={x}, v={v})")
+    return pos, speed if states else None
+
+
+def _idm_step_loop(blend: bool, row: list, lists: tuple, limits: SimLimits,
+                   states: bool = False):
+    """Step one segment's sub-steps of an idm or blend row; returns the follower's (pos, speed).
+
+    As _acc_step_loop, for IDM with, if `blend`, the CAH blend on top;
+    `row` is an idm or blend parameter set, and the CAH term reads the
+    leader accel.
 
     The acceleration is computed inline, so a sub-step makes no Python
-    call: linear_acc, or IDM with the CAH blend on top. Each kind does the
-    IEEE operations of its models.*_accel_raw kernel in the same order,
-    and gives the same bits. The IDM exponent is a float here: a float
-    raised to an int converts the int to a float first, so the power is
-    the same.
+    call but the blend's tanh: the IEEE operations of
+    models.idm_accel_raw or blend_accel_raw in the same order, which give
+    the same bits. The IDM exponent is a float here: a float raised to an
+    int converts the int to a float first, so the power is the same.
     """
-    acc = kind == "linear_acc"
-    blend = kind == "blend"
-    if acc:
-        t_des, k1, k2, d0 = row
-    else:
-        a, delta, v0, s0, T, b = row[:6]
-        two_sqrt_ab = 2.0 * math.sqrt(a * b)
-        if blend:
-            c = row[6]
-            keep = 1.0 - c
-            tanh = math.tanh
+    a, delta, v0, s0, T, b = row[:6]
+    two_sqrt_ab = 2.0 * math.sqrt(a * b)
+    if blend:
+        c = row[6]
+        keep = 1.0 - c
+        tanh = math.tanh
     x, v, *schedule = lists
     a_min, a_max = limits.a_min, limits.a_max
     v_min, v_max = limits.v_min, limits.v_max
@@ -147,39 +189,35 @@ def _step_loop(kind: str, row: list, lists: tuple, limits: SimLimits, states: bo
     pos = [x]
     speed = [v]
     keep_x = pos.append
-    # a GA row's speeds go to a deque that keeps none, so no sub-step tests `states`
-    keep_v = speed.append if states else deque(maxlen=0).append
+    keep_v = speed.append
 
     for xl, vl, al, h in zip(*schedule):
         s = xl - x
-        if acc:
-            # linear_acc_accel_raw: the gap error takes the unfloored spacing
-            a_cmd = k1 * (s - d0 - t_des * v) + k2 * (vl - v)
-        else:
-            if s <= 0.0:
-                s = SPACING_FLOOR_FT
-            # idm_accel_raw
-            dv = v - vl
-            q = v * T + v * dv / two_sqrt_ab
-            s_star = s0 + (q if q > 0.0 else 0.0)
-            ratio = s_star / s
-            a_cmd = a * (1.0 - (v / v0) ** delta - ratio * ratio)
-            if blend:
-                # cah_accel_raw; -two_s * a_tilde is its -2.0 * s * a_tilde,
-                # as negation is exact
-                a_tilde = a if a < al else al
-                two_s = 2.0 * s
-                denom = vl * vl - two_s * a_tilde
-                if vl * dv <= -two_s * a_tilde and denom > 0.0:
-                    a_c = v * v * a_tilde / denom
-                elif dv >= 0.0:
-                    a_c = a_tilde - dv * dv / two_s
-                else:
-                    a_c = a_tilde
-                # blend_accel_raw keeps a_i (a_cmd here) if a_i >= a_c; a NaN
-                # on either side fails that test and takes the blend
-                if not a_cmd >= a_c:
-                    a_cmd = keep * a_cmd + c * (a_c + b * tanh((a_cmd - a_c) / b))
+        if s <= 0.0:
+            s = SPACING_FLOOR_FT
+        # idm_accel_raw
+        dv = v - vl
+        q = v * T + v * dv / two_sqrt_ab
+        s_star = s0 + (q if q > 0.0 else 0.0)
+        ratio = s_star / s
+        a_cmd = a * (1.0 - (v / v0) ** delta - ratio * ratio)
+        if blend:
+            # cah_accel_raw; brake is its -2.0 * s * a_tilde, as negation is
+            # exact, and adding it subtracts 2.0 * s * a_tilde
+            a_tilde = a if a < al else al
+            two_s = 2.0 * s
+            brake = -two_s * a_tilde
+            denom = vl * vl + brake
+            if vl * dv <= brake and denom > 0.0:
+                a_c = v * v * a_tilde / denom
+            elif dv >= 0.0:
+                a_c = a_tilde - dv * dv / two_s
+            else:
+                a_c = a_tilde
+            # blend_accel_raw keeps a_i (a_cmd here) if a_i >= a_c; a NaN
+            # on either side fails that test and takes the blend
+            if not a_cmd >= a_c:
+                a_cmd = keep * a_cmd + c * (a_c + b * tanh((a_cmd - a_c) / b))
         if a_cmd < a_min:
             a_cmd = a_min
         elif a_cmd > a_max:
@@ -192,7 +230,8 @@ def _step_loop(kind: str, row: list, lists: tuple, limits: SimLimits, states: bo
         x += 0.5 * (v + v_new) * h
         v = v_new
         keep_x(x)
-        keep_v(v)
+        if states:
+            keep_v(v)
 
     if not (math.isfinite(x) and math.isfinite(v)):
         raise ArithmeticError(f"the follower state turns non-finite (x={x}, v={v})")
@@ -375,10 +414,13 @@ class SegmentSet:
         return tuple(np.concatenate(part) for part in zip(*parts))
 
     def _scalar_runs(self, kind: str, row: list, states: bool = False):
-        """_step_loop's output per segment, each stepped as it is drawn."""
+        """The kind's step loop's output per segment, each stepped as it is drawn."""
         if self._lists is None:
             self._lists = self._scalar_lists()
-        return (_step_loop(kind, row, lists, self.limits, states) for lists in self._lists)
+        if kind == "linear_acc":
+            return (_acc_step_loop(row, lists, self.limits, states) for lists in self._lists)
+        blend = kind == "blend"
+        return (_idm_step_loop(blend, row, lists, self.limits, states) for lists in self._lists)
 
     def _scalar_lists(self) -> list[tuple]:
         """Per segment, x0, v0 and its slice of each schedule column, in plain floats."""
@@ -420,7 +462,7 @@ class SegmentSet:
         turns NaN.
 
         The rows are of one kind, whose kernel is written inline as in
-        _step_loop: the raw kernel's IEEE operations in the same order,
+        the step loops: the raw kernel's IEEE operations in the same order,
         with each branch computed on every lane and picked by np.where.
         """
         if self.schedule is None:

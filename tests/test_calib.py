@@ -189,9 +189,10 @@ class TestBlockFitness:
 
         # fixture generation runs the scalar loop too, so build before patching
         segments = many_trips()
+        # SegmentSet._scalar_runs steps idm rows on _idm_step_loop, a call per segment
         scalar_runs = []
-        step_loop = sim._step_loop
-        monkeypatch.setattr(sim, "_step_loop",
+        step_loop = sim._idm_step_loop
+        monkeypatch.setattr(sim, "_idm_step_loop",
                             lambda *args: scalar_runs.append(1) or step_loop(*args))
         good = random_genes("idm", 3)
         out_of_domain = [-1.0, 1.0, 19.0, 8.0, 3.0, 20.0]  # a < 0

@@ -235,6 +235,25 @@ class TestCleanAndStats:
         assert main(["clean", "--pair", str(pair), "--out", str(out)]) == 0
         assert out.read_bytes() == segments.read_bytes()
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("flag", ["max-accel", "max-follower-speed", "max-spacing"])
+    def test_non_finite_threshold_exits_one(self, tmp_path, capsys, flag, value):
+        leader, follower = write_logs(tmp_path)
+        pair = tmp_path / "pair.json"
+        assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                     "--out", str(pair)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "segments.json"
+        rc = main(["clean", "--pair", str(pair), f"--{flag}={value}", "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "domain"
+        assert f"cleaning threshold {flag.replace('-', '_')} must be finite" in err["message"]
+        assert sorted(tmp_path.iterdir()) == sorted([leader, follower, pair,
+                                                     Path(f"{pair}.manifest.json")])
+
     def test_times_too_far_apart_to_subtract_exit_one(self, tmp_path):
         """Neighbouring times whose difference overflows the float range."""
         n = 12

@@ -254,13 +254,21 @@ class TestRawKernelsMatchBuiltinForms:
         calls = {node.name: builtin_calls(node) for node in tree.body
                  if isinstance(node, ast.FunctionDef) and node.name in kernels}
         assert calls == {name: [] for name in kernels}
-        # the scalar step loop writes these kernels inline, and its sub-step
-        # body calls none of the builtins either
+        # the scalar step loops write these kernels inline, and no sub-step
+        # body calls the builtins either, or any function but the list
+        # appends and the blend's tanh, or reads the model kind
         tree = ast.parse(Path(sim.__file__).read_text())
-        (loop,) = [node for node in tree.body
-                   if isinstance(node, ast.FunctionDef) and node.name == "_step_loop"]
-        (body,) = [node for node in loop.body if isinstance(node, ast.For)]
-        assert builtin_calls(body) == []
+        loops = {node.name: node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name.endswith("_step_loop")}
+        assert sorted(loops) == ["_acc_step_loop", "_idm_step_loop"]
+        for loop in loops.values():
+            (body,) = [node for node in loop.body if isinstance(node, ast.For)]
+            assert builtin_calls(body) == []
+            sub_step = [node for statement in body.body for node in ast.walk(statement)]
+            called = {call.func.id if isinstance(call.func, ast.Name) else None
+                      for call in sub_step if isinstance(call, ast.Call)}
+            assert called <= {"keep_x", "keep_v", "tanh"}
+            assert "kind" not in {node.id for node in sub_step if isinstance(node, ast.Name)}
 
 
 class TestLinearAcc:

@@ -374,8 +374,9 @@ def test_non_finite_run_faults(n_trips):
 # The scalar step loop as it was before the kernels were written inline,
 # and before it left the spacing to SegmentSet._spacing: one accel function
 # call per sub-step, built on the raw kernels of models.py, with the
-# spacing floored and collisions counted at each observation. sim._step_loop
-# plus the pooled epilogue must give its outcome bit for bit.
+# spacing floored and collisions counted at each observation. The step loops
+# of sim (_acc_step_loop, _idm_step_loop) plus the pooled epilogue must give
+# its outcome bit for bit.
 
 def reference_accel_fn(model):
     if isinstance(model, IdmParams):
@@ -575,6 +576,50 @@ class TestStepLoopMatchesReference:
         segment_set._leader_pos = np.array([xl0] + [e for e in end if e is not None])
         segment_set._starts = np.array([0])
         assert_loop_matches_reference(model, segment_set, [(x, v, xl0, xl, vl, al, h, end)])
+
+
+def observed_positions(segment_set, model, states):
+    """float.hex of the scalar loop's observed positions, or the exception type where it faults."""
+    kind, row = params_row(model)
+    try:
+        runs = list(segment_set._scalar_runs(kind, row, states))
+    except ArithmeticError as exc:
+        return type(exc)
+    assert all((speed is None) is not states for _, speed in runs)
+    return [value.hex() for value in segment_set._observations(run[0] for run in runs)]
+
+
+class TestGaRowMatchesStatesRun:
+    """A GA row (states=False) steps the positions of the run that records speed too."""
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_in_bounds_rows(self, kind, dt, data):
+        model = genes_to_params(kind, data.draw(in_bounds_genes(kind)))
+        segment_set = ORACLE_SETS[dt]
+        assert (observed_positions(segment_set, model, False)
+                == observed_positions(segment_set, model, True))
+
+    @pytest.mark.parametrize("dt", [1.0, 0.5])
+    @pytest.mark.parametrize("kind", ["idm", "blend", "linear_acc"])
+    def test_edge_rows(self, kind, dt):
+        # EDGE_ROWS and more rows that fault: those of FITNESS_EDGE_GENES in the domain
+        models = []
+        for genes in FITNESS_EDGE_GENES[kind]:
+            try:
+                models.append(genes_to_params(kind, genes))
+            except DomainError:
+                pass
+        faults = 0
+        for model in models:
+            for segment_set in [ORACLE_SETS[dt]] + [SegmentSet([seg], dt=dt)
+                                                   for seg in ORACLE_SETS[dt].segments]:
+                ga_row = observed_positions(segment_set, model, False)
+                assert ga_row == observed_positions(segment_set, model, True)
+                faults += not isinstance(ga_row, list)
+        assert faults > 0
 
 
 # The block stepper as it was before it wrote its kernels inline: one
@@ -855,8 +900,8 @@ def test_outputs_match_golden_digests(fixture, kind, dt):
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "cfcalib"
 # the engines, their path rule and their fault handling belong to sim.SegmentSet
-ENGINE_NAMES = {"_step_loop", "_accel_fn", "SegmentBlock", "array_accel_fn",
-                "BATCH_MIN_SEGMENTS"}
+ENGINE_NAMES = {"_step_loop", "_acc_step_loop", "_idm_step_loop", "_accel_fn", "SegmentBlock",
+                "array_accel_fn", "BATCH_MIN_SEGMENTS"}
 
 
 def test_engine_internals_are_named_only_in_sim():
