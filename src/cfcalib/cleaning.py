@@ -20,7 +20,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, NoCarFollowingError, PairingError, SplitError
-from .ingest import GpsLog, Trajectory, geodesic_distance, require_increasing
+from .ingest import (GpsLog, MAX_MAGNITUDE, Trajectory, geodesic_distance, require_in_range,
+                     require_increasing)
 from .jsonio import read_json_object, require_keys, require_numbers, write_json
 
 PAIR_TOLERANCE_S = 0.1
@@ -94,11 +95,10 @@ class FollowingSegment:
     """One contiguous car-following interval; the unit of calibration.
 
     Construction rejects ragged columns, fewer than 10 samples, times that
-    do not strictly increase (OrderingError), a spacing that is not
-    positive and a spacing or leader step that is not finite, in that
-    order. Positions near the float range can lie too far apart to
-    subtract; the simulator steps the follower by spacing and the leader
-    by its steps, so both must be finite.
+    do not strictly increase (OrderingError), a value outside ±2^53
+    (ingest.MAX_MAGNITUDE) and a spacing that is not positive, in that
+    order. Within that range no difference of two times or positions
+    overflows, so the spacing and every step are finite.
     """
 
     id: str
@@ -119,28 +119,13 @@ class FollowingSegment:
         if n < 10:
             raise DomainError(f"segment {self.id}: need at least 10 samples, got {n}")
         require_increasing(self.t, f"segment {self.id}")
-        with np.errstate(over="ignore", invalid="ignore"):
-            spacing = self.leader_pos - self.follower_pos
-            leader_step = self.leader_pos[1:] - self.leader_pos[:-1]
-        if (spacing <= 0).any():
+        # one test over every column, NaN failing it too; the loop names the first bad value
+        columns = [getattr(self, name) for name in COLUMNS]
+        if not np.abs(np.concatenate(columns)).max() <= MAX_MAGNITUDE:
+            for name, column in zip(COLUMNS, columns):
+                require_in_range(column, f"segment {self.id} {name}")
+        if (self.spacing <= 0).any():
             raise DomainError(f"segment {self.id}: spacing must stay positive")
-        # the spacing is positive, so its largest value alone can be inf or NaN
-        if not (spacing.max() < np.inf and np.isfinite(leader_step).all()):
-            raise self._not_finite(spacing, leader_step)
-
-    def _not_finite(self, spacing: np.ndarray, leader_step: np.ndarray) -> DomainError:
-        """The error for the first spacing, then the first leader step, that is not finite."""
-        bad = np.flatnonzero(~np.isfinite(spacing))
-        if bad.size:
-            i = bad[0]
-            return DomainError(
-                f"segment {self.id}: the spacing at t[{i}] is not finite (leader_pos = "
-                f"{float(self.leader_pos[i])!r}, follower_pos = {float(self.follower_pos[i])!r})")
-        i = np.flatnonzero(~np.isfinite(leader_step))[0]
-        return DomainError(
-            f"segment {self.id}: leader_pos[{i + 1}] = {float(self.leader_pos[i + 1])!r} lies "
-            f"too far from leader_pos[{i}] = {float(self.leader_pos[i])!r} to measure in "
-            f"float feet")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -148,12 +133,6 @@ class FollowingSegment:
     @property
     def spacing(self) -> np.ndarray:
         return self.leader_pos - self.follower_pos
-
-
-def times_too_far_apart(segment: FollowingSegment, i: int) -> DomainError:
-    """The error for a segment whose times t[i] and t[i + 1] differ by more than a float holds."""
-    return DomainError(f"segment {segment.id}: t[{i + 1}] = {float(segment.t[i + 1])!r} lies too "
-                       f"far from t[{i}] = {float(segment.t[i])!r} to measure in float seconds")
 
 
 def _matches(lt: list[float], ft: list[float]):
@@ -263,11 +242,9 @@ def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None) -> 
     n = len(paired)
     if n == 0:
         raise DomainError("paired series is empty")
-    # a spacing that overflows is out of range, and a time step that overflows is a gap
-    with np.errstate(over="ignore"):
-        keep = rules.keeps(paired.leader_accel, paired.follower_speed,
-                           paired.follower_accel, paired.spacing)
-        gap = np.diff(paired.t) > 1.5 * paired.dt
+    keep = rules.keeps(paired.leader_accel, paired.follower_speed,
+                       paired.follower_accel, paired.spacing)
+    gap = np.diff(paired.t) > 1.5 * paired.dt
     # a sample joins the previous one when both are kept and no gap lies between
     joined = np.zeros(n, dtype=bool)
     joined[1:] = keep[1:] & keep[:-1] & ~gap
@@ -333,9 +310,11 @@ def series_columns(entry, what: str) -> np.ndarray:
     """The (7, n) float block, rows in COLUMNS order, of a dict in the layout of series_to_dict.
 
     Raises DomainError naming `what` and the missing keys, or `what` and
-    the first column that is not a list of finite numbers as long as `t`;
-    an integer beyond a double is an error, never rounded, and so are a
-    string and a bool, which numpy would read as numbers.
+    the first column that is not a list of numbers as long as `t`, each
+    finite and within ±2^53 (ingest.MAX_MAGNITUDE), naming the index and
+    the value out of range; an integer beyond a double is an error, never
+    rounded, and so are a string and a bool, which numpy would read as
+    numbers.
     """
     require_keys(entry, ("t",) + SIDES, what)
     for side in SIDES:
@@ -346,30 +325,29 @@ def series_columns(entry, what: str) -> np.ndarray:
         columns = np.array(values, dtype=float)
     except (TypeError, ValueError, OverflowError):  # also ints beyond a double
         columns = None
-    if (columns is not None and columns.ndim == 2 and np.isfinite(columns).all()
+    if (columns is not None and columns.ndim == 2 and (np.abs(columns) <= MAX_MAGNITUDE).all()
             and _JSON_NUMBERS.issuperset(map(type, chain.from_iterable(values)))):
         return columns
-    raise _column_fault(values, what)
+    _require_columns(values, what)
+    raise DomainError(f"{what}: columns must be equal-length lists of finite numbers")
 
 
-def _column_fault(values: list, what: str) -> DomainError:
-    """The error for the first of series_columns' values that does not make a column."""
+def _require_columns(values: list, what: str) -> None:
+    """Raise the error for the first of series_columns' values that does not make a column."""
     for name, value in zip(COLUMNS, values):
         side, _, key = name.rpartition("_")
         label = f"{what} {side} {key}" if side else f"{what} t"
         try:
             column = np.array(value, dtype=float)
         except (TypeError, ValueError, OverflowError) as exc:
-            return DomainError(f"{label}: {exc}")
+            raise DomainError(f"{label}: {exc}") from None
         if column.ndim != 1 or len(column) != len(values[0]):
-            return DomainError(f"{label}: must be a list of numbers, one per time in t")
+            raise DomainError(f"{label}: must be a list of numbers, one per time in t")
         odd = set(map(type, value)) - _JSON_NUMBERS
         if odd:
-            return DomainError(f"{label}: values must be numbers, not "
-                               f"{' or '.join(sorted(kind.__name__ for kind in odd))}")
-        if not np.isfinite(column).all():
-            return DomainError(f"{label}: values must be finite")
-    return DomainError(f"{what}: columns must be equal-length lists of finite numbers")
+            raise DomainError(f"{label}: values must be numbers, not "
+                              f"{' or '.join(sorted(kind.__name__ for kind in odd))}")
+        require_in_range(column, label)
 
 
 def segments_to_dict(segments: list[FollowingSegment]) -> dict:

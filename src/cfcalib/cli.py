@@ -187,8 +187,8 @@ def _cmd_calibrate(args) -> int:
     out = Path(args.out)
     write_json(out, {
         "calibration": result.as_dict(),
-        "gof_calibration": rep_calib.as_dict(),
-        "gof_validation": rep_valid.as_dict(),
+        "gof_calibration": dataclasses.asdict(rep_calib),
+        "gof_validation": dataclasses.asdict(rep_valid),
         "config": config.as_dict(),
         "split": {"fraction": args.split, "seed": args.split_seed},
         "dt": args.dt,
@@ -210,7 +210,8 @@ def _cmd_validate(args) -> int:
     limits = _load_limits(args, inputs)
     rep = gof_report(params, segments, limits, args.dt)
     out = Path(args.out)
-    write_json(out, {"model": params_to_dict(params), "gof": rep.as_dict(), "dt": args.dt})
+    write_json(out, {"model": params_to_dict(params), "gof": dataclasses.asdict(rep),
+                     "dt": args.dt})
     _write_manifest(out, args, inputs, config_echo={"dt": args.dt})
     return 0
 

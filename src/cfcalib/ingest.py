@@ -9,12 +9,17 @@ length in feet (geodesic_distance, elementwise); speed and acceleration
 follow by successive backward differences. `cleaning.pair_trajectories`
 pairs the two trajectories, and the pair JSON holds the paired series,
 not the trajectories. Everything downstream works in feet and seconds.
+
+One magnitude rule holds where values enter: a CSV time, every column of
+a pair or segments file, every FollowingSegment and every SimLimits
+value must be finite and within ±MAX_MAGNITUDE. The data spans of order
+1e5 ft and 1e4 s, and no difference, square or product of two such
+values overflows, so nothing downstream guards a subtraction.
 """
 
 from __future__ import annotations
 
 import csv
-import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -32,6 +37,19 @@ FT_PER_M = 1.0 / 0.3048
 
 TRAJECTORY_COLUMNS = ("t", "pos", "speed", "accel")
 GPS_COLUMNS = ("t", "lat", "lon")
+
+# the largest magnitude an input time, position, speed, acceleration or
+# limit may take
+MAX_MAGNITUDE = 2.0 ** 53
+RANGE_RULE = "must be finite and within [-2^53, 2^53]"
+
+
+def require_in_range(values: np.ndarray, label: str) -> None:
+    """Raise DomainError naming label, the value and the index of the first entry out of range."""
+    bad = ~(np.abs(values) <= MAX_MAGNITUDE)  # written so that NaN is out of range
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise DomainError(f"{label}: {float(values[i])!r} at index {i} {RANGE_RULE}")
 
 
 def require_increasing(t: np.ndarray, label: str) -> None:
@@ -171,7 +189,7 @@ def derive_kinematics(log: GpsLog, vehicle_id: str = "", dt: float = 1.0) -> Tra
 # file I/O
 
 def _parse_time(text: str) -> float:
-    """Accept epoch seconds or ISO-8601; return finite seconds as float.
+    """Accept epoch seconds within ±MAX_MAGNITUDE or ISO-8601; return seconds as float.
 
     An ISO-8601 time without a zone is read as UTC, never in the host's
     time zone, so naive and zone-aware logs share one clock.
@@ -186,8 +204,8 @@ def _parse_time(text: str) -> float:
         if moment.tzinfo is None:
             moment = moment.replace(tzinfo=timezone.utc)
         return moment.timestamp()
-    if not math.isfinite(value):
-        raise ValueError(f"non-finite timestamp {text!r}")
+    if not abs(value) <= MAX_MAGNITUDE:
+        raise ValueError(f"timestamp {value!r} {RANGE_RULE}")
     return value
 
 
@@ -224,23 +242,10 @@ def _read_gps_rows(path: str | Path) -> tuple[list[float], list[float], list[flo
     return ts, lats, lons
 
 
-def _gps_log(path: str | Path, columns: tuple[list[float], list[float], list[float]],
-             t0: float) -> GpsLog:
-    """A GpsLog of parsed columns, its times shifted to elapsed seconds from t0.
-
-    Raises DomainError naming the file when a time lies too far from t0
-    for the difference to be a float.
-    """
+def _gps_log(columns: tuple[list[float], list[float], list[float]], t0: float) -> GpsLog:
+    """A GpsLog of parsed columns, its times shifted to elapsed seconds from t0."""
     t, lat, lon = columns
-    t = np.array(t)
-    with np.errstate(over="ignore"):  # an overflow gives inf, rejected below
-        t -= t0
-    far = ~np.isfinite(t)
-    if far.any():
-        raw = columns[0][int(np.argmax(far))]
-        raise DomainError(f"{path}: timestamp {raw!r} lies too far from {t0!r} "
-                          f"to measure in float seconds")
-    return GpsLog(t, lat, lon)
+    return GpsLog(np.array(t) - t0, lat, lon)
 
 
 def read_gps_csv(path: str | Path, t0: float | None = None) -> GpsLog:
@@ -251,7 +256,7 @@ def read_gps_csv(path: str | Path, t0: float | None = None) -> GpsLog:
     logs can share a clock).
     """
     columns = _read_gps_rows(path)
-    return _gps_log(path, columns, columns[0][0] if t0 is None else t0)
+    return _gps_log(columns, columns[0][0] if t0 is None else t0)
 
 
 def read_gps_pair(leader_path: str | Path, follower_path: str | Path) -> tuple[GpsLog, GpsLog]:
@@ -263,4 +268,4 @@ def read_gps_pair(leader_path: str | Path, follower_path: str | Path) -> tuple[G
     leader = _read_gps_rows(leader_path)
     follower = _read_gps_rows(follower_path)
     t0 = min(leader[0][0], follower[0][0])
-    return _gps_log(leader_path, leader, t0), _gps_log(follower_path, follower, t0)
+    return _gps_log(leader, t0), _gps_log(follower, t0)

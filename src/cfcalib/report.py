@@ -52,6 +52,14 @@ def _num(value) -> str:
     return f"{value:.4f}"
 
 
+def _descriptive_table(descriptive: dict) -> str:
+    """The descriptive statistics, a row per statistic and a column per variable."""
+    headers = [""] + [label for _, label in _VARIABLE_COLUMNS]
+    rows = [[label] + [_num(descriptive[var][key]) for var, _ in _VARIABLE_COLUMNS]
+            for key, label in _STAT_ROWS]
+    return _table(headers, rows)
+
+
 # ---------------------------------------------------------------------------
 # input checks: a report input is read from a file, so every field the
 # renderers read is checked first and a bad one raises DomainError
@@ -136,14 +144,7 @@ def render_stats_text(report: dict) -> str:
     out.append(f"samples: {report['n_samples']}   segments: {report['n_segments']}\n")
 
     out.append("Descriptive statistics (follower)\n")
-    headers = [""] + [label for _, label in _VARIABLE_COLUMNS]
-    rows = []
-    for key, label in _STAT_ROWS:
-        row = [label]
-        for var, _ in _VARIABLE_COLUMNS:
-            row.append(_num(report["descriptive"][var][key]))
-        rows.append(row)
-    out.append(_table(headers, rows))
+    out.append(_descriptive_table(report["descriptive"]))
 
     out.append("\nShapiro-Wilk normality\n")
     rows = []
@@ -222,15 +223,8 @@ def render_calibration_text(result: dict) -> str:
 def render_benchmark_text() -> str:
     """Bundled benchmark tables for side-by-side comparison."""
     bench = load_benchmarks()
-    out = [bench["description"] + "\n\n", "Benchmark descriptive statistics\n"]
-    headers = [""] + [label for _, label in _VARIABLE_COLUMNS]
-    rows = []
-    for key, label in _STAT_ROWS:
-        row = [label]
-        for var, _ in _VARIABLE_COLUMNS:
-            row.append(_num(bench["descriptive_shuttle"][var][key]))
-        rows.append(row)
-    out.append(_table(headers, rows))
+    out = [bench["description"] + "\n\n", "Benchmark descriptive statistics\n",
+           _descriptive_table(bench["descriptive_shuttle"])]
     for label, key in (("calibration", "errors_calibration"), ("validation", "errors_validation")):
         out.append(f"\nBenchmark {label} errors\n")
         rows = []

@@ -46,8 +46,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cleaning import FollowingSegment, times_too_far_apart
+from .cleaning import FollowingSegment
 from .errors import ConfigError, DomainError
+from .ingest import MAX_MAGNITUDE, RANGE_RULE
 from .jsonio import read_json_object, require_keys, require_numbers
 from .models import ModelParams, params_row
 
@@ -74,7 +75,10 @@ _BLOCK_VALUES = 3 << 20
 
 @dataclass(frozen=True)
 class SimLimits:
-    """Actuation envelope applied to every simulated step (ft/s units)."""
+    """Actuation envelope applied to every simulated step (ft/s units).
+
+    Each value must be finite and within ±2^53 (ingest.MAX_MAGNITUDE).
+    """
 
     a_min: float = -26.0
     a_max: float = 10.0
@@ -82,6 +86,10 @@ class SimLimits:
     v_min: float = 0.0
 
     def __post_init__(self):
+        for name in ("a_min", "a_max", "v_max", "v_min"):
+            value = getattr(self, name)
+            if not abs(value) <= MAX_MAGNITUDE:
+                raise DomainError(f"limits {name}: {value!r} {RANGE_RULE}")
         if not self.a_min < 0.0 < self.a_max:
             raise DomainError("need a_min < 0 < a_max")
         if not 0.0 <= self.v_min < self.v_max:
@@ -251,8 +259,8 @@ class SegmentSet:
 
     def __init__(self, segments: list[FollowingSegment], limits: SimLimits | None = None,
                  dt: float = 1.0):
-        if dt <= 0:
-            raise ConfigError(f"dt must be positive, got {dt}")
+        if not 0.0 < dt < math.inf:  # written so that a NaN fails too
+            raise ConfigError(f"dt must be a finite number > 0, got {dt}")
         self.segments = list(segments)
         self.limits = limits or SimLimits()
         self.dt = dt
@@ -279,20 +287,15 @@ class SegmentSet:
         lane = np.repeat(np.arange(lanes), lengths)  # of each sample
         ends = np.delete(np.arange(self.samples), self._starts)  # each interval's last sample
 
-        # an interval or a step count that overflows is inf, rejected below;
+        # a step count that overflows for a tiny dt is inf, rejected below;
         # so is one above `most`, which keeps the (step, lane) arrays of
         # float64 within what numpy indexes
         most = np.iinfo(np.intp).max / (8 * int(lengths.max()) * lanes)
-        with np.errstate(over="ignore", invalid="ignore"):
-            interval = t[ends] - t[ends - 1]
+        interval = t[ends] - t[ends - 1]
+        with np.errstate(over="ignore"):
             m = np.rint(interval / dt)
-            # written so that a NaN interval counts as bad
             bad = ~((m >= 1) & (m < most)
                     & (np.abs(interval - m * dt) <= 1e-6 * np.maximum(1.0, interval)))
-        far = ~np.isfinite(interval)
-        if far.any():
-            end = ends[far.argmax()]  # first such interval in segment order
-            raise times_too_far_apart(segments[lane[end]], end - self._starts[lane[end]] - 1)
         if bad.any():
             raise ConfigError(  # first bad interval in segment order
                 f"dt={dt} does not divide the {interval[bad.argmax()]:.6g} s observation interval")
@@ -375,8 +378,7 @@ class SegmentSet:
             raise DomainError(f"segment {self.segments[len(runs)].id}: the simulation "
                               f"faults ({type(exc).__name__}: {exc})") from None
         pos, speed = (self._observations(run[j] for run in runs) for j in range(2))
-        with np.errstate(over="ignore"):  # a spacing overflows to inf, as in plain floats
-            return (pos, speed, *self._spacing(pos, counts=True))
+        return (pos, speed, *self._spacing(pos, counts=True))
 
     def pooled_spacing(self, kind: str, table: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The simulated spacing of each row of a parameter table, segments concatenated.
@@ -405,8 +407,7 @@ class SegmentSet:
                 pos[r] = self._observations(run[0] for run in self._scalar_runs(kind, row))
             except ArithmeticError:
                 fault[r] = True
-        with np.errstate(over="ignore"):  # a spacing overflows to inf, as in plain floats
-            return self._spacing(pos)[0], fault
+        return self._spacing(pos)[0], fault
 
     def _joined(self, kind: str, table: np.ndarray, rows: int):
         """pooled_spacing of the table taken `rows` rows at a time, joined."""
@@ -438,8 +439,9 @@ class SegmentSet:
 
         The spacing, leader less follower, is floored at SPACING_FLOOR_FT
         where it is not positive, one collision each, except at a segment's
-        first sample. The counts are None unless `counts`. Whether an
-        overflow raises is up to the caller's np.errstate.
+        first sample. The counts are None unless `counts`. No difference
+        overflows: the leader positions lie within ±2^53, and a finite
+        run's follower within 2^53 ft plus v_max times the segment's span.
         """
         spacing = self._leader_pos - pos
         hit = spacing <= 0.0

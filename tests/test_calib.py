@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -478,7 +478,7 @@ class TestCalibrateAndValidate:
         _, rep_calib, rep_valid = calibrate_and_validate(
             "idm", segments, config, split_fraction=0.5, split_seed=1)
         for rep in (rep_calib, rep_valid):
-            d = rep.as_dict()
+            d = asdict(rep)
             assert set(d) == {"nrmse_spacing", "mae_spacing", "rmse_spacing",
                               "nrmse_speed", "mae_speed", "rmse_speed"}
             assert all(v >= 0.0 for v in d.values())

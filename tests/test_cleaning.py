@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import warnings
 
 import numpy as np
@@ -21,7 +22,8 @@ from cfcalib import (
     split_segments,
 )
 from cfcalib.cleaning import (
-    COLUMNS, PAIR_TOLERANCE_S, leader_start_offset, read_segments_json, write_segments_json)
+    COLUMNS, PAIR_TOLERANCE_S, leader_start_offset, read_pair_json, read_segments_json,
+    write_pair_json, write_segments_json)
 from cfcalib.fixtures import constant_leader_segment, rule_violation_series
 from cfcalib.ingest import (
     GpsLog, Trajectory, derive_kinematics, geodesic_distance, kinematics_from_positions)
@@ -317,34 +319,71 @@ class TestFollowingSegment:
             dataclasses.replace(segment, t=t)
         assert str(exc.value) == f"segment s: times must strictly increase; {named}"
 
-    @pytest.mark.parametrize("leader, follower, named", [
-        ([1.7e308], [-1.7e308], "the spacing at t[6] is not finite "
-                                "(leader_pos = 1.7e+308, follower_pos = -1.7e+308)"),
-        ([float("nan")], [0.0], "the spacing at t[6] is not finite "
-                                "(leader_pos = nan, follower_pos = 0.0)"),
-        ([1.7e308] * 5, [1.6e308] * 5, "leader_pos[6] = 1.7e+308 lies too far from "
-                                       "leader_pos[5] = -1.6e+308 to measure in float feet"),
-        # a spacing that is not positive is named first, NaN elsewhere or not
-        ([-1.7e308, float("nan")], [1.7e308, 0.0], "spacing must stay positive"),
-    ], ids=["spacing-overflows", "spacing-nan", "leader-step-overflows", "not-positive-first"])
-    def test_rejects_positions_too_far_apart(self, leader, follower, named):
+    # a NaN time is an ordering fault, named first (test_rejects_times_not_increasing)
+    @pytest.mark.parametrize("name, value", [
+        (name, value) for name in COLUMNS for value in (1.7e308, float("inf"), float("nan"))
+        if not (name == "t" and value != value)])
+    def test_rejects_values_out_of_range(self, name, value):
         segment = constant_leader_segment(10.0, 11, 50.0, seg_id="s")
-        leader_pos, follower_pos = segment.leader_pos.copy(), segment.follower_pos.copy()
-        leader_pos[:6], follower_pos[:6] = -1.6e308, -1.7e308  # a finite spacing
-        leader_pos[6:6 + len(leader)] = leader
-        follower_pos[6:6 + len(follower)] = follower
+        column = getattr(segment, name).copy()
+        i = len(column) - 1  # a time that still increases
+        column[i] = value
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # and no numpy warning on the way
             with pytest.raises(DomainError) as exc:
-                dataclasses.replace(segment, leader_pos=leader_pos, follower_pos=follower_pos)
-        assert str(exc.value) == f"segment s: {named}"
+                dataclasses.replace(segment, **{name: column})
+        assert str(exc.value) == (f"segment s {name}: {value!r} at index {i} "
+                                  f"must be finite and within [-2^53, 2^53]")
 
-    def test_positions_near_the_float_range_kept_while_finite(self):
+    def test_range_is_checked_before_the_spacing(self):
         segment = constant_leader_segment(10.0, 11, 50.0, seg_id="s")
-        leader_pos = np.full(len(segment), 1.7e308)
-        kept = dataclasses.replace(segment, leader_pos=leader_pos,
-                                   follower_pos=leader_pos - 1e300)
+        leader_pos = segment.leader_pos.copy()
+        leader_pos[2] = -50.0  # behind the follower
+        leader_pos[6] = 1.7e308
+        with pytest.raises(DomainError, match="segment s leader_pos: 1.7e\\+308 at index 6"):
+            dataclasses.replace(segment, leader_pos=leader_pos)
+        leader_pos[6] = segment.leader_pos[6]
+        with pytest.raises(DomainError, match="segment s: spacing must stay positive"):
+            dataclasses.replace(segment, leader_pos=leader_pos)
+
+    # each column at the bound, with the sign that keeps the times
+    # increasing and the spacing positive
+    BOUND = 2.0 ** 53
+    AT_BOUND = {"t": BOUND, "leader_pos": BOUND, "leader_speed": BOUND, "leader_accel": -BOUND,
+                "follower_pos": -BOUND, "follower_speed": -BOUND, "follower_accel": BOUND}
+
+    @pytest.mark.parametrize("name", COLUMNS)
+    def test_values_at_the_bound_kept_and_the_next_double_rejected(self, name):
+        segment = constant_leader_segment(10.0, 11, 50.0, seg_id="s")
+        column = getattr(segment, name).copy()
+        i = len(column) - 1
+        column[i] = self.AT_BOUND[name]
+        kept = dataclasses.replace(segment, **{name: column})
+        assert getattr(kept, name)[i] == self.AT_BOUND[name]
         assert np.all(np.isfinite(kept.spacing)) and np.all(kept.spacing > 0.0)
+        beyond = float(np.nextafter(column[i], np.copysign(np.inf, column[i])))
+        column[i] = beyond
+        named = f"segment s {name}: {beyond!r} at index {i} "
+        with pytest.raises(DomainError, match=re.escape(named)):
+            dataclasses.replace(segment, **{name: column})
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_pair_column_at_the_bound_kept_and_the_next_double_rejected(tmp_path, sign):
+    path = tmp_path / "pair.json"
+    write_pair_json(make_paired(20), 0.0, path)
+    data = json.loads(path.read_text())
+    bound = sign * 2.0 ** 53
+    data["leader"]["speed"][3] = bound
+    path.write_text(json.dumps(data))
+    assert read_pair_json(path).leader_speed[3] == bound
+    beyond = float(np.nextafter(bound, sign * np.inf))
+    data["leader"]["speed"][3] = beyond
+    path.write_text(json.dumps(data))
+    with pytest.raises(DomainError) as exc:
+        read_pair_json(path)
+    assert str(exc.value) == (f"{path}: pair JSON leader speed: {beyond!r} at index 3 "
+                              f"must be finite and within [-2^53, 2^53]")
 
 
 def equal_segments(count, length=20):

@@ -53,6 +53,16 @@ def one_error_line_from_fresh_process(argv) -> dict:
     return json.loads(lines[0])
 
 
+# one 12-sample segment whose spacing and leader steps overflowed the float
+# range before the magnitude rule: simulate wrote Infinity, and calibrate
+# printed a numpy warning
+FAR_SEGMENT = {
+    "t": [float(i) for i in range(12)],
+    "leader": {"pos": [1e308] + [1.7e308] * 11, "speed": [0.0] * 12, "accel": [0.0] * 12},
+    "follower": {"pos": [-0.7e308] + [1e308] * 11, "speed": [1.0] * 12, "accel": [0.0] * 12},
+}
+
+
 def run_pipeline_to_segments(tmp_path, **log_kwargs):
     leader, follower = write_logs(tmp_path, **log_kwargs)
     pair = tmp_path / "pair.json"
@@ -254,8 +264,8 @@ class TestCleanAndStats:
         assert sorted(tmp_path.iterdir()) == sorted([leader, follower, pair,
                                                      Path(f"{pair}.manifest.json")])
 
-    def test_times_too_far_apart_to_subtract_exit_one(self, tmp_path):
-        """Neighbouring times whose difference overflows the float range."""
+    def test_pair_times_out_of_range_exit_one(self, tmp_path):
+        """Pair times beyond ±2^53, whose differences overflowed the float range."""
         n = 12
         t = [-1.7e308, 1.7e308] + [1.7e308 + k * 1e305 for k in range(1, n - 1)]
 
@@ -269,74 +279,84 @@ class TestCleanAndStats:
         err = one_error_line_from_fresh_process(
             ["clean", "--pair", str(pair), "--min-segment-len", "3",
              "--out", str(tmp_path / "segments.json")])
-        assert err["error"] == "no-car-following"
+        assert err == {"error": "domain", "message": f"{pair}: pair JSON t: -1.7e+308 at index 0 "
+                                                     f"must be finite and within [-2^53, 2^53]"}
 
-    @pytest.mark.parametrize("command, case", [
-        ("stats", "far"), ("simulate", "far"), ("validate", "far"), ("calibrate", "far"),
-        ("simulate", 1e308), ("validate", 1e308), ("calibrate", 1e308),
-        ("simulate", 2e18), ("validate", 2e18), ("calibrate", 2e18),
-    ], ids=["stats", "simulate", "validate", "calibrate",
-            "simulate-too-many-substeps", "validate-too-many-substeps",
-            "calibrate-too-many-substeps", "simulate-schedule-too-large",
-            "validate-schedule-too-large", "calibrate-schedule-too-large"])
-    def test_segment_times_too_far_apart_exit_one(self, tmp_path, command, case):
-        """Neighbouring segment times whose difference overflows the float range.
+    @pytest.mark.parametrize("command", ["stats", "simulate", "validate", "calibrate"])
+    @pytest.mark.parametrize("case", ["times", "spacing", "leader-step"])
+    def test_segment_values_out_of_range_exit_one(self, tmp_path, command, case):
+        """Times or positions beyond ±2^53: near the float range their differences overflowed."""
+        n = 12
+        t = [float(i) for i in range(n)]
+        leader = [100.0 + 10.0 * i for i in range(n)]
+        follower = [10.0 * i for i in range(n)]
+        if case == "times":
+            t = [-1.7e308, 1.7e308] + [1.7e308 + k * 1e305 for k in range(1, n - 1)]
+            named = "t: -1.7e+308 at index 0"
+        elif case == "spacing":
+            leader, follower = [1.7e308] * n, [-1.7e308] * n
+            named = "leader pos: 1.7e+308 at index 0"
+        else:
+            leader = [100.0] + [1.7e308] * (n - 1)
+            named = "leader pos: 1.7e+308 at index 1"
+        err = self.run_on_segments(
+            tmp_path, command, t,
+            {"pos": leader, "speed": [10.0] * n, "accel": [0.0] * n},
+            {"pos": follower, "speed": [10.0] * n, "accel": [0.0] * n})
+        assert err == {"error": "domain", "message": f"segment 0 {named} "
+                                                     f"must be finite and within [-2^53, 2^53]"}
 
-        Or a first interval that dt 1 divides into more sub-steps than
-        the schedule can hold: 1e308 ones overflow an int, and 2e18 ones
-        an array of that many floats per lane.
+    @pytest.mark.parametrize("command", ["simulate", "validate", "calibrate"])
+    @pytest.mark.parametrize("dt", ["1e-300", "1e-06"], ids=["too-many-substeps",
+                                                            "schedule-too-large"])
+    def test_dt_cuts_more_substeps_than_the_schedule_holds_exit_one(self, tmp_path, command,
+                                                                    dt):
+        """A first interval of 1e15 s cut into more sub-steps than the schedule can hold.
+
+        At dt 1e-300 the count overflows to infinity, and at dt 1e-6 it is
+        finite but more than an array of that many floats per lane can hold.
         """
         n = 12
-        if case == "far":
-            t = [-1.7e308, 1.7e308] + [1.7e308 + k * 1e305 for k in range(1, n - 1)]
-            error = "domain"
-            message = "segment far-0: t[1] = 1.7e+308 lies too far from t[0] = -1.7e+308"
-        else:
-            # later intervals of 1024 ulps at 2e18, and of 1e305 at 1e308
-            step = 1024.0 if case == 2e18 else 1e305
-            t = [0.0, case] + [case + k * step for k in range(1, n - 1)]
-            error = "config"
-            message = f"dt=1.0 does not divide the {case:.6g} s observation interval"
+        t = [0.0, 1e15] + [1e15 + k for k in range(1, n - 1)]
         leader = {"pos": [100.0 + 10.0 * i for i in range(n)],
                   "speed": [10.0] * n, "accel": [0.0] * n}
         follower = {"pos": [10.0 * i for i in range(n)], "speed": [10.0] * n, "accel": [0.0] * n}
-        err = self.run_on_segments(tmp_path, command, t, leader, follower)
-        assert err["error"] == error
-        assert err["message"].startswith(message)
+        err = self.run_on_segments(tmp_path, command, t, leader, follower, ["--dt", dt])
+        assert err == {"error": "config", "message": f"dt={float(dt)} does not divide the "
+                                                     f"1e+15 s observation interval"}
 
-    @pytest.mark.parametrize("command", ["stats", "simulate", "validate", "calibrate"])
-    @pytest.mark.parametrize("case", ["spacing", "leader-step"])
-    def test_segment_positions_too_far_apart_exit_one(self, tmp_path, command, case):
-        """Positions near the float range whose spacing or leader step overflows."""
-        n = 12
-        if case == "spacing":
-            leader = [1.7e308] * n
-            follower = [-1.7e308] * n
-            message = ("segment far-0: the spacing at t[0] is not finite "
-                       "(leader_pos = 1.7e+308, follower_pos = -1.7e+308)")
-        else:
-            leader = [-1.6e308] + [1.7e308] * (n - 1)
-            follower = [-1.7e308] + [1.6e308] * (n - 1)
-            message = ("segment far-0: leader_pos[1] = 1.7e+308 lies too far from "
-                       "leader_pos[0] = -1.6e+308 to measure in float feet")
-        err = self.run_on_segments(
-            tmp_path, command, [float(i) for i in range(n)],
-            {"pos": leader, "speed": [10.0] * n, "accel": [0.0] * n},
-            {"pos": follower, "speed": [10.0] * n, "accel": [0.0] * n})
-        assert err == {"error": "domain", "message": message}
-
-    def test_stats_on_spacing_near_float_range_exits_one(self, tmp_path):
-        """Finite spacings near the float range, whose sums overflow: no Infinity in an output."""
+    def test_stats_on_times_ulps_apart_exits_one(self, tmp_path):
+        """Times 5e-324 s apart make the jerk overflow: no Infinity in an output."""
         n = 12
         err = self.run_on_segments(
-            tmp_path, "stats", [float(i) for i in range(n)],
-            {"pos": [1.7e308] * n, "speed": [10.0] * n, "accel": [0.0] * n},
-            {"pos": [1.0e307] * n, "speed": [10.0] * n, "accel": [0.0] * n})
+            tmp_path, "stats", [k * 5e-324 for k in range(n)],
+            {"pos": [100.0] * n, "speed": [10.0] * n, "accel": [0.0] * n},
+            {"pos": [0.0] * n, "speed": [10.0] * n, "accel": [float(k % 2) for k in range(n)]})
         assert err["error"] == "domain"
         assert err["message"].startswith("segment values too large for statistics")
 
+    @pytest.mark.parametrize("command, copies", [("simulate", 1), ("calibrate", 3)])
+    def test_positions_whose_differences_overflowed_exit_one(self, tmp_path, command, copies):
+        """FAR_SEGMENT: simulate wrote Infinity, calibrate a numpy warning and a config line."""
+        segments = tmp_path / "segments.json"
+        segments.write_text(json.dumps({"segments": [{"id": f"far-{i}", **FAR_SEGMENT}
+                                                     for i in range(copies)]}))
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"model": "idm", "a": 2, "delta": 4, "v0": 20, "s0": 5,
+                                     "T": 1.5, "b": 3}))
+        config = tmp_path / "ga.json"
+        config.write_text(json.dumps({"population": 4, "max_generations": 1, "seeds": [0]}))
+        argv = {"simulate": ["simulate", "--model", str(model)],
+                "calibrate": ["calibrate", "--model", "idm", "--config", str(config)]}[command]
+        out = tmp_path / "out.json"
+        err = one_error_line_from_fresh_process(
+            argv + ["--segments", str(segments), "--out", str(out)])
+        assert err == {"error": "domain", "message": "segment 0 leader pos: 1e+308 at index 0 "
+                                                     "must be finite and within [-2^53, 2^53]"}
+        assert sorted(tmp_path.iterdir()) == sorted([segments, model, config])
+
     @staticmethod
-    def run_on_segments(tmp_path, command, t, leader, follower) -> dict:
+    def run_on_segments(tmp_path, command, t, leader, follower, flags=()) -> dict:
         """Run a command on two segments far-0 and far-1 in a fresh process; its one error line."""
         from cfcalib.models import default_params, write_params
 
@@ -353,7 +373,7 @@ class TestCleanAndStats:
                 "calibrate": ["calibrate", "--model", "idm", "--config", str(config)]}[command]
         out = tmp_path / "out.json"
         err = one_error_line_from_fresh_process(
-            argv + ["--segments", str(segments), "--out", str(out)])
+            argv + [*flags, "--segments", str(segments), "--out", str(out)])
         assert not out.exists()
         return err
 
@@ -911,6 +931,17 @@ class TestJsonInputContract:
                 assert main(argv + ["--out", str(outputs[-1])]) == 0, command
             assert outputs[0].read_bytes() == outputs[1].read_bytes(), command
 
+    @pytest.mark.parametrize("command", ["simulate", "validate", "calibrate"])
+    @pytest.mark.parametrize("dt", ["nan", "inf", "-inf", "0"])
+    def test_dt_not_finite_and_positive_exits_one(self, tmp_path, capsys, command, dt):
+        inputs = self.write_inputs(tmp_path)
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
+        out = tmp_path / "out.json"
+        message = self.assert_one_error(capsys, argv + [f"--dt={dt}", "--out", str(out)],
+                                        "dt must be a finite number > 0", code="config")
+        assert message == f"dt must be a finite number > 0, got {float(dt)}"
+        assert not out.exists()
+
     def test_validate_without_segments_exits_one(self, tmp_path, capsys):
         inputs = self.write_inputs(tmp_path)
         inputs["segments"].write_text('{"segments": []}')
@@ -939,7 +970,7 @@ PAIR_KEYS = [("t",), ("leader",), ("follower",), ("dt",), ("leader_start_offset_
     PAIR_COLUMNS[1:]
 # JSON text put in place of a value: a string, null, a list, a bool, a literal
 # beyond the float range, an integer beyond a double, the NaN token, and
-# finite values whose differences overflow
+# finite values beyond ±2^53, whose differences would overflow
 ODD_VALUES = ['"x"', "null", "[1.0, 2.0]", "true", "1e400", "1" + "0" * 400, "NaN",
               "1.7e308", "-1.7e308"]
 
@@ -1104,6 +1135,10 @@ class TestSegmentsFileFuzz:
     # whose fit report overflowed into Infinity
     @example(mutations=[("set", ("segments", 0, "id"), "1e400")])
     @example(mutations=[("set", ("segments", 0, "follower", "pos", 0), "-1.7e308")])
+    # FAR_SEGMENT alone, and three copies of it
+    @example(mutations=[("set", ("segments",), json.dumps([{"id": "far", **FAR_SEGMENT}]))])
+    @example(mutations=[("set", ("segments",),
+                         json.dumps([{"id": f"far-{i}", **FAR_SEGMENT} for i in range(3)]))])
     def test_commands_exit_zero_or_one_json_line(self, base_segments, capsys, mutations):
         """Exit 0, or exit 1 with one JSON line on stderr; never a NaN or Infinity token."""
         directory, base = base_segments

@@ -227,6 +227,20 @@ class TestFileIO:
         assert list(zip(log.t.tolist(), log.lat.tolist())) == [
             (0.0, 28.37), (1.0, 28.3701), (2.0, 28.3702), (3.0, 28.3703)]
 
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_times_at_the_bound_kept_and_the_next_double_rejected(self, tmp_path, sign):
+        csv_path = tmp_path / "log.csv"
+        bound = sign * 2.0 ** 53
+        beyond = float(np.nextafter(bound, sign * np.inf))
+        rows = "".join(f"{i},{28.37 + i * 1e-4},-81.25\n" for i in range(1, 4))
+        csv_path.write_text(f"t,lat,lon\n{bound!r},28.37,-81.25\n" + rows)
+        assert read_gps_csv(csv_path, t0=0.0).t.tolist() == [bound, 1.0, 2.0, 3.0]
+        csv_path.write_text(f"t,lat,lon\n{beyond!r},28.37,-81.25\n" + rows)
+        with pytest.raises(DomainError) as exc:
+            read_gps_csv(csv_path)
+        assert str(exc.value) == (f"{csv_path}:2: timestamp {beyond!r} "
+                                  f"must be finite and within [-2^53, 2^53]")
+
     def test_bad_header_rejected(self, tmp_path):
         csv_path = tmp_path / "log.csv"
         csv_path.write_text("time,latitude,longitude\n0,28.37,-81.25\n")
@@ -331,11 +345,12 @@ class TestIngestCliContract:
         # speed overflows, and accel turns NaN
         (["0", "5e-324", "1e-323", "1.5e-323"], "domain", "bad': speed at t="),
         (["0", "1e-300", "2e-300", "3e-300"], "domain", "bad': accel at t="),
-        # a span wider than the float range
-        (["-1e308", "1e308", "1.1e308", "1.2e308"], "domain", "bad.csv: timestamp 1e+308 "),
-        # unordered, with a step that overflows
-        (["0", "1.7e308", "-1.7e308", "5"], "ordering", "strictly increasing"),
-    ], ids=["subnormal-steps", "tiny-steps", "overflowing-span", "unordered-overflow"])
+        # times beyond ±2^53, named at parse time, before any ordering fault
+        (["-1e308", "1e308", "1.1e308", "1.2e308"], "domain",
+         "bad.csv:2: timestamp -1e+308 must be finite and within [-2^53, 2^53]"),
+        (["0", "1.7e308", "-1.7e308", "5"], "domain",
+         "bad.csv:3: timestamp 1.7e+308 must be finite and within [-2^53, 2^53]"),
+    ], ids=["subnormal-steps", "tiny-steps", "out-of-range-span", "out-of-range-unordered"])
     @pytest.mark.parametrize("role", ["leader", "follower"])
     def test_unmeasurable_times_exit_one(self, tmp_path, capsys, times, code, named, role):
         bad = tmp_path / "bad.csv"
@@ -387,26 +402,20 @@ def oracle_rows(path):
     return raw
 
 
-def oracle_fixes(path, raw, t0):
-    # a log's times are checked before its coordinates
-    for t, _, _ in raw:
-        if not math.isfinite(t - t0):
-            raise DomainError(f"{path}: timestamp {t!r} lies too far from {t0!r} "
-                              f"to measure in float seconds")
+def oracle_fixes(raw, t0):
     return [oracle_fix(t - t0, lat, lon) for t, lat, lon in raw]
 
 
 def oracle_read_csv(path):
     raw = oracle_rows(path)
-    return oracle_fixes(path, raw, raw[0][0])
+    return oracle_fixes(raw, raw[0][0])
 
 
 def oracle_read_pair(leader_path, follower_path):
     leader_raw = oracle_rows(leader_path)
     follower_raw = oracle_rows(follower_path)
     t0 = min(leader_raw[0][0], follower_raw[0][0])
-    return (oracle_fixes(leader_path, leader_raw, t0),
-            oracle_fixes(follower_path, follower_raw, t0))
+    return oracle_fixes(leader_raw, t0), oracle_fixes(follower_raw, t0)
 
 
 def hex_columns(fixes):

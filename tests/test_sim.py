@@ -190,6 +190,17 @@ class TestSimLimits:
         with pytest.raises(DomainError):
             SimLimits(v_min=20.0, v_max=19.5)
 
+    @pytest.mark.parametrize("name, bound", [
+        ("a_min", -2.0 ** 53), ("a_max", 2.0 ** 53), ("v_max", 2.0 ** 53)])
+    def test_values_at_the_bound_kept_and_the_next_double_rejected(self, name, bound):
+        limits = SimLimits(**{name: bound})
+        simulate_all(SHUTTLE_IDM, [constant_leader_segment(10.0, 20, 50.0)], limits)
+        beyond = float(np.nextafter(bound, math.copysign(math.inf, bound)))
+        with pytest.raises(DomainError) as exc:
+            SimLimits(**{name: beyond})
+        assert str(exc.value) == (f"limits {name}: {beyond!r} "
+                                  f"must be finite and within [-2^53, 2^53]")
+
     def test_defaults(self):
         limits = SimLimits()
         assert limits.a_min == -26.0
