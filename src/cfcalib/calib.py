@@ -68,10 +68,11 @@ def _obs_terms(obs: np.ndarray) -> tuple[float, float]:
 def _nrmse_rows(sim: np.ndarray, obs: np.ndarray, terms=None) -> np.ndarray:
     """NRMSE of each row of a (rows, samples) array against `obs`.
 
-    `terms` is _obs_terms(obs), taken here when not given. The squares
-    form a C-contiguous array, whose mean along its last axis numpy sums
-    one row at a time, pairwise as it sums a 1-d array: each row scores
-    bit for bit what gof() gives it alone.
+    `terms` is _obs_terms(obs), taken here when not given. The errors
+    are scaled and squared in place, in a C-contiguous array, whose mean
+    along its last axis numpy sums one row at a time, pairwise as it
+    sums a 1-d array: each row scores bit for bit what gof() gives it
+    alone.
     """
     scale, obs_mean_square = terms or _obs_terms(obs)
     # Squares of values near the float limits under- or overflow, so both
@@ -80,9 +81,9 @@ def _nrmse_rows(sim: np.ndarray, obs: np.ndarray, terms=None) -> np.ndarray:
     # largest error (the factor err_scale / scale is then 1 in most fits).
     err = sim - obs
     err_scale = np.maximum(scale, np.max(np.abs(err), axis=-1))
-    err_n = err / err_scale[:, None]
-    sq = err_n * err_n
-    ratio = np.mean(sq, axis=-1) / obs_mean_square
+    err /= err_scale[:, None]
+    err *= err
+    ratio = np.mean(err, axis=-1) / obs_mean_square
     return err_scale / scale * np.sqrt(ratio)
 
 

@@ -300,9 +300,12 @@ def split_segments(
 # `accel` under `leader` and `follower`
 
 def series_to_dict(series: PairedSeries | FollowingSegment) -> dict:
-    """The columns of a paired series or a segment, in the layout of the JSON files."""
-    return {"t": series.t.tolist(),
-            **{side: {key: getattr(series, f"{side}_{key}").tolist() for key in KINEMATICS}
+    """The numpy columns of a paired series or a segment, in the layout of the JSON files.
+
+    jsonio.write_json writes the arrays as lists, a long column at a time.
+    """
+    return {"t": series.t,
+            **{side: {key: getattr(series, f"{side}_{key}") for key in KINEMATICS}
                for side in SIDES}}
 
 
@@ -314,12 +317,14 @@ def series_columns(entry, what: str) -> np.ndarray:
     finite and within ±2^53 (ingest.MAX_MAGNITUDE), naming the index and
     the value out of range; an integer beyond a double is an error, never
     rounded, and so are a string and a bool, which numpy would read as
-    numbers.
+    numbers. A numpy column, as series_to_dict gives, is read as the list
+    write_json writes for it.
     """
     require_keys(entry, ("t",) + SIDES, what)
     for side in SIDES:
         require_keys(entry[side], KINEMATICS, f"{what} {side}")
     values = [entry["t"]] + [entry[side][key] for side in SIDES for key in KINEMATICS]
+    values = [v.tolist() if isinstance(v, np.ndarray) else v for v in values]
     try:
         # one block, which a ragged or scalar column cannot form
         columns = np.array(values, dtype=float)

@@ -147,7 +147,8 @@ def kinematics_from_positions(
     acceleration reproduces its ground truth at every index. The
     trajectory holds copies of `t` and `pos`. Raises OrderingError unless
     the times strictly increase, then DomainError where a derivative is
-    not finite.
+    not finite or beyond ±MAX_MAGNITUDE, the rule `clean` applies to
+    every pair column.
     """
     t = np.array(t, dtype=float)
     pos = np.array(pos, dtype=float)
@@ -169,11 +170,12 @@ def kinematics_from_positions(
         accel[:2] = accel[2]
 
     for name, column in (("speed", speed), ("accel", accel)):
-        bad = ~np.isfinite(column)
+        bad = ~(np.abs(column) <= MAX_MAGNITUDE)  # written so that NaN is out of range
         if bad.any():
             i = int(np.argmax(bad))
-            raise DomainError(f"trajectory {vehicle_id!r}: {name} at t={float(t[i])!r} is not finite; "
-                              f"the time steps are too short for the distances covered")
+            raise DomainError(f"trajectory {vehicle_id!r}: {name} at t={float(t[i])!r} is "
+                              f"{float(column[i])!r}, which is not finite or not within "
+                              f"[-2^53, 2^53]; the time steps are too short for the distances covered")
     return Trajectory(vehicle_id, t, pos, speed, accel, dt=dt)
 
 

@@ -425,9 +425,8 @@ class SegmentSet:
 
     def _scalar_lists(self) -> list[tuple]:
         """Per segment, x0, v0 and its slice of each schedule column, in plain floats."""
-        xl, vl, al, h = (col.tolist() for col in self._flat)
         bounds = self._bounds.tolist()
-        return [(x, v, xl[lo:hi], vl[lo:hi], al[lo:hi], h[lo:hi])
+        return [(x, v, *(col[lo:hi].tolist() for col in self._flat))
                 for x, v, lo, hi in zip(self.x0.tolist(), self.v0.tolist(), bounds, bounds[1:])]
 
     def _observations(self, lists) -> np.ndarray:
@@ -557,5 +556,5 @@ def load_limits(path: str | Path) -> SimLimits:
 
 def result_to_dict(result: SimResult, segment_id: str = "") -> dict:
     return {"id": segment_id, "collisions": result.collisions,
-            **{name: getattr(result, name).tolist()
+            **{name: getattr(result, name)
                for name in ("t", "follower_pos", "follower_speed", "follower_accel", "spacing")}}

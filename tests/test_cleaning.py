@@ -23,7 +23,8 @@ from cfcalib import (
 )
 from cfcalib.cleaning import (
     COLUMNS, PAIR_TOLERANCE_S, leader_start_offset, read_pair_json, read_segments_json,
-    write_pair_json, write_segments_json)
+    segments_from_dict, segments_to_dict, series_columns, series_to_dict, write_pair_json,
+    write_segments_json)
 from cfcalib.fixtures import constant_leader_segment, rule_violation_series
 from cfcalib.ingest import (
     GpsLog, Trajectory, derive_kinematics, geodesic_distance, kinematics_from_positions)
@@ -384,6 +385,30 @@ def test_pair_column_at_the_bound_kept_and_the_next_double_rejected(tmp_path, si
         read_pair_json(path)
     assert str(exc.value) == (f"{path}: pair JSON leader speed: {beyond!r} at index 3 "
                               f"must be finite and within [-2^53, 2^53]")
+
+
+def columns_of(series):
+    return [getattr(series, name) for name in COLUMNS]
+
+
+def test_dicts_of_numpy_columns_read_back_in_process():
+    # series_to_dict hands out numpy columns; the readers take them as the
+    # lists write_json writes for them
+    segments = [constant_leader_segment(10.0, 11, 50.0, seg_id="a"),
+                FollowingSegment("b", *columns_of(make_paired(12, spacing=0.1 + 0.2)))]
+    back = segments_from_dict(segments_to_dict(segments))
+    assert [s.id for s in back] == ["a", "b"]
+    for got, expected in zip(back, segments):
+        for name in COLUMNS:
+            assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+    paired = make_paired(7, accel=-0.0)
+    columns = series_columns(series_to_dict(paired), "pair")
+    assert columns.tobytes() == np.array(columns_of(paired)).tobytes()
+    # a numpy column is held to the rule a list is
+    entry = series_to_dict(paired)
+    entry["leader"]["speed"] = np.full(7, True)
+    with pytest.raises(DomainError, match="pair leader speed: values must be numbers, not bool"):
+        series_columns(entry, "pair")
 
 
 def equal_segments(count, length=20):

@@ -342,9 +342,9 @@ class TestIngestCliContract:
                                                                  "message": message}
 
     @pytest.mark.parametrize("times, code, named", [
-        # speed overflows, and accel turns NaN
+        # the speed overflows; the speed is finite but beyond 2^53
         (["0", "5e-324", "1e-323", "1.5e-323"], "domain", "bad': speed at t="),
-        (["0", "1e-300", "2e-300", "3e-300"], "domain", "bad': accel at t="),
+        (["0", "1e-300", "2e-300", "3e-300"], "domain", "bad': speed at t="),
         # times beyond ±2^53, named at parse time, before any ordering fault
         (["-1e308", "1e308", "1.1e308", "1.2e308"], "domain",
          "bad.csv:2: timestamp -1e+308 must be finite and within [-2^53, 2^53]"),
@@ -359,6 +359,26 @@ class TestIngestCliContract:
         err = self.ingest_error(tmp_path, capsys, bad, role)
         assert err["error"] == code
         assert named in err["message"]
+
+    def test_derived_values_beyond_the_magnitude_rule_exit_one(self, tmp_path, capsys):
+        # fixes 1e-12 s apart give finite speeds of order 1e13 ft/s and
+        # accelerations of order 1e25 ft/s^2, which clean would reject
+        rows = "".join(f"{i * 1e-12!r},{28.37 + i * i * 1e-4},-81.25\n" for i in range(5))
+        leader, follower = tmp_path / "leader.csv", tmp_path / "follower.csv"
+        leader.write_text("t,lat,lon\n" + rows)
+        follower.write_text("t,lat,lon\n" + rows)
+        out = tmp_path / "pair.json"
+        rc = main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                   "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        assert not out.exists()
+        err = json.loads(lines[0])
+        assert err["error"] == "domain"
+        assert err["message"].startswith(
+            "trajectory 'leader': accel at t=0.0 is 7.296265107170194e+25, which is not finite "
+            "or not within [-2^53, 2^53]")
 
 
 # ---------------------------------------------------------------------------

@@ -6,15 +6,18 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cfcalib.cleaning import clean_segments, pair_trajectories, read_segments_json
 from cfcalib.cli import main
 from cfcalib.ingest import derive_kinematics, geodesic_distance, read_gps_pair
+from cfcalib import jsonio
 from cfcalib.jsonio import atomic_write_text, write_json
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "cfcalib"
 SCRIPTS = REPO / "scripts"
+LONG = 5000  # the values of a long column
 
 
 def temporary_files(directory: Path) -> list[str]:
@@ -62,6 +65,48 @@ class TestWriteJson:
         assert [v.hex() for v in back["values"]] == [v.hex() for v in values]
         assert back["numpy"].hex() == (0.1 + 0.2).hex()
 
+    @given(payload=st.deferred(lambda: PAYLOADS))
+    @settings(max_examples=150, deadline=None)
+    @example(payload={"é": {"t": np.arange(LONG, dtype=float), "n": -0.0},
+                      "a": [(np.zeros((0,)), 2 ** 63), np.full(LONG - 1, 5e-324)]})
+    def test_equals_json_dumps_of_the_payload_with_arrays_as_lists(self, tmp_path_factory,
+                                                                     payload):
+        path = tmp_path_factory.mktemp("payload") / "out.json"
+        write_json(path, payload)
+        expected = json.dumps(as_lists(payload), sort_keys=True) + "\n"
+        assert path.read_bytes() == expected.encode()
+        assert temporary_files(path.parent) == []
+
+    @pytest.mark.parametrize("payload", [
+        {"column": np.zeros(LONG), "later": {1, 2}},
+        [np.zeros(LONG), {"inner": [np.ones(LONG), {1, 2}]}],
+    ], ids=["dict", "list"])
+    def test_unserializable_value_after_a_column_writes_nothing(self, tmp_path, payload):
+        path = tmp_path / "out.json"
+        with pytest.raises(TypeError, match="type set is not JSON serializable"):
+            write_json(path, payload)
+        assert not path.exists()
+        assert temporary_files(tmp_path) == []
+
+    def test_many_short_columns_are_encoded_one_at_a_time(self, tmp_path, monkeypatch):
+        # 400 segments of 20 samples: no column is long, but together they
+        # are, and no container of them may be encoded whole
+        payload = {"segments": [{"id": str(i), "t": np.arange(20.0) + i,
+                                 "leader": {"pos": np.full(20, 0.1 * i)}} for i in range(400)]}
+        encoded, encoder = [], jsonio._ENCODER
+
+        class Recording:
+            def encode(self, value):
+                encoded.append(value)
+                return encoder.encode(value)
+
+        monkeypatch.setattr(jsonio, "_ENCODER", Recording())
+        path = tmp_path / "out.json"
+        write_json(path, payload)
+        assert path.read_text() == json.dumps(as_lists(payload), sort_keys=True) + "\n"
+        assert sum(isinstance(value, np.ndarray) for value in encoded) == 800
+        assert [value for value in encoded if isinstance(value, (dict, list, tuple))] == []
+
     def test_cli_clean_output_equals_in_process_segments(self, tmp_path):
         spec = importlib.util.spec_from_file_location("make_demo_data",
                                                       SCRIPTS / "make_demo_data.py")
@@ -87,6 +132,48 @@ class TestWriteJson:
         for a, b in zip(got, expected):
             for name in names:
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), (a.id, name)
+
+
+def as_lists(value):
+    """value with every numpy array replaced by its list, the payload json.dumps takes."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: as_lists(entry) for key, entry in value.items()}
+    if isinstance(value, (list, tuple)):
+        return type(value)(map(as_lists, value))
+    return value
+
+
+# short and long columns, empty and 2-d included
+ARRAY_SHAPES = [(0,), (1,), (7,), (2, 3), (0, 4), (LONG,), (64, 64)]
+EDGE_FLOATS = np.array([0.0, -0.0, 5e-324, -2.5e-308, 1e308, 0.1 + 0.2, 2.0 ** 53 + 2, -1 / 3])
+
+
+@st.composite
+def arrays(draw):
+    shape = draw(st.sampled_from(ARRAY_SHAPES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        return rng.integers(np.iinfo(np.int64).min, np.iinfo(np.int64).max, shape,
+                            dtype=np.int64, endpoint=True)
+    values = rng.standard_normal(shape) * 10.0 ** rng.integers(-320, 300, shape)
+    edges = rng.random(shape) < 0.2
+    values[edges] = rng.choice(EDGE_FLOATS, int(edges.sum()))
+    return values
+
+
+SCALARS = (st.none() | st.booleans() | st.integers(-2 ** 80, 2 ** 80)
+           | st.floats(allow_nan=False) | st.text(max_size=6))
+PAYLOADS = st.recursive(
+    SCALARS | arrays(),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(st.text(max_size=4), children, max_size=4)
+                      # json.dumps writes an int or float key as a string
+                      | st.dictionaries(st.integers(-3, 3) | st.floats(-2, 2), children,
+                                        max_size=4)),
+    max_leaves=8)
 
 
 def _json_calls(tree: ast.AST):
