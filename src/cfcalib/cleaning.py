@@ -5,7 +5,8 @@ A paired series aligns leader and follower samples on a common clock.
 as the pair JSON; `clean` reads it back and keeps only car-following
 samples (moving follower, leader in front and inside sensor range,
 plausible accelerations), grouping the survivors into contiguous
-segments; outliers split runs rather than being interpolated over.
+segments; outliers split runs rather than being interpolated over, and
+so does a time step above 1.5x the series' own (lower) median step.
 A paired series and a segment share one column layout, written and
 read by one pair of functions for both the pair and the segments JSON.
 """
@@ -22,9 +23,11 @@ import numpy as np
 from .errors import DomainError, NoCarFollowingError, PairingError, SplitError
 from .ingest import (GpsLog, MAX_MAGNITUDE, Trajectory, geodesic_distance, require_in_range,
                      require_increasing)
-from .jsonio import read_json_object, require_keys, require_numbers, write_json
+from .jsonio import read_json_object, require_keys, write_json
 
 PAIR_TOLERANCE_S = 0.1
+# the fewest samples a FollowingSegment holds, and so the floor of min_segment_len
+MIN_SEGMENT_SAMPLES = 10
 SIDES = ("leader", "follower")
 KINEMATICS = ("pos", "speed", "accel")
 # the float columns of a PairedSeries and a FollowingSegment, in field order
@@ -35,7 +38,7 @@ _JSON_NUMBERS = frozenset((int, float))
 
 @dataclass
 class PairedSeries:
-    """Leader/follower samples matched on a shared time grid."""
+    """Leader/follower samples matched on a shared time grid, whose times carry the cadence."""
 
     t: np.ndarray
     leader_pos: np.ndarray
@@ -44,7 +47,6 @@ class PairedSeries:
     follower_pos: np.ndarray
     follower_speed: np.ndarray
     follower_accel: np.ndarray
-    dt: float = 1.0
 
     def __post_init__(self):
         n = len(self.t)
@@ -66,7 +68,7 @@ class CleaningRules:
     max_accel: float = 18.0             # ft/s^2, either vehicle
     max_follower_speed: float = 22.0    # ft/s (15 mi/h cap)
     max_spacing: float = 656.0          # ft, sensor range
-    min_segment_len: int = 10           # samples
+    min_segment_len: int = MIN_SEGMENT_SAMPLES
 
     def __post_init__(self):
         for name in ("max_accel", "max_follower_speed", "max_spacing"):
@@ -75,8 +77,9 @@ class CleaningRules:
             if not 0.0 < value < math.inf:
                 raise DomainError(f"cleaning threshold {name} must be finite and positive, "
                                   f"got {value}")
-        if self.min_segment_len <= 0:
-            raise DomainError("min_segment_len must be positive")
+        if self.min_segment_len < MIN_SEGMENT_SAMPLES:
+            raise DomainError(f"min_segment_len must be at least {MIN_SEGMENT_SAMPLES} samples, "
+                              f"got {self.min_segment_len}")
 
     def keeps(self, leader_accel, follower_speed, follower_accel, spacing):
         """True where a sample is a valid car-following observation (elementwise)."""
@@ -94,8 +97,8 @@ class CleaningRules:
 class FollowingSegment:
     """One contiguous car-following interval; the unit of calibration.
 
-    Construction rejects ragged columns, fewer than 10 samples, times that
-    do not strictly increase (OrderingError), a value outside ±2^53
+    Construction rejects ragged columns, fewer than MIN_SEGMENT_SAMPLES, times
+    that do not strictly increase (OrderingError), a value outside ±2^53
     (ingest.MAX_MAGNITUDE) and a spacing that is not positive, in that
     order. Within that range no difference of two times or positions
     overflows, so the spacing and every step are finite.
@@ -116,8 +119,9 @@ class FollowingSegment:
         n = len(self.t)
         if any(len(getattr(self, name)) != n for name in COLUMNS):
             raise DomainError(f"segment {self.id}: arrays must have equal length")
-        if n < 10:
-            raise DomainError(f"segment {self.id}: need at least 10 samples, got {n}")
+        if n < MIN_SEGMENT_SAMPLES:
+            raise DomainError(
+                f"segment {self.id}: need at least {MIN_SEGMENT_SAMPLES} samples, got {n}")
         require_increasing(self.t, f"segment {self.id}")
         # one test over every column, NaN failing it too; the loop names the first bad value
         columns = [getattr(self, name) for name in COLUMNS]
@@ -186,7 +190,6 @@ def pair_trajectories(
         follower_pos=follower.pos[f_sel],
         follower_speed=follower.speed[f_sel],
         follower_accel=follower.accel[f_sel],
-        dt=follower.dt,
     )
 
 
@@ -234,8 +237,10 @@ def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None) -> 
     """Filter outliers and return maximal contiguous car-following segments.
 
     A run breaks where a sample was dropped or where the time step exceeds
-    1.5x the nominal cadence; runs shorter than rules.min_segment_len are
-    discarded. Raises NoCarFollowingError when nothing survives.
+    1.5x the median step, the lower one of an even count, which a
+    duplicate fix or dropouts in up to half the steps leave unchanged;
+    runs shorter than rules.min_segment_len are discarded. Raises
+    NoCarFollowingError when nothing survives.
     """
     if rules is None:
         rules = CleaningRules()
@@ -244,7 +249,10 @@ def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None) -> 
         raise DomainError("paired series is empty")
     keep = rules.keeps(paired.leader_accel, paired.follower_speed,
                        paired.follower_accel, paired.spacing)
-    gap = np.diff(paired.t) > 1.5 * paired.dt
+    steps = np.diff(paired.t)
+    # one sample has no step; np.median would import numpy.ma (about 10 ms per process)
+    k = (n - 2) // 2
+    gap = steps > 1.5 * (np.partition(steps, k)[k] if n > 1 else 0.0)
     # a sample joins the previous one when both are kept and no gap lies between
     joined = np.zeros(n, dtype=bool)
     joined[1:] = keep[1:] & keep[:-1] & ~gap
@@ -381,23 +389,18 @@ def read_segments_json(path: str | Path) -> list[FollowingSegment]:
 
 
 def write_pair_json(paired: PairedSeries, leader_offset: float, path: str | Path) -> None:
-    """The pair JSON: the paired columns, their `dt` and the `leader_start_offset_ft` applied."""
-    write_json(path, {**series_to_dict(paired), "dt": paired.dt,
-                      "leader_start_offset_ft": leader_offset})
+    """The pair JSON: the paired columns and the `leader_start_offset_ft` applied."""
+    write_json(path, {**series_to_dict(paired), "leader_start_offset_ft": leader_offset})
 
 
 def read_pair_json(path: str | Path) -> PairedSeries:
     """The paired series of a pair JSON; its recorded leader offset is not read.
 
-    Raises DomainError naming the file for a missing key (a file in an
-    older layout lacks `t`), a bad column or a `dt` that is not a finite
-    number above 0, and OrderingError unless the times strictly increase.
+    Nor is the `dt` of earlier versions. Raises DomainError naming the file
+    for a missing key (a file in an older layout lacks `t`) or a bad
+    column, and OrderingError unless the times strictly increase.
     """
     what = f"{path}: pair JSON"
-    data = read_json_object(path, "pair JSON")
-    columns = series_columns(data, what)
-    require_numbers(data, ("dt",), what)
-    if not data["dt"] > 0:
-        raise DomainError(f"{what}: dt must be a finite number > 0, got {data['dt']!r}")
+    columns = series_columns(read_json_object(path, "pair JSON"), what)
     require_increasing(columns[0], what)
-    return PairedSeries(*columns, dt=data["dt"])
+    return PairedSeries(*columns)

@@ -93,8 +93,8 @@ def _cmd_ingest(args) -> int:
     leader_src = _require_file(args.leader)
     follower_src = _require_file(args.follower)
     leader_log, follower_log = read_gps_pair(leader_src, follower_src)
-    leader = derive_kinematics(leader_log, vehicle_id=leader_src.stem, dt=args.dt)
-    follower = derive_kinematics(follower_log, vehicle_id=follower_src.stem, dt=args.dt)
+    leader = derive_kinematics(leader_log, vehicle_id=leader_src.stem)
+    follower = derive_kinematics(follower_log, vehicle_id=follower_src.stem)
     offset = leader_start_offset(leader, follower, leader_log, follower_log)
     out = Path(args.out)
     write_pair_json(pair_trajectories(leader, follower, leader_offset=offset), offset, out)
@@ -256,16 +256,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ingest", help="leader and follower GPS CSV logs -> pair JSON")
     p.add_argument("--leader", required=True, help="leader t,lat,lon CSV")
     p.add_argument("--follower", required=True, help="follower t,lat,lon CSV")
-    p.add_argument("--dt", type=float, default=1.0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_ingest)
 
     p = sub.add_parser("clean", help="pair JSON -> car-following segments")
     p.add_argument("--pair", required=True, help="pair JSON from `ingest`")
-    p.add_argument("--max-accel", type=float, default=18.0)
-    p.add_argument("--max-follower-speed", type=float, default=22.0)
-    p.add_argument("--max-spacing", type=float, default=656.0)
-    p.add_argument("--min-segment-len", type=int, default=10)
+    p.add_argument("--max-accel", type=float, default=CleaningRules.max_accel)
+    p.add_argument("--max-follower-speed", type=float, default=CleaningRules.max_follower_speed)
+    p.add_argument("--max-spacing", type=float, default=CleaningRules.max_spacing)
+    p.add_argument("--min-segment-len", type=int, default=CleaningRules.min_segment_len)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_clean)
 
@@ -305,9 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_validate)
 
     p = sub.add_parser("report", help="render result JSON as text tables")
-    p.add_argument("--input", help="stats or calibration result JSON")
-    p.add_argument("--benchmarks", action="store_true",
-                   help="print the bundled benchmark tables instead")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--input", help="stats or calibration result JSON")
+    source.add_argument("--benchmarks", action="store_true",
+                        help="print the bundled benchmark tables instead")
     p.add_argument("--out", help="write to file instead of stdout")
     p.set_defaults(func=_cmd_report)
 
@@ -315,11 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     args._argv = list(argv) if argv is not None else sys.argv[1:]
-    if args.command == "report" and not (args.benchmarks or args.input):
-        parser.error("report needs --input or --benchmarks")
     try:
         return args.func(args)
     except CfCalibError as exc:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cleaning import FollowingSegment, PairedSeries
+from .cleaning import MIN_SEGMENT_SAMPLES, FollowingSegment, PairedSeries
 from .models import BlendParams, IdmParams, ModelParams, equilibrium_spacing
 from .sim import SimLimits, simulate_follower
 
@@ -49,8 +49,8 @@ def _violation(kind: int) -> tuple[float, float, float, float]:
 def rule_violation_series(seed: int = 11) -> PairedSeries:
     """6,433 paired samples of which exactly 4,427 survive the default rules.
 
-    Clean samples sit in runs of at least 10 so the minimum-segment-length
-    filter never drops a survivor; violations arrive in blocks between runs.
+    Clean samples sit in runs of at least MIN_SEGMENT_SAMPLES so the minimum
+    segment length never drops a survivor; violations arrive in blocks.
     """
     rng = np.random.default_rng(seed)
     flags = []  # True = clean sample
@@ -58,9 +58,9 @@ def rule_violation_series(seed: int = 11) -> PairedSeries:
     remaining_viol = CLEANING_VIOLATIONS
     while remaining_clean > 0 or remaining_viol > 0:
         if remaining_clean > 0:
-            run = int(rng.integers(10, 61))
+            run = int(rng.integers(MIN_SEGMENT_SAMPLES, 61))
             run = min(run, remaining_clean)
-            if 0 < remaining_clean - run < 10:
+            if 0 < remaining_clean - run < MIN_SEGMENT_SAMPLES:
                 run = remaining_clean
             flags.extend([True] * run)
             remaining_clean -= run
@@ -95,7 +95,7 @@ def rule_violation_series(seed: int = 11) -> PairedSeries:
     return PairedSeries(
         t=t, leader_pos=leader_pos, leader_speed=leader_speed,
         leader_accel=leader_accel, follower_pos=follower_pos,
-        follower_speed=follower_speed, follower_accel=follower_accel, dt=1.0,
+        follower_speed=follower_speed, follower_accel=follower_accel,
     )
 
 

@@ -1,10 +1,11 @@
 """GPS log ingestion: geodesic distances and derived kinematics.
 
-Raw logs are 1 Hz latitude/longitude fixes. A CSV is parsed straight
-into a GpsLog, one float array per column (t, lat, lon), with no object
-per fix; both logs of a pair are parsed before either is built, so a
-parse error is reported before any out-of-range coordinate and the
-leader's errors before the follower's. Positions become cumulative arc
+Raw logs are latitude/longitude fixes, 1 Hz in the field data; the times
+give the cadence. A CSV is parsed straight into a GpsLog, one float
+array per column (t, lat, lon), with no object per fix; both logs of a
+pair are parsed before either is built, so a parse error is reported
+before any out-of-range coordinate and the leader's errors before the
+follower's. Positions become cumulative arc
 length in feet (geodesic_distance, elementwise); speed and acceleration
 follow by successive backward differences. `cleaning.pair_trajectories`
 pairs the two trajectories, and the pair JSON holds the paired series,
@@ -27,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError, InsufficientDataError, OrderingError
-from .jsonio import is_finite_number
 
 # Mean Earth radius (m); spherical error is far below GPS noise at
 # per-second step lengths.
@@ -75,7 +75,7 @@ def _float_columns(obj, names: tuple[str, ...], label: str) -> None:
 
 @dataclass
 class Trajectory:
-    """Kinematic samples for one vehicle at a nominal cadence, one float array per column.
+    """Kinematic samples for one vehicle, one float array per column; no cadence is stored.
 
     Columns: time (s), position (ft), speed (ft/s), accel (ft/s^2).
     """
@@ -85,13 +85,9 @@ class Trajectory:
     pos: np.ndarray
     speed: np.ndarray
     accel: np.ndarray
-    dt: float = 1.0
 
     def __post_init__(self):
         _float_columns(self, TRAJECTORY_COLUMNS, f"trajectory {self.vehicle_id!r}")
-        if not (is_finite_number(self.dt) and self.dt > 0):
-            raise DomainError(
-                f"trajectory {self.vehicle_id!r}: dt must be a finite number > 0, got {self.dt!r}")
 
     def __len__(self) -> int:
         return len(self.t)
@@ -137,18 +133,16 @@ def geodesic_distance(lat1, lon1, lat2, lon2):
     return EARTH_RADIUS_M * c * FT_PER_M
 
 
-def kinematics_from_positions(
-    t: np.ndarray, pos: np.ndarray, vehicle_id: str = "", dt: float = 1.0
-) -> Trajectory:
+def kinematics_from_positions(t: np.ndarray, pos: np.ndarray, vehicle_id: str = "") -> Trajectory:
     """Derive speed and accel from a position series by backward differences.
 
-    Each derivative level k is valid from index k onward; the leading
-    entries are filled by replicating the first valid value, so constant
-    acceleration reproduces its ground truth at every index. The
-    trajectory holds copies of `t` and `pos`. Raises OrderingError unless
-    the times strictly increase, then DomainError where a derivative is
-    not finite or beyond ±MAX_MAGNITUDE, the rule `clean` applies to
-    every pair column.
+    Each difference is divided by its own time step. Each derivative level
+    k is valid from index k onward; the leading entries are filled by
+    replicating the first valid value, so constant acceleration reproduces
+    its ground truth at every index. The trajectory holds copies of `t`
+    and `pos`. Raises OrderingError unless the times strictly increase,
+    then DomainError where a derivative is not finite or beyond
+    ±MAX_MAGNITUDE, the rule `clean` applies to every pair column.
     """
     t = np.array(t, dtype=float)
     pos = np.array(pos, dtype=float)
@@ -176,15 +170,15 @@ def kinematics_from_positions(
             raise DomainError(f"trajectory {vehicle_id!r}: {name} at t={float(t[i])!r} is "
                               f"{float(column[i])!r}, which is not finite or not within "
                               f"[-2^53, 2^53]; the time steps are too short for the distances covered")
-    return Trajectory(vehicle_id, t, pos, speed, accel, dt=dt)
+    return Trajectory(vehicle_id, t, pos, speed, accel)
 
 
-def derive_kinematics(log: GpsLog, vehicle_id: str = "", dt: float = 1.0) -> Trajectory:
+def derive_kinematics(log: GpsLog, vehicle_id: str = "") -> Trajectory:
     """Convert a GPS log into a trajectory: cumulative arc length plus derivatives."""
     lat, lon = log.lat, log.lon
     pos = np.zeros(len(log))
     pos[1:] = np.cumsum(geodesic_distance(lat[:-1], lon[:-1], lat[1:], lon[1:]))
-    return kinematics_from_positions(log.t, pos, vehicle_id=vehicle_id, dt=dt)
+    return kinematics_from_positions(log.t, pos, vehicle_id=vehicle_id)
 
 
 # ---------------------------------------------------------------------------

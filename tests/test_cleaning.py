@@ -32,14 +32,14 @@ from cfcalib.ingest import (
 DEG_PER_FT = 1.0 / (6_371_008.8 * np.pi / 180.0 / 0.3048)
 
 
-def make_trajectory(t0, n, speed=10.0, vehicle_id="v", dt=1.0):
-    t = t0 + np.arange(n, dtype=float) * dt
-    pos = speed * np.arange(n, dtype=float) * dt
-    return kinematics_from_positions(t, pos, vehicle_id=vehicle_id, dt=dt)
+def make_trajectory(t0, n, speed=10.0, vehicle_id="v"):
+    t = t0 + np.arange(n, dtype=float)
+    pos = speed * np.arange(n, dtype=float)
+    return kinematics_from_positions(t, pos, vehicle_id=vehicle_id)
 
 
-def make_paired(n, follower_speed=10.0, spacing=100.0, accel=0.0, dt=1.0):
-    t = np.arange(n, dtype=float) * dt
+def make_paired(n, follower_speed=10.0, spacing=100.0, accel=0.0):
+    t = np.arange(n, dtype=float)
     follower_pos = follower_speed * t
     return PairedSeries(
         t=t,
@@ -49,7 +49,6 @@ def make_paired(n, follower_speed=10.0, spacing=100.0, accel=0.0, dt=1.0):
         follower_pos=follower_pos,
         follower_speed=np.full(n, follower_speed),
         follower_accel=np.full(n, accel),
-        dt=dt,
     )
 
 
@@ -257,7 +256,7 @@ class TestCleanSegments:
             for i in range(len(seg)):
                 assert rules.keeps(seg.leader_accel[i], seg.follower_speed[i],
                                    seg.follower_accel[i], seg.spacing[i])
-            assert np.all(np.diff(seg.t) <= 1.5 * paired.dt)
+            assert np.all(np.diff(seg.t) <= 1.5 * np.median(np.diff(paired.t)))
             assert len(seg) >= rules.min_segment_len
 
     def test_run_breaks_at_time_gap(self):
@@ -265,6 +264,19 @@ class TestCleanSegments:
         paired.t[20:] += 5.0  # 6-second hole in an otherwise clean series
         segments = clean_segments(paired)
         assert [len(s) for s in segments] == [20, 20]
+
+    @pytest.mark.parametrize("t, lengths", [
+        # a 0.5-s cadence with one fix missing: its 1.0-s step is a gap
+        (np.delete(np.arange(40) * 0.5, 20), [20, 19]),
+        # a fix 0.01 s after another leaves the 1-s cadence, and the run whole
+        (np.insert(np.arange(40.0), 21, 20.01), [41]),
+        # half of the steps are dropouts: the lower median is still the 1-s cadence
+        (np.append(np.arange(21.0), 20.0 + 2.0 * np.arange(1, 21)), [21]),
+    ], ids=["half-second-cadence", "duplicate-fix", "half-the-steps-dropouts"])
+    def test_cadence_is_the_median_step(self, t, lengths):
+        paired = make_paired(len(t))
+        paired.t[:] = t
+        assert [len(s) for s in clean_segments(paired)] == lengths
 
     def test_segments_json_round_trip(self, tmp_path):
         segments = clean_segments(make_paired(25))

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 import numpy as np
@@ -19,21 +20,21 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 DEG_PER_FT = 1.0 / (6_371_008.8 * math.pi / 180.0 / 0.3048)
 
 
-def write_logs(tmp_path, seconds=90, stop_at=None, stop_len=5):
-    """Two 1 Hz logs up a meridian; the follower optionally pauses mid-run."""
-    rng = np.random.default_rng(9)
-    leader_speed = 12.0 + 2.0 * np.sin(np.arange(seconds) / 9.0)
-    follower_speed = 12.0 + 2.0 * np.sin((np.arange(seconds) - 3) / 9.0)
+def write_logs(tmp_path, seconds=90, stop_at=None, stop_len=5, step=1.0):
+    """Two logs up a meridian, a fix every `step` s; the follower optionally pauses mid-run."""
+    t = np.arange(round(seconds / step)) * step
+    leader_speed = 12.0 + 2.0 * np.sin(t / 9.0)
+    follower_speed = 12.0 + 2.0 * np.sin((t - 3) / 9.0)
     if stop_at is not None:
         follower_speed[stop_at:stop_at + stop_len] = 0.0
-    leader_lat = np.cumsum(np.concatenate([[100.0], leader_speed[:-1]])) * DEG_PER_FT
-    follower_lat = np.cumsum(np.concatenate([[0.0], follower_speed[:-1]])) * DEG_PER_FT
+    leader_lat = np.cumsum(np.concatenate([[100.0], leader_speed[:-1] * step])) * DEG_PER_FT
+    follower_lat = np.cumsum(np.concatenate([[0.0], follower_speed[:-1] * step])) * DEG_PER_FT
     leader = tmp_path / "leader.csv"
     follower = tmp_path / "follower.csv"
     leader.write_text("t,lat,lon\n" + "".join(
-        f"{i},{lat:.10f},0.0\n" for i, lat in enumerate(leader_lat)))
+        f"{ti:g},{lat:.10f},0.0\n" for ti, lat in zip(t, leader_lat)))
     follower.write_text("t,lat,lon\n" + "".join(
-        f"{i},{lat:.10f},0.0\n" for i, lat in enumerate(follower_lat)))
+        f"{ti:g},{lat:.10f},0.0\n" for ti, lat in zip(t, follower_lat)))
     return leader, follower
 
 
@@ -81,9 +82,8 @@ class TestIngest:
                      "--out", str(out)]) == 0
         data = json.loads(out.read_text())
         # the paired series, with the leader's start offset applied and recorded
-        assert set(data) == {"t", "leader", "follower", "dt", "leader_start_offset_ft"}
+        assert set(data) == {"t", "leader", "follower", "leader_start_offset_ft"}
         assert set(data["leader"]) == set(data["follower"]) == {"pos", "speed", "accel"}
-        assert data["dt"] == 1.0
         assert data["leader_start_offset_ft"] == pytest.approx(100.0, rel=1e-6)
         assert len(data["t"]) == len(data["leader"]["accel"]) == 90
         spacing = data["leader"]["pos"][0] - data["follower"]["pos"][0]
@@ -145,36 +145,15 @@ class TestIngest:
         assert exc.value.code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
-    def test_bad_dt_exits_one(self, tmp_path, capsys, dt):
+    def test_dt_flag_removed(self, tmp_path):
+        """Cleaning measures the cadence from the pair's times; a `--dt` flag is a usage error."""
         leader, follower = write_logs(tmp_path)
-        out = tmp_path / "out.json"
-        rc = main(["ingest", "--leader", str(leader), "--follower", str(follower),
-                   f"--dt={dt}", "--out", str(out)])
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert rc == 1
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "domain"
-        assert "dt must be a finite number > 0" in err["message"]
+        out = tmp_path / "pair.json"
+        with pytest.raises(SystemExit) as exc:
+            main(["ingest", "--leader", str(leader), "--follower", str(follower), "--dt", "1",
+                  "--out", str(out)])
+        assert exc.value.code == 2
         assert not out.exists()
-
-    @pytest.mark.parametrize("dt", [0, -1])
-    def test_clean_rejects_a_pair_with_bad_dt(self, tmp_path, capsys, dt):
-        leader, follower = write_logs(tmp_path)
-        pair = tmp_path / "pair.json"
-        assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
-                     "--out", str(pair)]) == 0
-        data = json.loads(pair.read_text())
-        data["dt"] = dt
-        pair.write_text(json.dumps(data))
-        rc = main(["clean", "--pair", str(pair), "--out", str(tmp_path / "segments.json")])
-        lines = capsys.readouterr().err.strip().splitlines()
-        assert rc == 1
-        assert len(lines) == 1
-        err = json.loads(lines[0])
-        assert err["error"] == "domain"
-        assert f"{pair}: pair JSON: dt must be a finite number > 0" in err["message"]
 
     def test_inputs_never_mutated(self, tmp_path):
         leader, follower = write_logs(tmp_path)
@@ -228,6 +207,47 @@ class TestCleanAndStats:
         assert err["error"] == "domain"
         assert err["message"].startswith(f"{pair}: {named}")
 
+    def test_step_above_one_and_a_half_median_steps_splits(self, tmp_path):
+        """2-Hz logs with one follower fix missing: with no flag, the 1.0-s step there is a gap."""
+        leader, follower = write_logs(tmp_path, seconds=60, step=0.5)
+        lines = follower.read_text().splitlines(keepends=True)
+        del lines[61]  # the fix at t = 30
+        follower.write_text("".join(lines))
+        pair, out = tmp_path / "pair.json", tmp_path / "segments.json"
+        assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                     "--out", str(pair)]) == 0
+        assert main(["clean", "--pair", str(pair), "--out", str(out)]) == 0
+        segments = json.loads(out.read_text())["segments"]
+        assert [(s["t"][0], s["t"][-1]) for s in segments] == [(0.0, 29.5), (30.5, 59.5)]
+        assert all(np.diff(s["t"]).max() == 0.5 for s in segments)
+
+    @pytest.mark.parametrize("dt", ["1.0", "7"])
+    def test_older_pair_dt_is_not_read(self, tmp_path, dt):
+        """A pair file of earlier versions carries `dt`; the times give the cadence instead."""
+        segments = run_pipeline_to_segments(tmp_path, stop_at=45)
+        pair = tmp_path / "pair.json"
+        old = tmp_path / "old-pair.json"
+        old.write_text('{"dt": %s, %s' % (dt, pair.read_text()[1:]))
+        out = tmp_path / "again.json"
+        assert main(["clean", "--pair", str(old), "--out", str(out)]) == 0
+        assert out.read_bytes() == segments.read_bytes()
+
+    @pytest.mark.filterwarnings("error")
+    def test_one_sample_pair_exits_one(self, tmp_path, capsys):
+        """One sample has no time step: no car-following, and no warning from a median of none."""
+        pair = tmp_path / "pair.json"
+        pair.write_text(json.dumps({
+            "t": [0.0], "leader": {"pos": [100.0], "speed": [10.0], "accel": [0.0]},
+            "follower": {"pos": [0.0], "speed": [10.0], "accel": [0.0]},
+            "leader_start_offset_ft": 0.0}))
+        out = tmp_path / "segments.json"
+        rc = main(["clean", "--pair", str(pair), "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "no-car-following"
+        assert not out.exists()
+
     @pytest.mark.parametrize("offset", ["1e400", '"x"', None], ids=["1e400", "string", "absent"])
     def test_recorded_leader_offset_is_not_read(self, tmp_path, offset):
         """The positions carry the offset already; clean reads neither it nor its type."""
@@ -264,6 +284,24 @@ class TestCleanAndStats:
         assert sorted(tmp_path.iterdir()) == sorted([leader, follower, pair,
                                                      Path(f"{pair}.manifest.json")])
 
+    @pytest.mark.parametrize("value", ["-1", "0", "1", "9"])
+    def test_min_segment_len_below_the_floor_exits_one(self, tmp_path, capsys, value):
+        """Below 10 samples, the least a segment holds, clean would cut segments it then rejects."""
+        leader, follower = write_logs(tmp_path)
+        pair = tmp_path / "pair.json"
+        assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                     "--out", str(pair)]) == 0
+        capsys.readouterr()
+        out = tmp_path / "segments.json"
+        rc = main(["clean", "--pair", str(pair), f"--min-segment-len={value}", "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "domain", "message":
+                                        f"min_segment_len must be at least 10 samples, got {value}"}
+        assert sorted(tmp_path.iterdir()) == sorted([leader, follower, pair,
+                                                     Path(f"{pair}.manifest.json")])
+
     def test_pair_times_out_of_range_exit_one(self, tmp_path):
         """Pair times beyond ±2^53, whose differences overflowed the float range."""
         n = 12
@@ -275,10 +313,9 @@ class TestCleanAndStats:
 
         pair = tmp_path / "pair.json"
         pair.write_text(json.dumps({"t": t, "leader": side(100.0), "follower": side(0.0),
-                                    "dt": 1.0, "leader_start_offset_ft": 100.0}))
+                                    "leader_start_offset_ft": 100.0}))
         err = one_error_line_from_fresh_process(
-            ["clean", "--pair", str(pair), "--min-segment-len", "3",
-             "--out", str(tmp_path / "segments.json")])
+            ["clean", "--pair", str(pair), "--out", str(tmp_path / "segments.json")])
         assert err == {"error": "domain", "message": f"{pair}: pair JSON t: -1.7e+308 at index 0 "
                                                      f"must be finite and within [-2^53, 2^53]"}
 
@@ -464,6 +501,17 @@ class TestSimulateValidateReport:
         with pytest.raises(SystemExit) as exc:
             main(["report", "--input", str(empty), "--kind", "stats"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [[], ["--input", "{empty}", "--benchmarks"]],
+                             ids=["neither", "both"])
+    def test_report_takes_exactly_one_source(self, tmp_path, capsys, flags):
+        """`--input` and `--benchmarks` exclude each other, and one of them is required."""
+        empty = tmp_path / "empty.json"
+        empty.write_text("{}")
+        with pytest.raises(SystemExit) as exc:
+            main(["report", *(flag.format(empty=empty) for flag in flags)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_report_empty_input_stub(self, tmp_path, capsys):
         empty = tmp_path / "empty.json"
@@ -745,7 +793,7 @@ class TestJsonInputContract:
     @pytest.mark.parametrize("command, target, text, named", [
         ("clean", "pair", "{not json", "not valid JSON"),
         ("clean", "pair", '{"t": [0, 1], "leader": {"pos": [9, 19], "speed": [10, 10], '
-                          '"accel": [0, 0]}, "dt": 1}', "{pair}: pair JSON lacks follower"),
+                          '"accel": [0, 0]}}', "{pair}: pair JSON lacks follower"),
         ("stats", "segments", "[1,2]", "JSON object"),
         ("stats", "segments", '{"segments": [{"id": "s", "t": [0, 1]}]}', "leader, follower"),
         ("stats", "segments", '{"segments": [{"id": "s", "t": 0, "leader": {"pos": 1, '
@@ -846,7 +894,6 @@ class TestJsonInputContract:
         ("validate", "segments", ["segments", 0, "t", 0], "segment"),
         ("clean", "pair", ["leader", "speed", 2], "{pair}: pair JSON leader speed: "),
         ("clean", "pair", ["t", 0], "{pair}: pair JSON t: "),
-        ("clean", "pair", ["dt"], "{pair}: pair JSON: dt must be finite"),
     ])
     @pytest.mark.parametrize("literal", ["1e400", "-1" + "0" * 400], ids=["1e400", "-1e400-int"])
     def test_out_of_range_number_exits_one(self, tmp_path, capsys, command, target, path,
@@ -966,7 +1013,7 @@ class TestJsonInputContract:
 
 PAIR_COLUMNS = [("t",)] + [(side, key) for side in ("leader", "follower")
                            for key in ("pos", "speed", "accel")]
-PAIR_KEYS = [("t",), ("leader",), ("follower",), ("dt",), ("leader_start_offset_ft",)] + \
+PAIR_KEYS = [("t",), ("leader",), ("follower",), ("leader_start_offset_ft",)] + \
     PAIR_COLUMNS[1:]
 # JSON text put in place of a value: a string, null, a list, a bool, a literal
 # beyond the float range, an integer beyond a double, the NaN token, and
@@ -1165,3 +1212,130 @@ class TestSegmentsFileFuzz:
                 assert len(lines) == 1, (command, captured.err)
                 assert set(json.loads(lines[0])) == {"error", "message"}
                 assert not out.exists(), command
+
+
+def assert_exit_contract(rc, captured, out: Path) -> dict | None:
+    """Exit 0 with no NaN or Infinity in out or its manifest, or exit 1 with one JSON line, no out.
+
+    Returns the error line's object, None on exit 0.
+    """
+    assert captured.out == ""
+    if rc == 0:
+        assert captured.err == ""
+        for path in (out, Path(f"{out}.manifest.json")):
+            text = path.read_text()
+            assert "NaN" not in text and "Infinity" not in text
+        return None
+    assert rc == 1
+    lines = captured.err.strip().splitlines()
+    assert len(lines) == 1, captured.err
+    err = json.loads(lines[0])
+    assert set(err) == {"error", "message"}
+    assert not out.exists()
+    return err
+
+
+# ---------------------------------------------------------------------------
+# `ingest` then `clean` over damaged CSV logs
+
+ZONES = st.one_of(st.none(), st.integers(-1439, 1439).map(
+    lambda minutes: timezone(timedelta(minutes=minutes))))
+# CSV cells: numbers, words, blanks, non-finite, out-of-range and huge values
+ODD_CELLS = st.one_of(
+    st.floats().map(repr),
+    st.integers(-2 ** 70, 2 ** 70).map(str),
+    st.sampled_from(["", " ", "nan", "NaN", "inf", "-inf", "1e400", "-1e400", "1" + "0" * 400,
+                     "north", "9007199254740993", "91", "-180.0000001", "1_0"]),
+)
+# epoch and ISO-8601 times, naive or with a zone offset
+TIME_CELLS = st.one_of(ODD_CELLS, st.datetimes(timezones=ZONES).map(datetime.isoformat))
+
+
+@st.composite
+def csv_log_pairs(draw):
+    """Leader and follower CSV texts: fixes up a meridian, the leader ahead, a few rows damaged."""
+    n = draw(st.integers(3, 40))
+    t0 = draw(st.sampled_from([0.0, 1.7e9]))
+    step = draw(st.sampled_from([0.5, 1.0, 2.0]))
+    texts = []
+    for ahead_deg in (3e-4, 0.0):  # about 109 ft, at about 15 ft/s
+        rows = [[repr(t0 + i * step), repr(28.37 + ahead_deg + i * 4e-5 * step), "-81.25"]
+                for i in range(n)]
+        for kind, i in draw(st.lists(st.tuples(
+                st.sampled_from(["time", "lat", "lon", "row", "delete"]), st.integers(0, n)),
+                max_size=3)):
+            if kind == "row":  # a blank, short, long or odd row
+                rows.insert(i, draw(st.lists(TIME_CELLS, max_size=5)))
+            elif i < len(rows) and kind == "delete":
+                del rows[i]
+            elif i < len(rows) and len(rows[i]) == 3:
+                column = ("time", "lat", "lon").index(kind)
+                rows[i][column] = draw(TIME_CELLS if column == 0 else ODD_CELLS)
+        texts.append("t,lat,lon\n" + "".join(",".join(row) + "\n" for row in rows))
+    return texts
+
+
+class TestCsvLogFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(logs=csv_log_pairs())
+    def test_ingest_and_clean_exit_zero_or_one_json_line(self, tmp_path, capsys, logs):
+        """Exit 0, or exit 1 with one JSON line on stderr; never a NaN or Infinity token."""
+        leader, follower = tmp_path / "leader.csv", tmp_path / "follower.csv"
+        pair, segments = tmp_path / "pair.json", tmp_path / "segments.json"
+        for path in (pair, segments):
+            path.unlink(missing_ok=True)
+        leader.write_text(logs[0])
+        follower.write_text(logs[1])
+        capsys.readouterr()
+        rc = main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                   "--out", str(pair)])
+        assert_exit_contract(rc, capsys.readouterr(), pair)
+        if rc == 0:
+            rc = main(["clean", "--pair", str(pair), "--out", str(segments)])
+            assert_exit_contract(rc, capsys.readouterr(), segments)
+
+
+# ---------------------------------------------------------------------------
+# `clean` over its four flags
+
+FLAG_FLOATS = st.one_of(
+    st.floats().map(repr),
+    st.floats(0.01, 1000.0).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "1e400", "-1e400", "0", "-0.0", "-1"]),
+)
+FLAG_INTS = st.one_of(st.integers(0, 60), st.integers(-10 ** 21, 10 ** 21),
+                      st.sampled_from([0, 9, 10, 10 ** 20]))
+
+
+@st.composite
+def clean_flags(draw):
+    """Each of clean's four flags, present or not, as `--flag=value`."""
+    flags = [f"--{name}={draw(FLAG_FLOATS)}"
+             for name in ("max-accel", "max-follower-speed", "max-spacing")
+             if draw(st.booleans())]
+    if draw(st.booleans()):
+        flags.append(f"--min-segment-len={draw(FLAG_INTS)}")
+    return flags
+
+
+class TestCleanFlagsFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(flags=clean_flags())
+    # a run of 9 samples, which a minimum of 9 kept as a segment that then failed its own check
+    @example(flags=["--max-accel=0.2", "--min-segment-len=9"])
+    def test_clean_exits_zero_or_one_json_line(self, base_pair, capsys, flags):
+        """Exit 0, or exit 1 with one JSON line on stderr; never a NaN or Infinity token.
+
+        The pair is valid, so a `domain` error names the flag at fault.
+        """
+        directory, _ = base_pair
+        out = directory / "flags-segments.json"
+        out.unlink(missing_ok=True)
+        capsys.readouterr()
+        rc = main(["clean", "--pair", str(directory / "pair.json"), *flags, "--out", str(out)])
+        err = assert_exit_contract(rc, capsys.readouterr(), out)
+        if err is not None and err["error"] != "no-car-following":
+            assert err["error"] == "domain", err
+            assert err["message"].startswith(("cleaning threshold", "min_segment_len")), err

@@ -259,8 +259,8 @@ class TestFileIO:
         assert follower_log.t[0] == 2.0
 
     def write_pair(self, path, dt=0.5):
-        leader = derive_kinematics(meridian_log(6, 14.0, dt=dt), vehicle_id="lead", dt=dt)
-        follower = derive_kinematics(meridian_log(6, 10.0, dt=dt), vehicle_id="shuttle", dt=dt)
+        leader = derive_kinematics(meridian_log(6, 14.0, dt=dt), vehicle_id="lead")
+        follower = derive_kinematics(meridian_log(6, 10.0, dt=dt), vehicle_id="shuttle")
         paired = pair_trajectories(leader, follower, leader_offset=120.0)
         write_pair_json(paired, 120.0, path)
         return paired
@@ -269,10 +269,9 @@ class TestFileIO:
         path = tmp_path / "pair.json"
         paired = self.write_pair(path)
         data = json.loads(path.read_text())
-        assert set(data) == {"t", "leader", "follower", "dt", "leader_start_offset_ft"}
+        assert set(data) == {"t", "leader", "follower", "leader_start_offset_ft"}
         assert set(data["leader"]) == set(data["follower"]) == {"pos", "speed", "accel"}
         loaded = read_pair_json(path)
-        assert loaded.dt == paired.dt == 0.5
         for name in ("t", "leader_pos", "leader_speed", "leader_accel",
                      "follower_pos", "follower_speed", "follower_accel"):
             assert getattr(loaded, name).tolist() == getattr(paired, name).tolist()
