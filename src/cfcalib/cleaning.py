@@ -1,15 +1,16 @@
 """Pairing, outlier removal, and calibration/validation splitting.
 
-A paired series aligns leader and follower samples on a common clock.
-`ingest` pairs the two trajectories once and writes the paired series
-as the pair JSON; `clean` reads it back and keeps only car-following
-samples (moving follower, leader in front and inside sensor range,
-plausible accelerations), grouping the survivors into contiguous
-segments; outliers split runs rather than being interpolated over, and
-so does a time step above 1.5x the series' own (lower) median step.
-A paired series and a segment share one column layout, written and
-read by one pair of functions for both the pair and the segments JSON.
-"""
+A paired series holds the leader's state at the follower's times,
+interpolated between leader fixes. `ingest` pairs the two trajectories
+once and writes the paired series as the pair JSON; `clean` reads it
+back and keeps only car-following samples (moving follower, leader in
+front and inside sensor range, plausible accelerations), grouping the
+survivors into contiguous segments; outliers split runs rather than
+being interpolated over. One gap rule, a time step above 1.5x the
+series' own (lower) median step, drops a follower time inside a leader
+gap when pairing and splits a run when cleaning. A paired series and a
+segment share one column layout, written and read by one pair of
+functions for both the pair and the segments JSON."""
 
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .ingest import (GpsLog, MAX_MAGNITUDE, Trajectory, geodesic_distance, requi
                      require_increasing)
 from .jsonio import read_json_object, require_keys, write_json
 
-PAIR_TOLERANCE_S = 0.1
 # the fewest samples a FollowingSegment holds, and so the floor of min_segment_len
 MIN_SEGMENT_SAMPLES = 10
 SIDES = ("leader", "follower")
@@ -139,28 +139,31 @@ class FollowingSegment:
         return self.leader_pos - self.follower_pos
 
 
-def _matches(lt: list[float], ft: list[float]):
-    """(leader index, follower index) of each matched sample pair, in time order.
+def _gaps(t: np.ndarray) -> np.ndarray:
+    """True for each step of `t` above 1.5x its median step, the lower one of an even count.
 
-    A follower sample matches the nearest of the unmatched leader samples
-    whose timestamps agree with its own within PAIR_TOLERANCE_S, the last
-    one on a tie; each sample joins at most one pair. Along sorted leader
-    times the distances fall, then rise, so stepping while the next one
-    is no greater finds the nearest even past a run of equal distances.
+    A duplicate fix a moment after another, or dropouts in up to half the
+    steps, leave that median unchanged. np.median would import numpy.ma
+    (about 10 ms per process), so the median comes from np.partition.
     """
-    li = fi = 0
-    while li < len(lt) and fi < len(ft):
-        d = lt[li] - ft[fi]
-        if d < -PAIR_TOLERANCE_S:
-            li += 1
-        elif d > PAIR_TOLERANCE_S:
-            fi += 1
-        elif li + 1 < len(lt) and abs(lt[li + 1] - ft[fi]) <= abs(d):
-            li += 1
-        else:
-            yield li, fi
-            li += 1
-            fi += 1
+    steps = np.diff(t)
+    k = (steps.size - 1) // 2
+    return steps > 1.5 * (np.partition(steps, k)[k] if steps.size else 0.0)
+
+
+def _paired(leader_t: np.ndarray, follower_t: np.ndarray) -> np.ndarray:
+    """True at each follower time equal to a leader fix or inside a leader step that is no gap.
+
+    Raises PairingError when no follower time is.
+    """
+    j = np.searchsorted(leader_t, follower_t)  # leader_t[j - 1] < t <= leader_t[j]
+    hit = leader_t[np.minimum(j, len(leader_t) - 1)] == follower_t
+    # step j runs from leader fix j - 1 to fix j; steps 0 and n lie outside the span
+    unbroken = np.concatenate(([False], ~_gaps(leader_t), [False]))
+    paired = hit | unbroken[j]
+    if not paired.any():
+        raise PairingError("no follower time lies in the leader log's span and outside its gaps")
+    return paired
 
 
 def pair_trajectories(
@@ -168,28 +171,25 @@ def pair_trajectories(
     follower: Trajectory,
     leader_offset: float = 0.0,
 ) -> PairedSeries:
-    """Match leader/follower samples whose timestamps agree within PAIR_TOLERANCE_S.
+    """The leader's state at the follower's times, interpolated linearly between leader fixes.
 
-    The paired grid uses the follower's timestamps; unmatched ends are
-    dropped. Each trajectory's positions start at its own first fix, so
-    `leader_offset` (ft) places the leader's origin ahead of the
-    follower's; `leader_start_offset` derives it from the two GPS logs.
-    Raises PairingError when the logs never overlap.
+    A follower time equal to a leader fix takes its values; any other is
+    dropped outside the leader's span or inside a gap of the leader's, the
+    steps at which `clean_segments` breaks runs. Each trajectory's positions
+    start at its own first fix, so `leader_offset` (ft) places the leader's
+    origin ahead of the follower's; `leader_start_offset` derives it from
+    the two GPS logs. Raises PairingError when no follower time pairs.
     """
-    # the merge reads Python floats: indexing numpy arrays per element costs 3x
-    flat = np.fromiter(chain.from_iterable(_matches(leader.t.tolist(), follower.t.tolist())),
-                       dtype=np.intp)
-    if not flat.size:
-        raise PairingError("leader and follower logs have no overlapping timestamps")
-    l_sel, f_sel = flat[0::2], flat[1::2]
+    keep = _paired(leader.t, follower.t)
+    t = follower.t[keep]
     return PairedSeries(
-        t=follower.t[f_sel],
-        leader_pos=leader.pos[l_sel] + leader_offset,
-        leader_speed=leader.speed[l_sel],
-        leader_accel=leader.accel[l_sel],
-        follower_pos=follower.pos[f_sel],
-        follower_speed=follower.speed[f_sel],
-        follower_accel=follower.accel[f_sel],
+        t=t,
+        leader_pos=np.interp(t, leader.t, leader.pos) + leader_offset,
+        leader_speed=np.interp(t, leader.t, leader.speed),
+        leader_accel=np.interp(t, leader.t, leader.accel),
+        follower_pos=follower.pos[keep],
+        follower_speed=follower.speed[keep],
+        follower_accel=follower.accel[keep],
     )
 
 
@@ -199,23 +199,24 @@ def leader_start_offset(
     leader_log: GpsLog,
     follower_log: GpsLog,
 ) -> float:
-    """`leader_offset` for `pair_trajectories`, from the fixes at the first common time.
+    """`leader_offset` for `pair_trajectories`, from the two logs at the first paired time.
 
-    The first pair `pair_trajectories` matches fixes the spacing: the
-    distance between the two fixes, negative when the leader lies behind
-    the follower along the follower's direction of travel, taken from its
-    first nonzero displacement from that fix (positive if it never moves
-    again). The offset is that spacing less the difference of the two
-    logs' own arc-length positions then. Each trajectory holds one sample
-    per fix. Raises PairingError when the logs never overlap.
+    There the leader's lat/lon and arc-length position are interpolated as
+    in pairing. The spacing is the distance from the follower's fix to the
+    leader, negative when the leader lies behind the follower along the
+    follower's direction of travel, taken from its first nonzero
+    displacement from that fix (positive if it never moves again). The
+    offset is that spacing less the difference of the two arc-length
+    positions then. Each trajectory holds one sample per fix. Raises
+    PairingError when no follower time pairs.
     """
-    first = next(_matches(leader.t.tolist(), follower.t.tolist()), None)
-    if first is None:
-        raise PairingError("leader and follower logs have no overlapping timestamps")
-    li, fi = first
+    fi = int(np.argmax(_paired(leader.t, follower.t)))
+    at = follower.t[fi]
     lat, lon = follower_log.lat, follower_log.lon
     here_lat, here_lon = float(lat[fi]), float(lon[fi])
-    ahead_lat, ahead_lon = float(leader_log.lat[li]), float(leader_log.lon[li])
+    ahead_lat = float(np.interp(at, leader.t, leader_log.lat))
+    # unwrapped, so that a step across the antimeridian is interpolated the short way
+    ahead_lon = float(np.interp(at, leader.t, np.unwrap(leader_log.lon, period=360.0)))
     spacing = float(geodesic_distance(here_lat, here_lon, ahead_lat, ahead_lon))
     # local east/north components; their scale does not matter for a sign
     cos_lat = math.cos(math.radians(here_lat))
@@ -230,16 +231,15 @@ def leader_start_offset(
         east, north = toward(ahead_lat, ahead_lon)
         if moved_east * east + moved_north * north < 0.0:
             spacing = -spacing
-    return spacing - float(leader.pos[li] - follower.pos[fi])
+    return spacing - float(np.interp(at, leader.t, leader.pos) - follower.pos[fi])
 
 
 def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None) -> list[FollowingSegment]:
     """Filter outliers and return maximal contiguous car-following segments.
 
-    A run breaks where a sample was dropped or where the time step exceeds
-    1.5x the median step, the lower one of an even count, which a
-    duplicate fix or dropouts in up to half the steps leave unchanged;
-    runs shorter than rules.min_segment_len are discarded. Raises
+    A run breaks where a sample was dropped or at a gap of the paired
+    times (`_gaps`, the rule pairing drops a follower time by); runs
+    shorter than rules.min_segment_len are discarded. Raises
     NoCarFollowingError when nothing survives.
     """
     if rules is None:
@@ -249,10 +249,7 @@ def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None) -> 
         raise DomainError("paired series is empty")
     keep = rules.keeps(paired.leader_accel, paired.follower_speed,
                        paired.follower_accel, paired.spacing)
-    steps = np.diff(paired.t)
-    # one sample has no step; np.median would import numpy.ma (about 10 ms per process)
-    k = (n - 2) // 2
-    gap = steps > 1.5 * (np.partition(steps, k)[k] if n > 1 else 0.0)
+    gap = _gaps(paired.t)
     # a sample joins the previous one when both are kept and no gap lies between
     joined = np.zeros(n, dtype=bool)
     joined[1:] = keep[1:] & keep[:-1] & ~gap

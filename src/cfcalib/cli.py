@@ -56,13 +56,15 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_path: Path, args: argparse.Namespace, inputs: list[Path],
-                    config_echo: dict | None = None, seeds: list[int] | None = None) -> None:
+                    config_echo: dict | None = None, seeds: list[int] | None = None,
+                    counts: dict | None = None) -> None:
     manifest = {
         "command": list(getattr(args, "_argv", [])),
         "subcommand": args.command,
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "config": config_echo or {},
         "seeds": seeds or [],
+        "counts": counts or {},
         "tool_version": __version__,
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
     }
@@ -96,9 +98,15 @@ def _cmd_ingest(args) -> int:
     leader = derive_kinematics(leader_log, vehicle_id=leader_src.stem)
     follower = derive_kinematics(follower_log, vehicle_id=follower_src.stem)
     offset = leader_start_offset(leader, follower, leader_log, follower_log)
+    paired = pair_trajectories(leader, follower, leader_offset=offset)
     out = Path(args.out)
-    write_pair_json(pair_trajectories(leader, follower, leader_offset=offset), offset, out)
-    _write_manifest(out, args, [leader_src, follower_src])
+    write_pair_json(paired, offset, out)
+    # a follower time that did not pair lies outside the leader's span or inside a leader gap
+    outside = int(((follower.t < leader.t[0]) | (follower.t > leader.t[-1])).sum())
+    _write_manifest(out, args, [leader_src, follower_src], counts={
+        "leader_fixes": len(leader), "follower_fixes": len(follower), "pairs": len(paired),
+        "dropped_outside_leader_span": outside,
+        "dropped_in_leader_gap": len(follower) - len(paired) - outside})
     return 0
 
 

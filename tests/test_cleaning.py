@@ -22,7 +22,7 @@ from cfcalib import (
     split_segments,
 )
 from cfcalib.cleaning import (
-    COLUMNS, PAIR_TOLERANCE_S, leader_start_offset, read_pair_json, read_segments_json,
+    COLUMNS, leader_start_offset, read_pair_json, read_segments_json,
     segments_from_dict, segments_to_dict, series_columns, series_to_dict, write_pair_json,
     write_segments_json)
 from cfcalib.fixtures import constant_leader_segment, rule_violation_series
@@ -75,10 +75,21 @@ class TestPairTrajectories:
         assert paired.spacing == pytest.approx(np.full(20, 100.0))
 
     def test_jitter_within_tolerance_matches(self):
+        # the follower's last time, 49.05 s, lies past the leader's last fix;
+        # at each other one the leader has gone 0.05 s further than at its fix
         leader = make_trajectory(0.0, 50)
         follower = make_trajectory(0.05, 50)
         paired = pair_trajectories(leader, follower)
-        assert len(paired) == 50
+        assert len(paired) == 49
+        assert paired.spacing == pytest.approx(np.full(49, 0.5))
+
+    def test_fix_at_a_gap_edge_pairs_and_times_inside_it_drop(self):
+        leader = make_trajectory(0.0, 20)
+        leader.t[10:] += 5.0  # a 6-s leader step from 9 s to 15 s
+        follower = make_trajectory(0.0, 25)
+        paired = pair_trajectories(leader, follower)
+        assert paired.t.tolist() == [*range(10), *range(15, 25)]
+        assert paired.leader_pos.tolist() == leader.pos.tolist()
 
     def test_disjoint_ranges_raise(self):
         leader = make_trajectory(0.0, 10)
@@ -133,6 +144,20 @@ class TestLeaderStartOffset:
         assert offset == geodesic_distance(follower_gps.lat[0], follower_gps.lon[0],
                                            leader_gps.lat[0], leader_gps.lon[0])
 
+    def test_interpolates_across_the_antimeridian(self):
+        # eastward along the equator, the leader 100 ft ahead and half a second
+        # out of phase; it crosses 180 degrees between its first two fixes,
+        # around the follower's first paired time
+        def equator_log(t, along):
+            lon = (180.0 - 110.0 * DEG_PER_FT + along * DEG_PER_FT + 180.0) % 360.0 - 180.0
+            return GpsLog(t, np.zeros(len(t)), lon)
+
+        lt, ft = 0.5 + np.arange(30.0), np.arange(30.0)
+        leader = (equator_log(lt, 100.0 + 12.0 * lt), None)
+        follower = (equator_log(ft, 12.0 * ft), None)
+        spacing = self.paired_spacing(leader, follower)
+        assert spacing == pytest.approx(np.full(29, 100.0), rel=1e-6)
+
     def test_disjoint_logs_raise(self):
         leader_gps, _ = meridian_log(0.0, 0.0, 10)
         follower_gps, _ = meridian_log(1000.0, 0.0, 10)
@@ -141,54 +166,91 @@ class TestLeaderStartOffset:
                                 leader_gps, follower_gps)
 
 
-def nearest_first_pair(lt, ft):
-    """(leader index, follower index) of the first common fix, by brute force.
+def interpolation_oracle(lt, lv, ft):
+    """(follower index, leader value) of each follower time that pairs, by a loop over leader fixes.
 
-    Each follower sample takes its nearest leader sample (the last on a
-    tie); the first follower sample whose match lies within the pairing
-    tolerance wins. None when no sample matches.
+    A follower time equal to a leader fix takes that fix's value. One
+    strictly between two fixes takes np.interp's line through them, unless
+    that step exceeds 1.5x the lower median step. Any other time is dropped.
     """
-    dist = np.abs(lt[None, :] - ft[:, None])
-    li = len(lt) - 1 - np.argmin(dist[:, ::-1], axis=1)
-    common = np.flatnonzero(dist[np.arange(len(ft)), li] <= PAIR_TOLERANCE_S)
-    if common.size == 0:
-        return None
-    return int(li[common[0]]), int(common[0])
+    median = sorted(b - a for a, b in zip(lt, lt[1:]))[(len(lt) - 2) // 2]
+    out = []
+    for i, t in enumerate(ft):
+        for k, x in enumerate(lt):
+            if x == t:
+                out.append((i, lv[k]))
+            elif k + 1 < len(lt) and x < t < lt[k + 1] and lt[k + 1] - x <= 1.5 * median:
+                slope = (lv[k + 1] - lv[k]) / (lt[k + 1] - x)
+                out.append((i, slope * (t - x) + lv[k]))
+    return out
 
 
-# strictly increasing times, on a 0.05-s grid (whose rounding puts pairs
-# right at the tolerance) or anywhere
+# strictly increasing times, on a 0.05-s grid (so that follower times hit
+# leader fixes) or anywhere (so that leader steps vary and some are gaps)
 TIMES = st.lists(st.one_of(st.integers(0, 200).map(lambda k: k * 0.05), st.floats(0.0, 10.0)),
                  min_size=2, max_size=40, unique=True).map(sorted)
+VALUES = st.lists(st.floats(-1e6, 1e6), min_size=40, max_size=40)
 
 
-class TestFirstPairMatchesBruteForce:
+class TestPairingMatchesInterpolationOracle:
     @settings(max_examples=300, deadline=None)
-    @given(lt=TIMES, ft=TIMES)
-    def test_offset_and_first_pair(self, lt, ft):
-        # parked vehicles keep the spacing fixed; the trajectories'
-        # positions are apart enough that the offset tells the pair
-        def parked(t, lat, step):
-            n = len(t)
-            zeros = np.zeros(n)
-            return (Trajectory("v", t, step * np.arange(n), zeros, zeros),
-                    GpsLog(t, np.full(n, lat), np.full(n, -83.0)))
-
-        leader, leader_log = parked(lt, 40.001, 1e3)
-        follower, follower_log = parked(ft, 40.0, 1e6)
-        first = nearest_first_pair(np.array(lt), np.array(ft))
-        if first is None:
+    @given(lt=TIMES, ft=TIMES, pos=VALUES, speed=VALUES)
+    def test_pairs_and_offset_bit_for_bit(self, lt, ft, pos, speed):
+        n, m = len(lt), len(ft)
+        accel = [1e3 * k for k in range(n)]
+        leader = Trajectory("leader", lt, pos[:n], speed[:n], accel)
+        # a parked follower: the spacing at the first pair is that between the two logs' fixes
+        follower = Trajectory("follower", ft, 1e6 * np.arange(m), np.zeros(m), np.zeros(m))
+        leader_log = GpsLog(lt, np.full(n, 40.001), np.full(n, -83.0))
+        follower_log = GpsLog(ft, np.full(m, 40.0), np.full(m, -83.0))
+        pairs = interpolation_oracle(lt, pos[:n], ft)
+        if not pairs:
             with pytest.raises(PairingError):
                 leader_start_offset(leader, follower, leader_log, follower_log)
             with pytest.raises(PairingError):
                 pair_trajectories(leader, follower)
             return
-        li, fi = first
+        fi = [i for i, _ in pairs]
+        paired = pair_trajectories(leader, follower, leader_offset=250.0)
+        assert paired.t.tolist() == [ft[i] for i in fi]
+        assert paired.follower_pos.tolist() == follower.pos[fi].tolist()
+        assert (np.array([v for _, v in pairs]) + 250.0).tobytes() == paired.leader_pos.tobytes()
+        for name, values in (("speed", speed[:n]), ("accel", accel)):
+            want = np.array([v for _, v in interpolation_oracle(lt, values, ft)])
+            assert want.tobytes() == getattr(paired, f"leader_{name}").tobytes(), name
         spacing = float(geodesic_distance(40.0, -83.0, 40.001, -83.0))
-        expected = spacing - float(leader.pos[li] - follower.pos[fi])
+        expected = spacing - float(pairs[0][1] - follower.pos[fi[0]])
         assert leader_start_offset(leader, follower, leader_log, follower_log) == expected
-        paired = pair_trajectories(leader, follower)
-        assert (paired.t[0], paired.leader_pos[0]) == (ft[fi], leader.pos[li])
+
+
+class TestOutOfPhaseLogs:
+    """A leader at 15 ft/s, then accelerating at 3 ft/s^2, logged out of phase with the follower.
+
+    Linear interpolation between 1-Hz fixes misses a constant-acceleration
+    path by at most a * h^2 / 8; nearest-fix pairing misses it by v * phase.
+    """
+
+    ACCEL = 3.0
+
+    def leader_along(self, t):
+        return 200.0 + 15.0 * t + 0.5 * self.ACCEL * np.maximum(t - 40.0, 0.0) ** 2
+
+    @pytest.mark.parametrize("phase", [0.0, 0.05, 0.2, 0.5])
+    def test_every_follower_time_in_span_pairs_within_the_bound(self, phase):
+        lt = phase + np.arange(80.0)
+        ft = np.arange(81.0)
+        follower_along = 12.0 * ft
+        leader_log = GpsLog(lt, 40.0 + self.leader_along(lt) * DEG_PER_FT, np.full(80, -83.0))
+        follower_log = GpsLog(ft, 40.0 + follower_along * DEG_PER_FT, np.full(81, -83.0))
+        leader, follower = derive_kinematics(leader_log), derive_kinematics(follower_log)
+        offset = leader_start_offset(leader, follower, leader_log, follower_log)
+        paired = pair_trajectories(leader, follower, leader_offset=offset)
+        inside = (ft >= lt[0]) & (ft <= lt[-1])
+        assert paired.t.tolist() == ft[inside].tolist()
+        truth = self.leader_along(paired.t) - 12.0 * paired.t
+        # a phase of 0.5 s reaches the bound, at the middle of each step; 1e-6 ft
+        # covers the round trip through degrees and the great-circle distance
+        assert np.abs(paired.spacing - truth).max() <= self.ACCEL * 1.0 ** 2 / 8.0 + 1e-6
 
 
 def brute_force_runs(keep_mask, min_len):

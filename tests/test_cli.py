@@ -105,6 +105,39 @@ class TestIngest:
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["leader_start_offset_ft"] == pytest.approx(-50.0, rel=1e-6)
 
+    def test_manifest_counts_the_pairs_and_the_dropped_follower_times(self, tmp_path):
+        # leader fixes 0-39 and 50-79 s: its 11-s step is a gap, which drops the
+        # follower's 40-49 s; the follower logs on to 89 s, past the leader's span
+        leader, follower = tmp_path / "leader.csv", tmp_path / "follower.csv"
+        leader.write_text("t,lat,lon\n" + "".join(
+            f"{i},{(100.0 + 12.0 * i) * DEG_PER_FT:.10f},0.0\n"
+            for i in [*range(40), *range(50, 80)]))
+        follower.write_text("t,lat,lon\n" + "".join(
+            f"{i},{12.0 * i * DEG_PER_FT:.10f},0.0\n" for i in range(90)))
+        out = tmp_path / "pair.json"
+        assert main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                     "--out", str(out)]) == 0
+        assert len(json.loads(out.read_text())["t"]) == 70
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["counts"] == {
+            "leader_fixes": 70, "follower_fixes": 90, "pairs": 70,
+            "dropped_outside_leader_span": 10, "dropped_in_leader_gap": 10}
+
+    def test_follower_inside_one_leader_gap_exits_one(self, tmp_path, capsys):
+        leader, follower = tmp_path / "leader.csv", tmp_path / "follower.csv"
+        leader.write_text("t,lat,lon\n" + "".join(
+            f"{i},{12.0 * i * DEG_PER_FT:.10f},0.0\n" for i in [*range(20), *range(60, 80)]))
+        follower.write_text("t,lat,lon\n" + "".join(
+            f"{i + 0.5},{12.0 * i * DEG_PER_FT:.10f},0.0\n" for i in range(25, 45)))
+        out = tmp_path / "pair.json"
+        rc = main(["ingest", "--leader", str(leader), "--follower", str(follower),
+                   "--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "pairing"
+        assert not out.exists()
+
     @pytest.mark.parametrize("missing", ["leader", "follower"])
     def test_missing_file_exits_one_and_names_path(self, tmp_path, capsys, missing):
         logs = dict(zip(("leader", "follower"), write_logs(tmp_path)))

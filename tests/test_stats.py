@@ -62,6 +62,16 @@ def pearson_oracle(x, y):
     return num / den
 
 
+# 2 to 500 values in runs of equal ones: ties, constant stretches, signed
+# zeros and magnitudes from subnormal to 1e150, whose squares describe's
+# std can sum
+RUNS = st.lists(
+    st.tuples(st.one_of(st.floats(-1e150, 1e150), st.sampled_from([0.0, -0.0, 1.0, 2.5])),
+              st.integers(1, 30)),
+    min_size=1, max_size=60,
+).map(lambda runs: [v for v, k in runs for _ in range(k)][:500]).filter(lambda x: len(x) >= 2)
+
+
 class TestDescribe:
     def test_constant_series(self):
         d = describe([2.0, 2.0, 2.0])
@@ -91,6 +101,13 @@ class TestDescribe:
     def test_needs_two(self):
         with pytest.raises(InsufficientDataError):
             describe([1.0])
+
+    @settings(max_examples=300, deadline=None)
+    @given(RUNS)
+    def test_quartiles_are_np_percentile_bit_for_bit(self, values):
+        d = describe(values)
+        want = np.percentile(np.array(values), [25, 50, 75])
+        assert np.array([d.q25, d.q50, d.q75]).tobytes() == want.tobytes()
 
 
 class TestShapiroWilk:
@@ -244,6 +261,17 @@ class TestNoScipyAtRunTime:
         """) == "0 False"
         normality = json.loads(out.read_text())["normality"]
         assert normality["speed"] is not None
+
+    def test_analyze_segments_leaves_numpy_ma_unloaded(self):
+        # np.percentile imports numpy.ma, about 10 ms per process
+        assert self.run_isolated("""
+            import sys
+            from cfcalib.fixtures import short_trip_segments
+            from cfcalib.models import default_params
+            from cfcalib.stats import analyze_segments
+            analyze_segments(short_trip_segments(default_params("idm"), n_trips=10))
+            print("numpy.ma" in sys.modules)
+        """) == "False"
 
     def test_no_scipy_import_in_src(self):
         problems = []
