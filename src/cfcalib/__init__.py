@@ -36,6 +36,7 @@ from .errors import (
 from .ingest import (
     GpsLog,
     Trajectory,
+    backward_rate,
     derive_kinematics,
     geodesic_distance,
     kinematics_from_positions,
@@ -55,7 +56,6 @@ from .models import (
 )
 from .sim import SimLimits, SimResult, simulate_all, simulate_follower
 from .stats import (
-    ComfortThresholds,
     DescriptiveStats,
     coefficient_of_variation,
     describe,

@@ -20,6 +20,7 @@ The fit report reads one pooled run of the best parameter set.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -28,7 +29,7 @@ import numpy as np
 
 from .cleaning import FollowingSegment, split_segments
 from .errors import CfCalibError, ConfigError, UndefinedStatisticError
-from .jsonio import is_finite_number, read_json_object
+from .jsonio import is_finite_number, is_seed, read_json_object
 from .models import GENE_BOUNDS, ModelParams, genes_table, genes_to_params, params_to_dict
 from .sim import SegmentSet, SimLimits
 
@@ -157,8 +158,7 @@ class GaConfig:
             raise ConfigError(f"population must be >= 4, got {self.population}")
         if self.max_generations < 1 or self.stall_generations < 1:
             raise ConfigError("generation counts must be >= 1")
-        if not isinstance(self.seeds, _SEQUENCES) or not all(
-                _is_int(s) and s >= 0 for s in self.seeds):
+        if not isinstance(self.seeds, _SEQUENCES) or not all(map(is_seed, self.seeds)):
             raise ConfigError(f"seeds must be a list of non-negative integers, got {self.seeds!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
@@ -172,6 +172,9 @@ class GaConfig:
             for lo, hi in self.bounds:
                 if not lo < hi:
                     raise ConfigError(f"infeasible gene bounds [{lo}, {hi}]")
+                # the initial population is drawn uniformly over hi - lo
+                if not math.isfinite(float(hi) - float(lo)):
+                    raise ConfigError(f"gene bounds [{lo}, {hi}] are wider than the float range")
 
     def bounds_for(self, kind: str) -> list[tuple[float, float]]:
         """One (low, high) pair per gene of the model kind."""

@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DomainError, NoCarFollowingError, PairingError, SplitError
 from .ingest import (GpsLog, MAX_MAGNITUDE, Trajectory, geodesic_distance, require_in_range,
                      require_increasing)
-from .jsonio import read_json_object, require_keys, write_json
+from .jsonio import is_seed, read_json_object, require_keys, write_json
 
 # the fewest samples a FollowingSegment holds, and so the floor of min_segment_len
 MIN_SEGMENT_SAMPLES = 10
@@ -277,11 +277,14 @@ def split_segments(
     """Deterministic segment-level split targeting `fraction` of total samples.
 
     Never splits inside a segment; both sides are guaranteed nonempty.
+    The seed must be a non-negative integer, as each GA seed must.
     """
     if len(segments) < 2:
         raise SplitError(f"need at least 2 segments to split, got {len(segments)}")
     if not 0.0 < fraction < 1.0:
         raise SplitError(f"fraction must be in (0, 1), got {fraction}")
+    if not is_seed(seed):
+        raise SplitError(f"split seed must be a non-negative integer, got {seed!r}")
     total = retained_samples(segments)
     target = fraction * total
     order = np.random.default_rng(seed).permutation(len(segments))

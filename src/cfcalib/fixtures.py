@@ -11,6 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .cleaning import MIN_SEGMENT_SAMPLES, FollowingSegment, PairedSeries
+from .ingest import backward_rate
 from .models import BlendParams, IdmParams, ModelParams, equilibrium_spacing
 from .sim import SimLimits, simulate_follower
 
@@ -179,9 +180,7 @@ def _respond_to_leader(params, seg_id, leader_speed, initial_spacing, base_speed
     leader_pos[0] = initial_spacing
     for i in range(1, n):
         leader_pos[i] = leader_pos[i - 1] + 0.5 * (leader_speed[i - 1] + leader_speed[i]) * dt
-    leader_accel = np.empty(n)
-    leader_accel[1:] = np.diff(leader_speed) / dt
-    leader_accel[0] = leader_accel[1]
+    leader_accel = backward_rate(leader_speed, t)
     bootstrap = FollowingSegment(
         id=f"boot-{seg_id}", t=t,
         leader_pos=leader_pos, leader_speed=leader_speed, leader_accel=leader_accel,

@@ -7,7 +7,7 @@ pair are parsed before either is built, so a parse error is reported
 before any out-of-range coordinate and the leader's errors before the
 follower's. Positions become cumulative arc
 length in feet (geodesic_distance, elementwise); speed and acceleration
-follow by successive backward differences. `cleaning.pair_trajectories`
+follow by backward_rate, the one rate rule. `cleaning.pair_trajectories`
 pairs the two trajectories, and the pair JSON holds the paired series,
 not the trajectories. Everything downstream works in feet and seconds.
 
@@ -133,15 +133,30 @@ def geodesic_distance(lat1, lon1, lat2, lon2):
     return EARTH_RADIUS_M * c * FT_PER_M
 
 
-def kinematics_from_positions(t: np.ndarray, pos: np.ndarray, vehicle_id: str = "") -> Trajectory:
-    """Derive speed and accel from a position series by backward differences.
+def backward_rate(values: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The rate of change of a series: each difference over its own time step.
 
-    Each difference is divided by its own time step. Each derivative level
-    k is valid from index k onward; the leading entries are filled by
-    replicating the first valid value, so constant acceleration reproduces
-    its ground truth at every index. The trajectory holds copies of `t`
-    and `pos`. Raises OrderingError unless the times strictly increase,
-    then DomainError where a derivative is not finite or beyond
+    rate[i] = (values[i] - values[i - 1]) / (t[i] - t[i - 1]) for i >= 1,
+    and rate[0] takes rate[1]. This is the one rate rule: speed,
+    acceleration and jerk, observed or simulated, all come from it. It
+    sets no floating-point error state; callers choose how to treat an
+    overflow.
+    """
+    rate = np.empty(len(values))
+    rate[1:] = np.diff(values) / np.diff(t)
+    rate[0] = rate[1]
+    return rate
+
+
+def kinematics_from_positions(t: np.ndarray, pos: np.ndarray, vehicle_id: str = "") -> Trajectory:
+    """Derive speed and accel from a position series by backward_rate.
+
+    Speed is the rate of the positions and acceleration the rate of the
+    speeds. Acceleration is valid from index 2 onward; its first two
+    entries take its third, so constant acceleration reproduces its
+    ground truth at every index. The trajectory holds copies of `t` and
+    `pos`. Raises OrderingError unless the times strictly increase, then
+    DomainError where a derivative is not finite or beyond
     ±MAX_MAGNITUDE, the rule `clean` applies to every pair column.
     """
     t = np.array(t, dtype=float)
@@ -151,16 +166,10 @@ def kinematics_from_positions(t: np.ndarray, pos: np.ndarray, vehicle_id: str = 
         raise InsufficientDataError(f"need at least 3 samples for acceleration, got {n}")
     # an overflow or a NaN is reported below as an error, never as a warning
     with np.errstate(all="ignore"):
-        steps = np.diff(t)
-        if not np.all(steps > 0):
+        if not np.all(np.diff(t) > 0):
             raise OrderingError("timestamps must be strictly increasing")
-
-        speed = np.empty(n)
-        speed[1:] = np.diff(pos) / steps
-        speed[0] = speed[1]
-
-        accel = np.empty(n)
-        accel[2:] = np.diff(speed[1:]) / steps[1:]
+        speed = backward_rate(pos, t)
+        accel = backward_rate(speed, t)
         accel[:2] = accel[2]
 
     for name, column in (("speed", speed), ("accel", accel)):
@@ -238,30 +247,15 @@ def _read_gps_rows(path: str | Path) -> tuple[list[float], list[float], list[flo
     return ts, lats, lons
 
 
-def _gps_log(columns: tuple[list[float], list[float], list[float]], t0: float) -> GpsLog:
-    """A GpsLog of parsed columns, its times shifted to elapsed seconds from t0."""
-    t, lat, lon = columns
-    return GpsLog(np.array(t) - t0, lat, lon)
-
-
-def read_gps_csv(path: str | Path, t0: float | None = None) -> GpsLog:
-    """Read a `t,lat,lon` CSV (header required) into a GPS log.
-
-    Timestamps may be epoch seconds or ISO-8601; they are normalized to
-    elapsed seconds from the first fix (or from an explicit t0 so two
-    logs can share a clock).
-    """
-    columns = _read_gps_rows(path)
-    return _gps_log(columns, columns[0][0] if t0 is None else t0)
-
-
 def read_gps_pair(leader_path: str | Path, follower_path: str | Path) -> tuple[GpsLog, GpsLog]:
-    """Read two logs on a shared clock: both normalized to the earlier first fix.
+    """Read two `t,lat,lon` CSVs (header required) on a shared clock.
 
-    Both files are parsed before either log is built, so a parse error in
-    either file is reported before any out-of-range coordinate.
+    Timestamps may be epoch seconds or ISO-8601; both logs are normalized
+    to elapsed seconds from the earlier first fix. Both files are parsed
+    before either log is built, so a parse error in either file is
+    reported before any out-of-range coordinate.
     """
     leader = _read_gps_rows(leader_path)
     follower = _read_gps_rows(follower_path)
     t0 = min(leader[0][0], follower[0][0])
-    return _gps_log(leader, t0), _gps_log(follower, t0)
+    return tuple(GpsLog(np.array(t) - t0, lat, lon) for t, lat, lon in (leader, follower))

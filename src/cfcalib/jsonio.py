@@ -158,6 +158,11 @@ def is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def is_seed(value) -> bool:
+    """True for an integer >= 0 that is not a bool: a seed np.random.default_rng takes."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 0
+
+
 def is_finite_number(value) -> bool:
     """True for a JSON number that is a finite double.
 

@@ -137,9 +137,15 @@ _DOMAIN = {
 
 
 def _check_domain(kind: str, values: dict) -> None:
-    """Raise DomainError with the message of the first check one parameter set fails."""
+    """Raise DomainError with the message of the first check one parameter set fails.
+
+    The predicates judge each value as the double it equals, as the
+    simulator runs it (numpy takes no int beyond int64); the message
+    shows the value as given.
+    """
+    doubles = {name: float(value) for name, value in values.items()}
     for holds, message in _DOMAIN[kind]:
-        if not holds(values):
+        if not holds(doubles):
             raise DomainError(message.format(**values))
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from .cleaning import FollowingSegment
 from .errors import ConfigError, DomainError
-from .ingest import MAX_MAGNITUDE, RANGE_RULE
+from .ingest import MAX_MAGNITUDE, RANGE_RULE, backward_rate
 from .jsonio import read_json_object, require_keys, require_numbers
 from .models import ModelParams, params_row
 
@@ -347,11 +347,8 @@ class SegmentSet:
         bounds = self._starts.tolist() + [self.samples]
         out = []
         for seg, lo, hi, hits in zip(self.segments, bounds, bounds[1:], collisions):
-            accel = np.empty(hi - lo)
-            accel[1:] = np.diff(speed[lo:hi]) / np.diff(seg.t)
-            accel[0] = accel[1]
-            out.append(SimResult(seg.t.copy(), pos[lo:hi], speed[lo:hi], accel, spacing[lo:hi],
-                                 int(hits)))
+            out.append(SimResult(seg.t.copy(), pos[lo:hi], speed[lo:hi],
+                                 backward_rate(speed[lo:hi], seg.t), spacing[lo:hi], int(hits)))
         return out
 
     def pooled_run(self, model: ModelParams):

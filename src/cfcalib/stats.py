@@ -15,12 +15,15 @@ import numpy as np
 
 from .cleaning import FollowingSegment
 from .errors import DomainError, InsufficientDataError, UndefinedStatisticError
+from .ingest import backward_rate
 
 # Jerk magnitudes above these to degrade ride comfort (ft/s^3): limit of
 # excellent comfort, upper bound for excellent, and the expected maximum.
+# The scale is fixed, so every report counts against the same thresholds.
 COMFORT_EXCELLENT = 0.92
 COMFORT_UPPER_EXCELLENT = 4.03
 COMFORT_EXPECTED = 4.82
+COMFORT_THRESHOLDS = (COMFORT_EXCELLENT, COMFORT_UPPER_EXCELLENT, COMFORT_EXPECTED)
 
 # Acceleration comfort threshold (ft/s^2); reported as an annotation only.
 ACCEL_COMFORT_THRESHOLD = 2.96
@@ -35,17 +38,6 @@ class DescriptiveStats:
     q50: float
     q75: float
     max: float
-
-
-@dataclass(frozen=True)
-class ComfortThresholds:
-    excellent: float = COMFORT_EXCELLENT
-    upper_excellent: float = COMFORT_UPPER_EXCELLENT
-    expected: float = COMFORT_EXPECTED
-
-    def __post_init__(self):
-        if not (0 < self.excellent < self.upper_excellent < self.expected):
-            raise DomainError("comfort thresholds must be strictly increasing and positive")
 
 
 def _quantiles(x: np.ndarray, fractions: tuple[float, ...]) -> list[float]:
@@ -234,30 +226,21 @@ def iqr_outlier_share(series) -> float:
     return float(np.count_nonzero((x < lo) | (x > hi)) / x.size)
 
 
-def jerk_comfort_shares(jerk, thresholds: ComfortThresholds | None = None) -> tuple[float, float, float]:
-    """Fractions of samples whose |jerk| strictly exceeds each comfort threshold."""
-    if thresholds is None:
-        thresholds = ComfortThresholds()
+def jerk_comfort_shares(jerk) -> tuple[float, float, float]:
+    """Fractions of samples whose |jerk| strictly exceeds each of COMFORT_THRESHOLDS."""
     x = np.abs(np.asarray(jerk, dtype=float))
     if x.size == 0:
         raise InsufficientDataError("jerk series is empty")
-    n = x.size
-    return (
-        float(np.count_nonzero(x > thresholds.excellent) / n),
-        float(np.count_nonzero(x > thresholds.upper_excellent) / n),
-        float(np.count_nonzero(x > thresholds.expected) / n),
-    )
+    return tuple(float(np.count_nonzero(x > threshold) / x.size)
+                 for threshold in COMFORT_THRESHOLDS)
 
 
 # ---------------------------------------------------------------------------
 # segment-level report
 
 def follower_jerk(segment: FollowingSegment) -> np.ndarray:
-    """Jerk of the follower, by backward differences of its acceleration."""
-    jerk = np.empty(len(segment))
-    jerk[1:] = np.diff(segment.follower_accel) / np.diff(segment.t)
-    jerk[0] = jerk[1]
-    return jerk
+    """Jerk of the follower: the backward_rate of its acceleration."""
+    return backward_rate(segment.follower_accel, segment.t)
 
 
 def _pooled(segments: list[FollowingSegment], getter) -> np.ndarray:
@@ -271,18 +254,13 @@ def _safe_cv(x) -> float | None:
         return None
 
 
-def _mean_outlier_share(segments, getter) -> float | None:
-    shares = []
-    for seg in segments:
-        x = np.asarray(getter(seg), dtype=float)
-        if x.size >= 4:
-            shares.append(iqr_outlier_share(x))
+def _mean_outlier_share(series) -> float | None:
+    """The mean iqr_outlier_share of the series (one per segment) with 4 or more samples."""
+    shares = [iqr_outlier_share(x) for x in series if x.size >= 4]
     return float(np.mean(shares)) if shares else None
 
 
-def analyze_segments(
-    segments: list[FollowingSegment], thresholds: ComfortThresholds | None = None
-) -> dict:
+def analyze_segments(segments: list[FollowingSegment]) -> dict:
     """Full exploratory report over cleaned segments.
 
     Covers descriptive statistics per variable, normality, the Spearman
@@ -297,15 +275,16 @@ def analyze_segments(
         raise InsufficientDataError("no segments to analyze")
     try:
         with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return _analyze(segments, thresholds or ComfortThresholds())
+            return _analyze(segments)
     except FloatingPointError as exc:
         raise DomainError(f"segment values too large for statistics ({exc})") from None
 
 
-def _analyze(segments: list[FollowingSegment], thresholds: ComfortThresholds) -> dict:
+def _analyze(segments: list[FollowingSegment]) -> dict:
     speed = _pooled(segments, lambda s: s.follower_speed)
     accel = _pooled(segments, lambda s: s.follower_accel)
-    jerk = _pooled(segments, follower_jerk)
+    jerks = [follower_jerk(s) for s in segments]
+    jerk = np.concatenate(jerks)
     spacing = _pooled(segments, lambda s: s.spacing)
     delta_speed = _pooled(segments, lambda s: s.follower_speed - s.leader_speed)
     leader_speed = _pooled(segments, lambda s: s.leader_speed)
@@ -335,20 +314,20 @@ def _analyze(segments: list[FollowingSegment], thresholds: ComfortThresholds) ->
 
     variability = {
         "speed": {
-            "leader": {"cv": _safe_cv(leader_speed),
-                       "mean_outlier_share": _mean_outlier_share(segments, lambda s: s.leader_speed)},
-            "follower": {"cv": _safe_cv(speed),
-                         "mean_outlier_share": _mean_outlier_share(segments, lambda s: s.follower_speed)},
+            "leader": {"cv": _safe_cv(leader_speed), "mean_outlier_share":
+                       _mean_outlier_share(s.leader_speed for s in segments)},
+            "follower": {"cv": _safe_cv(speed), "mean_outlier_share":
+                         _mean_outlier_share(s.follower_speed for s in segments)},
         },
         "accel": _signed_variability(accel, leader_accel),
         "jerk": {
             "follower_plus": {"cv": _safe_cv(jerk[jerk > 0])},
             "follower_minus": {"cv": _safe_cv(jerk[jerk < 0])},
-            "follower_outlier_share": _mean_outlier_share(segments, follower_jerk),
+            "follower_outlier_share": _mean_outlier_share(jerks),
         },
     }
 
-    shares = jerk_comfort_shares(jerk, thresholds)
+    shares = jerk_comfort_shares(jerk)
     return {
         "n_segments": len(segments),
         "n_samples": int(speed.size),
@@ -357,7 +336,7 @@ def _analyze(segments: list[FollowingSegment], thresholds: ComfortThresholds) ->
         "spearman": {"variables": corr_names, "matrix": matrix},
         "variability": variability,
         "jerk_comfort": {
-            "thresholds": [thresholds.excellent, thresholds.upper_excellent, thresholds.expected],
+            "thresholds": list(COMFORT_THRESHOLDS),
             "shares": list(shares),
         },
         "annotations": {"accel_comfort_threshold": ACCEL_COMFORT_THRESHOLD},

@@ -1034,6 +1034,43 @@ class TestJsonInputContract:
         assert json.loads(lines[0])["error"] == "config"
         assert not (tmp_path / "out.json").exists()
 
+    @pytest.mark.parametrize("command, target, value, flags, expected", [
+        # numpy's generator raised ValueError for a negative seed
+        ("calibrate", None, None, ["--split-seed", "-1"],
+         {"error": "split", "message": "split seed must be a non-negative integer, got -1"}),
+        # an integer delta beyond int64 made numpy's isfinite raise TypeError;
+        # it runs as the double it equals, as "delta": 1e30 does
+        ("simulate", "model", {"model": "idm", "a": 2.7, "delta": 10 ** 30, "v0": 20, "s0": 9,
+                               "T": 2.7, "b": 24}, [], None),
+        # genes_to_params rounded such a delta to a 301-digit int, with the same TypeError
+        ("calibrate", "config", {"population": 4, "max_generations": 1, "seeds": [0],
+                                 "bounds": {1: [1e300, 1e301]}}, [], None),
+        # finite bounds whose width overflows: rng.uniform raised OverflowError
+        ("calibrate", "config", {"population": 4, "max_generations": 1, "seeds": [0],
+                                 "bounds": {0: [-1e308, 1e308]}}, [],
+         {"error": "config",
+          "message": "gene bounds [-1e+308, 1e+308] are wider than the float range"}),
+    ], ids=["negative-split-seed", "int-delta-beyond-int64", "delta-bounds-beyond-int64",
+            "bounds-width-overflows"])
+    def test_former_tracebacks_keep_the_contract(self, tmp_path, capsys, command, target,
+                                                 value, flags, expected):
+        """Exit 0, or exit 1 with the one JSON line expected; never a traceback."""
+        from cfcalib.models import GENE_BOUNDS
+
+        inputs = self.write_inputs(tmp_path)
+        if target == "config":
+            bounds = [[lo, hi] for _, lo, hi, _ in GENE_BOUNDS["idm"]]
+            for gene, pair in value["bounds"].items():
+                bounds[gene] = pair
+            value = {**value, "bounds": bounds}
+        if target is not None:
+            inputs[target].write_text(json.dumps(value))
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        rc = main(argv + flags + ["--out", str(out)])
+        assert assert_exit_contract(rc, capsys.readouterr(), out) == expected
+
     def test_valid_inputs_pass(self, tmp_path):
         inputs = self.write_inputs(tmp_path)
         for command, template in self.COMMANDS.items():

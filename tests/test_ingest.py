@@ -15,13 +15,23 @@ from cfcalib import (
     GpsLog,
     InsufficientDataError,
     OrderingError,
+    backward_rate,
     derive_kinematics,
     geodesic_distance,
     kinematics_from_positions,
 )
-from cfcalib.cleaning import pair_trajectories, read_pair_json, write_pair_json
+from cfcalib.cleaning import FollowingSegment, pair_trajectories, read_pair_json, write_pair_json
+from cfcalib.fixtures import short_trip_segments
+from cfcalib.models import default_params
+from cfcalib.sim import SegmentSet
+from cfcalib.stats import follower_jerk
 from cfcalib.cli import main
-from cfcalib.ingest import _parse_time, read_gps_csv, read_gps_pair
+from cfcalib.ingest import _parse_time, _read_gps_rows, read_gps_pair
+
+def read_gps_log(path):
+    """One log on its own clock: the leader of a pair whose two logs are the same file."""
+    return read_gps_pair(path, path)[0]
+
 
 # one degree of meridian arc is 69 miles to within spherical-model error
 MERIDIAN_DEG_FT = 364_320.0
@@ -175,6 +185,40 @@ class TestDeriveKinematics:
         assert traj.t[0] == 0.0 and traj.pos[0] == 0.0
 
 
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+class TestBackwardRate:
+    def test_each_difference_over_its_own_step(self):
+        t = np.array([0.0, 0.5, 2.0, 2.25, 4.0])
+        values = np.array([1.0, 2.0, 8.0, 7.0, 14.0])
+        # the first entry takes the second's
+        assert backward_rate(values, t).tolist() == [2.0, 2.0, 4.0, -4.0, 4.0]
+
+    def test_every_rate_is_backward_rate(self):
+        """Speed, acceleration, simulated acceleration and jerk all come from backward_rate."""
+        rng = np.random.default_rng(3)
+        # uneven steps, all multiples of the simulation step 0.5 s
+        t = np.cumsum(rng.choice([0.5, 1.0, 1.5], 40))
+        follower = kinematics_from_positions(t, np.cumsum(rng.uniform(2.0, 8.0, 40)))
+        speed = backward_rate(follower.pos, t)
+        accel = backward_rate(speed, t)
+        accel[:2] = accel[2]
+        assert hexes(follower.speed) == hexes(speed)
+        assert hexes(follower.accel) == hexes(accel)
+
+        leader = kinematics_from_positions(t, follower.pos + 80.0 + rng.uniform(0.0, 5.0, 40))
+        segment = FollowingSegment("uneven", t, leader.pos, leader.speed, leader.accel,
+                                   follower.pos, follower.speed, follower.accel)
+        sim = SegmentSet([segment], dt=0.5).results(default_params("idm"))[0]
+        assert hexes(sim.follower_accel) == hexes(backward_rate(sim.follower_speed, t))
+        assert hexes(follower_jerk(segment)) == hexes(backward_rate(follower.accel, t))
+
+        trip = short_trip_segments(default_params("idm"), n_trips=1)[0]
+        assert hexes(trip.leader_accel) == hexes(backward_rate(trip.leader_speed, trip.t))
+
+
 @pytest.fixture
 def host_tz(monkeypatch):
     """Set the process time zone (a POSIX TZ string); restored afterwards."""
@@ -190,7 +234,7 @@ class TestFileIO:
     def test_csv_round_trip(self, tmp_path):
         csv_path = tmp_path / "log.csv"
         csv_path.write_text("t,lat,lon\n0,28.37,-81.25\n1,28.3701,-81.25\n2,28.3702,-81.25\n3,28.3703,-81.25\n")
-        log = read_gps_csv(csv_path)
+        log = read_gps_log(csv_path)
         assert len(log) == 4
         assert log.t[0] == 0.0
 
@@ -203,7 +247,7 @@ class TestFileIO:
             "2024-05-01T10:00:02,28.3702,-81.25\n"
             "2024-05-01T10:00:03,28.3703,-81.25\n"
         )
-        assert read_gps_csv(csv_path).t.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert read_gps_log(csv_path).t.tolist() == [0.0, 1.0, 2.0, 3.0]
 
     @pytest.mark.parametrize("zone", ["UTC0", "EST5EDT,M3.2.0,M11.1.0", "JST-9"])
     def test_naive_iso_times_read_as_utc(self, tmp_path, host_tz, zone):
@@ -215,7 +259,7 @@ class TestFileIO:
         aware.write_text("t,lat,lon\n" + "".join(
             f"2024-05-01T12:00:0{i}+02:00,{28.37 + i * 1e-4},-81.25\n" for i in range(4)))
         epoch = 1714557600.0  # 2024-05-01T10:00:00Z
-        assert read_gps_csv(naive, t0=0.0).t.tolist() == [epoch + i for i in range(4)]
+        assert _read_gps_rows(naive)[0] == [epoch + i for i in range(4)]
         leader, follower = read_gps_pair(naive, aware)
         assert leader.t.tolist() == follower.t.tolist() == [0.0, 1.0, 2.0, 3.0]
 
@@ -223,7 +267,7 @@ class TestFileIO:
         csv_path = tmp_path / "log.csv"
         csv_path.write_text("t,lat,lon\n0,28.37,-81.25\n\n1,28.3701,-81.25\n,,\n"
                             " , ,\t\n2,28.3702,-81.25\n,\n3,28.3703,-81.25\n")
-        log = read_gps_csv(csv_path)
+        log = read_gps_log(csv_path)
         assert list(zip(log.t.tolist(), log.lat.tolist())) == [
             (0.0, 28.37), (1.0, 28.3701), (2.0, 28.3702), (3.0, 28.3703)]
 
@@ -234,10 +278,10 @@ class TestFileIO:
         beyond = float(np.nextafter(bound, sign * np.inf))
         rows = "".join(f"{i},{28.37 + i * 1e-4},-81.25\n" for i in range(1, 4))
         csv_path.write_text(f"t,lat,lon\n{bound!r},28.37,-81.25\n" + rows)
-        assert read_gps_csv(csv_path, t0=0.0).t.tolist() == [bound, 1.0, 2.0, 3.0]
+        assert _read_gps_rows(csv_path)[0] == [bound, 1.0, 2.0, 3.0]
         csv_path.write_text(f"t,lat,lon\n{beyond!r},28.37,-81.25\n" + rows)
         with pytest.raises(DomainError) as exc:
-            read_gps_csv(csv_path)
+            read_gps_log(csv_path)
         assert str(exc.value) == (f"{csv_path}:2: timestamp {beyond!r} "
                                   f"must be finite and within [-2^53, 2^53]")
 
@@ -245,7 +289,7 @@ class TestFileIO:
         csv_path = tmp_path / "log.csv"
         csv_path.write_text("time,latitude,longitude\n0,28.37,-81.25\n")
         with pytest.raises(DomainError):
-            read_gps_csv(csv_path)
+            read_gps_log(csv_path)
 
     def test_pair_shares_clock(self, tmp_path):
         leader = tmp_path / "leader.csv"
@@ -520,11 +564,11 @@ def csv_dir(tmp_path_factory):
 class TestColumnarReaderMatchesRowWise:
     @settings(max_examples=300, deadline=None)
     @given(text=csv_texts())
-    def test_read_gps_csv(self, csv_dir, text):
+    def test_one_log(self, csv_dir, text):
         path = csv_dir / "log.csv"
         path.write_text(text)
         expected = outcome(oracle_read_csv, path)
-        got = outcome(read_gps_csv, path)
+        got = outcome(read_gps_log, path)
         if isinstance(expected, list):
             assert log_columns(got) == hex_columns(expected)
         else:

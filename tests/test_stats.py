@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cfcalib import (
-    ComfortThresholds,
     DomainError,
     InsufficientDataError,
     UndefinedStatisticError,
@@ -331,21 +330,6 @@ class TestJerkComfortShares:
     def test_magnitude_comparison(self):
         # braking jerks count the same as accelerating ones
         assert jerk_comfort_shares([-5.0, 5.0]) == (1.0, 1.0, 1.0)
-
-    @given(scale=st.floats(0.1, 10.0))
-    def test_scale_consistency(self, scale):
-        jerk = np.array([0.4, 1.5, 3.0, 4.5, 6.0])
-        base = jerk_comfort_shares(jerk)
-        scaled = jerk_comfort_shares(jerk * scale, ComfortThresholds(
-            excellent=0.92 * scale,
-            upper_excellent=4.03 * scale,
-            expected=4.82 * scale,
-        ))
-        assert base == scaled
-
-    def test_thresholds_must_increase(self):
-        with pytest.raises(DomainError):
-            ComfortThresholds(excellent=5.0, upper_excellent=4.0, expected=6.0)
 
 
 class TestAnalyzeSegments:
