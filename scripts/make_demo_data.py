@@ -43,7 +43,7 @@ def write_logs(out_dir: Path, seconds: int, seed: int) -> tuple[Path, Path]:
         rows = ["t,lat,lon\n"]
         rows += [f"{i},{BASE_LAT + d * DEG_PER_FT:.10f},{BASE_LON}\n"
                  for i, d in enumerate(along)]
-        path.write_text("".join(rows))
+        path.write_text("".join(rows), encoding="utf-8")
     return leader_path, follower_path
 
 

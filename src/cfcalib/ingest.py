@@ -1,13 +1,18 @@
 """GPS log ingestion: geodesic distances and derived kinematics.
 
 Raw logs are latitude/longitude fixes, 1 Hz in the field data; the times
-give the cadence. A CSV is parsed straight into a GpsLog, one float
-array per column (t, lat, lon), with no object per fix; both logs of a
-pair are parsed before either is built, so a parse error is reported
-before any out-of-range coordinate and the leader's errors before the
-follower's. Positions become cumulative arc
-length in feet (geodesic_distance, elementwise); speed and acceleration
-follow by backward_rate, the one rate rule. `cleaning.pair_trajectories`
+give the cadence. A CSV log is UTF-8 text. One that holds only plain
+numbers is parsed in one np.loadtxt pass into a GpsLog, one float array
+per column (t, lat, lon), with no object per fix. Any other log (ISO-8601
+times, quoted cells, rows of only spaces or commas, a fault) is read
+again from the top by the row-wise reader, which gives the same columns
+or names the first bad line; a byte that is not UTF-8, or a cell longer
+than csv's field limit, is a fault of its line whichever reader meets
+it. Both logs of a pair are parsed before either is built, so a parse
+error is reported before any out-of-range coordinate and the leader's
+errors before the follower's. Positions become cumulative arc length in
+feet (geodesic_distance, elementwise); speed and acceleration follow by
+backward_rate, the one rate rule. `cleaning.pair_trajectories`
 pairs the two trajectories, and the pair JSON holds the paired series,
 not the trajectories. Everything downstream works in feet and seconds.
 
@@ -21,6 +26,8 @@ values overflows, so nothing downstream guards a subtraction.
 from __future__ import annotations
 
 import csv
+import io
+import warnings
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -214,37 +221,113 @@ def _parse_time(text: str) -> float:
     return value
 
 
-def _read_gps_rows(path: str | Path) -> tuple[list[float], list[float], list[float]]:
-    """The time, latitude and longitude columns of a `t,lat,lon` CSV, as parsed."""
-    path = Path(path)
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InsufficientDataError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != ["t", "lat", "lon"]:
-            raise DomainError(f"{path}: header must be exactly 't,lat,lon', got {header}")
-        ts, lats, lons = [], [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) == 3:
-                try:
-                    t, lat, lon = _parse_time(row[0]), float(row[1]), float(row[2])
-                except ValueError as exc:
-                    problem = str(exc)
-                else:
-                    ts.append(t)
-                    lats.append(lat)
-                    lons.append(lon)
-                    continue
+# the characters of an all-numeric log body: a cell of only these reads
+# to the same double by float() and by np.loadtxt, which also strips, say,
+# "\x1c" around a number where float() refuses it
+_NUMERIC_TEXT = b"0123456789+-.eE, \t\r\n"
+
+
+def _numeric_columns(body: str) -> np.ndarray | None:
+    """The (3, n) columns of an all-numeric log body, parsed by one np.loadtxt call.
+
+    None where the row-wise reader must decide: any error or warning
+    from loadtxt (an ISO-8601 time fails at once), no rows, other than 3
+    columns, a time beyond ±MAX_MAGNITUDE or not finite, a character
+    outside _NUMERIC_TEXT, or a line that may be longer than csv's field
+    limit (csv refuses such a cell, loadtxt does not). On every other
+    body the two readers give the same doubles.
+    """
+    if not body.isascii():
+        return None
+    raw = body.encode("ascii")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # loadtxt warns of a body with no rows
+            table = np.loadtxt(io.BytesIO(raw), delimiter=",", comments=None, ndmin=2,
+                               encoding="ascii")
+    except Exception:  # what loadtxt refuses, the row-wise reader judges
+        return None
+    if table.shape[1] != 3 or not len(table) or not np.all(np.abs(table[:, 0]) <= MAX_MAGNITUDE):
+        return None
+    if raw.translate(None, _NUMERIC_TEXT):
+        return None
+    # a line longer than csv's field limit spans a whole block of half that
+    # length, so a block with no line break sends the body to the row-wise
+    # reader (as does a line of between half the limit and all of it)
+    block = max(csv.field_size_limit() // 2, 1)
+    if any(raw.find(b"\n", start, start + block) < 0 and raw.find(b"\r", start, start + block) < 0
+           for start in range(0, len(raw) - block + 1, block)):
+        return None
+    return table.T.copy()
+
+
+def _not_utf8(row: list[str]) -> str | None:
+    """The row as bytes, named, if some are not UTF-8; errors="surrogateescape" kept them."""
+    raw = ",".join(row).encode("utf-8", "surrogateescape")
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError:
+        return f"not UTF-8 text: {raw!r}"
+    return None
+
+
+def _parse_rows(reader, path: Path) -> np.ndarray:
+    """The (3, n) columns of the rows after the header, read row by row; names the first bad row."""
+    ts, lats, lons = [], [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) == 3:
+            try:
+                t, lat, lon = _parse_time(row[0]), float(row[1]), float(row[2])
+            except ValueError as exc:
+                problem = str(exc)
             else:
-                problem = f"expected 3 columns, got {len(row)}"
-            # only a row that did not parse can be blank; blank rows are skipped
-            if any(cell.strip() for cell in row):
-                raise DomainError(f"{path}:{lineno}: {problem}")
+                ts.append(t)
+                lats.append(lat)
+                lons.append(lon)
+                continue
+        else:
+            problem = f"expected 3 columns, got {len(row)}"
+        # only a row that did not parse can be blank; blank rows are skipped
+        if any(cell.strip() for cell in row):
+            raise DomainError(f"{path}:{lineno}: {_not_utf8(row) or problem}")
     if not ts:
         raise InsufficientDataError(f"{path}: no data rows")
-    return ts, lats, lons
+    return np.array([ts, lats, lons])
+
+
+def _read_header(reader, path: Path) -> None:
+    """Read the header row and require it to be `t,lat,lon` (any case, spaces around names)."""
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InsufficientDataError(f"{path}: empty file") from None
+    if [h.strip().lower() for h in header] != ["t", "lat", "lon"]:
+        raise DomainError(f"{path}: header must be exactly 't,lat,lon', got {header}")
+
+
+def _read_gps_rows(path: str | Path) -> np.ndarray:
+    """The time, latitude and longitude columns of a `t,lat,lon` CSV, as parsed, one row each.
+
+    An all-numeric body takes one np.loadtxt call; any other (ISO-8601
+    times, quoted cells, rows of only spaces or commas, a fault) is read
+    again from the top by the row-wise reader, which gives the same
+    columns or names the first bad row. A byte that is not UTF-8 is a
+    fault of its row.
+    """
+    path = Path(path)
+    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
+        reader = csv.reader(handle)
+        try:
+            _read_header(reader, path)
+            columns = _numeric_columns(handle.read())
+            if columns is None:
+                handle.seek(0)
+                reader = csv.reader(handle)
+                _read_header(reader, path)
+                columns = _parse_rows(reader, path)
+        except csv.Error as exc:  # e.g. a cell longer than csv.field_size_limit()
+            raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
+    return columns
 
 
 def read_gps_pair(leader_path: str | Path, follower_path: str | Path) -> tuple[GpsLog, GpsLog]:

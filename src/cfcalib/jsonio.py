@@ -44,18 +44,24 @@ from .errors import DomainError
 
 @contextmanager
 def _replacing(path: str | Path):
-    """A text handle on a temporary file in path's directory that replaces path on success.
+    """A UTF-8 text handle on a temporary file in path's directory that replaces path on success.
 
     Readers see the old file or the new one, never a partial write; on
     any failure the temporary file is removed and the target is untouched.
+    The path is named in UTF-8 whatever the host's locale, as its text
+    is written: a figure's name holds a segment id, which may hold any
+    character. surrogateescape gives back the bytes of a path that came
+    from the command line.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+    directory, name = (str(part).encode("utf-8", "surrogateescape")
+                       for part in (path.parent, path.name))
+    os.makedirs(directory, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory, prefix=b"." + name + b".", suffix=b".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
             yield handle
-        os.replace(tmp, path)
+        os.replace(tmp, os.path.join(directory, name))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
@@ -136,7 +142,7 @@ def read_json_object(path: str | Path, what: str) -> dict:
     """Parse `path`, which must hold one JSON object describing `what`."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(), parse_constant=_reject_constant)
+        data = json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
     except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise DomainError(f"{path}: {what} is not valid JSON ({exc})") from None
     if not isinstance(data, dict):

@@ -400,5 +400,5 @@ def default_params(kind: str) -> ModelParams:
     """Bundled parameter sets calibrated for a low-speed autonomous shuttle."""
     if kind not in MODEL_KINDS:
         raise DomainError(f"unknown model kind {kind!r}")
-    text = resources.files("cfcalib.data").joinpath(f"default_{kind}.json").read_text()
-    return params_from_dict(json.loads(text))
+    data = resources.files("cfcalib.data").joinpath(f"default_{kind}.json")
+    return params_from_dict(json.loads(data.read_text(encoding="utf-8")))

@@ -34,7 +34,7 @@ _STATS_NUMBERS = (
 
 def load_benchmarks() -> dict:
     """Bundled field-deployment benchmark numbers (stats and model errors)."""
-    text = resources.files("cfcalib.data").joinpath("benchmarks.json").read_text()
+    text = resources.files("cfcalib.data").joinpath("benchmarks.json").read_text(encoding="utf-8")
     return json.loads(text)
 
 

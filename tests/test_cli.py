@@ -788,6 +788,7 @@ class TestCalibrateCli:
 
 class TestJsonInputContract:
     COMMANDS = {
+        "ingest": ["ingest", "--leader", "{leader}", "--follower", "{follower}"],
         "clean": ["clean", "--pair", "{pair}"],
         "stats": ["stats", "--segments", "{segments}"],
         "simulate": ["simulate", "--model", "{model}", "--segments", "{segments}",
@@ -802,7 +803,8 @@ class TestJsonInputContract:
         from cfcalib.models import default_params, write_params
 
         segments = run_pipeline_to_segments(tmp_path, stop_at=45)
-        inputs = {"pair": tmp_path / "pair.json", "segments": segments,
+        inputs = {"leader": tmp_path / "leader.csv", "follower": tmp_path / "follower.csv",
+                  "pair": tmp_path / "pair.json", "segments": segments,
                   "model": tmp_path / "model.json", "limits": tmp_path / "limits.json",
                   "config": tmp_path / "ga.json", "report": tmp_path / "stats.json"}
         write_params(default_params("idm"), inputs["model"])
@@ -1050,8 +1052,16 @@ class TestJsonInputContract:
                                  "bounds": {0: [-1e308, 1e308]}}, [],
          {"error": "config",
           "message": "gene bounds [-1e+308, 1e+308] are wider than the float range"}),
+        # a log byte that is not UTF-8 raised UnicodeDecodeError
+        ("ingest", "leader", b"t,lat,lon\n0,28.1,-81.2\n1,28.1\xff,-81.2\n2,28.1,-81.2\n", [],
+         {"error": "domain", "message": "{leader}:3: not UTF-8 text: b'1,28.1\\xff,-81.2'"}),
+        # csv raised _csv.Error for a cell over its field limit; np.loadtxt
+        # would read this one as a number, and must not
+        ("ingest", "follower", b"t,lat,lon\n0,28.1,-81.2\n1,28.1" + b"0" * 131_072
+         + b",-81.2\n2,28.1,-81.2\n", [],
+         {"error": "domain", "message": "{follower}:3: field larger than field limit (131072)"}),
     ], ids=["negative-split-seed", "int-delta-beyond-int64", "delta-bounds-beyond-int64",
-            "bounds-width-overflows"])
+            "bounds-width-overflows", "log-byte-not-utf8", "log-cell-over-csv-limit"])
     def test_former_tracebacks_keep_the_contract(self, tmp_path, capsys, command, target,
                                                  value, flags, expected):
         """Exit 0, or exit 1 with the one JSON line expected; never a traceback."""
@@ -1063,13 +1073,42 @@ class TestJsonInputContract:
             for gene, pair in value["bounds"].items():
                 bounds[gene] = pair
             value = {**value, "bounds": bounds}
-        if target is not None:
+        if isinstance(value, bytes):
+            inputs[target].write_bytes(value)
+        elif target is not None:
             inputs[target].write_text(json.dumps(value))
+        if expected is not None:
+            expected = {**expected, "message": expected["message"].format(**inputs)}
         argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
         out = tmp_path / "out.json"
         capsys.readouterr()
         rc = main(argv + flags + ["--out", str(out)])
         assert assert_exit_contract(rc, capsys.readouterr(), out) == expected
+
+    def test_locale_changes_no_byte(self, tmp_path):
+        """A UTF-8 segment id is read and drawn alike under a C locale, whose encoding is ASCII."""
+        inputs = self.write_inputs(tmp_path)
+        data = json.loads(inputs["segments"].read_text(encoding="utf-8"))
+        data["segments"][0]["id"] = "Ström-1"
+        segments = tmp_path / "segments-utf8.json"
+        segments.write_text(json.dumps(data, ensure_ascii=False), encoding="utf-8")
+        outputs = {}
+        for locale, env in (("default", {}), ("C", {"PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0",
+                                                    "LC_ALL": "C"})):
+            out_dir = tmp_path / locale
+            argv = ["simulate", "--model", str(inputs["model"]), "--segments", str(segments),
+                    "--out", str(out_dir / "sim.json"), "--svg-dir", str(out_dir / "figures")]
+            done = subprocess.run(
+                [sys.executable, "-m", "cfcalib.cli", *argv], capture_output=True, timeout=120,
+                env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+                    filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+            assert done.returncode == 0, done.stderr
+            # manifests hold the wall clock and the output paths
+            outputs[locale] = {path.relative_to(out_dir): path.read_bytes()
+                               for path in out_dir.rglob("*")
+                               if path.is_file() and not path.name.endswith(".manifest.json")}
+        assert Path("figures", "Ström-1_spacing.svg") in outputs["C"]
+        assert outputs["C"] == outputs["default"]
 
     def test_valid_inputs_pass(self, tmp_path):
         inputs = self.write_inputs(tmp_path)

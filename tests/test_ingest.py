@@ -26,6 +26,7 @@ from cfcalib.models import default_params
 from cfcalib.sim import SegmentSet
 from cfcalib.stats import follower_jerk
 from cfcalib.cli import main
+from cfcalib import ingest as ingest_module
 from cfcalib.ingest import _parse_time, _read_gps_rows, read_gps_pair
 
 def read_gps_log(path):
@@ -259,7 +260,7 @@ class TestFileIO:
         aware.write_text("t,lat,lon\n" + "".join(
             f"2024-05-01T12:00:0{i}+02:00,{28.37 + i * 1e-4},-81.25\n" for i in range(4)))
         epoch = 1714557600.0  # 2024-05-01T10:00:00Z
-        assert _read_gps_rows(naive)[0] == [epoch + i for i in range(4)]
+        assert _read_gps_rows(naive)[0].tolist() == [epoch + i for i in range(4)]
         leader, follower = read_gps_pair(naive, aware)
         assert leader.t.tolist() == follower.t.tolist() == [0.0, 1.0, 2.0, 3.0]
 
@@ -278,7 +279,7 @@ class TestFileIO:
         beyond = float(np.nextafter(bound, sign * np.inf))
         rows = "".join(f"{i},{28.37 + i * 1e-4},-81.25\n" for i in range(1, 4))
         csv_path.write_text(f"t,lat,lon\n{bound!r},28.37,-81.25\n" + rows)
-        assert _read_gps_rows(csv_path)[0] == [bound, 1.0, 2.0, 3.0]
+        assert _read_gps_rows(csv_path)[0].tolist() == [bound, 1.0, 2.0, 3.0]
         csv_path.write_text(f"t,lat,lon\n{beyond!r},28.37,-81.25\n" + rows)
         with pytest.raises(DomainError) as exc:
             read_gps_log(csv_path)
@@ -371,6 +372,21 @@ class TestIngestCliContract:
         assert err["error"] == "domain"
         assert f"log.csv:{line}" in err["message"]
 
+    @pytest.mark.parametrize("rows, line, problem", [
+        ([b"1,28.1\xff,-81.25", b"2,north,-81.25"], 3, "not UTF-8 text: b'1,28.1\\xff,-81.25'"),
+        # a bad byte is a fault of its row: an earlier fault is named first
+        ([b"1,north,-81.25", b"2,28.1\xff,-81.25"], 3,
+         "could not convert string to float: 'north'"),
+        ([b"1,28.3701,-81.25", b"\xa0"], 4, "not UTF-8 text: b'\\xa0'"),
+    ], ids=["bad-byte", "bad-cell-first", "latin-1-blank"])
+    @pytest.mark.parametrize("role", ["leader", "follower"])
+    def test_byte_not_utf8_exits_one_naming_its_line(self, tmp_path, capsys, rows, line, problem,
+                                                    role):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(b"t,lat,lon\n0,28.37,-81.25\n" + b"".join(row + b"\n" for row in rows))
+        assert self.ingest_error(tmp_path, capsys, bad, role) == {
+            "error": "domain", "message": f"{bad}:{line}: {problem}"}
+
     @pytest.mark.parametrize("cell, message", [
         ("lat", "latitude 91.0 outside [-90, 90]"),
         ("lon", "longitude -180.5 outside [-180, 180]"),
@@ -440,26 +456,29 @@ def oracle_fix(t, lat, lon):
 
 def oracle_rows(path):
     path = Path(path)
-    with path.open(newline="") as handle:
+    with path.open(newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise InsufficientDataError(f"{path}: empty file") from None
-        if [h.strip().lower() for h in header] != ["t", "lat", "lon"]:
-            raise DomainError(f"{path}: header must be exactly 't,lat,lon', got {header}")
-        raw = []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) == 3:
-                try:
-                    raw.append((_parse_time(row[0]), float(row[1]), float(row[2])))
-                    continue
-                except ValueError as exc:
-                    problem = str(exc)
-            else:
-                problem = f"expected 3 columns, got {len(row)}"
-            if any(cell.strip() for cell in row):
-                raise DomainError(f"{path}:{lineno}: {problem}")
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise InsufficientDataError(f"{path}: empty file") from None
+            if [h.strip().lower() for h in header] != ["t", "lat", "lon"]:
+                raise DomainError(f"{path}: header must be exactly 't,lat,lon', got {header}")
+            raw = []
+            for lineno, row in enumerate(reader, start=2):
+                if len(row) == 3:
+                    try:
+                        raw.append((_parse_time(row[0]), float(row[1]), float(row[2])))
+                        continue
+                    except ValueError as exc:
+                        problem = str(exc)
+                else:
+                    problem = f"expected 3 columns, got {len(row)}"
+                if any(cell.strip() for cell in row):
+                    raise DomainError(f"{path}:{lineno}: {problem}")
+        except csv.Error as exc:  # a cell over csv's field limit; a NUL before Python 3.11
+            raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
     if not raw:
         raise InsufficientDataError(f"{path}: no data rows")
     return raw
@@ -505,8 +524,10 @@ def number_text(lo, hi):
     return st.floats(lo, hi).map(repr)
 
 
+IN_RANGE_EPOCH_CELL = st.one_of(st.integers(0, 2_000_000_000).map(str),
+                                number_text(-2.0 ** 53, 2.0 ** 53))
 EPOCH_CELL = st.one_of(
-    st.integers(0, 2_000_000_000).map(str),
+    IN_RANGE_EPOCH_CELL,
     number_text(-1e308, 1e308),
     st.sampled_from(["1e308", "-1e308", "1.7e308"]))
 ISO_CELL = st.builds(
@@ -522,6 +543,29 @@ OUT_OF_RANGE_LON = st.one_of(number_text(-1e300, -180.0).filter(lambda x: float(
                              st.sampled_from(["180.0001", "-1e300"]))
 NON_FINITE_CELL = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"])
 TIME_CELL = st.one_of(EPOCH_CELL, ISO_CELL)
+# number forms that float() and np.loadtxt could read apart: a sign or a
+# bare point, which both read; a digit separator and Unicode digits,
+# which float() reads and loadtxt does not
+NUMBER_FORM = st.sampled_from(["+1", ".5", "5.", "-.5e1", "+2.e-1", "1_0", "1_000.5", "١٢",
+                               "٣.٥", "\uff11"])
+# text around a cell: Unicode and ASCII whitespace, which both strip, and
+# the separators \x1c-\x1f, which loadtxt strips and float() does not
+PADDING = st.sampled_from(["", " ", "\t", "\xa0", "\x85", "\u2028", "\x0b", "\x0c", "\x1c", "\x1f"])
+
+
+def dressed(cell):
+    """A cell as drawn, padded, quoted, or followed by a comment mark or a NUL.
+
+    csv reads a quoted cell, a quoted comma or line break included, as its
+    text; loadtxt reads quotes and '#' as part of the cell.
+    """
+    return st.one_of(
+        cell,
+        st.builds(lambda before, text, after: before + text + after, PADDING, cell, PADDING),
+        cell.map(lambda text: f'"{text}"'),
+        st.sampled_from(['"1,5"', '"28.37\n"', '"28.37\r\n"', '""']),
+        st.builds(lambda text, tail: text + tail, cell, st.sampled_from(["#", " # note", "\x00"])),
+    )
 
 
 def row_of(t, lat, lon):
@@ -529,31 +573,58 @@ def row_of(t, lat, lon):
 
 
 GOOD_ROW = row_of(TIME_CELL, LAT_CELL, LON_CELL)
-# every blank-row form of test_blank_rows_skipped, bad cells, 2 and 4
-# columns, non-finite cells and out-of-range coordinates
+# every blank-row form of test_blank_rows_skipped and other whitespace- or
+# comma-only rows, bad cells, 2 and 4 columns, trailing commas, non-finite
+# cells and out-of-range coordinates, and the cell forms above
 ODD_ROW = st.one_of(
-    st.sampled_from(["", ",,", " , ,\t", ","]),
+    st.sampled_from(["", ",,", " , ,\t", ",", ",,,", "   ", "\t", "\xa0", "\x1c", "\x00"]),
     row_of(st.one_of(TIME_CELL, ODD_CELL), st.one_of(LAT_CELL, ODD_CELL),
            st.one_of(LON_CELL, ODD_CELL)),
     st.lists(st.one_of(TIME_CELL, LAT_CELL, ODD_CELL), min_size=1, max_size=5)
     .filter(lambda cells: len(cells) != 3).map(",".join),
+    st.builds(lambda row, commas: row + commas, GOOD_ROW, st.sampled_from([",", ",,", ", "])),
     row_of(TIME_CELL, st.one_of(OUT_OF_RANGE_LAT, NON_FINITE_CELL), LON_CELL),
     row_of(TIME_CELL, LAT_CELL, st.one_of(OUT_OF_RANGE_LON, NON_FINITE_CELL)),
     row_of(TIME_CELL, st.one_of(OUT_OF_RANGE_LAT, NON_FINITE_CELL),
            st.one_of(OUT_OF_RANGE_LON, NON_FINITE_CELL)),
+    row_of(dressed(st.one_of(EPOCH_CELL, NUMBER_FORM)), dressed(st.one_of(LAT_CELL, NUMBER_FORM)),
+           dressed(st.one_of(LON_CELL, NUMBER_FORM))),
 )
 HEADER = st.sampled_from(["t,lat,lon", "T, Lat ,LON", "time,lat,lon", "t,lat"])
+LINE_END = st.sampled_from(["\n", "\r\n", "\r"])
 
 
 @st.composite
 def csv_texts(draw):
-    rows = draw(st.lists(GOOD_ROW, max_size=8))
+    # all times epoch seconds, which the one-parse reader may take, or all
+    # within ±2^53 too; all ISO-8601; or mixed row by row
+    time_cell = draw(st.sampled_from([IN_RANGE_EPOCH_CELL, EPOCH_CELL, ISO_CELL, TIME_CELL]))
+    rows = draw(st.lists(row_of(time_cell, LAT_CELL, LON_CELL), max_size=8))
     for odd in draw(st.lists(ODD_ROW, max_size=3)):
         rows.insert(draw(st.integers(0, len(rows))), odd)
     if draw(st.integers(0, 19)) == 19:
         return ""
     header = draw(st.one_of(st.just("t,lat,lon"), HEADER))
-    return "".join(f"{line}\n" for line in [header] + rows)
+    # one line ending for the file, or each line its own
+    ending = draw(st.one_of(LINE_END, st.just(None)))
+    return "".join(line + (ending or draw(LINE_END)) for line in [header] + rows)
+
+
+@st.composite
+def numeric_texts(draw):
+    """A log of in-range epoch times and coordinates, one cell drawn in a form above."""
+    rows = draw(st.lists(st.tuples(IN_RANGE_EPOCH_CELL, LAT_CELL, LON_CELL).map(list),
+                         min_size=1, max_size=8))
+    cells = draw(st.sampled_from(rows))
+    column = draw(st.integers(0, 2))
+    cells[column] = draw(dressed(st.one_of(st.just(cells[column]), NUMBER_FORM)))
+    ending = draw(LINE_END)
+    return "".join(line + ending for line in ["t,lat,lon"] + [",".join(row) for row in rows])
+
+
+def write_csv(path, text):
+    """Write text as UTF-8, each line ending as written."""
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 @pytest.fixture(scope="module")
@@ -562,11 +633,8 @@ def csv_dir(tmp_path_factory):
 
 
 class TestColumnarReaderMatchesRowWise:
-    @settings(max_examples=300, deadline=None)
-    @given(text=csv_texts())
-    def test_one_log(self, csv_dir, text):
-        path = csv_dir / "log.csv"
-        path.write_text(text)
+    def assert_reads_as_oracle(self, path, text):
+        write_csv(path, text)
         expected = outcome(oracle_read_csv, path)
         got = outcome(read_gps_log, path)
         if isinstance(expected, list):
@@ -575,17 +643,42 @@ class TestColumnarReaderMatchesRowWise:
             assert got == expected
 
     @settings(max_examples=300, deadline=None)
+    @given(text=csv_texts())
+    def test_one_log(self, csv_dir, text):
+        self.assert_reads_as_oracle(csv_dir / "log.csv", text)
+
+    @settings(max_examples=300, deadline=None)
+    @given(text=numeric_texts())
+    def test_numeric_log_with_one_odd_cell(self, csv_dir, text):
+        self.assert_reads_as_oracle(csv_dir / "log.csv", text)
+
+    @settings(max_examples=300, deadline=None)
     @given(leader_text=csv_texts(), follower_text=csv_texts())
     def test_read_gps_pair(self, csv_dir, leader_text, follower_text):
         leader, follower = csv_dir / "leader.csv", csv_dir / "follower.csv"
-        leader.write_text(leader_text)
-        follower.write_text(follower_text)
+        write_csv(leader, leader_text)
+        write_csv(follower, follower_text)
         expected = outcome(oracle_read_pair, leader, follower)
         got = outcome(read_gps_pair, leader, follower)
         if isinstance(expected, tuple) and isinstance(expected[0], str):
             assert got == expected
         else:
             assert [log_columns(log) for log in got] == [hex_columns(fixes) for fixes in expected]
+
+    @pytest.mark.parametrize("cell", [
+        # csv refuses a cell over its field limit; loadtxt reads each as 28.37
+        "28.37" + "0" * csv.field_size_limit(),
+        "28.37" + " " * csv.field_size_limit(),
+        # csv reads a cell at its limit
+        "28.37" + "0" * (csv.field_size_limit() - 5),
+        # loadtxt strips an ASCII separator around a number; float() does not
+        "28.37\x1c",
+        "\x1f28.37",
+    ], ids=["number-over-limit", "padding-over-limit", "number-at-limit", "separator-after",
+            "separator-before"])
+    def test_cells_the_readers_could_read_apart(self, tmp_path, cell):
+        self.assert_reads_as_oracle(
+            tmp_path / "log.csv", f"t,lat,lon\n0,28.37,-81.25\n1,{cell},-81.25\n2,28.3702,-81.25\n")
 
     @pytest.mark.parametrize("leader_bad, follower_bad", [
         ("2,north,-81.25", "2,28.37,-81.25,1"),   # two parse errors: the leader's wins
@@ -602,3 +695,41 @@ class TestColumnarReaderMatchesRowWise:
         expected = outcome(oracle_read_pair, *paths)
         assert isinstance(expected, tuple) and isinstance(expected[0], str)
         assert outcome(read_gps_pair, *paths) == expected
+
+
+class TestOneParseForNumericLogs:
+    """An all-numeric log is parsed by one np.loadtxt call, never row by row."""
+
+    def write_log(self, tmp_path, times):
+        path = tmp_path / "log.csv"
+        path.write_text("t,lat,lon\n" + "".join(f"{t},{28.37 + i * 1e-4},-81.25\n"
+                                                for i, t in enumerate(times)))
+        return path
+
+    def test_numeric_log_never_reaches_the_row_loop(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the row-wise reader ran")
+
+        monkeypatch.setattr(ingest_module, "_parse_rows", refuse)
+        log = read_gps_log(self.write_log(tmp_path, ["0", "1.5", "+2e0", "3."]))
+        assert log.t.tolist() == [0.0, 1.5, 2.0, 3.0]
+
+    @pytest.mark.parametrize("body", ["", "\n\n", ",,\n", " \n"])
+    def test_no_rows_raise_no_warning(self, tmp_path, body):
+        # loadtxt warns of input with no data; the CLI's stderr carries one line
+        path = tmp_path / "log.csv"
+        path.write_text("t,lat,lon\n" + body)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(InsufficientDataError, match="no data rows"):
+                read_gps_log(path)
+        assert caught == []
+
+    def test_iso_log_reaches_the_row_loop(self, tmp_path, monkeypatch):
+        calls = []
+        parse_rows = ingest_module._parse_rows
+        monkeypatch.setattr(ingest_module, "_parse_rows",
+                            lambda *args: calls.append(args) or parse_rows(*args))
+        log = read_gps_log(self.write_log(tmp_path, [f"2024-05-01T10:00:0{i}" for i in range(4)]))
+        assert log.t.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert len(calls) == 2  # the file is both logs of the pair
