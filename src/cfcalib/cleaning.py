@@ -282,7 +282,7 @@ def split_segments(
     if len(segments) < 2:
         raise SplitError(f"need at least 2 segments to split, got {len(segments)}")
     if not 0.0 < fraction < 1.0:
-        raise SplitError(f"fraction must be in (0, 1), got {fraction}")
+        raise SplitError(f"split fraction must be in (0, 1), got {fraction}")
     if not is_seed(seed):
         raise SplitError(f"split seed must be a non-negative integer, got {seed!r}")
     total = retained_samples(segments)

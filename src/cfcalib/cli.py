@@ -228,14 +228,7 @@ def _cmd_report(args) -> int:
     if args.benchmarks:
         text = report_mod.render_benchmark_text()
     else:
-        src = _require_file(args.input)
-        data = read_json_object(src, "report input")
-        if "descriptive" in data:
-            text = report_mod.render_stats_text(data)
-        elif "calibration" in data:
-            text = report_mod.render_calibration_text(data)
-        else:
-            text = "no data\n"
+        text = report_mod.render_text(read_json_object(_require_file(args.input), "report input"))
     if args.out:
         atomic_write_text(args.out, text)
     else:

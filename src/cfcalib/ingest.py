@@ -1,20 +1,21 @@
 """GPS log ingestion: geodesic distances and derived kinematics.
 
 Raw logs are latitude/longitude fixes, 1 Hz in the field data; the times
-give the cadence. A CSV log is UTF-8 text. One that holds only plain
-numbers is parsed in one np.loadtxt pass into a GpsLog, one float array
-per column (t, lat, lon), with no object per fix. Any other log (ISO-8601
-times, quoted cells, rows of only spaces or commas, a fault) is read
-again from the top by the row-wise reader, which gives the same columns
-or names the first bad line; a byte that is not UTF-8, or a cell longer
-than csv's field limit, is a fault of its line whichever reader meets
-it. Both logs of a pair are parsed before either is built, so a parse
-error is reported before any out-of-range coordinate and the leader's
-errors before the follower's. Positions become cumulative arc length in
-feet (geodesic_distance, elementwise); speed and acceleration follow by
-backward_rate, the one rate rule. `cleaning.pair_trajectories`
-pairs the two trajectories, and the pair JSON holds the paired series,
-not the trajectories. Everything downstream works in feet and seconds.
+give the cadence. A CSV log is UTF-8 text; a leading byte-order mark is
+dropped. One that holds only plain numbers is parsed in one np.loadtxt
+pass into a GpsLog, one float array per column (t, lat, lon), with no
+object per fix. Any other log (ISO-8601 times, quoted cells, rows of
+only spaces or commas, a fault) is read again from the top by the
+row-wise reader, which gives the same columns or names the first bad
+line; a byte that is not UTF-8, or a cell longer than csv's field limit,
+is a fault of its line whichever reader meets it. Both logs of a pair
+are parsed before either is built, so a parse error is reported before
+any out-of-range coordinate and the leader's errors before the
+follower's. Positions become cumulative arc length in feet
+(geodesic_distance, elementwise); speed and acceleration follow by
+backward_rate, the one rate rule. `cleaning.pair_trajectories` pairs the
+two trajectories, and the pair JSON holds the paired series, not the
+trajectories. Everything downstream works in feet and seconds.
 
 One magnitude rule holds where values enter: a CSV time, every column of
 a pair or segments file, every FollowingSegment and every SimLimits
@@ -272,9 +273,13 @@ def _not_utf8(row: list[str]) -> str | None:
 
 
 def _parse_rows(reader, path: Path) -> np.ndarray:
-    """The (3, n) columns of the rows after the header, read row by row; names the first bad row."""
+    """The (3, n) columns of the rows after the header, read row by row.
+
+    The first bad row is named by the file line it ends on, which a quoted
+    line break puts past the row count.
+    """
     ts, lats, lons = [], [], []
-    for lineno, row in enumerate(reader, start=2):
+    for row in reader:
         if len(row) == 3:
             try:
                 t, lat, lon = _parse_time(row[0]), float(row[1]), float(row[2])
@@ -289,7 +294,7 @@ def _parse_rows(reader, path: Path) -> np.ndarray:
             problem = f"expected 3 columns, got {len(row)}"
         # only a row that did not parse can be blank; blank rows are skipped
         if any(cell.strip() for cell in row):
-            raise DomainError(f"{path}:{lineno}: {_not_utf8(row) or problem}")
+            raise DomainError(f"{path}:{reader.line_num}: {_not_utf8(row) or problem}")
     if not ts:
         raise InsufficientDataError(f"{path}: no data rows")
     return np.array([ts, lats, lons])
@@ -311,11 +316,12 @@ def _read_gps_rows(path: str | Path) -> np.ndarray:
     An all-numeric body takes one np.loadtxt call; any other (ISO-8601
     times, quoted cells, rows of only spaces or commas, a fault) is read
     again from the top by the row-wise reader, which gives the same
-    columns or names the first bad row. A byte that is not UTF-8 is a
-    fault of its row.
+    columns or names the first bad row. A leading UTF-8 byte-order mark
+    is dropped, on either read; a byte that is not UTF-8 is a fault of
+    its row.
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8", errors="surrogateescape") as handle:
+    with path.open(newline="", encoding="utf-8-sig", errors="surrogateescape") as handle:
         reader = csv.reader(handle)
         try:
             _read_header(reader, path)

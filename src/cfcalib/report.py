@@ -19,17 +19,6 @@ _STAT_ROWS = [("mean", "mean"), ("std", "std"), ("min", "min"), ("q25", "25%"),
 _VARIABLE_COLUMNS = [("speed", "Speed (ft/s)"), ("accel", "Accel (ft/s^2)"),
                      ("jerk", "Jerk (ft/s^3)"), ("spacing", "Spacing (ft)")]
 _ACCEL_PARTS = ("follower_plus", "follower_minus", "leader_plus", "leader_minus")
-_GOF_KEYS = ("nrmse_spacing", "nrmse_speed", "mae_spacing", "mae_speed",
-             "rmse_spacing", "rmse_speed")
-# (path of object keys, fields there) that render_stats_text prints with _num
-_STATS_NUMBERS = (
-    *((("descriptive", var), tuple(key for key, _ in _STAT_ROWS)) for var, _ in _VARIABLE_COLUMNS),
-    *((("variability", "speed", who), ("cv", "mean_outlier_share")) for who in ("leader", "follower")),
-    *((("variability", "accel", part), ("cv",)) for part in _ACCEL_PARTS),
-    (("variability", "jerk", "follower_plus"), ("cv",)),
-    (("variability", "jerk", "follower_minus"), ("cv",)),
-    (("variability", "jerk"), ("follower_outlier_share",)),
-)
 
 
 def load_benchmarks() -> dict:
@@ -46,13 +35,51 @@ def _table(headers: list[str], rows: list[list[str]]) -> str:
     return "\n".join([line(headers), sep] + [line(r) for r in rows]) + "\n"
 
 
-def _num(value) -> str:
-    if value is None:
-        return "n/a"
-    return f"{value:.4f}"
+class _Field:
+    """A value read from a report input, with the keys that lead to it.
+
+    The renderers read every field they print through one, so none is
+    printed unchecked: a missing key, a container of the wrong type, or
+    a non-number where a number is printed raises DomainError through
+    jsonio's checks, naming the path.
+    """
+
+    def __init__(self, value, *path: str):
+        self.value = value
+        self.path = path
+
+    def __str__(self) -> str:
+        return " ".join(self.path)
+
+    def __getitem__(self, key: str) -> _Field:
+        """The value at `key`; this value must be an object that holds it."""
+        require_keys(self.value, (key,), str(self))
+        return _Field(self.value[key], *self.path, key)
+
+    def get(self, key: str) -> _Field | None:
+        """The value at `key`, or None where it is absent or null; this value must be an object."""
+        require_keys(self.value, (), str(self))
+        return None if self.value.get(key) is None else self[key]
+
+    def items(self) -> list[_Field]:
+        """The entries of this value, which must be a list, each named by its index."""
+        if not isinstance(self.value, list):
+            raise DomainError(f"{' '.join(self.path[:-1])}: {self.path[-1]} must be a list")
+        return [_Field(value, *self.path, str(i)) for i, value in enumerate(self.value)]
+
+    def number(self):
+        """This value, which must be a finite number."""
+        *where, key = self.path
+        require_numbers({key: self.value}, (key,), " ".join(where))
+        return self.value
 
 
-def _descriptive_table(descriptive: dict) -> str:
+def _num(field: _Field) -> str:
+    """A number to four places, or n/a for null."""
+    return "n/a" if field.value is None else f"{field.number():.4f}"
+
+
+def _descriptive_table(descriptive: _Field) -> str:
     """The descriptive statistics, a row per statistic and a column per variable."""
     headers = [""] + [label for _, label in _VARIABLE_COLUMNS]
     rows = [[label] + [_num(descriptive[var][key]) for var, _ in _VARIABLE_COLUMNS]
@@ -60,121 +87,69 @@ def _descriptive_table(descriptive: dict) -> str:
     return _table(headers, rows)
 
 
-# ---------------------------------------------------------------------------
-# input checks: a report input is read from a file, so every field the
-# renderers read is checked first and a bad one raises DomainError
+def render_text(data: dict) -> str:
+    """The tables of a `stats` report or a `calibrate` result, told apart by their top-level key.
 
-def _at(data, path: tuple[str, ...], what: str):
-    """The value at `path`, a sequence of object keys into `data`."""
-    for key in path:
-        require_keys(data, (key,), what)
-        data = data[key]
-        what = f"{what} {key}"
-    return data
+    Any other object gives "no data". Raises DomainError when a field
+    the tables print is missing or of the wrong type.
+    """
+    if "descriptive" in data:
+        return render_stats_text(data)
+    if "calibration" in data:
+        return render_calibration_text(data)
+    return "no data\n"
 
-
-def _require_numbers_or_null(data, keys, what: str) -> None:
-    """Like jsonio.require_numbers, but a null value is allowed too (printed n/a)."""
-    require_keys(data, keys, what)
-    require_numbers(data, [key for key in keys if data[key] is not None], what)
-
-
-def _require_list(data, key: str, what: str) -> list:
-    require_keys(data, (key,), what)
-    if not isinstance(data[key], list):
-        raise DomainError(f"{what}: {key} must be a list")
-    return data[key]
-
-
-def _require_number_items(values: list, what: str, null_ok: bool = False) -> None:
-    items = {str(i): value for i, value in enumerate(values)}
-    (_require_numbers_or_null if null_ok else require_numbers)(items, list(items), what)
-
-
-def _check_stats_report(report: dict) -> None:
-    what = "stats report"
-    require_keys(report, ("n_samples", "n_segments", "annotations"), what)
-    require_keys(report["annotations"], ("accel_comfort_threshold",), f"{what} annotations")
-    for path, keys in _STATS_NUMBERS:
-        _require_numbers_or_null(_at(report, path, what), keys, " ".join((what,) + path))
-    normality = _at(report, ("normality",), what)
-    require_keys(normality, (), f"{what} normality")  # an object; absent or null means n/a
-    for var, _ in _VARIABLE_COLUMNS:
-        if normality.get(var) is not None:
-            require_keys(normality[var], ("normal",), f"{what} normality {var}")
-            require_numbers(normality[var], ("W", "p"), f"{what} normality {var}")
-    spearman = _at(report, ("spearman",), what)
-    names = _require_list(spearman, "variables", f"{what} spearman")
-    matrix = _require_list(spearman, "matrix", f"{what} spearman")
-    if (not all(isinstance(name, str) for name in names) or len(matrix) != len(names)
-            or not all(isinstance(row, list) and len(row) == len(names) for row in matrix)):
-        raise DomainError(f"{what} spearman: matrix must be square over the variable names")
-    for name, row in zip(names, matrix):
-        _require_number_items(row, f"{what} spearman {name}", null_ok=True)
-    comfort = _at(report, ("jerk_comfort",), what)
-    for key in ("thresholds", "shares"):
-        _require_number_items(_require_list(comfort, key, f"{what} jerk_comfort"),
-                              f"{what} jerk_comfort {key}")
-
-
-def _check_calibration_result(result: dict) -> None:
-    what = "calibration result"
-    cal = _at(result, ("calibration",), what)
-    require_keys(cal, ("model_kind", "best_params", "generations_run"), f"{what} calibration")
-    require_numbers(cal, ("fitness",), f"{what} calibration")
-    for i, entry in enumerate(_require_list(cal, "per_seed", f"{what} calibration")):
-        require_keys(entry, ("seed",), f"{what} per_seed {i}")
-        require_numbers(entry, ("fitness",), f"{what} per_seed {i}")
-    for key in ("gof_calibration", "gof_validation"):
-        require_numbers(_at(result, (key,), what), _GOF_KEYS, f"{what} {key}")
-
-
-# ---------------------------------------------------------------------------
-# renderers
 
 def render_stats_text(report: dict) -> str:
     """Summary tables for a stats report dict (see stats.analyze_segments).
 
-    Raises DomainError when a field the tables read is missing or of the wrong type.
+    Raises DomainError when a field the tables print is missing or of the wrong type.
     """
-    if not report or not report.get("descriptive"):
-        return "no data\n"
-    _check_stats_report(report)
+    report = _Field(report, "stats report")
     out = []
-    out.append(f"samples: {report['n_samples']}   segments: {report['n_segments']}\n")
+    out.append(f"samples: {report['n_samples'].number()}   "
+               f"segments: {report['n_segments'].number()}\n")
 
     out.append("Descriptive statistics (follower)\n")
     out.append(_descriptive_table(report["descriptive"]))
 
     out.append("\nShapiro-Wilk normality\n")
     rows = []
+    normality = report["normality"]
     for var, label in _VARIABLE_COLUMNS:
-        entry = report["normality"].get(var)
+        entry = normality.get(var)
         if entry is None:
             rows.append([label, "n/a", "n/a", "n/a"])
         else:
-            rows.append([label, f"{entry['W']:.4f}", f"{entry['p']:.4g}",
-                         "yes" if entry["normal"] else "no"])
+            rows.append([label, f"{entry['W'].number():.4f}", f"{entry['p'].number():.4g}",
+                         "yes" if entry["normal"].value else "no"])
     out.append(_table(["variable", "W", "p", "normal"], rows))
 
     out.append("\nSpearman correlation\n")
-    names = report["spearman"]["variables"]
-    matrix = report["spearman"]["matrix"]
-    rows = []
-    for name, row in zip(names, matrix):
-        rows.append([name] + [_num(v) for v in row])
+    spearman = report["spearman"]
+    names = [name.value for name in spearman["variables"].items()]
+    matrix = spearman["matrix"].items()
+    if not all(isinstance(name, str) for name in names):
+        raise DomainError(f"{spearman}: variables must be strings")
+    if len(matrix) != len(names) or not all(
+            isinstance(row.value, list) and len(row.value) == len(names) for row in matrix):
+        raise DomainError(f"{spearman}: matrix must be square, one row and column per variable")
+    # a row is named by its variable
+    rows = [[name] + [_num(v) for v in _Field(row.value, *spearman.path, name).items()]
+            for name, row in zip(names, matrix)]
     out.append(_table([""] + names, rows))
 
     out.append("\nVariability (CV; mean per-trip outlier share where defined)\n")
     rows = []
-    speed_var = report["variability"]["speed"]
+    variability = report["variability"]
+    speed_var = variability["speed"]
     for who in ("leader", "follower"):
         rows.append([f"{who} speed", _num(speed_var[who]["cv"]),
                      _num(speed_var[who]["mean_outlier_share"])])
-    accel_var = report["variability"]["accel"]
+    accel_var = variability["accel"]
     for key in _ACCEL_PARTS:
         rows.append([f"accel {key}", _num(accel_var[key]["cv"]), ""])
-    jerk_var = report["variability"]["jerk"]
+    jerk_var = variability["jerk"]
     rows.append(["jerk follower_plus", _num(jerk_var["follower_plus"]["cv"]), ""])
     rows.append(["jerk follower_minus", _num(jerk_var["follower_minus"]["cv"]), ""])
     # the outlier share covers the whole follower jerk series, both signs
@@ -182,39 +157,43 @@ def render_stats_text(report: dict) -> str:
     out.append(_table(["series", "cv", "outliers"], rows))
 
     comfort = report["jerk_comfort"]
+    thresholds, shares = comfort["thresholds"].items(), comfort["shares"].items()
+    if len(thresholds) != len(shares):
+        raise DomainError(f"{comfort}: thresholds and shares must be of one length")
     out.append("\nJerk comfort: share of samples above each |jerk| threshold\n")
-    rows = [[f"{th:.2f} ft/s^3", f"{share:.4f}"]
-            for th, share in zip(comfort["thresholds"], comfort["shares"])]
+    rows = [[f"{th.number():.2f} ft/s^3", f"{share.number():.4f}"]
+            for th, share in zip(thresholds, shares)]
     out.append(_table(["threshold", "share"], rows))
-    out.append(f"\nacceleration comfort threshold (annotation): "
-               f"{report['annotations']['accel_comfort_threshold']} ft/s^2\n")
+    threshold = report["annotations"]["accel_comfort_threshold"].number()
+    out.append(f"\nacceleration comfort threshold (annotation): {threshold} ft/s^2\n")
     return "".join(out)
 
 
 def render_calibration_text(result: dict) -> str:
     """Error tables for a calibration result JSON (calibrate CLI output).
 
-    Raises DomainError when a field the tables read is missing or of the wrong type.
+    Raises DomainError when a field the tables print is missing or of the wrong type.
     """
-    if not result or "gof_calibration" not in result:
-        return "no data\n"
-    _check_calibration_result(result)
+    result = _Field(result, "calibration result")
     out = []
     cal = result["calibration"]
-    out.append(f"model: {cal['model_kind']}   best fitness (NRMSE spacing): "
-               f"{cal['fitness']:.6g}   generations: {cal['generations_run']}\n")
-    out.append("best parameters: " + json.dumps(cal["best_params"], sort_keys=True) + "\n\n")
+    kind, params = cal["model_kind"].value, cal["best_params"].value
+    out.append(f"model: {kind}   best fitness (NRMSE spacing): "
+               f"{cal['fitness'].number():.6g}   generations: "
+               f"{cal['generations_run'].number()}\n")
+    out.append("best parameters: " + json.dumps(params, sort_keys=True) + "\n\n")
     for label, key in (("Calibration", "gof_calibration"), ("Validation", "gof_validation")):
         gof = result[key]
         out.append(f"{label} errors\n")
         rows = [
-            ["NRMSE", f"{gof['nrmse_spacing']:.8f}", f"{gof['nrmse_speed']:.8f}"],
-            ["MAE", f"{gof['mae_spacing']:.7f}", f"{gof['mae_speed']:.7f}"],
-            ["RMSE", f"{gof['rmse_spacing']:.7f}", f"{gof['rmse_speed']:.7f}"],
+            ["NRMSE", f"{gof['nrmse_spacing'].number():.8f}", f"{gof['nrmse_speed'].number():.8f}"],
+            ["MAE", f"{gof['mae_spacing'].number():.7f}", f"{gof['mae_speed'].number():.7f}"],
+            ["RMSE", f"{gof['rmse_spacing'].number():.7f}", f"{gof['rmse_speed'].number():.7f}"],
         ]
         out.append(_table(["error", "spacing (ft)", "speed (ft/s)"], rows))
         out.append("\n")
-    rows = [[f"seed {s['seed']}", f"{s['fitness']:.6g}"] for s in cal["per_seed"]]
+    rows = [[f"seed {s['seed'].number()}", f"{s['fitness'].number():.6g}"]
+            for s in cal["per_seed"].items()]
     out.append("Per-seed fitness\n")
     out.append(_table(["seed", "fitness"], rows))
     return "".join(out)
@@ -223,8 +202,9 @@ def render_calibration_text(result: dict) -> str:
 def render_benchmark_text() -> str:
     """Bundled benchmark tables for side-by-side comparison."""
     bench = load_benchmarks()
+    descriptive = _Field(bench["descriptive_shuttle"], "benchmarks", "descriptive_shuttle")
     out = [bench["description"] + "\n\n", "Benchmark descriptive statistics\n",
-           _descriptive_table(bench["descriptive_shuttle"])]
+           _descriptive_table(descriptive)]
     for label, key in (("calibration", "errors_calibration"), ("validation", "errors_validation")):
         out.append(f"\nBenchmark {label} errors\n")
         rows = []

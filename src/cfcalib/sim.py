@@ -72,6 +72,13 @@ _RAISE_ON_FAULT = {"over": "raise", "divide": "raise", "invalid": "raise"}
 # array of one block run; a GA generation with more rows takes several runs
 _BLOCK_VALUES = 3 << 20
 
+# the most sub-steps dt may cut one segment set into. The schedule and the
+# scalar loop's lists hold about 280 bytes a sub-step (simulate peaked at
+# 288 MB of RSS for 0.92 M of them, x86-64, numpy 2.4), so a run at the
+# bound peaks near 1.2 GB; a smaller dt (1e-5 on a few minutes of 1-Hz
+# data, say) is rejected before any schedule array is built
+MAX_SUBSTEPS = 1 << 22
+
 
 @dataclass(frozen=True)
 class SimLimits:
@@ -249,12 +256,12 @@ def _idm_step_loop(blend: bool, row: list, lists: tuple, limits: SimLimits,
 class SegmentSet:
     """Segments under one set of limits and one dt; picks the engine for them.
 
-    Construction checks dt against every interval and builds the schedule
-    both engines step: one flat list of sub-steps, segments in order, each
-    with the leader's position, speed and accel and the step length. A set
-    that takes the block also packs it into (step, lane) arrays, a lane per
-    segment from step 0; past its end a lane steps by h = 0, which leaves
-    the follower state as it is.
+    Construction checks dt against every interval and against
+    MAX_SUBSTEPS, and builds the schedule both engines step: one flat list
+    of sub-steps, segments in order, each with the leader's position, speed
+    and accel and the step length. A set that takes the block also packs
+    it into (step, lane) arrays, a lane per segment from step 0; past its
+    end a lane steps by h = 0, which leaves the follower state as it is.
     """
 
     def __init__(self, segments: list[FollowingSegment], limits: SimLimits | None = None,
@@ -299,6 +306,10 @@ class SegmentSet:
         if bad.any():
             raise ConfigError(  # first bad interval in segment order
                 f"dt={dt} does not divide the {interval[bad.argmax()]:.6g} s observation interval")
+        steps = m.sum()
+        if steps > MAX_SUBSTEPS:
+            raise ConfigError(f"dt={dt} cuts the segments into {steps:.6g} sub-steps, "
+                              f"more than the {MAX_SUBSTEPS} one run may take")
         m = m.astype(int)  # sub-steps per interval
         before = np.concatenate([[0], np.cumsum(m)])  # sub-steps before each interval, pooled
         k = np.arange(before[-1]) - np.repeat(before[:-1], m)  # of each sub-step in its interval

@@ -188,6 +188,40 @@ class TestIngest:
         assert exc.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("times", ["epoch", "iso"])
+    def test_byte_order_mark_is_dropped(self, tmp_path, monkeypatch, times):
+        """A log that starts with a UTF-8 byte-order mark pairs as the log without it.
+
+        Epoch times take the one-parse reader, which must not give way to
+        the row-wise one; ISO-8601 times take the row-wise reader, after
+        reading the file again from the top.
+        """
+        from cfcalib import ingest
+
+        leader, follower = write_logs(tmp_path)
+        if times == "epoch":
+            def refuse(*args):
+                raise AssertionError("the row-wise reader ran")
+
+            monkeypatch.setattr(ingest, "_parse_rows", refuse)
+        else:
+            for log in (leader, follower):
+                header, *rows = log.read_text().splitlines()
+                log.write_text("".join(
+                    f"{line}\n" for line in [header] + [
+                        datetime.fromtimestamp(float(t), timezone.utc).isoformat() + "," + rest
+                        for t, rest in (row.split(",", 1) for row in rows)]))
+        pairs = []
+        for mark in (b"", b"\xef\xbb\xbf"):
+            directory = tmp_path / f"mark-{len(mark)}"
+            directory.mkdir()
+            (directory / "leader.csv").write_bytes(mark + leader.read_bytes())
+            out = directory / "pair.json"
+            assert main(["ingest", "--leader", str(directory / "leader.csv"),
+                         "--follower", str(follower), "--out", str(out)]) == 0
+            pairs.append(out.read_bytes())
+        assert pairs[0] == pairs[1]
+
     def test_inputs_never_mutated(self, tmp_path):
         leader, follower = write_logs(tmp_path)
         before = (leader.read_bytes(), follower.read_bytes())
@@ -871,6 +905,12 @@ class TestJsonInputContract:
         ("report", "report", '{"calibration": [], "gof_calibration": {}}', "JSON object"),
         ("report", "report", '{"calibration": {"model_kind": "idm"}, "gof_calibration": {}}',
          "best_params"),
+        # each printed "no data" and exited 0
+        ("report", "report", '{"descriptive": {}}', "stats report lacks n_samples"),
+        ("report", "report", '{"descriptive": null}', "stats report lacks n_samples"),
+        ("report", "report", '{"calibration": {"model_kind": "idm", "best_params": {}, '
+                             '"fitness": 0.5, "generations_run": 1, "per_seed": []}, '
+                             '"gof_validation": {}}', "lacks gof_calibration"),
     ])
     def test_malformed_json_input_exits_one(self, tmp_path, capsys, command, target,
                                              text, named):
@@ -910,6 +950,83 @@ class TestJsonInputContract:
         parent[path[-1]] = value
         inputs["report"].write_text(json.dumps(data))
         self.assert_one_error(capsys, ["report", "--input", str(inputs["report"])], named)
+
+    # the leaves the tables print as numbers, a "*" standing for any one key
+    # or index; the rest are printed as text (a variable name, the model
+    # kind, the best parameters) or not at all (config, split, dt)
+    PRINTED_NUMBERS = {
+        "stats": [("n_samples",), ("n_segments",), ("annotations", "accel_comfort_threshold"),
+                  ("descriptive", "*", "*"), ("normality", "*", "W"), ("normality", "*", "p"),
+                  ("spearman", "matrix", "*", "*"), ("variability", "*", "*"),
+                  ("variability", "*", "*", "*"), ("jerk_comfort", "*", "*")],
+        "calibration": [("calibration", "fitness"), ("calibration", "generations_run"),
+                        ("calibration", "per_seed", "*", "seed"),
+                        ("calibration", "per_seed", "*", "fitness"),
+                        ("gof_calibration", "*"), ("gof_validation", "*")],
+    }
+
+    @pytest.mark.parametrize("layout", ["stats", "calibration"])
+    def test_every_printed_number_is_checked(self, tmp_path, capsys, layout):
+        """A real stats or calibrate output with one leaf set to a string, or deleted.
+
+        Every run exits 0, or 1 with one `domain` line. A leaf the tables
+        print as a number exits 1 either way, and the message names its key:
+        for a list entry, the list's key, or a spearman row's variable.
+        """
+        inputs = self.write_inputs(tmp_path)
+        if layout == "calibration":
+            argv = [arg.format(**inputs) for arg in self.COMMANDS["calibrate"]]
+            inputs["report"] = tmp_path / "result.json"
+            assert main(argv + ["--out", str(inputs["report"])]) == 0
+        text = inputs["report"].read_text()
+        base = json.loads(text)
+
+        def leaves(value, path=()):
+            if isinstance(value, (dict, list)) and value:
+                for key, entry in (value.items() if isinstance(value, dict)
+                                   else enumerate(value)):
+                    yield from leaves(entry, path + (key,))
+            else:
+                yield path
+
+        def number_pattern(path):
+            """The pattern of PRINTED_NUMBERS that path matches, or None."""
+            return next((pattern for pattern in self.PRINTED_NUMBERS[layout]
+                         if len(pattern) == len(path)
+                         and all(want in ("*", key) for want, key in zip(pattern, path))), None)
+
+        broken = tmp_path / "broken.json"
+        matched = set()
+        for path in leaves(base):
+            pattern = number_pattern(path)
+            matched.add(pattern)
+            names = [next(key for key in reversed(path) if isinstance(key, str))]
+            if path[:2] == ("spearman", "matrix"):
+                names.append(base["spearman"]["variables"][path[2]])
+            for damage in ("string", "delete"):
+                data = json.loads(text)
+                parent = functools.reduce(operator.getitem, path[:-1], data)
+                if damage == "string":
+                    parent[path[-1]] = "x"
+                else:
+                    del parent[path[-1]]
+                broken.write_text(json.dumps(data))
+                capsys.readouterr()
+                rc = main(["report", "--input", str(broken)])
+                captured = capsys.readouterr()
+                if rc == 0:
+                    assert pattern is None, (path, damage)
+                    assert captured.err == ""
+                    continue
+                assert rc == 1, (path, damage)
+                lines = captured.err.strip().splitlines()
+                assert len(lines) == 1, (path, damage, captured.err)
+                err = json.loads(lines[0])
+                assert err["error"] == "domain", (path, damage, err)
+                if pattern is not None:
+                    assert any(name in err["message"] for name in names), (path, damage, err)
+        # every pattern matched some leaf of the real output
+        assert matched >= set(self.PRINTED_NUMBERS[layout])
 
     @pytest.mark.parametrize("command", ["stats", "simulate"])
     def test_nan_speed_in_segments_exits_one(self, tmp_path, capsys, command):
@@ -1448,3 +1565,79 @@ class TestCleanFlagsFuzz:
         if err is not None and err["error"] != "no-car-following":
             assert err["error"] == "domain", err
             assert err["message"].startswith(("cleaning threshold", "min_segment_len")), err
+
+
+# ---------------------------------------------------------------------------
+# `simulate`, `validate` and `calibrate` over their numeric and seed flags
+
+# floats in any spelling, integers up to 10^20, and forms float() or int()
+# refuses, such as 0x10
+MODEL_FLAG_VALUES = st.one_of(
+    st.floats().map(repr),
+    st.integers(-10 ** 20, 10 ** 20).map(str),
+    st.sampled_from(["nan", "inf", "-inf", "-0", "-0.0", "1e-320", "1e400", "-1e400", "0x10",
+                     "", " ", "0.5", "0.25", "1", "2", "10"]),
+)
+# seed lists: empty, blank, duplicate, huge or misspelt entries
+SEED_LISTS = st.one_of(
+    st.lists(st.one_of(st.integers(-2, 10 ** 20).map(str),
+                       st.sampled_from(["", " ", " 3 ", "-0", "0x10", "1.5", "nan", "1e400"])),
+             max_size=4).map(",".join),
+    st.integers(0, 3).map(lambda seed: f"{seed},{seed}"),
+)
+# each flag: the type argparse converts it with, and the words that name it in an error
+MODEL_FLAGS = {"dt": (float, "dt"), "split": (float, "split fraction"),
+               "split-seed": (int, "split seed"), "seeds": (str, "seeds")}
+FLAGS_OF = {"simulate": ("dt",), "validate": ("dt",), "calibrate": tuple(MODEL_FLAGS)}
+
+
+@st.composite
+def model_flags(draw):
+    """Each of the four flags, present or not, as (name, value)."""
+    return [(name, draw(SEED_LISTS if name == "seeds" else MODEL_FLAG_VALUES))
+            for name in MODEL_FLAGS if draw(st.booleans())]
+
+
+def converts(kind, value: str) -> bool:
+    try:
+        kind(value)
+    except ValueError:
+        return False
+    return True
+
+
+class TestModelFlagsFuzz:
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(flags=model_flags())
+    # cuts the base segments into 8.3 million sub-steps, whose schedule
+    # would take gigabytes
+    @example(flags=[("dt", "1e-05")])
+    @example(flags=[("split", "nan"), ("split-seed", str(10 ** 20)), ("seeds", "0,0")])
+    def test_commands_exit_zero_one_or_two(self, base_segments, capsys, flags):
+        """Exit 0 with no NaN or Infinity token, exit 1 with one JSON line naming a flag
+        given, or exit 2 where argparse cannot convert a value."""
+        directory, _ = base_segments
+        for command, names in FLAGS_OF.items():
+            taken = [(name, value) for name, value in flags if name in names]
+            out = directory / f"flags-{command}.json"
+            for path in (out, Path(f"{out}.manifest.json")):
+                path.unlink(missing_ok=True)
+            argv = [arg.format(model=directory / "model.json", config=directory / "ga.json")
+                    for arg in SEGMENT_COMMANDS[command]]
+            capsys.readouterr()
+            try:
+                rc = main(argv + ["--segments", str(directory / "segments.json"),
+                                  *(f"--{name}={value}" for name, value in taken),
+                                  "--out", str(out)])
+            except SystemExit as exc:
+                rc = exc.code
+            captured = capsys.readouterr()
+            if not all(converts(MODEL_FLAGS[name][0], value) for name, value in taken):
+                assert rc == 2, (command, taken)
+                assert "invalid" in captured.err, (command, captured.err)
+                continue
+            err = assert_exit_contract(rc, captured, out)
+            if err is not None:
+                assert any(MODEL_FLAGS[name][1] in err["message"] for name, _ in taken), (
+                    command, taken, err)

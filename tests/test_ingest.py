@@ -372,6 +372,15 @@ class TestIngestCliContract:
         assert err["error"] == "domain"
         assert f"log.csv:{line}" in err["message"]
 
+    @pytest.mark.parametrize("role", ["leader", "follower"])
+    def test_bad_row_after_a_quoted_line_break_names_its_file_line(self, tmp_path, capsys,
+                                                                    role):
+        # the first data row spans lines 2 and 3, so the second row is on line 4
+        bad = tmp_path / "ml.csv"
+        bad.write_text('t,lat,lon\n0,"28.1\n",-81.2\n1,north,-81.2\n')
+        assert self.ingest_error(tmp_path, capsys, bad, role) == {
+            "error": "domain", "message": f"{bad}:4: could not convert string to float: 'north'"}
+
     @pytest.mark.parametrize("rows, line, problem", [
         ([b"1,28.1\xff,-81.25", b"2,north,-81.25"], 3, "not UTF-8 text: b'1,28.1\\xff,-81.25'"),
         # a bad byte is a fault of its row: an earlier fault is named first
@@ -466,7 +475,7 @@ def oracle_rows(path):
             if [h.strip().lower() for h in header] != ["t", "lat", "lon"]:
                 raise DomainError(f"{path}: header must be exactly 't,lat,lon', got {header}")
             raw = []
-            for lineno, row in enumerate(reader, start=2):
+            for row in reader:
                 if len(row) == 3:
                     try:
                         raw.append((_parse_time(row[0]), float(row[1]), float(row[2])))
@@ -476,7 +485,7 @@ def oracle_rows(path):
                 else:
                     problem = f"expected 3 columns, got {len(row)}"
                 if any(cell.strip() for cell in row):
-                    raise DomainError(f"{path}:{lineno}: {problem}")
+                    raise DomainError(f"{path}:{reader.line_num}: {problem}")
         except csv.Error as exc:  # a cell over csv's field limit; a NUL before Python 3.11
             raise DomainError(f"{path}:{reader.line_num}: {exc}") from None
     if not raw:

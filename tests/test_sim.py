@@ -152,6 +152,17 @@ class TestSimulateFollower:
         with pytest.raises(ConfigError):
             simulate_follower(SHUTTLE_IDM, seg, dt=-1.0)
 
+    def test_dt_may_cut_at_most_max_substeps(self, monkeypatch):
+        # 20 one-second intervals: 40 sub-steps at dt 0.5, 80 at dt 0.25
+        seg = constant_leader_segment(10.0, 20, 60.0)
+        assert np.array_equal(np.diff(seg.t), np.ones(20))
+        monkeypatch.setattr(sim, "MAX_SUBSTEPS", 40)
+        assert len(simulate_follower(SHUTTLE_IDM, seg, dt=0.5)) == 21
+        with pytest.raises(ConfigError) as exc:
+            simulate_follower(SHUTTLE_IDM, seg, dt=0.25)
+        assert str(exc.value) == ("dt=0.25 cuts the segments into 80 sub-steps, "
+                                  "more than the 40 one run may take")
+
     def test_speed_clamp_forbids_reversing(self):
         seg = hard_stop_segment(initial_speed=15.0, initial_spacing=20.0)
         result = simulate_follower(SHUTTLE_IDM, seg)
