@@ -1,9 +1,12 @@
 #!/usr/bin/env python3
 """Generate a demo pair of GPS logs and run the full pipeline on them.
 
-Writes leader.csv / follower.csv plus every downstream artifact (pair,
-segments, stats report, simulation, text report) into --out-dir, using
-the package CLI for each stage. Handy for a quick end-to-end smoke run:
+Writes leader.csv / follower.csv plus every downstream artifact into
+--out-dir, using the package CLI for each stage: pair.json,
+segments.json and its binary sidecar segments.json.columns, stats.json
+and stats.txt, idm.json, sim.json, gof.json, the SVGs under figures/,
+and a .manifest.json next to each output. Handy for a quick end-to-end
+smoke run:
 
   python scripts/make_demo_data.py --out-dir demo/
 """

@@ -29,6 +29,7 @@ import numpy as np
 
 from .cleaning import FollowingSegment, split_segments
 from .errors import CfCalibError, ConfigError, UndefinedStatisticError
+from .ingest import MAX_MAGNITUDE
 from .jsonio import is_finite_number, is_seed, read_json_object
 from .models import GENE_BOUNDS, ModelParams, genes_table, genes_to_params, params_to_dict
 from .sim import SegmentSet, SimLimits
@@ -150,6 +151,10 @@ class GaConfig:
         for name in ("population", "max_generations", "stall_generations"):
             if not _is_int(getattr(self, name)):
                 raise ConfigError(f"{name} must be an integer, got {getattr(self, name)!r}")
+            # the magnitude rule: beyond it numpy cannot shape a population,
+            # and the elite count overflows a float
+            if not abs(getattr(self, name)) <= MAX_MAGNITUDE:
+                raise ConfigError(f"{name} must be at most 2^53, got {getattr(self, name)}")
         for name in ("mutation_prob", "crossover_prob", "elitism_ratio"):
             value = getattr(self, name)
             if not is_finite_number(value) or not 0.0 < value < 1.0:

@@ -10,21 +10,34 @@ being interpolated over. One gap rule, a time step above 1.5x the
 series' own (lower) median step, drops a follower time inside a leader
 gap when pairing and splits a run when cleaning. A paired series and a
 segment share one column layout, written and read by one pair of
-functions for both the pair and the segments JSON."""
+functions for both the pair and the segments JSON.
+
+write_segments_json is the one writer of a segments file. After the JSON
+it writes a binary sidecar, `<segments>.columns`, of the same columns as
+raw little-endian doubles, with the sha256 of the JSON's bytes.
+read_segments_json takes the columns from the sidecar when that digest
+and the sidecar's own match, and so parses no JSON number; on any fault
+of the sidecar it parses the JSON, which stays the one interchange
+format. Readers never write a sidecar, and the pair JSON, read once by
+`clean`, has none."""
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import os
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, NoCarFollowingError, PairingError, SplitError
+from .errors import CfCalibError, DomainError, NoCarFollowingError, PairingError, SplitError
 from .ingest import (GpsLog, MAX_MAGNITUDE, Trajectory, geodesic_distance, require_in_range,
                      require_increasing)
-from .jsonio import is_seed, read_json_object, require_keys, write_json
+from .jsonio import (_replacing, file_sha256, is_seed, read_json_object, require_keys,
+                     write_json)
 
 # the fewest samples a FollowingSegment holds, and so the floor of min_segment_len
 MIN_SEGMENT_SAMPLES = 10
@@ -81,16 +94,19 @@ class CleaningRules:
             raise DomainError(f"min_segment_len must be at least {MIN_SEGMENT_SAMPLES} samples, "
                               f"got {self.min_segment_len}")
 
-    def keeps(self, leader_accel, follower_speed, follower_accel, spacing):
-        """True where a sample is a valid car-following observation (elementwise)."""
-        return (
-            (follower_speed > 0.0)  # a stopped follower follows no one
-            & (follower_speed <= self.max_follower_speed)
-            & (spacing > 0.0)
-            & (spacing <= self.max_spacing)
-            & (np.abs(leader_accel) <= self.max_accel)
-            & (np.abs(follower_accel) <= self.max_accel)
-        )
+    def conditions(self, leader_accel, follower_speed, follower_accel, spacing) -> dict:
+        """Each condition a car-following observation meets, by name, elementwise.
+
+        A sample is kept where it meets them all.
+        """
+        return {
+            "follower_moving": follower_speed > 0.0,  # a stopped follower follows no one
+            "follower_speed_in_cap": follower_speed <= self.max_follower_speed,
+            "leader_ahead": spacing > 0.0,
+            "leader_in_sensor_range": spacing <= self.max_spacing,
+            "leader_accel_plausible": np.abs(leader_accel) <= self.max_accel,
+            "follower_accel_plausible": np.abs(follower_accel) <= self.max_accel,
+        }
 
 
 @dataclass
@@ -139,16 +155,21 @@ class FollowingSegment:
         return self.leader_pos - self.follower_pos
 
 
-def _gaps(t: np.ndarray) -> np.ndarray:
-    """True for each step of `t` above 1.5x its median step, the lower one of an even count.
+def _cadence(t: np.ndarray) -> float:
+    """The median step of `t`, the lower one of an even count; 0 for fewer than two times.
 
     A duplicate fix a moment after another, or dropouts in up to half the
-    steps, leave that median unchanged. np.median would import numpy.ma
-    (about 10 ms per process), so the median comes from np.partition.
+    steps, leave it unchanged. np.median would import numpy.ma (about 10
+    ms per process), so the median comes from np.partition.
     """
     steps = np.diff(t)
     k = (steps.size - 1) // 2
-    return steps > 1.5 * (np.partition(steps, k)[k] if steps.size else 0.0)
+    return float(np.partition(steps, k)[k]) if steps.size else 0.0
+
+
+def _gaps(t: np.ndarray, cadence: float) -> np.ndarray:
+    """True for each step of `t` above 1.5x its cadence (`_cadence`)."""
+    return np.diff(t) > 1.5 * cadence
 
 
 def _paired(leader_t: np.ndarray, follower_t: np.ndarray) -> np.ndarray:
@@ -159,7 +180,7 @@ def _paired(leader_t: np.ndarray, follower_t: np.ndarray) -> np.ndarray:
     j = np.searchsorted(leader_t, follower_t)  # leader_t[j - 1] < t <= leader_t[j]
     hit = leader_t[np.minimum(j, len(leader_t) - 1)] == follower_t
     # step j runs from leader fix j - 1 to fix j; steps 0 and n lie outside the span
-    unbroken = np.concatenate(([False], ~_gaps(leader_t), [False]))
+    unbroken = np.concatenate(([False], ~_gaps(leader_t, _cadence(leader_t)), [False]))
     paired = hit | unbroken[j]
     if not paired.any():
         raise PairingError("no follower time lies in the leader log's span and outside its gaps")
@@ -234,25 +255,32 @@ def leader_start_offset(
     return spacing - float(np.interp(at, leader.t, leader.pos) - follower.pos[fi])
 
 
-def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None) -> list[FollowingSegment]:
+def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None,
+                   counts: dict | None = None) -> list[FollowingSegment]:
     """Filter outliers and return maximal contiguous car-following segments.
 
     A run breaks where a sample was dropped or at a gap of the paired
     times (`_gaps`, the rule pairing drops a follower time by); runs
     shorter than rules.min_segment_len are discarded. Raises
-    NoCarFollowingError when nothing survives.
+    NoCarFollowingError when nothing survives. A `counts` dict receives
+    what cleaning did: the samples that fail each of the rules'
+    conditions (a sample may fail several), the runs broken at a gap, the
+    cadence, the runs dropped as short and the segments kept.
     """
     if rules is None:
         rules = CleaningRules()
     n = len(paired)
     if n == 0:
         raise DomainError("paired series is empty")
-    keep = rules.keeps(paired.leader_accel, paired.follower_speed,
-                       paired.follower_accel, paired.spacing)
-    gap = _gaps(paired.t)
+    conditions = rules.conditions(paired.leader_accel, paired.follower_speed,
+                                  paired.follower_accel, paired.spacing)
+    keep = np.logical_and.reduce(list(conditions.values()))
+    cadence = _cadence(paired.t)
+    gap = _gaps(paired.t, cadence)
     # a sample joins the previous one when both are kept and no gap lies between
+    both_kept = keep[1:] & keep[:-1]
     joined = np.zeros(n, dtype=bool)
-    joined[1:] = keep[1:] & keep[:-1] & ~gap
+    joined[1:] = both_kept & ~gap
     starts = np.flatnonzero(keep & ~joined)
     ends = np.flatnonzero(keep & ~np.append(joined[1:], False)) + 1
 
@@ -262,6 +290,10 @@ def clean_segments(paired: PairedSeries, rules: CleaningRules | None = None) -> 
             continue
         segments.append(FollowingSegment(
             f"seg-{len(segments):04d}", *(getattr(paired, name)[lo:hi].copy() for name in COLUMNS)))
+    if counts is not None:
+        counts.update({f"failed_{name}": int(n - met.sum()) for name, met in conditions.items()})
+        counts.update(runs_broken_at_gap=int((both_kept & gap).sum()), cadence_s=cadence,
+                      runs_dropped_short=len(starts) - len(segments), segments=len(segments))
     if not segments:
         raise NoCarFollowingError("no car-following interval survived cleaning")
     return segments
@@ -380,12 +412,112 @@ def segments_from_dict(data: dict) -> list[FollowingSegment]:
     return out
 
 
-def write_segments_json(segments: list[FollowingSegment], path: str | Path) -> None:
-    write_json(path, segments_to_dict(segments))
+class SegmentList(list):
+    """The segments of a segments file, and `read_from`: "columns" or "json", the path taken."""
+
+    def __init__(self, segments, read_from: str):
+        super().__init__(segments)
+        self.read_from = read_from
 
 
-def read_segments_json(path: str | Path) -> list[FollowingSegment]:
-    return segments_from_dict(read_json_object(path, "segments file"))
+def columns_path(path: str | Path) -> Path:
+    """The binary sidecar of a segments file: `<path>.columns`."""
+    return Path(f"{path}.columns")
+
+
+def write_segments_json(segments: list[FollowingSegment], path: str | Path, **extra) -> None:
+    """The segments file, with any `extra` top-level keys, then its binary sidecar.
+
+    The sidecar holds the same columns for read_segments_json to read
+    without parsing JSON numbers; see `_write_columns`.
+    """
+    write_json(path, {**segments_to_dict(segments), **extra})
+    _write_columns(segments, path)
+
+
+def read_segments_json(path: str | Path) -> SegmentList:
+    """The segments of a segments file: from its sidecar if that matches, else from the JSON.
+
+    Every fault of the sidecar (missing, unreadable, stale, cut short,
+    altered, or holding a segment FollowingSegment rejects) falls back to
+    the JSON, silently; either path gives the same segments. `read_from`
+    on the list names the path taken.
+    """
+    try:
+        segments = _read_columns(path)
+    except (OSError, ValueError, CfCalibError):
+        segments = None
+    if segments is not None:
+        return SegmentList(segments, "columns")
+    return SegmentList(segments_from_dict(read_json_object(path, "segments file")), "json")
+
+
+# The sidecar: one line of ASCII JSON, then the float64 columns of each
+# segment in COLUMNS order, little-endian. The header holds the format,
+# the sha256 of the segments file's bytes, the segment ids and lengths, and
+# the sha256 of the payload: the JSON text of [ids, lengths] followed by
+# the columns' bytes, so that a changed id or length fails it too.
+COLUMNS_FORMAT = "cfcalib-segment-columns-1"
+_FLOAT64_LE = np.dtype("<f8")
+
+
+def _table(ids: list, lengths: list) -> bytes:
+    """The segment ids and lengths as the payload digest covers them."""
+    return json.dumps([ids, lengths]).encode("ascii")
+
+
+def _little_endian(column: np.ndarray) -> np.ndarray:
+    """A column as contiguous little-endian float64, without a copy where it already is one."""
+    return np.ascontiguousarray(column, dtype=_FLOAT64_LE)
+
+
+def _write_columns(segments: list[FollowingSegment], path: str | Path) -> None:
+    """Write the sidecar of the segments file at `path`, atomically, a column at a time."""
+    ids, lengths = [s.id for s in segments], [len(s) for s in segments]
+    payload = hashlib.sha256(_table(ids, lengths))
+    for s in segments:
+        for name in COLUMNS:
+            payload.update(_little_endian(getattr(s, name)))
+    header = {"format": COLUMNS_FORMAT, "json_sha256": file_sha256(path), "ids": ids,
+              "lengths": lengths, "payload_sha256": payload.hexdigest()}
+    with _replacing(columns_path(path), binary=True) as handle:
+        handle.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
+        for s in segments:
+            for name in COLUMNS:
+                handle.write(_little_endian(getattr(s, name)))
+
+
+def _read_columns(path: str | Path) -> list[FollowingSegment] | None:
+    """The segments in the sidecar of `path`, or None unless it matches the file and itself.
+
+    The payload's size is checked against the file's before it is read
+    into one array, of which each column is a view.
+    """
+    with open(columns_path(path), "rb") as handle:
+        header = json.loads(handle.readline())
+        size = os.fstat(handle.fileno()).st_size - handle.tell()
+        if not (isinstance(header, dict) and header.get("format") == COLUMNS_FORMAT):
+            return None
+        ids, lengths = header.get("ids"), header.get("lengths")
+        if not (isinstance(ids, list) and isinstance(lengths, list) and len(ids) == len(lengths)
+                and all(isinstance(i, str) for i in ids)
+                and all(type(n) is int and n >= 0 for n in lengths)
+                and sum(lengths) * len(COLUMNS) * _FLOAT64_LE.itemsize == size
+                and header.get("json_sha256") == file_sha256(path)):
+            return None
+        columns = np.empty(size // _FLOAT64_LE.itemsize, dtype=_FLOAT64_LE)
+        if handle.readinto(columns) != size:
+            return None
+    payload = hashlib.sha256(_table(ids, lengths))
+    payload.update(columns)
+    if payload.hexdigest() != header.get("payload_sha256"):
+        return None
+    segments, start = [], 0
+    for segment_id, n in zip(ids, lengths):
+        block = columns[start:start + len(COLUMNS) * n].reshape(len(COLUMNS), n)
+        segments.append(FollowingSegment(segment_id, *block))
+        start += len(COLUMNS) * n
+    return segments
 
 
 def write_pair_json(paired: PairedSeries, leader_offset: float, path: str | Path) -> None:

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import json
 import sys
 from datetime import datetime, timezone
@@ -30,44 +29,40 @@ from . import __version__, report as report_mod
 from .calib import GaConfig, calibrate_and_validate, gof_report, load_ga_config
 from .cleaning import (
     CleaningRules,
+    SegmentList,
     clean_segments,
     leader_start_offset,
     pair_trajectories,
     read_pair_json,
     read_segments_json,
     retained_samples,
-    segments_to_dict,
     write_pair_json,
+    write_segments_json,
 )
 from .errors import CfCalibError, ConfigError, DomainError
 from .ingest import derive_kinematics, read_gps_pair
-from .jsonio import atomic_write_text, read_json_object, require_keys, write_json
+from .jsonio import atomic_write_text, file_sha256, read_json_object, require_keys, write_json
 from .models import MODEL_KINDS, load_params, params_from_dict, params_to_dict
 from .sim import SimLimits, load_limits, result_to_dict, simulate_all
 from .stats import analyze_segments
 
 
-def _sha256(path: Path) -> str:
-    digest = hashlib.sha256()
-    with path.open("rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()
-
-
 def _write_manifest(out_path: Path, args: argparse.Namespace, inputs: list[Path],
                     config_echo: dict | None = None, seeds: list[int] | None = None,
-                    counts: dict | None = None) -> None:
+                    counts: dict | None = None, segments: SegmentList | None = None) -> None:
+    """Write `<out_path>.manifest.json`; given the segments read, it names the path taken."""
     manifest = {
         "command": list(getattr(args, "_argv", [])),
         "subcommand": args.command,
-        "inputs": {str(p): _sha256(Path(p)) for p in inputs},
+        "inputs": {str(p): file_sha256(p) for p in inputs},
         "config": config_echo or {},
         "seeds": seeds or [],
         "counts": counts or {},
         "tool_version": __version__,
         "wall_clock_utc": datetime.now(timezone.utc).isoformat(),
     }
+    if segments is not None:
+        manifest["segments_read_from"] = segments.read_from
     write_json(Path(str(out_path) + ".manifest.json"), manifest)
 
 
@@ -119,13 +114,13 @@ def _cmd_clean(args) -> int:
     )
     src = _require_file(args.pair)
     paired = read_pair_json(src)
-    segments = clean_segments(paired, rules)
+    counts = {"paired_samples": len(paired)}
+    segments = clean_segments(paired, rules, counts)
     out = Path(args.out)
-    payload = segments_to_dict(segments)
-    payload["retained_samples"] = retained_samples(segments)
-    payload["paired_samples"] = len(paired)
-    write_json(out, payload)
-    _write_manifest(out, args, [src], config_echo=vars_without(args, "command", "out"))
+    write_segments_json(segments, out, retained_samples=retained_samples(segments),
+                        paired_samples=len(paired))
+    _write_manifest(out, args, [src], config_echo=vars_without(args, "command", "out"),
+                    counts=counts)
     return 0
 
 
@@ -135,12 +130,12 @@ def _cmd_stats(args) -> int:
     result = analyze_segments(segments)
     out = Path(args.out)
     write_json(out, result)
-    _write_manifest(out, args, [src])
+    _write_manifest(out, args, [src], segments=segments)
     if args.svg_dir:
         svg_dir = Path(args.svg_dir)
         for name, svg in report_mod.stats_svgs(segments).items():
             atomic_write_text(svg_dir / name, svg)
-        _write_manifest(svg_dir / "figures", args, [src])
+        _write_manifest(svg_dir / "figures", args, [src], segments=segments)
     return 0
 
 
@@ -159,13 +154,13 @@ def _cmd_simulate(args) -> int:
         "results": [result_to_dict(r, s.id) for r, s in zip(results, segments)],
         "total_collisions": sum(r.collisions for r in results),
     })
-    _write_manifest(out, args, inputs, config_echo={"dt": args.dt})
+    _write_manifest(out, args, inputs, config_echo={"dt": args.dt}, segments=segments)
     if args.svg_dir:
         svg_dir = Path(args.svg_dir)
         for seg, res in zip(segments, results):
             for name, svg in report_mod.simulation_svgs(seg, res).items():
                 atomic_write_text(svg_dir / name, svg)
-        _write_manifest(svg_dir / "figures", args, inputs)
+        _write_manifest(svg_dir / "figures", args, inputs, segments=segments)
     return 0
 
 
@@ -201,7 +196,8 @@ def _cmd_calibrate(args) -> int:
         "split": {"fraction": args.split, "seed": args.split_seed},
         "dt": args.dt,
     })
-    _write_manifest(out, args, inputs, config_echo=config.as_dict(), seeds=config.seeds)
+    _write_manifest(out, args, inputs, config_echo=config.as_dict(), seeds=config.seeds,
+                    segments=segments)
     return 0
 
 
@@ -220,7 +216,7 @@ def _cmd_validate(args) -> int:
     out = Path(args.out)
     write_json(out, {"model": params_to_dict(params), "gof": dataclasses.asdict(rep),
                      "dt": args.dt})
-    _write_manifest(out, args, inputs, config_echo={"dt": args.dt})
+    _write_manifest(out, args, inputs, config_echo={"dt": args.dt}, segments=segments)
     return 0
 
 

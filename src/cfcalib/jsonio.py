@@ -25,10 +25,14 @@ for one column at a time, however the columns are split (a few long
 segments or many short ones). Any other value takes one encoder call.
 The bytes equal json.dumps(payload, sort_keys=True) with each array as
 its list.
+
+file_sha256 is the one file digest: the manifests record it for every
+input, and the segments reader checks its binary sidecar against it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import numbers
@@ -43,11 +47,12 @@ from .errors import DomainError
 
 
 @contextmanager
-def _replacing(path: str | Path):
-    """A UTF-8 text handle on a temporary file in path's directory that replaces path on success.
+def _replacing(path: str | Path, binary: bool = False):
+    """A handle on a temporary file in path's directory that replaces path on success.
 
-    Readers see the old file or the new one, never a partial write; on
-    any failure the temporary file is removed and the target is untouched.
+    The handle takes UTF-8 text, or bytes if `binary`. Readers see the
+    old file or the new one, never a partial write; on any failure the
+    temporary file is removed and the target is untouched.
     The path is named in UTF-8 whatever the host's locale, as its text
     is written: a figure's name holds a segment id, which may hold any
     character. surrogateescape gives back the bytes of a path that came
@@ -59,13 +64,22 @@ def _replacing(path: str | Path):
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=b"." + name + b".", suffix=b".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+        with (os.fdopen(fd, "wb") if binary else os.fdopen(fd, "w", encoding="utf-8")) as handle:
             yield handle
         os.replace(tmp, os.path.join(directory, name))
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def file_sha256(path: str | Path) -> str:
+    """The hex sha256 of a file's bytes, read in chunks so that no copy of the file is held."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 16), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def atomic_write_text(path: str | Path, text: str) -> None:

@@ -1,11 +1,12 @@
 import dataclasses
+import hashlib
 import json
 import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from cfcalib import (
     CleaningRules,
@@ -22,7 +23,7 @@ from cfcalib import (
     split_segments,
 )
 from cfcalib.cleaning import (
-    COLUMNS, leader_start_offset, read_pair_json, read_segments_json,
+    COLUMNS, columns_path, leader_start_offset, read_pair_json, read_segments_json,
     segments_from_dict, segments_to_dict, series_columns, series_to_dict, write_pair_json,
     write_segments_json)
 from cfcalib.fixtures import constant_leader_segment, rule_violation_series
@@ -274,6 +275,22 @@ class TestCleanSegments:
         segments = clean_segments(paired)
         assert retained_samples(segments) == 4427
 
+    def test_counts_say_what_cleaning_did(self):
+        """Each failed condition, the gap that breaks a run, the cadence and the short run."""
+        paired = make_paired(60)
+        paired.follower_speed[3] = 0.0          # leaves a 3-sample run, dropped as short
+        paired.follower_accel[3] = 19.0         # the same sample fails a second condition
+        paired.leader_pos[30] = paired.follower_pos[30] - 1.0
+        paired.t[45:] += 4.0                    # a gap inside a kept run
+        counts = {}
+        segments = clean_segments(paired, counts=counts)
+        assert [len(s) for s in segments] == [26, 14, 15]
+        assert counts == {
+            "failed_follower_moving": 1, "failed_follower_speed_in_cap": 0,
+            "failed_leader_ahead": 1, "failed_leader_in_sensor_range": 0,
+            "failed_leader_accel_plausible": 0, "failed_follower_accel_plausible": 1,
+            "runs_broken_at_gap": 1, "cadence_s": 1.0, "runs_dropped_short": 1, "segments": 3}
+
     def test_all_stopped_raises(self):
         paired = make_paired(50, follower_speed=0.0)
         with pytest.raises(NoCarFollowingError):
@@ -316,8 +333,8 @@ class TestCleanSegments:
             return
         for seg in segments:
             for i in range(len(seg)):
-                assert rules.keeps(seg.leader_accel[i], seg.follower_speed[i],
-                                   seg.follower_accel[i], seg.spacing[i])
+                assert all(rules.conditions(seg.leader_accel[i], seg.follower_speed[i],
+                                            seg.follower_accel[i], seg.spacing[i]).values())
             assert np.all(np.diff(seg.t) <= 1.5 * np.median(np.diff(paired.t)))
             assert len(seg) >= rules.min_segment_len
 
@@ -533,3 +550,83 @@ class TestSplitSegments:
         total = 10 * 30
         share = sum(len(s) for s in calibration) / total
         assert abs(share - 0.8) <= 30 / total
+
+
+# ---------------------------------------------------------------------------
+# the binary sidecar of a segments file
+
+# doubles at the edges of what a segment may hold
+EDGE_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.0 ** 53, -(2.0 ** 53), 2.0 ** 53 - 1, 0.1]
+VALUES = st.one_of(st.sampled_from(EDGE_VALUES),
+                   st.floats(-(2.0 ** 53), 2.0 ** 53, allow_nan=False))
+
+
+@st.composite
+def sidecar_segments(draw):
+    """Valid segments: up to three drawn, repeated under drawn ids to 0-3 or 32-40 of them."""
+    bases = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(10, 14))
+        t = sorted(draw(st.lists(VALUES, min_size=n, max_size=n, unique=True)))
+        # the leader ahead: the larger of two distinct positions
+        pairs = draw(st.lists(st.tuples(VALUES, VALUES).filter(lambda p: p[0] != p[1]),
+                              min_size=n, max_size=n))
+        rest = [draw(st.lists(VALUES, min_size=n, max_size=n)) for _ in range(4)]
+        bases.append(FollowingSegment(
+            "", t, [max(p) for p in pairs], rest[0], rest[1], [min(p) for p in pairs],
+            rest[2], rest[3]))
+    count = draw(st.one_of(st.integers(0, 3), st.integers(32, 40)))
+    ids = draw(st.lists(st.text(max_size=8), min_size=count, max_size=count))
+    return [dataclasses.replace(bases[i % len(bases)], id=ids[i]) for i in range(count)]
+
+
+def exact(segments) -> list:
+    """Each segment's id and every value as float.hex, in order."""
+    return [(s.id, [[float.hex(float(v)) for v in getattr(s, name)] for name in COLUMNS])
+            for s in segments]
+
+
+class TestColumnsSidecar:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.too_slow])
+    @given(segments=sidecar_segments())
+    @example(segments=[constant_leader_segment(12.0, 20, 60.0, seg_id="Ström-1 ✓")])
+    def test_sidecar_reads_what_the_json_reads(self, tmp_path, segments):
+        path = tmp_path / "segments.json"
+        write_segments_json(segments, path)
+        from_columns = read_segments_json(path)
+        columns_path(path).unlink()
+        from_json = read_segments_json(path)
+        assert (from_columns.read_from, from_json.read_from) == ("columns", "json")
+        assert exact(from_columns) == exact(from_json) == exact(segments)
+
+    def test_sidecar_layout(self, tmp_path):
+        """One header line, then each segment's columns in COLUMNS order as little-endian doubles."""
+        segments = [constant_leader_segment(12.0, 20, 60.0, seg_id="a"),
+                    constant_leader_segment(10.0, 11, 40.0, seg_id="b")]
+        path = tmp_path / "segments.json"
+        write_segments_json(segments, path)
+        header, _, payload = columns_path(path).read_bytes().partition(b"\n")
+        header = json.loads(header)
+        assert header["ids"] == [s.id for s in segments]
+        assert header["lengths"] == [len(s) for s in segments]
+        assert header["json_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert payload == b"".join(getattr(s, name).astype("<f8").tobytes()
+                                   for s in segments for name in COLUMNS)
+
+    def test_readers_write_no_sidecar(self, tmp_path):
+        path = tmp_path / "segments.json"
+        path.write_text(json.dumps(segments_to_dict([constant_leader_segment(12.0, 20, 60.0)]),
+                                   default=lambda a: a.tolist()))
+        assert read_segments_json(path).read_from == "json"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["segments.json"]
+
+    def test_extra_keys_keep_the_json_bytes(self, tmp_path):
+        segments = [constant_leader_segment(12.0, 20, 60.0)]
+        path = tmp_path / "segments.json"
+        write_segments_json(segments, path, retained_samples=len(segments[0]), paired_samples=99)
+        expected = {**segments_to_dict(segments), "retained_samples": len(segments[0]),
+                    "paired_samples": 99}
+        assert path.read_text() == json.dumps(expected, sort_keys=True,
+                                              default=lambda a: a.tolist()) + "\n"

@@ -1641,3 +1641,271 @@ class TestModelFlagsFuzz:
             if err is not None:
                 assert any(MODEL_FLAGS[name][1] in err["message"] for name, _ in taken), (
                     command, taken, err)
+
+
+# ---------------------------------------------------------------------------
+# `simulate`, `validate` and `calibrate` over mutated model, limits and GA config files
+
+# JSON text put in place of a value: the odd values above, and numbers at
+# the edges of each file's domain. No integer here is a feasible but huge
+# population or generation count, which would only run for a long time;
+# 2^53 is written as a float, which no count takes
+CONFIG_VALUES = ODD_VALUES + ["Infinity", "[]", "{}", "0", "-0.0", "-1", "1e-320", "0.5", "1",
+                              "2", "3", "4", "10", "1e15", "-1e15", "9007199254740992.0",
+                              "1" + "0" * 20, "1e308", "[0.0, 1e308]", "[1.0, 0.0]",
+                              "[-1e308, 1e308]"]
+LIMITS = {"a_min": -26.0, "a_max": 10.0, "v_max": 19.5, "v_min": 0.0}
+GA_CONFIG = {"population": 4, "max_generations": 1, "stall_generations": 1, "seeds": [0],
+             "mutation_prob": 0.1, "crossover_prob": 0.5, "elitism_ratio": 0.1}
+# the commands each file goes to, as flags; calibrate fits the model file's kind
+CONFIG_COMMANDS = {
+    "simulate": ["simulate", "--model", "{model}", "--limits", "{limits}"],
+    "validate": ["validate", "--params", "{model}", "--limits", "{limits}"],
+    "calibrate": ["calibrate", "--model", "{kind}", "--config", "{config}",
+                  "--limits", "{limits}"],
+}
+
+
+@st.composite
+def config_files(draw):
+    """A model kind, and one to three damages to its model, limits or GA config file."""
+    from cfcalib.models import GENE_BOUNDS
+
+    kind = draw(st.sampled_from(sorted(GENE_BOUNDS)))
+    genes = [name for name, _, _, _ in GENE_BOUNDS[kind]]
+    keys = {"model": ["model", *genes] + (["d0"] if kind == "linear_acc" else []),
+            "limits": list(LIMITS),
+            "config": [*GA_CONFIG, "bounds"]}
+    path = st.one_of(
+        st.tuples(st.sampled_from(sorted(keys)), st.none()),
+        *[st.tuples(st.just(name), st.sampled_from(key_list)) for name, key_list in keys.items()],
+        st.tuples(st.just("config"), st.tuples(st.sampled_from(["seeds", "bounds"]),
+                                               st.integers(0, len(genes) - 1))),
+        st.tuples(st.just("config"), st.tuples(st.just("bounds"), st.integers(0, len(genes) - 1),
+                                               st.integers(0, 1))),
+    )
+    mutation = st.one_of(
+        st.tuples(st.just("drop"), path, st.none()),
+        st.tuples(st.just("set"), path, st.sampled_from(CONFIG_VALUES)),
+        st.tuples(st.just("stray"), st.sampled_from(sorted(keys)), st.none()),
+    )
+    return kind, draw(st.lists(mutation, min_size=1, max_size=3))
+
+
+def config_texts(kind: str, mutations) -> dict:
+    """The text of each file, with each mutation that still finds its target applied."""
+    from cfcalib.models import GENE_BOUNDS, default_params, params_to_dict
+
+    bounds = [[lo, hi] for _, lo, hi, _ in GENE_BOUNDS[kind]]
+    files = {"model": params_to_dict(default_params(kind)), "limits": dict(LIMITS),
+             "config": {**GA_CONFIG, "bounds": bounds}}
+    odd = []
+    for kind_of, target, arg in mutations:
+        if kind_of == "stray":
+            if isinstance(files[target], dict):
+                files[target]["stray"] = 1
+            continue
+        name, key = target
+        if key is None:  # the whole file
+            if kind_of == "set":
+                files[name] = f"@{len(odd)}@"
+                odd.append(arg)
+            continue
+        path = key if isinstance(key, tuple) else (key,)
+        try:
+            parent = functools.reduce(operator.getitem, path[:-1], files[name])
+            parent[path[-1]]
+        except (KeyError, IndexError, TypeError):
+            continue  # an earlier mutation removed or replaced it
+        if not isinstance(parent, (dict, list)):
+            continue
+        if kind_of == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = f"@{len(odd)}@"
+            odd.append(arg)
+    texts = {}
+    for name, value in files.items():
+        text = json.dumps(value)
+        for i, literal in enumerate(odd):
+            text = text.replace(f'"@{i}@"', literal)
+        texts[name] = text
+    return texts
+
+
+class TestConfigFileFuzz:
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=config_files())
+    # populations beyond 2^53 raised ValueError in numpy (10^20) and
+    # OverflowError in the elite count (10^400)
+    @example(case=("idm", [("set", ("config", "population"), "1" + "0" * 20)]))
+    @example(case=("blend", [("set", ("config", "population"), "1" + "0" * 400)]))
+    def test_commands_exit_zero_or_one_json_line(self, base_segments, capsys, case):
+        """Exit 0 with no NaN or Infinity token in an output or manifest, or exit 1 with
+        one JSON line on stderr and no output."""
+        directory, _ = base_segments
+        kind, mutations = case
+        inputs = {"kind": kind}
+        for name, text in config_texts(kind, mutations).items():
+            inputs[name] = directory / f"fuzz-{name}.json"
+            inputs[name].write_text(text)
+        for command, template in CONFIG_COMMANDS.items():
+            out = directory / f"fuzz-{command}.json"
+            for path in (out, Path(f"{out}.manifest.json")):
+                path.unlink(missing_ok=True)
+            capsys.readouterr()
+            rc = main([arg.format(**inputs) for arg in template]
+                      + ["--segments", str(directory / "segments.json"), "--out", str(out)])
+            assert_exit_contract(rc, capsys.readouterr(), out)
+
+
+# ---------------------------------------------------------------------------
+# the binary sidecar `<segments>.columns` that `clean` writes
+
+def run_on_segments(directory: Path, command: str) -> tuple[int, bytes | None, dict | None]:
+    """Run a command of SEGMENT_COMMANDS on directory's segments.json.
+
+    Returns its exit code, and on exit 0 its output's bytes and its manifest.
+    """
+    out = directory / f"sidecar-{command}.json"
+    argv = [arg.format(model=directory / "model.json", config=directory / "ga.json")
+            for arg in SEGMENT_COMMANDS[command]]
+    rc = main(argv + ["--segments", str(directory / "segments.json"), "--out", str(out)])
+    if rc != 0:
+        return rc, None, None
+    return rc, out.read_bytes(), json.loads(Path(f"{out}.manifest.json").read_text())
+
+
+@pytest.fixture(scope="module")
+def sidecar_base(base_segments, tmp_path_factory):
+    """A copy of the base segments file, its sidecar's bytes, and each command's output
+    without the sidecar."""
+    source, _ = base_segments
+    directory = tmp_path_factory.mktemp("sidecar")
+    for name in ("segments.json", "model.json", "ga.json"):
+        (directory / name).write_bytes((source / name).read_bytes())
+    sidecar = (source / "segments.json.columns").read_bytes()
+    expected = {}
+    for command in SEGMENT_COMMANDS:
+        rc, out, manifest = run_on_segments(directory, command)
+        assert rc == 0 and manifest["segments_read_from"] == "json", command
+        expected[command] = out
+    return directory, sidecar, expected
+
+
+def restore(directory: Path, sidecar: bytes) -> Path:
+    """Put the sidecar back in place of whatever a test left at its path."""
+    path = directory / "segments.json.columns"
+    if path.is_dir():
+        path.rmdir()
+    path.write_bytes(sidecar)
+    return path
+
+
+class TestSegmentsSidecar:
+    @pytest.mark.parametrize("command", list(SEGMENT_COMMANDS))
+    def test_outputs_equal_with_and_without_sidecar(self, sidecar_base, capsys, command):
+        directory, sidecar, expected = sidecar_base
+        restore(directory, sidecar)
+        capsys.readouterr()
+        rc, out, manifest = run_on_segments(directory, command)
+        assert (rc, capsys.readouterr().err) == (0, "")
+        assert manifest["segments_read_from"] == "columns"
+        assert out == expected[command]
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(in_header=st.booleans(), where=st.floats(0.0, 1.0, exclude_max=True),
+           mask=st.integers(1, 255), command=st.sampled_from(["simulate", "validate"]))
+    # the first byte, the header's newline and the payload's first byte
+    @example(in_header=True, where=0.0, mask=1, command="simulate")
+    @example(in_header=True, where=0.9999, mask=0xFF, command="validate")
+    @example(in_header=False, where=0.0, mask=0x80, command="simulate")
+    def test_a_flipped_byte_changes_no_output(self, sidecar_base, capsys, in_header, where,
+                                              mask, command):
+        """Any one byte changed, in the header or the payload: exit 0, no stderr, same bytes.
+
+        `where` places the byte within the header (its newline included) or the payload.
+        """
+        directory, sidecar, expected = sidecar_base
+        data = bytearray(sidecar)
+        header = sidecar.index(b"\n") + 1
+        i = int(where * header) if in_header else header + int(where * (len(data) - header))
+        data[i] ^= mask
+        restore(directory, bytes(data))
+        capsys.readouterr()
+        rc, out, manifest = run_on_segments(directory, command)
+        assert (rc, capsys.readouterr().err) == (0, "")
+        assert out == expected[command]
+        if not in_header:  # the payload's digest fails
+            assert manifest["segments_read_from"] == "json"
+
+    @pytest.mark.parametrize("damage", ["cut-one-byte", "header-only", "empty", "one-byte-more",
+                                        "wrong-version", "renamed-segment", "directory"])
+    @pytest.mark.parametrize("command", list(SEGMENT_COMMANDS))
+    def test_a_damaged_sidecar_falls_back_to_the_json(self, sidecar_base, capsys, damage,
+                                                       command):
+        directory, sidecar, expected = sidecar_base
+        path = restore(directory, sidecar)
+        if damage == "directory":
+            path.unlink()
+            path.mkdir()
+        else:
+            path.write_bytes({
+                "cut-one-byte": sidecar[:-1],
+                "header-only": sidecar[:sidecar.index(b"\n") + 1],
+                "empty": b"",
+                "one-byte-more": sidecar + b"\0",
+                "wrong-version": sidecar.replace(b"cfcalib-segment-columns-1",
+                                                 b"cfcalib-segment-columns-2", 1),
+                # one id changed: the payload's digest covers the ids and lengths
+                "renamed-segment": sidecar.replace(b'"seg-0000"', b'"seg-0009"', 1),
+            }[damage])
+        capsys.readouterr()
+        rc, out, manifest = run_on_segments(directory, command)
+        assert (rc, capsys.readouterr().err) == (0, "")
+        assert manifest["segments_read_from"] == "json"
+        assert out == expected[command]
+        restore(directory, sidecar)
+
+    @pytest.mark.parametrize("command", ["simulate", "validate"])
+    def test_a_stale_sidecar_falls_back_to_the_json(self, sidecar_base, tmp_path, capsys,
+                                                   command):
+        """The JSON rewritten with one value changed, the sidecar left as it was."""
+        source, sidecar, _ = sidecar_base
+        for name in ("model.json", "ga.json"):
+            (tmp_path / name).write_bytes((source / name).read_bytes())
+        data = json.loads((source / "segments.json").read_text())
+        data["segments"][0]["follower"]["speed"][3] += 0.5
+        (tmp_path / "segments.json").write_text(json.dumps(data))
+        rc, fresh, _ = run_on_segments(tmp_path, command)
+        assert rc == 0
+        restore(tmp_path, sidecar)
+        capsys.readouterr()
+        rc, out, manifest = run_on_segments(tmp_path, command)
+        assert (rc, capsys.readouterr().err) == (0, "")
+        assert manifest["segments_read_from"] == "json"
+        assert out == fresh
+
+    def test_clean_writes_the_sidecar_and_counts(self, tmp_path):
+        """`clean` writes a sidecar and says what it did; `ingest`'s pair file gets none."""
+        segments = run_pipeline_to_segments(tmp_path, stop_at=45)
+        assert not (tmp_path / "pair.json.columns").exists()
+        assert segments.with_name("segments.json.columns").is_file()
+        data = json.loads(segments.read_text())
+        counts = json.loads(Path(f"{segments}.manifest.json").read_text())["counts"]
+        assert counts["paired_samples"] == data["paired_samples"]
+        assert counts["segments"] == len(data["segments"]) == 2
+        assert counts["failed_follower_moving"] == 5
+        assert counts["cadence_s"] == 1.0
+        assert counts["runs_broken_at_gap"] == counts["runs_dropped_short"] == 0
+
+    def test_stats_figures_manifest_names_the_path(self, sidecar_base, tmp_path):
+        directory, sidecar, _ = sidecar_base
+        restore(directory, sidecar)
+        figures = tmp_path / "figures"
+        assert main(["stats", "--segments", str(directory / "segments.json"), "--out",
+                     str(tmp_path / "stats.json"), "--svg-dir", str(figures)]) == 0
+        manifest = json.loads((figures / "figures.manifest.json").read_text())
+        assert manifest["segments_read_from"] == "columns"
