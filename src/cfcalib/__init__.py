@@ -12,15 +12,11 @@ from .calib import (
 )
 from .cleaning import (
     CleaningRules,
-    FollowingSegment,
-    PairedSeries,
     clean_segments,
     leader_start_offset,
     pair_trajectories,
-    read_segments_json,
     retained_samples,
     split_segments,
-    write_segments_json,
 )
 from .errors import (
     CfCalibError,
@@ -54,6 +50,7 @@ from .models import (
     idm_accel,
     linear_acc_accel,
 )
+from .series import FollowingSegment, PairedSeries, read_segments_json, write_segments_json
 from .sim import SimLimits, SimResult, simulate_all, simulate_follower
 from .stats import (
     DescriptiveStats,

@@ -27,11 +27,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .cleaning import FollowingSegment, split_segments
+from .cleaning import split_segments
 from .errors import CfCalibError, ConfigError, UndefinedStatisticError
 from .ingest import MAX_MAGNITUDE
 from .jsonio import is_finite_number, is_seed, read_json_object
 from .models import GENE_BOUNDS, ModelParams, genes_table, genes_to_params, params_to_dict
+from .series import FollowingSegment
 from .sim import SegmentSet, SimLimits
 
 # Fitness assigned when a simulation faults; finite so the GA keeps going.
@@ -376,8 +377,9 @@ def ga_calibrate(
     if not segments:
         raise ConfigError("no segments to calibrate on")
     bounds = config.bounds_for(kind)
-    lo = np.array([b[0] for b in bounds])
-    hi = np.array([b[1] for b in bounds])
+    # two distinct ints beyond 2^53 can become one double, which the check refuses
+    lo = np.array([b[0] for b in bounds], dtype=float)
+    hi = np.array([b[1] for b in bounds], dtype=float)
     if np.any(lo >= hi):
         raise ConfigError("infeasible gene bounds")
     pop_size = config.population

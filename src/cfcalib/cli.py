@@ -10,6 +10,13 @@ atomically and deterministically, with a sidecar ``<out>.manifest.json``
 recording the command, input digests, config echo, seeds, and tool
 version. All randomness flows from explicit seed flags.
 
+Each command takes its input paths first and refuses, before it reads or
+writes anything, an output path that resolves to an input or to an
+input's ``.columns`` sidecar. It hashes each input once, before it
+writes: the segments file in `series.read_segments_json`, just before it
+is parsed, every other input just after it has been read. The output manifest and the
+``--svg-dir`` figures' manifest record those same digests.
+
 Exit codes: 0 success, 1 domain/validation error (one machine-parsable
 line on stderr), 2 usage error.
 """
@@ -20,6 +27,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -27,34 +35,33 @@ from pathlib import Path
 
 from . import __version__, report as report_mod
 from .calib import GaConfig, calibrate_and_validate, gof_report, load_ga_config
-from .cleaning import (
-    CleaningRules,
-    SegmentList,
-    clean_segments,
-    leader_start_offset,
-    pair_trajectories,
-    read_pair_json,
-    read_segments_json,
-    retained_samples,
-    write_pair_json,
-    write_segments_json,
-)
+from .cleaning import (CleaningRules, clean_segments, leader_start_offset, pair_trajectories,
+                       retained_samples)
 from .errors import CfCalibError, ConfigError, DomainError
 from .ingest import derive_kinematics, read_gps_pair
 from .jsonio import atomic_write_text, file_sha256, read_json_object, require_keys, write_json
 from .models import MODEL_KINDS, load_params, params_from_dict, params_to_dict
+from .series import (SegmentList, columns_path, read_pair_json, read_segments_json,
+                     write_pair_json, write_segments_json)
 from .sim import SimLimits, load_limits, result_to_dict, simulate_all
 from .stats import analyze_segments
 
 
-def _write_manifest(out_path: Path, args: argparse.Namespace, inputs: list[Path],
+def _manifest_path(path: Path) -> Path:
+    return Path(f"{path}.manifest.json")
+
+
+def _write_manifest(out_path: Path, args: argparse.Namespace, digests: dict[str, str],
                     config_echo: dict | None = None, seeds: list[int] | None = None,
                     counts: dict | None = None, segments: SegmentList | None = None) -> None:
-    """Write `<out_path>.manifest.json`; given the segments read, it names the path taken."""
+    """Write `<out_path>.manifest.json` with the input digests that `_digests` took.
+
+    Given the segments read, it names the path taken.
+    """
     manifest = {
         "command": list(getattr(args, "_argv", [])),
         "subcommand": args.command,
-        "inputs": {str(p): file_sha256(p) for p in inputs},
+        "inputs": digests,
         "config": config_echo or {},
         "seeds": seeds or [],
         "counts": counts or {},
@@ -63,7 +70,48 @@ def _write_manifest(out_path: Path, args: argparse.Namespace, inputs: list[Path]
     }
     if segments is not None:
         manifest["segments_read_from"] = segments.read_from
-    write_json(Path(str(out_path) + ".manifest.json"), manifest)
+    write_json(_manifest_path(out_path), manifest)
+
+
+def _inputs(paths: list[str | None], outputs: list[Path]) -> list[Path | None]:
+    """Each of `paths` as a Path, or None where it is None; each given path must name a file.
+
+    Raises DomainError naming both paths when one of `outputs`, the files
+    the command will write, resolves to an input or to an input's
+    `<input>.columns` sidecar, so an output never replaces an input.
+    """
+    inputs = [_require_file(path) if path is not None else None for path in paths]
+    # os.path.realpath is Path.resolve without its RuntimeError on a symlink loop
+    named = {os.path.realpath(path): f"input {path}" for path in filter(None, inputs)}
+    for path in filter(None, inputs):
+        named.setdefault(os.path.realpath(columns_path(path)),
+                         f"{columns_path(path)}, the sidecar of input {path}")
+    for out in outputs:
+        what = named.get(os.path.realpath(out))
+        if what is not None:
+            raise DomainError(f"output {out} would replace {what}")
+    return inputs
+
+
+def _outputs(args, *also: Path) -> list[Path]:
+    """--out, its manifest, the --svg-dir figures' manifest if asked for, and `also`."""
+    out = Path(args.out)
+    paths = [out, _manifest_path(out), *also]
+    if getattr(args, "svg_dir", None):
+        paths.append(_manifest_path(Path(args.svg_dir) / "figures"))
+    return paths
+
+
+def _digests(inputs: list[Path | None], known: dict[str, str] | None = None) -> dict[str, str]:
+    """Each input's sha256 by path, each file hashed once, before any output is written.
+
+    An input whose digest is already `known`, as the segments reader took it, keeps it.
+    """
+    digests = dict(known or {})
+    for path in filter(None, inputs):
+        if str(path) not in digests:
+            digests[str(path)] = file_sha256(path)
+    return digests
 
 
 def _require_file(path: str) -> Path:
@@ -73,32 +121,23 @@ def _require_file(path: str) -> Path:
     return p
 
 
-def _load_limits(args, inputs: list[Path]) -> SimLimits:
-    """The --limits file, appended to inputs, or the default envelope without one."""
-    if not args.limits:
-        return SimLimits()
-    src = _require_file(args.limits)
-    limits = load_limits(src)
-    inputs.append(src)
-    return limits
-
-
 # ---------------------------------------------------------------------------
 # subcommand handlers
 
 def _cmd_ingest(args) -> int:
-    leader_src = _require_file(args.leader)
-    follower_src = _require_file(args.follower)
+    out = Path(args.out)
+    inputs = _inputs([args.leader, args.follower], _outputs(args))
+    leader_src, follower_src = inputs
     leader_log, follower_log = read_gps_pair(leader_src, follower_src)
+    digests = _digests(inputs)
     leader = derive_kinematics(leader_log, vehicle_id=leader_src.stem)
     follower = derive_kinematics(follower_log, vehicle_id=follower_src.stem)
     offset = leader_start_offset(leader, follower, leader_log, follower_log)
     paired = pair_trajectories(leader, follower, leader_offset=offset)
-    out = Path(args.out)
     write_pair_json(paired, offset, out)
     # a follower time that did not pair lies outside the leader's span or inside a leader gap
     outside = int(((follower.t < leader.t[0]) | (follower.t > leader.t[-1])).sum())
-    _write_manifest(out, args, [leader_src, follower_src], counts={
+    _write_manifest(out, args, digests, counts={
         "leader_fixes": len(leader), "follower_fixes": len(follower), "pairs": len(paired),
         "dropped_outside_leader_span": outside,
         "dropped_in_leader_gap": len(follower) - len(paired) - outside})
@@ -112,67 +151,67 @@ def _cmd_clean(args) -> int:
         max_spacing=args.max_spacing,
         min_segment_len=args.min_segment_len,
     )
-    src = _require_file(args.pair)
-    paired = read_pair_json(src)
+    out = Path(args.out)
+    inputs = _inputs([args.pair], _outputs(args, columns_path(out)))
+    paired = read_pair_json(inputs[0])
+    digests = _digests(inputs)
     counts = {"paired_samples": len(paired)}
     segments = clean_segments(paired, rules, counts)
-    out = Path(args.out)
     write_segments_json(segments, out, retained_samples=retained_samples(segments),
                         paired_samples=len(paired))
-    _write_manifest(out, args, [src], config_echo=vars_without(args, "command", "out"),
+    _write_manifest(out, args, digests, config_echo=vars_without(args, "command", "out"),
                     counts=counts)
     return 0
 
 
 def _cmd_stats(args) -> int:
-    src = _require_file(args.segments)
-    segments = read_segments_json(src)
-    result = analyze_segments(segments)
     out = Path(args.out)
+    inputs = _inputs([args.segments], _outputs(args))
+    seg_src, = inputs
+    segments = read_segments_json(seg_src)
+    digests = _digests(inputs, {str(seg_src): segments.sha256})
+    result = analyze_segments(segments)
     write_json(out, result)
-    _write_manifest(out, args, [src], segments=segments)
+    _write_manifest(out, args, digests, segments=segments)
     if args.svg_dir:
         svg_dir = Path(args.svg_dir)
         for name, svg in report_mod.stats_svgs(segments).items():
             atomic_write_text(svg_dir / name, svg)
-        _write_manifest(svg_dir / "figures", args, [src], segments=segments)
+        _write_manifest(svg_dir / "figures", args, digests, segments=segments)
     return 0
 
 
 def _cmd_simulate(args) -> int:
-    model_src = _require_file(args.model)
-    seg_src = _require_file(args.segments)
+    out = Path(args.out)
+    inputs = _inputs([args.segments, args.model, args.limits or None], _outputs(args))
+    seg_src, model_src, limits_src = inputs
     params = load_params(model_src)
     segments = read_segments_json(seg_src)
-    inputs = [model_src, seg_src]
-    limits = _load_limits(args, inputs)
+    limits = load_limits(limits_src) if limits_src else SimLimits()
+    digests = _digests(inputs, {str(seg_src): segments.sha256})
     results = simulate_all(params, segments, limits, args.dt)
-    out = Path(args.out)
     write_json(out, {
         "model": params_to_dict(params),
         "dt": args.dt,
         "results": [result_to_dict(r, s.id) for r, s in zip(results, segments)],
         "total_collisions": sum(r.collisions for r in results),
     })
-    _write_manifest(out, args, inputs, config_echo={"dt": args.dt}, segments=segments)
+    _write_manifest(out, args, digests, config_echo={"dt": args.dt}, segments=segments)
     if args.svg_dir:
         svg_dir = Path(args.svg_dir)
         for seg, res in zip(segments, results):
             for name, svg in report_mod.simulation_svgs(seg, res).items():
                 atomic_write_text(svg_dir / name, svg)
-        _write_manifest(svg_dir / "figures", args, inputs, segments=segments)
+        _write_manifest(svg_dir / "figures", args, digests, segments=segments)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
-    seg_src = _require_file(args.segments)
+    out = Path(args.out)
+    inputs = _inputs([args.segments, args.config or None, args.limits or None], _outputs(args))
+    seg_src, config_src, limits_src = inputs
     segments = read_segments_json(seg_src)
-    inputs = [seg_src]
-    config = GaConfig()
-    if args.config:
-        config_src = _require_file(args.config)
-        config = load_ga_config(config_src)
-        inputs.append(config_src)
+    config = load_ga_config(config_src) if config_src else GaConfig()
     if args.seeds is not None:
         try:
             seeds = [int(s) for s in args.seeds.split(",")]
@@ -180,14 +219,14 @@ def _cmd_calibrate(args) -> int:
             raise ConfigError(
                 f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
         config = dataclasses.replace(config, seeds=seeds)
-    limits = _load_limits(args, inputs)
+    limits = load_limits(limits_src) if limits_src else SimLimits()
+    digests = _digests(inputs, {str(seg_src): segments.sha256})
 
     result, rep_calib, rep_valid = calibrate_and_validate(
         args.model, segments, config,
         split_fraction=args.split, split_seed=args.split_seed,
         limits=limits, dt=args.dt,
     )
-    out = Path(args.out)
     write_json(out, {
         "calibration": result.as_dict(),
         "gof_calibration": dataclasses.asdict(rep_calib),
@@ -196,27 +235,27 @@ def _cmd_calibrate(args) -> int:
         "split": {"fraction": args.split, "seed": args.split_seed},
         "dt": args.dt,
     })
-    _write_manifest(out, args, inputs, config_echo=config.as_dict(), seeds=config.seeds,
+    _write_manifest(out, args, digests, config_echo=config.as_dict(), seeds=config.seeds,
                     segments=segments)
     return 0
 
 
 def _cmd_validate(args) -> int:
-    params_src = _require_file(args.params)
-    seg_src = _require_file(args.segments)
+    out = Path(args.out)
+    inputs = _inputs([args.segments, args.params, args.limits or None], _outputs(args))
+    seg_src, params_src, limits_src = inputs
     data = read_json_object(params_src, "model parameters")
     if "calibration" in data:  # accept a calibrate result file
         require_keys(data["calibration"], ("best_params",), f"{params_src}: calibration")
         data = data["calibration"]["best_params"]
     params = params_from_dict(data)
     segments = read_segments_json(seg_src)
-    inputs = [params_src, seg_src]
-    limits = _load_limits(args, inputs)
+    limits = load_limits(limits_src) if limits_src else SimLimits()
+    digests = _digests(inputs, {str(seg_src): segments.sha256})
     rep = gof_report(params, segments, limits, args.dt)
-    out = Path(args.out)
     write_json(out, {"model": params_to_dict(params), "gof": dataclasses.asdict(rep),
                      "dt": args.dt})
-    _write_manifest(out, args, inputs, config_echo={"dt": args.dt}, segments=segments)
+    _write_manifest(out, args, digests, config_echo={"dt": args.dt}, segments=segments)
     return 0
 
 
@@ -224,7 +263,8 @@ def _cmd_report(args) -> int:
     if args.benchmarks:
         text = report_mod.render_benchmark_text()
     else:
-        text = report_mod.render_text(read_json_object(_require_file(args.input), "report input"))
+        src, = _inputs([args.input], [Path(args.out)] if args.out else [])
+        text = report_mod.render_text(read_json_object(src, "report input"))
     if args.out:
         atomic_write_text(args.out, text)
     else:

@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .cleaning import MIN_SEGMENT_SAMPLES, FollowingSegment, PairedSeries
 from .ingest import backward_rate
 from .models import BlendParams, IdmParams, ModelParams, equilibrium_spacing
+from .series import MIN_SEGMENT_SAMPLES, FollowingSegment, PairedSeries
 from .sim import SimLimits, simulate_follower
 
 # Exact composition of the jerk comfort fixture: (|jerk| value, count).
@@ -97,6 +97,18 @@ def rule_violation_series(seed: int = 11) -> PairedSeries:
         t=t, leader_pos=leader_pos, leader_speed=leader_speed,
         leader_accel=leader_accel, follower_pos=follower_pos,
         follower_speed=follower_speed, follower_accel=follower_accel,
+    )
+
+
+def steady_pair(n: int, follower_speed: float = 10.0, spacing: float = 100.0,
+                accel: float = 0.0) -> PairedSeries:
+    """`n` 1-s samples of two vehicles at one speed and acceleration, `spacing` ft apart."""
+    t = np.arange(n, dtype=float)
+    follower_pos = follower_speed * t
+    return PairedSeries(
+        t=t, leader_pos=follower_pos + spacing, leader_speed=np.full(n, follower_speed),
+        leader_accel=np.full(n, accel), follower_pos=follower_pos,
+        follower_speed=np.full(n, follower_speed), follower_accel=np.full(n, accel),
     )
 
 

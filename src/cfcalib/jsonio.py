@@ -26,8 +26,10 @@ segments or many short ones). Any other value takes one encoder call.
 The bytes equal json.dumps(payload, sort_keys=True) with each array as
 its list.
 
-file_sha256 is the one file digest: the manifests record it for every
-input, and the segments reader checks its binary sidecar against it.
+file_sha256 is the one file digest. A command takes it once for each
+input, before it writes anything: the segments reader takes it as it
+reads the file and checks the binary sidecar against it, and the
+manifests record the digests so taken, hashing nothing again.
 """
 
 from __future__ import annotations

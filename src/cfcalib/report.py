@@ -9,9 +9,9 @@ from importlib import resources
 import numpy as np
 
 from . import plots
-from .cleaning import FollowingSegment
 from .errors import DomainError
 from .jsonio import require_keys, require_numbers
+from .series import FollowingSegment
 from .sim import SimResult
 
 _STAT_ROWS = [("mean", "mean"), ("std", "std"), ("min", "min"), ("q25", "25%"),

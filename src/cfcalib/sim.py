@@ -46,11 +46,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cleaning import FollowingSegment
 from .errors import ConfigError, DomainError
 from .ingest import MAX_MAGNITUDE, RANGE_RULE, backward_rate
 from .jsonio import read_json_object, require_keys, require_numbers
 from .models import ModelParams, params_row
+from .series import FollowingSegment
 
 SPACING_FLOOR_FT = 0.01
 

@@ -13,9 +13,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .cleaning import FollowingSegment
 from .errors import DomainError, InsufficientDataError, UndefinedStatisticError
 from .ingest import backward_rate
+from .series import FollowingSegment
 
 # Jerk magnitudes above these to degrade ride comfort (ft/s^3): limit of
 # excellent comfort, upper bound for excellent, and the expected maximum.

@@ -32,7 +32,7 @@ from cfcalib import (
     simulate_follower,
     spearman,
 )
-from cfcalib.cleaning import FollowingSegment, clean_segments, write_segments_json
+from cfcalib.cleaning import clean_segments
 from cfcalib.cli import main as cli_main
 from cfcalib.fixtures import (
     constant_leader_segment,
@@ -41,6 +41,7 @@ from cfcalib.fixtures import (
     short_trip_segments,
 )
 from cfcalib.models import GENE_BOUNDS, AccParams, genes_to_params
+from cfcalib.series import FollowingSegment, write_segments_json
 
 SHUTTLE_IDM = IdmParams(a=2.76, delta=1, v0=20.0, s0=9.89, T=2.79, b=24.58)
 

@@ -656,9 +656,9 @@ class TestSimulationFaultCli:
 
     def assert_exits_one_naming_the_segment(self, tmp_path, capsys, command, flag, n_trips,
                                             model_dict):
-        from cfcalib.cleaning import write_segments_json
         from cfcalib.fixtures import short_trip_segments
         from cfcalib.models import default_params
+        from cfcalib.series import write_segments_json
         from cfcalib.sim import BATCH_MIN_SEGMENTS
 
         segments = short_trip_segments(default_params("idm"), n_trips=n_trips, trip_seconds=12)
@@ -679,9 +679,9 @@ class TestSimulationFaultCli:
 
 class TestCalibrateCli:
     def make_recovery_segments(self, tmp_path):
-        from cfcalib.cleaning import write_segments_json
         from cfcalib.fixtures import short_trip_segments
         from cfcalib.models import default_params
+        from cfcalib.series import write_segments_json
 
         segments = short_trip_segments(default_params("idm"), n_trips=8, trip_seconds=12)
         path = tmp_path / "segments.json"
@@ -1164,6 +1164,9 @@ class TestJsonInputContract:
         # genes_to_params rounded such a delta to a 301-digit int, with the same TypeError
         ("calibrate", "config", {"population": 4, "max_generations": 1, "seeds": [0],
                                  "bounds": {1: [1e300, 1e301]}}, [], None),
+        # an upper bound beyond int64 made an object array: rng.uniform raised TypeError
+        ("calibrate", "config", {"population": 4, "max_generations": 1, "seeds": [0],
+                                 "bounds": {0: [0.33, 10 ** 20]}}, [], None),
         # finite bounds whose width overflows: rng.uniform raised OverflowError
         ("calibrate", "config", {"population": 4, "max_generations": 1, "seeds": [0],
                                  "bounds": {0: [-1e308, 1e308]}}, [],
@@ -1177,20 +1180,36 @@ class TestJsonInputContract:
         ("ingest", "follower", b"t,lat,lon\n0,28.1,-81.2\n1,28.1" + b"0" * 131_072
          + b",-81.2\n2,28.1,-81.2\n", [],
          {"error": "domain", "message": "{follower}:3: field larger than field limit (131072)"}),
+        # an empty path given to a required flag names no file ("" for value)
+        *[(command, target, "", [], {"error": "domain", "message": "input file not found: ."})
+          for command, target in [("ingest", "leader"), ("ingest", "follower"), ("clean", "pair"),
+                                  ("stats", "segments"), ("simulate", "model"),
+                                  ("simulate", "segments"), ("validate", "model"),
+                                  ("validate", "segments"), ("calibrate", "segments"),
+                                  ("report", "report")]],
+        # an empty optional --limits or --config is as if it were not given
+        ("simulate", "limits", "", [], None),
+        ("calibrate", "config", "", [], None),
     ], ids=["negative-split-seed", "int-delta-beyond-int64", "delta-bounds-beyond-int64",
-            "bounds-width-overflows", "log-byte-not-utf8", "log-cell-over-csv-limit"])
+            "upper-bound-beyond-int64", "bounds-width-overflows", "log-byte-not-utf8",
+            "log-cell-over-csv-limit", "empty-leader", "empty-follower", "empty-pair",
+            "empty-stats-segments", "empty-model", "empty-simulate-segments", "empty-params",
+            "empty-validate-segments", "empty-calibrate-segments", "empty-report-input",
+            "empty-limits", "empty-config"])
     def test_former_tracebacks_keep_the_contract(self, tmp_path, capsys, command, target,
                                                  value, flags, expected):
         """Exit 0, or exit 1 with the one JSON line expected; never a traceback."""
         from cfcalib.models import GENE_BOUNDS
 
         inputs = self.write_inputs(tmp_path)
-        if target == "config":
+        if target == "config" and value:
             bounds = [[lo, hi] for _, lo, hi, _ in GENE_BOUNDS["idm"]]
             for gene, pair in value["bounds"].items():
                 bounds[gene] = pair
             value = {**value, "bounds": bounds}
-        if isinstance(value, bytes):
+        if value == "":
+            inputs[target] = ""
+        elif isinstance(value, bytes):
             inputs[target].write_bytes(value)
         elif target is not None:
             inputs[target].write_text(json.dumps(value))
@@ -1201,6 +1220,104 @@ class TestJsonInputContract:
         capsys.readouterr()
         rc = main(argv + flags + ["--out", str(out)])
         assert assert_exit_contract(rc, capsys.readouterr(), out) == expected
+
+    @pytest.mark.parametrize("command, target, way", [
+        ("ingest", "leader", "out"),
+        ("ingest", "follower", "manifest"),
+        ("clean", "pair", "out"),
+        ("clean", "pair", "out-sidecar"),
+        ("stats", "segments", "out"),
+        ("stats", "segments", "sidecar"),
+        ("stats", "segments", "figures"),
+        ("simulate", "segments", "out"),
+        ("simulate", "model", "symlink"),
+        ("simulate", "limits", "figures"),
+        ("validate", "model", "out"),
+        ("validate", "segments", "sidecar"),
+        ("calibrate", "config", "out"),
+        ("calibrate", "segments", "manifest"),
+        ("report", "report", "out"),
+    ])
+    def test_an_output_that_names_an_input_exits_one(self, tmp_path, capsys, command, target,
+                                                     way):
+        """--out, its manifest, clean's sidecar or the figures' manifest resolving to an
+        input or an input's sidecar: exit 1 with one domain line naming both, nothing written."""
+        inputs = self.write_inputs(tmp_path)
+        flags, out = [], tmp_path / "out.json"
+        if way in ("manifest", "out-sidecar", "figures"):
+            # the input moves to the path that output would take
+            moved = {"manifest": tmp_path / "named.json.manifest.json",
+                     "out-sidecar": tmp_path / "named.json.columns",
+                     "figures": tmp_path / "figures" / "figures.manifest.json"}[way]
+            moved.parent.mkdir(exist_ok=True)
+            moved.write_bytes(inputs[target].read_bytes())
+            inputs[target] = moved
+            if way == "figures":
+                flags, written = ["--svg-dir", str(moved.parent)], moved
+            else:
+                out, written = tmp_path / "named.json", moved
+            replaced = f"input {moved}"
+        elif way == "sidecar":
+            out = written = Path(f"{inputs[target]}.columns")
+            replaced = f"{out}, the sidecar of input {inputs[target]}"
+        else:
+            out = written = inputs[target]
+            if way == "symlink":
+                out = written = tmp_path / "link.json"
+                out.symlink_to(inputs[target])
+            replaced = f"input {inputs[target]}"
+        before = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
+        capsys.readouterr()
+        rc = main(argv + flags + ["--out", str(out)])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(lines) == 1
+        assert json.loads(lines[0]) == {"error": "domain",
+                                        "message": f"output {written} would replace {replaced}"}
+        assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == before
+
+    @pytest.mark.parametrize("command, flags", [
+        ("stats", ["--svg-dir", "{figures}"]),
+        ("simulate", ["--svg-dir", "{figures}"]),
+        ("validate", ["--limits", "{limits}"]),
+        ("calibrate", []),
+    ])
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["columns", "json"])
+    def test_each_input_is_hashed_once_as_read(self, tmp_path, monkeypatch, command, flags,
+                                               sidecar):
+        """file_sha256, counted wherever it is referenced, hashes each input once, and both
+        manifests record the digests of the bytes read: the segments file's equals its
+        sidecar header's json_sha256, whichever path the reader took."""
+        import sys
+        from cfcalib import jsonio
+
+        inputs = self.write_inputs(tmp_path)
+        inputs["figures"] = tmp_path / "figures"
+        segments = inputs["segments"]
+        columns = Path(f"{segments}.columns")
+        header = json.loads(columns.read_bytes().partition(b"\n")[0])
+        if not sidecar:
+            columns.unlink()
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command] + flags]
+        given = [p for p in inputs.values() if isinstance(p, Path) and p.is_file()
+                 and str(p) in argv]
+        before = {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in given}
+        hashed, file_sha256 = [], jsonio.file_sha256
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cfcalib") and getattr(module, "file_sha256", None) is file_sha256:
+                monkeypatch.setattr(module, "file_sha256",
+                                    lambda path: hashed.append(str(path)) or file_sha256(path))
+        out = tmp_path / "out.json"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert sorted(hashed) == sorted(before)
+        manifests = [Path(f"{out}.manifest.json")]
+        if "--svg-dir" in flags:
+            manifests.append(inputs["figures"] / "figures.manifest.json")
+        for path in manifests:
+            manifest = json.loads(path.read_text())
+            assert manifest["segments_read_from"] == ("columns" if sidecar else "json")
+            assert manifest["inputs"] == before
+            assert manifest["inputs"][str(segments)] == header["json_sha256"]
 
     def test_locale_changes_no_byte(self, tmp_path):
         """A UTF-8 segment id is read and drawn alike under a C locale, whose encoding is ASCII."""
@@ -1741,6 +1858,8 @@ class TestConfigFileFuzz:
     # OverflowError in the elite count (10^400)
     @example(case=("idm", [("set", ("config", "population"), "1" + "0" * 20)]))
     @example(case=("blend", [("set", ("config", "population"), "1" + "0" * 400)]))
+    # an upper bound beyond int64 made the GA's bounds an object array (TypeError)
+    @example(case=('blend', [('set', ('config', ('bounds', 0, 1)), '100000000000000000000')]))
     def test_commands_exit_zero_or_one_json_line(self, base_segments, capsys, case):
         """Exit 0 with no NaN or Infinity token in an output or manifest, or exit 1 with
         one JSON line on stderr and no output."""

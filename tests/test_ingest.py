@@ -20,9 +20,10 @@ from cfcalib import (
     geodesic_distance,
     kinematics_from_positions,
 )
-from cfcalib.cleaning import FollowingSegment, pair_trajectories, read_pair_json, write_pair_json
+from cfcalib.cleaning import pair_trajectories
 from cfcalib.fixtures import short_trip_segments
 from cfcalib.models import default_params
+from cfcalib.series import FollowingSegment, read_pair_json, write_pair_json
 from cfcalib.sim import SegmentSet
 from cfcalib.stats import follower_jerk
 from cfcalib.cli import main

@@ -8,11 +8,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cfcalib.cleaning import clean_segments, pair_trajectories, read_segments_json
+from cfcalib.cleaning import clean_segments, pair_trajectories
 from cfcalib.cli import main
 from cfcalib.ingest import derive_kinematics, geodesic_distance, read_gps_pair
 from cfcalib import jsonio
 from cfcalib.jsonio import atomic_write_text, write_json
+from cfcalib.series import read_segments_json
 
 REPO = Path(__file__).resolve().parents[1]
 SRC = REPO / "src" / "cfcalib"

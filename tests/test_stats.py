@@ -21,10 +21,10 @@ from cfcalib import (
     shapiro_wilk,
     spearman,
 )
-from cfcalib.cleaning import write_segments_json
 from cfcalib.fixtures import constant_leader_segment, jerk_comfort_series, short_trip_segments
 from cfcalib.models import default_params
 from cfcalib.report import render_stats_text
+from cfcalib.series import write_segments_json
 from cfcalib.stats import analyze_segments
 
 # weights (lbs) of eleven men: the classic W-test worked example,
