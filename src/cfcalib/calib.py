@@ -28,10 +28,11 @@ from pathlib import Path
 import numpy as np
 
 from .cleaning import split_segments
-from .errors import CfCalibError, ConfigError, UndefinedStatisticError
+from .errors import CfCalibError, ConfigError, DomainError, UndefinedStatisticError
 from .ingest import MAX_MAGNITUDE
 from .jsonio import is_finite_number, is_seed, read_json_object
-from .models import GENE_BOUNDS, ModelParams, genes_table, genes_to_params, params_to_dict
+from .models import (GENE_BOUNDS, MODEL_KINDS, ModelParams, genes_table, genes_to_params,
+                     params_to_dict)
 from .series import FollowingSegment
 from .sim import SegmentSet, SimLimits
 
@@ -184,6 +185,8 @@ class GaConfig:
 
     def bounds_for(self, kind: str) -> list[tuple[float, float]]:
         """One (low, high) pair per gene of the model kind."""
+        if kind not in MODEL_KINDS:  # a tuple: an unhashable kind compares unequal
+            raise DomainError(f"unknown model kind {kind!r}")
         table = [(lo, hi) for _, lo, hi, _ in GENE_BOUNDS[kind]]
         if self.bounds is None:
             return table

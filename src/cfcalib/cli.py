@@ -10,12 +10,13 @@ atomically and deterministically, with a sidecar ``<out>.manifest.json``
 recording the command, input digests, config echo, seeds, and tool
 version. All randomness flows from explicit seed flags.
 
-Each command takes its input paths first and refuses, before it reads or
-writes anything, an output path that resolves to an input or to an
-input's ``.columns`` sidecar. It hashes each input once, before it
-writes: the segments file in `series.read_segments_json`, just before it
-is parsed, every other input just after it has been read. The output manifest and the
-``--svg-dir`` figures' manifest record those same digests.
+Each command settles its inputs in one call, `_settle`, before it reads
+anything: each given path must name a file, an output path that resolves
+to an input or to an input's ``.columns`` sidecar is refused, and each
+input is hashed once. Both manifests, of the output and of the
+``--svg-dir`` figures, record those digests, and the segments reader
+checks the sidecar against the segments file's. `_write_figures` refuses
+a figure name that would leave ``--svg-dir`` before anything is written.
 
 Exit codes: 0 success, 1 domain/validation error (one machine-parsable
 line on stderr), 2 usage error.
@@ -39,7 +40,8 @@ from .cleaning import (CleaningRules, clean_segments, leader_start_offset, pair_
                        retained_samples)
 from .errors import CfCalibError, ConfigError, DomainError
 from .ingest import derive_kinematics, read_gps_pair
-from .jsonio import atomic_write_text, file_sha256, read_json_object, require_keys, write_json
+from .jsonio import (atomic_write_text, file_sha256, path_bytes, read_json_object, require_keys,
+                     write_json)
 from .models import MODEL_KINDS, load_params, params_from_dict, params_to_dict
 from .series import (SegmentList, columns_path, read_pair_json, read_segments_json,
                      write_pair_json, write_segments_json)
@@ -54,7 +56,7 @@ def _manifest_path(path: Path) -> Path:
 def _write_manifest(out_path: Path, args: argparse.Namespace, digests: dict[str, str],
                     config_echo: dict | None = None, seeds: list[int] | None = None,
                     counts: dict | None = None, segments: SegmentList | None = None) -> None:
-    """Write `<out_path>.manifest.json` with the input digests that `_digests` took.
+    """Write `<out_path>.manifest.json` with the input digests that `_settle` took.
 
     Given the segments read, it names the path taken.
     """
@@ -73,52 +75,69 @@ def _write_manifest(out_path: Path, args: argparse.Namespace, digests: dict[str,
     write_json(_manifest_path(out_path), manifest)
 
 
-def _inputs(paths: list[str | None], outputs: list[Path]) -> list[Path | None]:
-    """Each of `paths` as a Path, or None where it is None; each given path must name a file.
+def _settle(paths: list[str | None],
+            outputs: list[Path]) -> tuple[list[Path | None], dict[str, str]]:
+    """Each of `paths` as a Path, None where it is None, and each input's sha256 by path.
 
-    Raises DomainError naming both paths when one of `outputs`, the files
-    the command will write, resolves to an input or to an input's
-    `<input>.columns` sidecar, so an output never replaces an input.
+    Each given path must name a file, and no output may replace an input
+    (`_refuse_inputs`). Each input is hashed once, here, before the command
+    reads any of them.
     """
-    inputs = [_require_file(path) if path is not None else None for path in paths]
-    # os.path.realpath is Path.resolve without its RuntimeError on a symlink loop
-    named = {os.path.realpath(path): f"input {path}" for path in filter(None, inputs)}
-    for path in filter(None, inputs):
-        named.setdefault(os.path.realpath(columns_path(path)),
+    inputs = [None if path is None else Path(path) for path in paths]
+    given = list(dict.fromkeys(filter(None, inputs)))
+    for path in given:
+        if not path.is_file():
+            raise DomainError(f"input file not found: {path}")
+    _refuse_inputs(given, outputs)
+    return inputs, {str(path): file_sha256(path) for path in given}
+
+
+def _refuse_inputs(inputs, outputs) -> None:
+    """Raise DomainError naming both paths when one of `outputs`, the files the command
+    will write, resolves to one of `inputs` or to an input's `<input>.columns` sidecar."""
+    def real(path):
+        # os.path.realpath is Path.resolve without its RuntimeError on a symlink loop
+        return os.path.realpath(path_bytes(path))
+
+    named = {real(path): f"input {path}" for path in inputs}
+    for path in inputs:
+        named.setdefault(real(columns_path(path)),
                          f"{columns_path(path)}, the sidecar of input {path}")
     for out in outputs:
-        what = named.get(os.path.realpath(out))
+        what = named.get(real(out))
         if what is not None:
             raise DomainError(f"output {out} would replace {what}")
-    return inputs
 
 
-def _outputs(args, *also: Path) -> list[Path]:
-    """--out, its manifest, the --svg-dir figures' manifest if asked for, and `also`."""
+def _outputs(args, *also: Path, figures: tuple[str, ...] = ()) -> list[Path]:
+    """--out, its manifest and `also`; under --svg-dir, if given, `figures` and their manifest."""
     out = Path(args.out)
     paths = [out, _manifest_path(out), *also]
     if getattr(args, "svg_dir", None):
-        paths.append(_manifest_path(Path(args.svg_dir) / "figures"))
+        svg_dir = Path(args.svg_dir)
+        paths += [_manifest_path(svg_dir / "figures"), *(svg_dir / name for name in figures)]
     return paths
 
 
-def _digests(inputs: list[Path | None], known: dict[str, str] | None = None) -> dict[str, str]:
-    """Each input's sha256 by path, each file hashed once, before any output is written.
+def _write_figures(args, digests: dict[str, str], segments: SegmentList, figures) -> None:
+    """Write each (file name, svg) of `figures` under --svg-dir, then the figures' manifest.
 
-    An input whose digest is already `known`, as the segments reader took it, keeps it.
+    Raises DomainError, before any file is written, for a name that is not
+    one path component, holds NUL, repeats an earlier name or resolves to
+    an input, one of `digests`; the line names the figure, and so the
+    segment id it holds.
     """
-    digests = dict(known or {})
-    for path in filter(None, inputs):
-        if str(path) not in digests:
-            digests[str(path)] = file_sha256(path)
-    return digests
-
-
-def _require_file(path: str) -> Path:
-    p = Path(path)
-    if not p.is_file():
-        raise DomainError(f"input file not found: {p}")
-    return p
+    svg_dir, named = Path(args.svg_dir), {}
+    for name, svg in figures:
+        if "\0" in name or Path(name).name != name:
+            raise DomainError(f"figure {name!r} is not one file name in --svg-dir {svg_dir}")
+        if name in named:
+            raise DomainError(f"figure {name!r} would be written twice: two segments share its id")
+        named[name] = svg
+    _refuse_inputs(digests, [svg_dir / name for name in named])
+    for name, svg in named.items():
+        atomic_write_text(svg_dir / name, svg)
+    _write_manifest(svg_dir / "figures", args, digests, segments=segments)
 
 
 # ---------------------------------------------------------------------------
@@ -126,10 +145,8 @@ def _require_file(path: str) -> Path:
 
 def _cmd_ingest(args) -> int:
     out = Path(args.out)
-    inputs = _inputs([args.leader, args.follower], _outputs(args))
-    leader_src, follower_src = inputs
+    (leader_src, follower_src), digests = _settle([args.leader, args.follower], _outputs(args))
     leader_log, follower_log = read_gps_pair(leader_src, follower_src)
-    digests = _digests(inputs)
     leader = derive_kinematics(leader_log, vehicle_id=leader_src.stem)
     follower = derive_kinematics(follower_log, vehicle_id=follower_src.stem)
     offset = leader_start_offset(leader, follower, leader_log, follower_log)
@@ -152,9 +169,8 @@ def _cmd_clean(args) -> int:
         min_segment_len=args.min_segment_len,
     )
     out = Path(args.out)
-    inputs = _inputs([args.pair], _outputs(args, columns_path(out)))
-    paired = read_pair_json(inputs[0])
-    digests = _digests(inputs)
+    (pair_src,), digests = _settle([args.pair], _outputs(args, columns_path(out)))
+    paired = read_pair_json(pair_src)
     counts = {"paired_samples": len(paired)}
     segments = clean_segments(paired, rules, counts)
     write_segments_json(segments, out, retained_samples=retained_samples(segments),
@@ -166,30 +182,29 @@ def _cmd_clean(args) -> int:
 
 def _cmd_stats(args) -> int:
     out = Path(args.out)
-    inputs = _inputs([args.segments], _outputs(args))
-    seg_src, = inputs
-    segments = read_segments_json(seg_src)
-    digests = _digests(inputs, {str(seg_src): segments.sha256})
+    (seg_src,), digests = _settle([args.segments],
+                                  _outputs(args, figures=report_mod.STATS_FIGURES))
+    segments = read_segments_json(seg_src, digests[str(seg_src)])
     result = analyze_segments(segments)
+    if args.svg_dir:
+        _write_figures(args, digests, segments, report_mod.stats_svgs(segments).items())
     write_json(out, result)
     _write_manifest(out, args, digests, segments=segments)
-    if args.svg_dir:
-        svg_dir = Path(args.svg_dir)
-        for name, svg in report_mod.stats_svgs(segments).items():
-            atomic_write_text(svg_dir / name, svg)
-        _write_manifest(svg_dir / "figures", args, digests, segments=segments)
     return 0
 
 
 def _cmd_simulate(args) -> int:
     out = Path(args.out)
-    inputs = _inputs([args.segments, args.model, args.limits or None], _outputs(args))
-    seg_src, model_src, limits_src = inputs
+    (seg_src, model_src, limits_src), digests = _settle(
+        [args.segments, args.model, args.limits or None], _outputs(args))
     params = load_params(model_src)
-    segments = read_segments_json(seg_src)
+    segments = read_segments_json(seg_src, digests[str(seg_src)])
     limits = load_limits(limits_src) if limits_src else SimLimits()
-    digests = _digests(inputs, {str(seg_src): segments.sha256})
     results = simulate_all(params, segments, limits, args.dt)
+    if args.svg_dir:
+        _write_figures(args, digests, segments, [
+            figure for seg, res in zip(segments, results)
+            for figure in report_mod.simulation_svgs(seg, res).items()])
     write_json(out, {
         "model": params_to_dict(params),
         "dt": args.dt,
@@ -197,20 +212,14 @@ def _cmd_simulate(args) -> int:
         "total_collisions": sum(r.collisions for r in results),
     })
     _write_manifest(out, args, digests, config_echo={"dt": args.dt}, segments=segments)
-    if args.svg_dir:
-        svg_dir = Path(args.svg_dir)
-        for seg, res in zip(segments, results):
-            for name, svg in report_mod.simulation_svgs(seg, res).items():
-                atomic_write_text(svg_dir / name, svg)
-        _write_manifest(svg_dir / "figures", args, digests, segments=segments)
     return 0
 
 
 def _cmd_calibrate(args) -> int:
     out = Path(args.out)
-    inputs = _inputs([args.segments, args.config or None, args.limits or None], _outputs(args))
-    seg_src, config_src, limits_src = inputs
-    segments = read_segments_json(seg_src)
+    (seg_src, config_src, limits_src), digests = _settle(
+        [args.segments, args.config or None, args.limits or None], _outputs(args))
+    segments = read_segments_json(seg_src, digests[str(seg_src)])
     config = load_ga_config(config_src) if config_src else GaConfig()
     if args.seeds is not None:
         try:
@@ -220,7 +229,6 @@ def _cmd_calibrate(args) -> int:
                 f"--seeds must be comma-separated integers, got {args.seeds!r}") from None
         config = dataclasses.replace(config, seeds=seeds)
     limits = load_limits(limits_src) if limits_src else SimLimits()
-    digests = _digests(inputs, {str(seg_src): segments.sha256})
 
     result, rep_calib, rep_valid = calibrate_and_validate(
         args.model, segments, config,
@@ -242,16 +250,15 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_validate(args) -> int:
     out = Path(args.out)
-    inputs = _inputs([args.segments, args.params, args.limits or None], _outputs(args))
-    seg_src, params_src, limits_src = inputs
+    (seg_src, params_src, limits_src), digests = _settle(
+        [args.segments, args.params, args.limits or None], _outputs(args))
     data = read_json_object(params_src, "model parameters")
     if "calibration" in data:  # accept a calibrate result file
         require_keys(data["calibration"], ("best_params",), f"{params_src}: calibration")
         data = data["calibration"]["best_params"]
     params = params_from_dict(data)
-    segments = read_segments_json(seg_src)
+    segments = read_segments_json(seg_src, digests[str(seg_src)])
     limits = load_limits(limits_src) if limits_src else SimLimits()
-    digests = _digests(inputs, {str(seg_src): segments.sha256})
     rep = gof_report(params, segments, limits, args.dt)
     write_json(out, {"model": params_to_dict(params), "gof": dataclasses.asdict(rep),
                      "dt": args.dt})
@@ -263,7 +270,7 @@ def _cmd_report(args) -> int:
     if args.benchmarks:
         text = report_mod.render_benchmark_text()
     else:
-        src, = _inputs([args.input], [Path(args.out)] if args.out else [])
+        (src,), _ = _settle([args.input], [Path(args.out)] if args.out else [])
         text = report_mod.render_text(read_json_object(src, "report input"))
     if args.out:
         atomic_write_text(args.out, text)

@@ -27,9 +27,9 @@ The bytes equal json.dumps(payload, sort_keys=True) with each array as
 its list.
 
 file_sha256 is the one file digest. A command takes it once for each
-input, before it writes anything: the segments reader takes it as it
-reads the file and checks the binary sidecar against it, and the
-manifests record the digests so taken, hashing nothing again.
+input, before it reads any of them; the segments reader checks the
+binary sidecar against the digest it is handed, and the manifests
+record the digests so taken, hashing nothing again.
 """
 
 from __future__ import annotations
@@ -55,14 +55,9 @@ def _replacing(path: str | Path, binary: bool = False):
     The handle takes UTF-8 text, or bytes if `binary`. Readers see the
     old file or the new one, never a partial write; on any failure the
     temporary file is removed and the target is untouched.
-    The path is named in UTF-8 whatever the host's locale, as its text
-    is written: a figure's name holds a segment id, which may hold any
-    character. surrogateescape gives back the bytes of a path that came
-    from the command line.
     """
     path = Path(path)
-    directory, name = (str(part).encode("utf-8", "surrogateescape")
-                       for part in (path.parent, path.name))
+    directory, name = map(path_bytes, (path.parent, path.name))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=b"." + name + b".", suffix=b".tmp")
     try:
@@ -73,6 +68,16 @@ def _replacing(path: str | Path, binary: bool = False):
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def path_bytes(path: str | Path) -> bytes:
+    """The bytes that name `path` on disk: UTF-8 whatever the host's locale.
+
+    A file is named as its text is written: a figure's name holds a
+    segment id, which may hold any character. surrogateescape gives back
+    the bytes of a path that came from the command line.
+    """
+    return str(path).encode("utf-8", "surrogateescape")
 
 
 def file_sha256(path: str | Path) -> str:

@@ -233,20 +233,24 @@ def _nrmse_caveat(bench: dict) -> str:
             "The normalization behind the bundled NRMSE is not known.\n")
 
 
+# the file names of stats_svgs' figures, in its order
+STATS_FIGURES = ("hist_speed.svg", "hist_accel.svg", "hist_jerk.svg", "hist_spacing.svg")
+
+
 def stats_svgs(segments: list[FollowingSegment]) -> dict[str, str]:
-    """Histograms of the follower's speed/accel/jerk and the spacing."""
+    """Histograms of the follower's speed/accel/jerk and the spacing, by STATS_FIGURES name."""
     from .stats import follower_jerk
 
     speed = np.concatenate([s.follower_speed for s in segments])
     accel = np.concatenate([s.follower_accel for s in segments])
     jerk = np.concatenate([follower_jerk(s) for s in segments])
     spacing = np.concatenate([s.spacing for s in segments])
-    return {
-        "hist_speed.svg": plots.histogram_svg(speed, "Follower speed", "ft/s"),
-        "hist_accel.svg": plots.histogram_svg(accel, "Follower acceleration", "ft/s^2"),
-        "hist_jerk.svg": plots.histogram_svg(jerk, "Follower jerk", "ft/s^3"),
-        "hist_spacing.svg": plots.histogram_svg(spacing, "Spacing", "ft"),
-    }
+    return dict(zip(STATS_FIGURES, (
+        plots.histogram_svg(speed, "Follower speed", "ft/s"),
+        plots.histogram_svg(accel, "Follower acceleration", "ft/s^2"),
+        plots.histogram_svg(jerk, "Follower jerk", "ft/s^3"),
+        plots.histogram_svg(spacing, "Spacing", "ft"),
+    )))
 
 
 def simulation_svgs(segment: FollowingSegment, result: SimResult) -> dict[str, str]:

@@ -9,12 +9,11 @@ both the pair JSON and the segments JSON.
 write_segments_json is the one writer of a segments file. After the JSON
 it writes a binary sidecar, `<segments>.columns`, of the same columns as
 raw little-endian doubles, with the sha256 of the JSON's bytes.
-read_segments_json hashes the JSON file once, takes the columns from the
-sidecar when that digest and the sidecar's own match, and so parses no
-JSON number; on any fault of the sidecar it parses the JSON, which stays
-the one interchange format. The digest it took travels on the returned
-SegmentList, so a manifest records the bytes that were read without
-hashing them again. Readers never write a sidecar, and the pair JSON,
+read_segments_json takes the columns from the sidecar when the JSON's
+digest, handed to it by the caller that hashed the file or taken by the
+reader itself, matches the sidecar's, and so parses no JSON number; on
+any fault of the sidecar it parses the JSON, which stays the one
+interchange format. Readers never write a sidecar, and the pair JSON,
 read once by `clean`, has none."""
 
 from __future__ import annotations
@@ -187,16 +186,11 @@ def segments_from_dict(data: dict) -> list[FollowingSegment]:
 
 
 class SegmentList(list):
-    """The segments of a segments file, with how it was read.
+    """The segments of a segments file; `read_from` names the path taken, "columns" or "json"."""
 
-    `read_from` names the path taken, "columns" or "json"; `sha256` is the
-    hex digest of the segments file's bytes, taken once, just before it was parsed.
-    """
-
-    def __init__(self, segments, read_from: str, sha256: str):
+    def __init__(self, segments, read_from: str):
         super().__init__(segments)
         self.read_from = read_from
-        self.sha256 = sha256
 
 
 def columns_path(path: str | Path) -> Path:
@@ -214,23 +208,25 @@ def write_segments_json(segments: list[FollowingSegment], path: str | Path, **ex
     _write_columns(segments, path)
 
 
-def read_segments_json(path: str | Path) -> SegmentList:
+def read_segments_json(path: str | Path, sha256: str | None = None) -> SegmentList:
     """The segments of a segments file: from its sidecar if that matches, else from the JSON.
 
-    The file is hashed once, before either path reads it. Every fault of
-    the sidecar (missing, unreadable, stale, cut short, altered, or
-    holding a segment FollowingSegment rejects) falls back to the JSON,
-    silently; either path gives the same segments. `read_from` on the
-    list names the path taken, and `sha256` holds the digest.
+    `sha256` is the hex digest of the file's bytes, which the sidecar must
+    record; without it the file is hashed here, before either path reads
+    it. Every fault of the sidecar (missing, unreadable, stale, cut short,
+    altered, or holding a segment FollowingSegment rejects) falls back to
+    the JSON, silently; either path gives the same segments. `read_from`
+    on the list names the path taken.
     """
-    digest = file_sha256(path)
+    if sha256 is None:
+        sha256 = file_sha256(path)
     try:
-        segments = _read_columns(path, digest)
+        segments = _read_columns(path, sha256)
     except (OSError, ValueError, CfCalibError):
         segments = None
     if segments is not None:
-        return SegmentList(segments, "columns", digest)
-    return SegmentList(segments_from_dict(read_json_object(path, "segments file")), "json", digest)
+        return SegmentList(segments, "columns")
+    return SegmentList(segments_from_dict(read_json_object(path, "segments file")), "json")
 
 
 # The sidecar: one line of ASCII JSON, then the float64 columns of each

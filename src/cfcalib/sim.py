@@ -40,7 +40,7 @@ splits per segment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 
@@ -552,10 +552,14 @@ def simulate_all(model: ModelParams, segments: list[FollowingSegment],
 
 
 def limits_from_dict(data: dict) -> SimLimits:
+    """The limits a limits file gives, the defaults for the rest; any other key is an error."""
     require_keys(data, (), "limits")
-    given = [key for key in ("a_min", "a_max", "v_max", "v_min") if key in data]
-    require_numbers(data, given, "limits")
-    return SimLimits(**{key: data[key] for key in given})
+    names = {field.name for field in fields(SimLimits)}
+    stray = [key for key in data if key not in names]
+    if stray:
+        raise DomainError(f"limits: unknown keys {', '.join(stray)}")
+    require_numbers(data, list(data), "limits")
+    return SimLimits(**data)
 
 
 def load_limits(path: str | Path) -> SimLimits:

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cfcalib import (
     ConfigError,
+    DomainError,
     GaConfig,
     GofReport,
     IdmParams,
@@ -336,6 +338,16 @@ class TestGaCalibrate:
     def test_no_segments_rejected(self):
         with pytest.raises(ConfigError):
             ga_calibrate("idm", [], tiny_config())
+
+    @pytest.mark.parametrize("kind", ["foo", ["idm"]], ids=["unknown", "unhashable"])
+    @pytest.mark.parametrize("call", ["ga_calibrate", "calibrate_and_validate"])
+    def test_unknown_model_kind_raises_domain_error(self, kind, call):
+        """An unknown kind raises DomainError naming it, as genes_to_params does, not a
+        KeyError or TypeError from the bounds table."""
+        segments = idm_response_segments(SHUTTLE_IDM, n_segments=2, seconds=40)
+        run = {"ga_calibrate": ga_calibrate, "calibrate_and_validate": calibrate_and_validate}
+        with pytest.raises(DomainError, match=re.escape(f"unknown model kind {kind!r}")):
+            run[call](kind, segments, tiny_config())
 
     def test_config_invariants(self):
         with pytest.raises(ConfigError):

@@ -64,6 +64,15 @@ FAR_SEGMENT = {
 }
 
 
+# the columns of one valid 12-sample segment entry, without its id
+PLAIN_SEGMENT = {
+    "t": [float(i) for i in range(12)],
+    "leader": {"pos": [100.0 + 12.0 * i for i in range(12)], "speed": [12.0] * 12,
+               "accel": [0.0] * 12},
+    "follower": {"pos": [12.0 * i for i in range(12)], "speed": [12.0] * 12, "accel": [0.0] * 12},
+}
+
+
 def run_pipeline_to_segments(tmp_path, **log_kwargs):
     leader, follower = write_logs(tmp_path, **log_kwargs)
     pair = tmp_path / "pair.json"
@@ -1190,18 +1199,25 @@ class TestJsonInputContract:
         # an empty optional --limits or --config is as if it were not given
         ("simulate", "limits", "", [], None),
         ("calibrate", "config", "", [], None),
+        # a segment id holding NUL made open() raise ValueError for its figure,
+        # after the output and its manifest had been written
+        ("simulate", "segments", {"segments": [{"id": "a\u0000b", **PLAIN_SEGMENT}]},
+         ["--svg-dir", "{figures}"],
+         {"error": "domain",
+          "message": "figure 'a\\x00b_spacing.svg' is not one file name in --svg-dir {figures}"}),
     ], ids=["negative-split-seed", "int-delta-beyond-int64", "delta-bounds-beyond-int64",
             "upper-bound-beyond-int64", "bounds-width-overflows", "log-byte-not-utf8",
             "log-cell-over-csv-limit", "empty-leader", "empty-follower", "empty-pair",
             "empty-stats-segments", "empty-model", "empty-simulate-segments", "empty-params",
             "empty-validate-segments", "empty-calibrate-segments", "empty-report-input",
-            "empty-limits", "empty-config"])
+            "empty-limits", "empty-config", "nul-in-segment-id"])
     def test_former_tracebacks_keep_the_contract(self, tmp_path, capsys, command, target,
                                                  value, flags, expected):
         """Exit 0, or exit 1 with the one JSON line expected; never a traceback."""
         from cfcalib.models import GENE_BOUNDS
 
         inputs = self.write_inputs(tmp_path)
+        inputs["figures"] = tmp_path / "figures"
         if target == "config" and value:
             bounds = [[lo, hi] for _, lo, hi, _ in GENE_BOUNDS["idm"]]
             for gene, pair in value["bounds"].items():
@@ -1215,10 +1231,10 @@ class TestJsonInputContract:
             inputs[target].write_text(json.dumps(value))
         if expected is not None:
             expected = {**expected, "message": expected["message"].format(**inputs)}
-        argv = [arg.format(**inputs) for arg in self.COMMANDS[command]]
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command] + flags]
         out = tmp_path / "out.json"
         capsys.readouterr()
-        rc = main(argv + flags + ["--out", str(out)])
+        rc = main(argv + ["--out", str(out)])
         assert assert_exit_contract(rc, capsys.readouterr(), out) == expected
 
     @pytest.mark.parametrize("command, target, way", [
@@ -1229,6 +1245,7 @@ class TestJsonInputContract:
         ("stats", "segments", "out"),
         ("stats", "segments", "sidecar"),
         ("stats", "segments", "figures"),
+        ("stats", "segments", "histogram"),
         ("simulate", "segments", "out"),
         ("simulate", "model", "symlink"),
         ("simulate", "limits", "figures"),
@@ -1240,19 +1257,21 @@ class TestJsonInputContract:
     ])
     def test_an_output_that_names_an_input_exits_one(self, tmp_path, capsys, command, target,
                                                      way):
-        """--out, its manifest, clean's sidecar or the figures' manifest resolving to an
-        input or an input's sidecar: exit 1 with one domain line naming both, nothing written."""
+        """--out, its manifest, clean's sidecar, the figures' manifest or a stats histogram
+        resolving to an input or an input's sidecar: exit 1 with one domain line naming both,
+        nothing written."""
         inputs = self.write_inputs(tmp_path)
         flags, out = [], tmp_path / "out.json"
-        if way in ("manifest", "out-sidecar", "figures"):
+        if way in ("manifest", "out-sidecar", "figures", "histogram"):
             # the input moves to the path that output would take
             moved = {"manifest": tmp_path / "named.json.manifest.json",
                      "out-sidecar": tmp_path / "named.json.columns",
-                     "figures": tmp_path / "figures" / "figures.manifest.json"}[way]
+                     "figures": tmp_path / "figures" / "figures.manifest.json",
+                     "histogram": tmp_path / "figures" / "hist_jerk.svg"}[way]
             moved.parent.mkdir(exist_ok=True)
             moved.write_bytes(inputs[target].read_bytes())
             inputs[target] = moved
-            if way == "figures":
+            if way in ("figures", "histogram"):
                 flags, written = ["--svg-dir", str(moved.parent)], moved
             else:
                 out, written = tmp_path / "named.json", moved
@@ -1318,6 +1337,90 @@ class TestJsonInputContract:
             assert manifest["segments_read_from"] == ("columns" if sidecar else "json")
             assert manifest["inputs"] == before
             assert manifest["inputs"][str(segments)] == header["json_sha256"]
+
+    @pytest.mark.parametrize("command, flags", [
+        ("ingest", []),
+        ("clean", []),
+        ("stats", ["--svg-dir", "{figures}"]),
+        ("simulate", ["--svg-dir", "{figures}"]),
+        ("validate", ["--limits", "{limits}"]),
+        ("calibrate", []),
+        ("report", []),
+    ])
+    def test_every_input_is_hashed_before_any_is_parsed(self, tmp_path, monkeypatch, command,
+                                                        flags):
+        """Each file_sha256 call on an input comes before the first parse of any input: a
+        JSON object read, a segments sidecar read or a GPS log read."""
+        import sys
+        from cfcalib import ingest, jsonio, series
+
+        inputs = {**self.write_inputs(tmp_path), "figures": tmp_path / "figures"}
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command] + flags]
+        given = {str(p) for p in inputs.values() if p.is_file() and str(p) in argv}
+        events = []
+
+        def logged(kind, fn):
+            return lambda path, *rest: events.append((kind, str(path))) or fn(path, *rest)
+
+        originals = {"file_sha256": ("hash", jsonio.file_sha256),
+                     "read_json_object": ("parse", jsonio.read_json_object)}
+        for name, module in list(sys.modules.items()):
+            for attr, (kind, fn) in originals.items():
+                if name.startswith("cfcalib") and getattr(module, attr, None) is fn:
+                    monkeypatch.setattr(module, attr, logged(kind, fn))
+        monkeypatch.setattr(series, "_read_columns", logged("parse", series._read_columns))
+        monkeypatch.setattr(ingest, "_read_gps_rows", logged("parse", ingest._read_gps_rows))
+        assert main(argv + ["--out", str(tmp_path / "out.json")]) == 0
+        # clean hashes its own output for the sidecar header, after it has written it
+        kinds = [kind for kind, path in events if kind == "parse" or path in given]
+        assert kinds == ["hash"] * len(given) + ["parse"] * kinds.count("parse"), events
+
+    @pytest.mark.parametrize("command, flags", [
+        ("simulate", []),
+        ("validate", ["--limits", "{limits}"]),
+        ("calibrate", []),
+    ])
+    def test_a_limits_file_with_an_unknown_key_exits_one(self, tmp_path, capsys, command,
+                                                         flags):
+        """A mistyped limit is refused, as a model file's or a GA config's stray key is,
+        not run with the default it meant to replace."""
+        inputs = self.write_inputs(tmp_path)
+        inputs["limits"].write_text(json.dumps({"a_mx": 2.0, "v_max": 15}))
+        argv = [arg.format(**inputs) for arg in self.COMMANDS[command] + flags]
+        out = tmp_path / "out.json"
+        capsys.readouterr()
+        rc = main(argv + ["--out", str(out)])
+        assert assert_exit_contract(rc, capsys.readouterr(), out) == {
+            "error": "domain", "message": "limits: unknown keys a_mx"}
+
+    @pytest.mark.parametrize("case", ["escapes", "subdirectory", "nul", "repeated", "input"])
+    def test_a_figure_name_that_is_not_one_new_file_exits_one(self, tmp_path, capsys, case):
+        """simulate --svg-dir names each figure after its segment id. A name that leaves the
+        directory, makes a subdirectory, holds NUL, repeats another or resolves to an input
+        exits 1 with one domain line naming the id, and nothing is written."""
+        inputs = self.write_inputs(tmp_path)
+        figures = tmp_path / "out" / "figs"
+        data = json.loads(inputs["segments"].read_text())
+        first = {"escapes": "../../escaped", "subdirectory": "x/y", "nul": "a\u0000b",
+                 "repeated": data["segments"][1]["id"], "input": "m"}[case]
+        data["segments"][0]["id"] = first
+        inputs["segments"].write_text(json.dumps(data))
+        if case == "input":
+            figures.mkdir(parents=True)
+            inputs["model"] = inputs["model"].rename(figures / "m_speed.svg")
+        tree = {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+        argv = [arg.format(**inputs) for arg in self.COMMANDS["simulate"]]
+        capsys.readouterr()
+        rc = main(argv + ["--svg-dir", str(figures), "--out", str(tmp_path / "out" / "sim.json")])
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert rc == 1 and len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "domain" and repr(first)[1:-1] in err["message"]
+        if case == "input":
+            assert err["message"] == (f"output {figures / 'm_speed.svg'} would replace "
+                                      f"input {inputs['model']}")
+        assert {p: p.read_bytes() if p.is_file() else None
+                for p in tmp_path.rglob("*")} == tree
 
     def test_locale_changes_no_byte(self, tmp_path):
         """A UTF-8 segment id is read and drawn alike under a C locale, whose encoding is ASCII."""

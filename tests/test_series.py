@@ -123,22 +123,41 @@ class TestSegmentsJson:
         assert cleaning.read_segments_json is series_module.read_segments_json
         assert cleaning.write_segments_json is series_module.write_segments_json
 
-    @pytest.mark.parametrize("sidecar", [True, False], ids=["columns", "json"])
-    def test_the_file_is_hashed_once_and_the_digest_kept(self, tmp_path, monkeypatch, sidecar):
-        """The list's sha256 is that of the bytes read, and of the sidecar's json_sha256."""
+    def write_counting(self, tmp_path, monkeypatch):
+        """A one-segment file with its sidecar, and the list of paths file_sha256 is called on."""
         path = tmp_path / "segments.json"
         write_segments_json([constant_leader_segment(12.0, 20, 60.0)], path)
-        before = hashlib.sha256(path.read_bytes()).hexdigest()
-        header = json.loads(columns_path(path).read_bytes().partition(b"\n")[0])
-        if not sidecar:
-            columns_path(path).unlink()
         hashed, file_sha256 = [], series_module.file_sha256
         monkeypatch.setattr(series_module, "file_sha256",
                             lambda p: hashed.append(p) or file_sha256(p))
-        segments = read_segments_json(path)
-        assert segments.read_from == ("columns" if sidecar else "json")
+        return path, hashed
+
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["columns", "json"])
+    def test_the_file_is_hashed_once_and_the_digest_kept(self, tmp_path, monkeypatch, sidecar):
+        """Called with the path alone, the reader hashes the file once, the sidecar's json_sha256
+        being that digest."""
+        path, hashed = self.write_counting(tmp_path, monkeypatch)
+        header = json.loads(columns_path(path).read_bytes().partition(b"\n")[0])
+        assert header["json_sha256"] == hashlib.sha256(path.read_bytes()).hexdigest()
+        if not sidecar:
+            columns_path(path).unlink()
+        assert read_segments_json(path).read_from == ("columns" if sidecar else "json")
         assert hashed == [path]
-        assert segments.sha256 == before == header["json_sha256"]
+
+    @pytest.mark.parametrize("matches", [True, False], ids=["columns", "json"])
+    def test_a_digest_handed_in_is_checked_not_taken(self, tmp_path, monkeypatch, matches):
+        """Handed a digest, the reader hashes nothing: it takes the sidecar when the digest
+        matches its json_sha256, and the JSON when it does not, with the same segments."""
+        path, hashed = self.write_counting(tmp_path, monkeypatch)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        if not matches:
+            digest = hashlib.sha256(b"other bytes").hexdigest()
+        segments = read_segments_json(path, digest)
+        assert segments.read_from == ("columns" if matches else "json")
+        assert hashed == []
+        columns = [[getattr(s, name).tobytes() for name in COLUMNS]
+                   for s in (*segments, *read_segments_json(path))]
+        assert columns[0] == columns[1]
 
 
 @pytest.mark.parametrize("sign", [1.0, -1.0])
